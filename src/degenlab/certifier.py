@@ -16,8 +16,9 @@ every interior node x0:
 * the base candidate is the second-order Taylor polynomial of the grid
   field (central differences for p = D phi and M = D^2 phi);
 * the gradient is perturbed by +-eta_grad along the axes and the Hessian
-  by +-eta_hess v v' over the stencil directions v, sweeping the O(h^2) /
-  O(h) uncertainty of those finite differences;
+  by +-eta_hess v v' over the stencil directions v (the axes, then the two
+  diagonals of each pair of axes), sweeping the O(h^2) / O(h) uncertainty
+  of those finite differences;
 * a candidate counts as touching from above if u - phi <= eta_touch on
   the full window of radius rho_test cells around x0 (phi is anchored at
   u(x0)), and symmetrically from below.
@@ -32,10 +33,18 @@ Defaults eta_cert = 10 h, eta_touch = h^2, eta_grad = h^2 / 2 and
 eta_hess = h / 2 match the accuracy at which a C^2 function's gradient
 and Hessian are recoverable from exact grid samples, so exact solutions
 pass while O(1) equation violations fail by a margin.
+
+One state class serves every dimension: it holds u(x0 + s h) - u(x0) for
+the window offsets s in {-rho..rho}^d \\ {0} over the whole interior block.
+The equation value of each candidate uses the package's single evaluations
+of its two objects, ``EllipticOperator.apply`` on the batch of candidate
+Hessians and ``ProblemInstance.law_pair`` at the candidate gradients.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,10 +125,7 @@ def _certify(u: DiscreteField, prob: ProblemInstance, cfg: CertifierConfig,
         raise DomainError("certifier: test window does not fit on the grid")
     u.assert_finite()
 
-    if grid.d == 1:
-        state = _State1D(u.values, grid, prob, rho)
-    else:
-        state = _State2D(u.values, grid, prob, rho)
+    state = _State(u.values, grid, prob, rho)
 
     q = prob.q_vector(grid.d)
     C0 = prob.C0
@@ -131,13 +137,14 @@ def _certify(u: DiscreteField, prob: ProblemInstance, cfg: CertifierConfig,
 
     for combo_id, (dp, dM) in enumerate(state.combos(eta_grad, eta_hess)):
         tested += 1
+        p, m = state.candidate(dp, dM)
         # touching filter: u - phi <= eta_touch on the window (side above),
         # phi anchored at u(x0); mirrored for below.
-        defect = state.touch_defect(dp, dM, sign)
+        defect = state.touch_defect(p, m, sign)
         ok = defect <= eta_touch
         if not np.any(ok):
             continue
-        e_val, sat = state.inequality_value(dp, dM, q, side)
+        e_val, sat = state.inequality_value(p, m, q, side)
         saturated = saturated or sat
         slack = np.where(ok, sign * e_val - C0, -np.inf)
         upd = slack > best_slack
@@ -155,7 +162,7 @@ def _certify(u: DiscreteField, prob: ProblemInstance, cfg: CertifierConfig,
     if np.any(finite) and max_violation > eta_cert:
         flat = np.where(finite, best_slack, -np.inf)
         ij = tuple(np.unravel_index(int(np.argmax(flat)), flat.shape))
-        witness = state.witness(ij, int(best_combo[ij]), eta_grad, eta_hess, side, rho)
+        witness = state.witness(ij, int(best_combo[ij]), eta_grad, eta_hess, side)
 
     return CertificateReport(
         side=side,
@@ -171,201 +178,123 @@ def _certify(u: DiscreteField, prob: ProblemInstance, cfg: CertifierConfig,
     )
 
 
-def _law_pair_values(prob, speed):
-    """(sigma_plus, sigma_minus) evaluated with saturation at each t_max."""
-    sat = False
-    out = []
-    for law in (prob.sigma_plus, prob.sigma_minus):
-        if np.any(speed > law.t_max):
-            sat = True
-        out.append(law(np.minimum(speed, law.t_max)))
-    return out[0], out[1], sat
+class _State:
+    """Taylor data of u at every node of the interior block, in any d.
 
+    ``D`` maps each window offset s to the block of u(x0 + s h) - u(x0); the
+    base gradient and Hessian are its central differences, the Hessian kept
+    as its upper-triangle components.
+    """
 
-class _State1D:
     def __init__(self, u, grid, prob, rho):
-        self.h = grid.h
-        self.prob = prob
-        self.rho = rho
-        n = grid.n
-        self.sl = slice(rho, n - rho)
-        self.block_shape = (n - 2 * rho,)
-        self.offsets = range(-rho, rho + 1)
-        c = u[self.sl]
+        d, n, h = grid.d, grid.n, grid.h
+        self.d, self.prob, self.rho = d, prob, rho
+        self.block_shape = (n - 2 * rho,) * d
+        c = u[(slice(rho, n - rho),) * d]
         self.D = {
-            s: u[rho + s : n - rho + s] - c for s in self.offsets
+            s: u[tuple(slice(rho + k, n - rho + k) for k in s)] - c
+            for s in itertools.product(range(-rho, rho + 1), repeat=d)
+            if any(s)
         }
-        h = self.h
-        self.p_base = (self.D[1] - self.D[-1]) / (2 * h)
-        self.m_base = (self.D[1] + self.D[-1]) / (h * h)
+        self.window = [([k * h for k in s], Ds) for s, Ds in self.D.items()]
+        self.triu = [(int(i), int(j)) for i, j in zip(*np.triu_indices(d))]
+
+        def at(*steps):
+            """D at the offset sum of k e_i over the (k, i) steps."""
+            s = [0] * d
+            for k, i in steps:
+                s[i] += k
+            return self.D[tuple(s)]
+
+        self.p_base = [(at((1, i)) - at((-1, i))) / (2 * h) for i in range(d)]
+        self.m_base = {
+            (i, j): (at((1, i)) + at((-1, i))) / (h * h) if i == j else (
+                at((1, i), (1, j)) + at((-1, i), (-1, j))
+                - at((1, i), (-1, j)) - at((-1, i), (1, j))
+            ) / (4 * h * h)
+            for i, j in self.triu
+        }
 
     def combos(self, eta_grad, eta_hess):
-        for dp in (0.0, eta_grad, -eta_grad):
-            for dm in (0.0, eta_hess, -eta_hess):
-                yield (dp,), (dm,)
-
-    def touch_defect(self, dp, dM, sign):
-        p = self.p_base + dp[0]
-        m = self.m_base + dM[0]
-        h = self.h
-        worst = np.full(self.block_shape, -np.inf)
-        for s in self.offsets:
-            if s == 0:
-                continue
-            x = s * h
-            phi = p * x + 0.5 * m * x * x
-            np.maximum(worst, sign * (self.D[s] - phi), out=worst)
-        return worst
-
-    def inequality_value(self, dp, dM, q, side):
-        p = self.p_base + dp[0]
-        m = self.m_base + dM[0]
-        speed = np.abs(p + q[0])
-        sp, sm, sat = _law_pair_values(self.prob, speed)
-        F = self._f_of(m)
-        # min/max ranges over the two products sigma_i * F, not the laws:
-        # for F < 0 the larger law gives the smaller product.
-        if side == "above":
-            return np.minimum(sp * F, sm * F), sat
-        return np.maximum(sp * F, sm * F), sat
-
-    def _f_of(self, m):
-        op = self.prob.operator
-        if op.kind == "trace":
-            return m
-        if op.kind == "pucci-minus":
-            return op.pair.lam * np.maximum(m, 0.0) + op.pair.Lam * np.minimum(m, 0.0)
-        if op.kind == "pucci-plus":
-            return op.pair.Lam * np.maximum(m, 0.0) + op.pair.lam * np.minimum(m, 0.0)
-        vals = [A.matrix[0, 0] * m for A in op.coefficients]
-        return np.minimum.reduce(vals)
-
-    def node_index(self, ij):
-        return (int(ij[0]) + self.rho,)
-
-    def witness(self, ij, combo_id, eta_grad, eta_hess, side, rho):
-        combo = list(self.combos(eta_grad, eta_hess))[combo_id]
-        dp, dM = combo
-        p = float(self.p_base[ij] + dp[0])
-        m = float(self.m_base[ij] + dM[0])
-        return TouchingTest(
-            center=self.node_index(ij), rho_test=rho, p=(p,),
-            M=SymMatrix(d=1, upper=(m,)), side=side,
-        )
-
-
-class _State2D:
-    _HESS_DIRS = (
-        (1.0, 0.0),
-        (0.0, 1.0),
-        (np.sqrt(0.5), np.sqrt(0.5)),
-        (np.sqrt(0.5), -np.sqrt(0.5)),
-    )
-
-    def __init__(self, u, grid, prob, rho):
-        self.h = grid.h
-        self.prob = prob
-        self.rho = rho
-        n = grid.n
-        self.sl = slice(rho, n - rho)
-        self.block_shape = (n - 2 * rho, n - 2 * rho)
-        self.offsets = [
-            (si, sj)
-            for si in range(-rho, rho + 1)
-            for sj in range(-rho, rho + 1)
-            if (si, sj) != (0, 0)
+        """(dp, dM) over the gradient nudges x the Hessian nudges, base first."""
+        d = self.d
+        axes = list(np.eye(d))
+        grads = [np.zeros(d)]
+        for e in axes:
+            grads += [eta_grad * e, -eta_grad * e]
+        dirs = axes + [
+            np.sqrt(0.5) * (axes[i] + sgn * axes[j])
+            for i in range(d) for j in range(i + 1, d) for sgn in (1.0, -1.0)
         ]
-        c = u[self.sl, self.sl]
-        self.D = {}
-        for si, sj in self.offsets:
-            self.D[(si, sj)] = (
-                u[rho + si : n - rho + si, rho + sj : n - rho + sj] - c
-            )
-        h = self.h
-        D = self.D
-        self.px = (D[(1, 0)] - D[(-1, 0)]) / (2 * h)
-        self.py = (D[(0, 1)] - D[(0, -1)]) / (2 * h)
-        self.mxx = (D[(1, 0)] + D[(-1, 0)]) / (h * h)
-        self.myy = (D[(0, 1)] + D[(0, -1)]) / (h * h)
-        self.mxy = (D[(1, 1)] + D[(-1, -1)] - D[(1, -1)] - D[(-1, 1)]) / (4 * h * h)
-
-    def combos(self, eta_grad, eta_hess):
-        grads = [(0.0, 0.0)]
-        for e in ((1.0, 0.0), (0.0, 1.0)):
-            grads.append((eta_grad * e[0], eta_grad * e[1]))
-            grads.append((-eta_grad * e[0], -eta_grad * e[1]))
-        hess = [(0.0, 0.0, 0.0)]
-        for v in self._HESS_DIRS:
-            vv = (v[0] * v[0], v[0] * v[1], v[1] * v[1])
-            hess.append(tuple(eta_hess * w for w in vv))
-            hess.append(tuple(-eta_hess * w for w in vv))
+        hess = [np.zeros((d, d))]
+        for v in dirs:
+            vv = np.outer(v, v)
+            hess += [eta_hess * vv, -eta_hess * vv]
         for dp in grads:
             for dM in hess:
                 yield dp, dM
 
-    def touch_defect(self, dp, dM, sign):
-        px = self.px + dp[0]
-        py = self.py + dp[1]
-        mxx = self.mxx + dM[0]
-        mxy = self.mxy + dM[1]
-        myy = self.myy + dM[2]
-        h = self.h
+    def candidate(self, dp, dM):
+        """Gradient components and upper-triangle Hessian of one paraboloid."""
+        p = [self.p_base[i] + dp[i] for i in range(self.d)]
+        m = {(i, j): self.m_base[(i, j)] + dM[i, j] for i, j in self.triu}
+        return p, m
+
+    def touch_defect(self, p, m, sign):
+        """max over the window of sign * (u - phi), phi the candidate paraboloid.
+
+        phi = sum_i p_i x_i + 0.5 sum_{i<=j} (2 - [i=j]) m_ij x_i x_j, summed
+        left to right into preallocated buffers: the offset loop allocates
+        nothing, which keeps it off the allocator's page-fault path.
+        """
+        w = [m[(i, j)] if i == j else 2 * m[(i, j)] for i, j in self.triu]
+        axes = [(i,) for i in range(self.d)]
         worst = np.full(self.block_shape, -np.inf)
-        for si, sj in self.offsets:
-            x, y = si * h, sj * h
-            phi = px * x + py * y + 0.5 * (mxx * x * x + 2 * mxy * x * y + myy * y * y)
-            np.maximum(worst, sign * (self.D[(si, sj)] - phi), out=worst)
+        phi, quad, tmp = (np.empty(self.block_shape) for _ in range(3))
+        for x, Ds in self.window:
+            _sum_of_products(p, axes, x, phi, tmp)
+            _sum_of_products(w, self.triu, x, quad, tmp)
+            quad *= 0.5
+            phi += quad
+            np.subtract(Ds, phi, out=phi)
+            phi *= sign
+            np.maximum(worst, phi, out=worst)
         return worst
 
-    def inequality_value(self, dp, dM, q, side):
-        px = self.px + dp[0]
-        py = self.py + dp[1]
-        speed = np.hypot(px + q[0], py + q[1])
-        sp, sm, sat = _law_pair_values(self.prob, speed)
-        F = self._f_of(self.mxx + dM[0], self.mxy + dM[1], self.myy + dM[2])
+    def inequality_value(self, p, m, q, side):
+        g = [p[i] + q[i] for i in range(self.d)]
+        speed = np.abs(g[0]) if self.d == 1 else functools.reduce(np.hypot, g)
+        sp, sm, sat = self.prob.law_pair(speed)
+        hess = np.empty(self.block_shape + (self.d, self.d))
+        for (i, j), v in m.items():
+            hess[..., i, j] = hess[..., j, i] = v
+        F = self.prob.operator.apply(hess)
         # min/max ranges over the two products sigma_i * F, not the laws:
         # for F < 0 the larger law gives the smaller product.
         if side == "above":
             return np.minimum(sp * F, sm * F), sat
         return np.maximum(sp * F, sm * F), sat
 
-    def _f_of(self, mxx, mxy, myy):
-        op = self.prob.operator
-        if op.kind == "trace":
-            return mxx + myy
-        if op.kind in ("pucci-minus", "pucci-plus"):
-            mean = 0.5 * (mxx + myy)
-            rad = np.hypot(0.5 * (mxx - myy), mxy)
-            e1, e2 = mean - rad, mean + rad
-            lam, Lam = op.pair.lam, op.pair.Lam
-            if op.kind == "pucci-minus":
-                return (
-                    lam * (np.maximum(e1, 0) + np.maximum(e2, 0))
-                    + Lam * (np.minimum(e1, 0) + np.minimum(e2, 0))
-                )
-            return (
-                Lam * (np.maximum(e1, 0) + np.maximum(e2, 0))
-                + lam * (np.minimum(e1, 0) + np.minimum(e2, 0))
-            )
-        vals = [
-            A.matrix[0, 0] * mxx + 2 * A.matrix[0, 1] * mxy + A.matrix[1, 1] * myy
-            for A in op.coefficients
-        ]
-        return np.minimum.reduce(vals)
-
     def node_index(self, ij):
-        return (int(ij[0]) + self.rho, int(ij[1]) + self.rho)
+        return tuple(int(k) + self.rho for k in ij)
 
-    def witness(self, ij, combo_id, eta_grad, eta_hess, side, rho):
-        combo = list(self.combos(eta_grad, eta_hess))[combo_id]
-        dp, dM = combo
-        p = (float(self.px[ij] + dp[0]), float(self.py[ij] + dp[1]))
-        M = SymMatrix(
-            d=2,
-            upper=(
-                float(self.mxx[ij] + dM[0]),
-                float(self.mxy[ij] + dM[1]),
-                float(self.myy[ij] + dM[2]),
-            ),
+    def witness(self, ij, combo_id, eta_grad, eta_hess, side):
+        dp, dM = list(self.combos(eta_grad, eta_hess))[combo_id]
+        p, m = self.candidate(dp, dM)
+        return TouchingTest(
+            center=self.node_index(ij), rho_test=self.rho,
+            p=tuple(float(pi[ij]) for pi in p),
+            M=SymMatrix(d=self.d, upper=tuple(float(m[k][ij]) for k in self.triu)),
+            side=side,
         )
-        return TouchingTest(center=self.node_index(ij), rho_test=rho, p=p, M=M, side=side)
+
+
+def _sum_of_products(coefs, index, x, out, tmp):
+    """out = sum_k coefs[k] * prod_{i in index[k]} x[i], left to right, in place."""
+    for k, (a, idx) in enumerate(zip(coefs, index)):
+        dst = tmp if k else out
+        np.multiply(a, x[idx[0]], out=dst)
+        for i in idx[1:]:
+            dst *= x[i]
+        if k:
+            out += tmp

@@ -48,7 +48,9 @@ from .errors import (
 from .grids import DiscreteField, Grid
 from .lab import compare_modulus, decay_scan
 from .modulus import build_modulus
-from .solver import solve, solve_cascade
+# ``solve`` is bound here although the commands call only ``solve_cascade``:
+# bench/spans.py times the solver by wrapping degenlab.cli.solve.
+from .solver import solve, solve_cascade  # noqa: F401
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -211,13 +213,11 @@ def read_field(path: str, grid: Grid) -> DiscreteField:
         raise ConfigError(
             f"field: {path} holds {data.shape[0]} nodes, grid wants {grid.n**grid.d}"
         )
-    values = data[:, -1].reshape(grid.shape)
-    # sanity: coordinates must match the grid axes
-    coord0 = data[:, 0].reshape(grid.shape)
-    expect0 = grid.meshgrid()[0]
-    if not np.allclose(coord0, expect0, atol=1e-10):
-        raise ConfigError(f"field: {path} coordinates do not match the config grid")
-    return DiscreteField(grid=grid, values=values)
+    # sanity: every coordinate column must match the grid
+    for k, expect in enumerate(grid.meshgrid()):
+        if not np.allclose(data[:, k].reshape(grid.shape), expect, atol=1e-10):
+            raise ConfigError(f"field: {path} coordinates do not match the config grid")
+    return DiscreteField(grid=grid, values=data[:, -1].reshape(grid.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -269,10 +269,7 @@ def cmd_solve(cfg: RunConfig, args) -> int:
     code = EXIT_OK
     try:
         with run.stage("solve"):
-            if cfg.levels > 1:
-                u, diag = solve_cascade(prob, grid, scheme, levels=cfg.levels)
-            else:
-                u, diag = solve(prob, grid, scheme)
+            u, diag = solve_cascade(prob, grid, scheme, levels=cfg.levels)
     except SolverDivergenceError as exc:
         print(f"solve: diverged: {exc}", file=sys.stderr)
         if exc.diagnostics is not None:
@@ -339,16 +336,10 @@ def cmd_build_modulus(cfg: RunConfig, args) -> int:
     cfg.require("problem", "modulus")
     run = _Run(cfg, args.config, args.out, "build-modulus")
     prob, _ = cfg.build_problem()
-    m = cfg.modulus
     try:
         with run.stage("build-modulus"):
             schedule, table, omega = build_modulus(
-                prob.sigma_plus,
-                prob.sigma_minus,
-                C=float(m.get("C", 1.0)),
-                alpha0=float(m.get("alpha0", 0.5)),
-                delta=float(m.get("delta", 0.125)),
-                K=int(m.get("K", 256)),
+                prob.sigma_plus, prob.sigma_minus, **cfg.modulus_kwargs()
             )
     except UncertifiableTailError as exc:
         print(f"build-modulus: {exc}", file=sys.stderr)
@@ -414,15 +405,9 @@ def cmd_measure(cfg: RunConfig, args) -> int:
     omega_error = None
     if cfg.modulus is not None and cfg.problem is not None:
         prob, _ = cfg.build_problem()
-        m = cfg.modulus
         try:
             _, _, omega = build_modulus(
-                prob.sigma_plus,
-                prob.sigma_minus,
-                C=float(m.get("C", 1.0)),
-                alpha0=float(m.get("alpha0", 0.5)),
-                delta=float(m.get("delta", 0.125)),
-                K=int(m.get("K", 256)),
+                prob.sigma_plus, prob.sigma_minus, **cfg.modulus_kwargs()
             )
         except UncertifiableTailError as exc:
             omega_error = str(exc)

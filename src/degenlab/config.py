@@ -19,7 +19,7 @@ needs and rejects unknown keys everywhere):
       "grid":    {"d": 2, "n": 65},
       "scheme":  {"tol_solve": 1e-6, "max_iter": 200000,
                   "eps_deg": 1e-4, "dt": null, "scheme": "auto",
-                  "levels": 1},
+                  "levels": 0},         # coarsenings below grid.n
       "modulus": {"C": 1.0, "alpha0": 0.5, "delta": 0.125, "K": 256},
       "lab":     {"centers": [[0.0, 0.0]], "r": 0.5, "N": 6},
       "out":     "runs/demo",
@@ -127,9 +127,21 @@ class RunConfig:
             kwargs["dt_max"] = float(s["dt"])
         return SchemeConfig(**kwargs)
 
+    def modulus_kwargs(self) -> dict:
+        """The C / alpha0 / delta / K keyword arguments of build_modulus."""
+        self.require("modulus")
+        m = self.modulus
+        return {
+            "C": float(m.get("C", 1.0)),
+            "alpha0": float(m.get("alpha0", 0.5)),
+            "delta": float(m.get("delta", 0.125)),
+            "K": int(m.get("K", 256)),
+        }
+
     @property
     def levels(self) -> int:
-        return int(self.scheme.get("levels", 1))
+        """Number of coarsenings of the solve cascade (0: fine grid only)."""
+        return int(self.scheme.get("levels", 0))
 
 
 def _check_keys(block: dict, allowed: set, name: str) -> None:

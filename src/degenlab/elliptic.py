@@ -96,14 +96,22 @@ class EllipticityPair:
 
 
 def _eigs(M) -> np.ndarray:
-    if isinstance(M, SymMatrix):
-        return M.eigenvalues()
-    a = np.asarray(M, dtype=float)
+    """Eigenvalues along the last axis: closed forms for d <= 2, else LAPACK.
+
+    In 2-d they are mean -+ hypot(half-difference, off-diagonal), ascending.
+    """
+    a = M.matrix if isinstance(M, SymMatrix) else np.asarray(M, dtype=float)
     if a.ndim == 0:
         return a.reshape(1)
-    if a.ndim >= 2 and a.shape[-1] == a.shape[-2]:
-        return np.linalg.eigvalsh(a)
-    raise DomainError("expected a SymMatrix or a (batched) square array")
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise DomainError("expected a SymMatrix or a (batched) square array")
+    if a.shape[-1] == 1:
+        return a[..., 0]
+    if a.shape[-1] == 2:
+        mean = 0.5 * (a[..., 0, 0] + a[..., 1, 1])
+        rad = np.hypot(0.5 * (a[..., 0, 0] - a[..., 1, 1]), a[..., 0, 1])
+        return np.stack((mean - rad, mean + rad), axis=-1)
+    return np.linalg.eigvalsh(a)
 
 
 def pucci_minus(M, pair: EllipticityPair):
@@ -165,18 +173,34 @@ class EllipticOperator:
         elif self.coefficients:
             raise DomainError(f"{self.kind} operator takes no coefficients")
 
-    def apply(self, M) -> float:
+    def apply(self, M):
+        """F(M) for one matrix (a float) or a batch of shape (..., d, d)."""
         mat = M.matrix if isinstance(M, SymMatrix) else np.asarray(M, dtype=float)
         if self.kind == "trace":
-            return float(np.trace(mat))
-        if self.kind == "pucci-minus":
-            return pucci_minus(mat, self.pair)
-        if self.kind == "pucci-plus":
-            return pucci_plus(mat, self.pair)
-        return min(float(np.trace(A.matrix @ mat)) for A in self.coefficients)
+            val = sum((mat[..., i, i] for i in range(1, mat.shape[-1])), mat[..., 0, 0])
+        elif self.kind == "pucci-minus":
+            val = pucci_minus(mat, self.pair)
+        elif self.kind == "pucci-plus":
+            val = pucci_plus(mat, self.pair)
+        else:
+            val = np.minimum.reduce([_trace_product(A, mat) for A in self.coefficients])
+        return float(val) if np.ndim(val) == 0 else val
 
-    def __call__(self, M) -> float:
+    def __call__(self, M):
         return self.apply(M)
+
+
+def _trace_product(A: SymMatrix, mat):
+    """tr(A M) summed over the upper triangle: A00 M00 + 2 A01 M01 + A11 M11 ..."""
+    if mat.shape[-1] != A.d:
+        raise DomainError(
+            f"bellman coefficients are {A.d}x{A.d}, F got {mat.shape[-1]}-d input"
+        )
+    terms = [
+        a * mat[..., i, j] if i == j else 2 * a * mat[..., i, j]
+        for i, j, a in zip(*np.triu_indices(A.d), A.upper)
+    ]
+    return sum(terms[1:], terms[0])
 
 
 @dataclass(frozen=True)

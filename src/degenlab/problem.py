@@ -9,12 +9,14 @@ An instance fixes the data of
 together with the constant C0 bounding |f| that the viscosity certificates
 test against.  Where u = 0 the discretization uses the smaller of the two
 laws, matching the minimal inequality that viscosity solutions satisfy
-across the free boundary.
+across the free boundary.  ``ProblemInstance.law_pair`` and
+``select_phase`` are the one evaluation of the phase laws and the one sign
+selection that the solver and the certifier share.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +35,16 @@ def _as_node_function(obj, what: str):
     except (TypeError, ValueError):
         raise DomainError(f"{what} must be a callable or a number") from None
     return lambda *coords: np.full_like(np.asarray(coords[0], dtype=float), const)
+
+
+def select_phase(u, plus, minus, zero=None):
+    """``plus`` where u > 0, ``minus`` where u < 0, ``zero`` where u = 0.
+
+    ``zero`` defaults to the smaller of the two, np.minimum(plus, minus).
+    """
+    if zero is None:
+        zero = np.minimum(plus, minus)
+    return np.where(u > 0.0, plus, np.where(u < 0.0, minus, zero))
 
 
 @dataclass(frozen=True)
@@ -64,6 +76,16 @@ class ProblemInstance:
                 f"ProblemInstance: q has length {len(self.q)}, expected {d}"
             )
         return np.asarray(self.q, dtype=float)
+
+    def law_pair(self, speed):
+        """(sigma_plus, sigma_minus, clamped) at the gradient magnitudes ``speed``.
+
+        Each law is frozen at its domain cap t_max; ``clamped`` reports
+        whether any speed went past either cap.
+        """
+        sp, sm = self.sigma_plus, self.sigma_minus
+        clamped = bool(np.any(speed > min(sp.t_max, sm.t_max)))
+        return sp(np.minimum(speed, sp.t_max)), sm(np.minimum(speed, sm.t_max)), clamped
 
     def f_on(self, grid: Grid) -> np.ndarray:
         return grid.sample(_as_node_function(self.f, "f"))

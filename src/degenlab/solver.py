@@ -21,18 +21,19 @@ Each is non-decreasing in every neighbour value, so the explicit update
     u <- u + dt (sigma_{sgn(u)}(max(|grad_h u + q|, eps_deg)) F_h(u) - f)
 
 is monotone whenever dt * sigma * (center weight of F_h) <= 1.  The center
-weight is at most 2 d Lam_F / h^2, which gives the stability cap.
+weight is at most 2 d Lam_F / h^2, which gives the stability cap; steps
+take 0.9 of it.  sigma_{sgn(u)} is ProblemInstance.law_pair followed by
+problem.select_phase, the same evaluation the certifier uses.
 
 Time stepping
 -------------
 The degeneracy makes the stiffness ratio max(sigma)/min(sigma) huge, so a
 single global dt obeying the cap with sigma_max crawls on the degenerate
-set.  By default each node therefore advances with its own dt at its own
-cap (strategy "local"): every individual update is still monotone and the
-fixed points are identical, only the pseudo-time parametrization changes.
-Strategy "global" recovers the single shared step.  The dt denominator
-takes sigma from the node's whole stencil (neighbour max): updates move
-the neighbours too, and pointwise sigma lets dt and sigma oscillate in
+set.  Each node therefore advances with its own dt at its own cap: every
+individual update is still monotone and the fixed points are identical,
+only the pseudo-time parametrization changes.  The dt denominator takes
+sigma from the node's whole stencil (neighbour max): updates move the
+neighbours too, and pointwise sigma lets dt and sigma oscillate in
 antiphase around a CFL-lag limit cycle.
 
 Scheme selection
@@ -47,20 +48,23 @@ central gradient vanishes feeds sigma ~ 0 back into f / sigma).  No such
 divergence structure exists for general F or in 2-d, where the pointwise
 form with central gradients is consistent, empirically stable on
 single-phase and smooth-interface problems, and the only monotone option.
+``_make_discretization`` makes this choice for ``solve`` and for the public
+``residual`` alike, so the residual reported is the one the solver drives
+to zero.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .elliptic import EllipticOperator
-from .errors import ConfigError, DomainError, SolverDivergenceError
+from .errors import ConfigError, SolverDivergenceError
 from .grids import DiscreteField, Grid, refine_linear
-from .problem import ProblemInstance
+from .problem import ProblemInstance, select_phase
 
 _EXPLODE_FACTOR = 1e8
+_SAFETY = 0.9
 _FRAME_ALIGN_TOL = 1e-12
 
 
@@ -78,8 +82,6 @@ class SchemeConfig:
     max_iter: int = 200_000
     tol: float = 1e-8
     eps_deg: float = 1e-4
-    dt_strategy: str = "local"
-    safety: float = 0.9
     dt_max: float | None = None
     initial: object = None
     history_stride: int = 0
@@ -92,10 +94,6 @@ class SchemeConfig:
             raise ConfigError("SchemeConfig: tol must be positive")
         if self.eps_deg < 0.0:
             raise ConfigError("SchemeConfig: eps_deg must be non-negative")
-        if self.dt_strategy not in ("local", "global"):
-            raise ConfigError("SchemeConfig: dt_strategy must be 'local' or 'global'")
-        if not (0.0 < self.safety < 1.0):
-            raise ConfigError("SchemeConfig: safety must lie in (0, 1)")
         if self.scheme not in ("auto", "wide", "flux-1d"):
             raise ConfigError("SchemeConfig: scheme must be 'auto', 'wide' or 'flux-1d'")
 
@@ -194,16 +192,9 @@ class _Discretization:
         Gradient magnitudes beyond the law's domain cap are clipped to the
         cap (the law freezes there); the flag reports whether that fired.
         """
-        s = np.maximum(self.gradient_norm(u), self.eps_deg)
-        sp_law, sm_law = self.prob.sigma_plus, self.prob.sigma_minus
-        clamped = bool(
-            np.any(s > sp_law.t_max) or np.any(s > sm_law.t_max)
-        )
-        sp = sp_law(np.minimum(s, sp_law.t_max))
-        sm = sm_law(np.minimum(s, sm_law.t_max))
+        sp, sm, clamped = self.prob.law_pair(np.maximum(self.gradient_norm(u), self.eps_deg))
         c = u[1:-1] if self.grid.d == 1 else u[1:-1, 1:-1]
-        sig = np.where(c > 0.0, sp, np.where(c < 0.0, sm, np.minimum(sp, sm)))
-        return sig, clamped
+        return select_phase(c, sp, sm), clamped
 
     def residual_interior(self, u: np.ndarray):
         sig, clamped = self.sigma_eff(u)
@@ -260,18 +251,12 @@ class _FluxDiscretization1D:
         gp = self._edge_flux(self.prob.sigma_plus, slopes)
         gm = self._edge_flux(self.prob.sigma_minus, slopes)
         g_min = np.where(np.abs(gp) <= np.abs(gm), gp, gm)
-        flux = np.where(pair_sign > 0.0, gp, np.where(pair_sign < 0.0, gm, g_min))
+        flux = select_phase(pair_sign, gp, gm, g_min)
         r = (flux[1:] - flux[:-1]) / h - self.f_int
 
         # sigma scale per node for the dt cap only (no clamp in the flux)
-        s_edge = np.maximum(np.abs(slopes + self.q), self.eps_deg)
-        sp_law, sm_law = self.prob.sigma_plus, self.prob.sigma_minus
-        clamped = bool(np.any(s_edge > min(sp_law.t_max, sm_law.t_max)))
-        sp = sp_law(np.minimum(s_edge, sp_law.t_max))
-        sm = sm_law(np.minimum(s_edge, sm_law.t_max))
-        sig_edge = np.where(
-            pair_sign > 0.0, sp, np.where(pair_sign < 0.0, sm, np.minimum(sp, sm))
-        )
+        sp, sm, clamped = self.prob.law_pair(np.maximum(np.abs(slopes + self.q), self.eps_deg))
+        sig_edge = select_phase(pair_sign, sp, sm)
         sig = np.maximum(sig_edge[1:], sig_edge[:-1])
         return r, sig, clamped
 
@@ -307,18 +292,17 @@ def _frame_weights(A: np.ndarray, d: int):
 
 
 def residual(u: DiscreteField, prob: ProblemInstance, eps_deg: float = 0.0) -> DiscreteField:
-    """Pointwise residual sigma_{sgn(u)}(...) F_h(u) - f on interior nodes.
+    """Interior residual of the scheme ``solve`` would use ("auto").
 
-    Boundary entries of the returned field are zero: Dirichlet data is
-    imposed exactly, so it never carries a residual.
+    That is the flux form on 1-d trace problems and the pointwise
+    sigma_{sgn(u)}(...) F_h(u) - f otherwise.  Boundary entries of the
+    returned field are zero: Dirichlet data is imposed exactly, so it never
+    carries a residual.
     """
-    disc = _Discretization(prob, u.grid, eps_deg)
+    disc, _ = _make_discretization(prob, u.grid, eps_deg)
     r, _, _ = disc.residual_interior(u.values)
     out = np.zeros(u.grid.shape)
-    if u.grid.d == 1:
-        out[1:-1] = r
-    else:
-        out[1:-1, 1:-1] = r
+    out[(slice(1, -1),) * u.grid.d] = r
     return DiscreteField(grid=u.grid, values=out)
 
 
@@ -364,8 +348,8 @@ def _neighbor_max(s: np.ndarray) -> np.ndarray:
     return out
 
 
-def _make_discretization(prob: ProblemInstance, grid: Grid, cfg: SchemeConfig):
-    scheme = cfg.scheme
+def _make_discretization(prob: ProblemInstance, grid: Grid, eps_deg: float,
+                         scheme: str = "auto"):
     if scheme == "auto":
         scheme = (
             "flux-1d"
@@ -373,8 +357,8 @@ def _make_discretization(prob: ProblemInstance, grid: Grid, cfg: SchemeConfig):
             else "wide"
         )
     if scheme == "flux-1d":
-        return _FluxDiscretization1D(prob, grid, cfg.eps_deg), "flux-1d"
-    return _Discretization(prob, grid, cfg.eps_deg), "wide"
+        return _FluxDiscretization1D(prob, grid, eps_deg), "flux-1d"
+    return _Discretization(prob, grid, eps_deg), "wide"
 
 
 def solve(prob: ProblemInstance, grid: Grid, cfg: SchemeConfig = SchemeConfig()):
@@ -385,7 +369,7 @@ def solve(prob: ProblemInstance, grid: Grid, cfg: SchemeConfig = SchemeConfig())
     residual blow-up past 1e8 times its starting level (or any non-finite
     value) raises SolverDivergenceError.
     """
-    disc, scheme = _make_discretization(prob, grid, cfg)
+    disc, scheme = _make_discretization(prob, grid, cfg.eps_deg, cfg.scheme)
     g_vals = prob.g_on(grid)
     u = _initial_values(cfg, grid, g_vals)
     interior = (slice(1, -1),) * grid.d
@@ -426,17 +410,10 @@ def solve(prob: ProblemInstance, grid: Grid, cfg: SchemeConfig = SchemeConfig())
                 _diag(it, res_norm, dt_last, dt_min_seen, False, cfg, history,
                       sigma_clamped, scheme),
             )
-        sig_dt = _neighbor_max(sig)
-        if cfg.dt_strategy == "local":
-            dt = cfg.safety / (disc.center_bound * np.maximum(sig_dt, 1e-300))
-            dt = np.minimum(dt, dt_cap)
-            dt_last = float(np.max(dt))
-            dt_min_seen = min(dt_min_seen, float(np.min(dt)))
-        else:
-            sig_max = float(np.max(sig_dt))
-            dt = min(cfg.safety / (disc.center_bound * max(sig_max, 1e-300)), dt_cap)
-            dt_last = dt
-            dt_min_seen = min(dt_min_seen, dt)
+        dt = _SAFETY / (disc.center_bound * np.maximum(_neighbor_max(sig), 1e-300))
+        dt = np.minimum(dt, dt_cap)
+        dt_last = float(np.max(dt))
+        dt_min_seen = min(dt_min_seen, float(np.min(dt)))
         u[interior] += dt * r
 
     return (

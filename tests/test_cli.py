@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from degenlab import solver
 from degenlab.cli import (
     EXIT_CERTIFICATE,
     EXIT_CONFIG,
@@ -64,6 +65,27 @@ class TestSolve:
         diag = json.loads((tmp_path / "stall" / "solve_diagnostics.json").read_text())
         assert diag["converged"] is False
 
+    @pytest.mark.parametrize("levels, sizes", [(None, [33]), (0, [33]), (1, [17, 33])])
+    def test_levels_counts_coarsenings(self, run_config, tmp_path, monkeypatch,
+                                       levels, sizes):
+        path, _ = run_config
+        cfg = json.loads(path.read_text())
+        cfg["grid"]["n"] = 33
+        if levels is not None:
+            cfg["scheme"]["levels"] = levels
+        p2 = tmp_path / "levels.json"
+        p2.write_text(json.dumps(cfg))
+        seen = []
+        real_solve = solver.solve
+
+        def spy(prob, grid, scheme_cfg):
+            seen.append(grid.n)
+            return real_solve(prob, grid, scheme_cfg)
+
+        monkeypatch.setattr(solver, "solve", spy)
+        assert main(["solve", "--config", str(p2)]) == EXIT_OK
+        assert seen == sizes
+
 
 class TestCertify:
     def test_solved_field_passes(self, run_config):
@@ -99,6 +121,27 @@ class TestCertify:
         xs = np.linspace(-1.0, 1.0, 33)  # config says 49
         bad = tmp_path / "short.csv"
         bad.write_text("x,u\n" + "\n".join(f"{x},0.0" for x in xs) + "\n")
+        assert (
+            main(["certify", "--config", str(path), "--field", str(bad)])
+            == EXIT_CONFIG
+        )
+
+    def test_wrong_y_column_rejected(self, tmp_path):
+        cfg = {
+            "problem": {"benchmark": "radial-power", "params": {"theta": 1.0, "d": 2}},
+            "grid": {"d": 2, "n": 17},
+            "out": str(tmp_path / "out"),
+        }
+        path = tmp_path / "run2d.json"
+        path.write_text(json.dumps(cfg))
+        xs = np.linspace(-1.0, 1.0, 17)
+        rows = [f"{x:.17g},{y:.17g},0" for x in xs for y in xs]
+        good = tmp_path / "good.csv"
+        good.write_text("x,y,u\n" + "\n".join(rows) + "\n")
+        assert main(["certify", "--config", str(path), "--field", str(good)]) == EXIT_OK
+        rows = [f"{x:.17g},5.0,0" for x in xs for _ in xs]  # x right, y wrong
+        bad = tmp_path / "bad_y.csv"
+        bad.write_text("x,y,u\n" + "\n".join(rows) + "\n")
         assert (
             main(["certify", "--config", str(path), "--field", str(bad)])
             == EXIT_CONFIG

@@ -97,7 +97,7 @@ class TestSchemeBuild:
         assert cfg.build_scheme(bench, grid).eps_deg == 0.01
 
     def test_levels_default_and_override(self):
-        assert validate_config(_base()).levels == 1
+        assert validate_config(_base()).levels == 0
         data = _base()
         data["scheme"]["levels"] = 3
         assert validate_config(data).levels == 3

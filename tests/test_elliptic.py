@@ -158,3 +158,50 @@ class TestOperators:
             M = (B + B.T) / 2
             assert lo(M) <= hi(M) + 1e-14
             assert lo(M) == pytest.approx(pucci_minus(M, pair))
+
+
+_KINDS = ("trace", "pucci-minus", "pucci-plus", "bellman-min-of-traces")
+
+
+def _random_sym_batch(rng, shape, d):
+    B = rng.uniform(-1.0, 1.0, size=(*shape, d, d))
+    return (B + np.swapaxes(B, -1, -2)) / 2.0
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("kind", _KINDS)
+def test_batched_apply_matches_single_matrices(kind, d):
+    """One F evaluator: a (..., d, d) batch gives the per-matrix values."""
+    pair = EllipticityPair(0.5, 2.0)
+    coeffs = ()
+    if kind == "bellman-min-of-traces":
+        coeffs = (
+            np.diag(np.linspace(0.5, 2.0, d)),
+            np.eye(d),
+            np.full((d, d), 0.25) + 0.5 * np.eye(d),
+        )
+    op = EllipticOperator(kind=kind, pair=pair, coefficients=coeffs)
+    rng = np.random.default_rng(17 + d)
+    batch = _random_sym_batch(rng, (4, 5), d)
+    batch[0, 0] = 0.0  # F(0) = 0 in every kind
+    vals = op.apply(batch)
+    assert vals.shape == (4, 5)
+    assert vals[0, 0] == 0.0
+    for idx in np.ndindex(4, 5):
+        single = op.apply(batch[idx])
+        assert isinstance(single, float)
+        assert vals[idx] == single
+        if kind == "pucci-minus":
+            assert single == pucci_minus(batch[idx], pair)
+            assert single == pytest.approx(pucci_reference(batch[idx], 0.5, 2.0)[0], abs=1e-12)
+        elif kind == "pucci-plus":
+            assert single == pucci_plus(batch[idx], pair)
+            assert single == pytest.approx(pucci_reference(batch[idx], 0.5, 2.0)[1], abs=1e-12)
+        elif kind == "trace":
+            assert single == pytest.approx(np.trace(batch[idx]), abs=1e-14)
+        else:
+            assert single == pytest.approx(
+                min(np.trace(np.asarray(A) @ batch[idx]) for A in coeffs), abs=1e-14
+            )
+    assert op.apply(SymMatrix.from_array(batch[1, 2])) == vals[1, 2]
+

@@ -79,6 +79,15 @@ class TestTransmission:
         # solution changes sign across the interface
         assert u.values[-1] > 0 > u.values[0]
 
+    def test_public_residual_is_the_converged_one(self):
+        bench = exact_benchmark("transmission-1d", {"theta1": 1.0, "theta2": 2.0, "c": 1.0})
+        grid = Grid(d=1, n=33)
+        cfg = SchemeConfig(tol=1e-6, eps_deg=bench.recommended_eps_deg(grid))
+        u, diag = solve(bench.problem, grid, cfg)
+        assert diag.converged and diag.scheme == "flux-1d"
+        res = residual(u, bench.problem, eps_deg=cfg.eps_deg)
+        assert res.sup_norm() == diag.final_residual
+
 
 class TestDiagnostics:
     def test_iteration_cap_reports_nonconvergence(self):
