@@ -17,9 +17,10 @@ report         bundle every JSON artifact in the output directory into
 Exit codes: 0 success, 1 configuration/IO error, 2 solver
 non-convergence, 3 certificate failure, 4 modulus tail uncertifiable.
 
-Every run rewrites manifest.json: config digest, package version, wall
-times per stage and a sha256 inventory of emitted files.  All other
-outputs are byte-deterministic for a fixed config and seed; floats are
+manifest.json keeps one entry per command that ran into the directory:
+config digest, seed, wall times per stage and a sha256 inventory of the
+files the command emitted; rerunning a command replaces its entry.  All
+other outputs are byte-deterministic for a fixed config and seed; floats are
 written with 17 significant digits (JSON encodes non-finite values as
 the strings "inf", "-inf", "nan").
 """
@@ -148,16 +149,22 @@ class _Run:
         self.files.append(name)
 
     def finish(self) -> None:
-        manifest = {
-            "schema": "degenlab-manifest-v1",
-            "command": self.command,
-            "package_version": __version__,
+        path = self.dir / "manifest.json"
+        try:
+            commands = json.loads(path.read_text(encoding="utf-8"))["commands"]
+        except (OSError, ValueError, KeyError, TypeError):
+            commands = {}  # none yet, or not one of ours: start afresh
+        commands[self.command] = {
             "config_sha256": self.config_digest,
             "seed": self.cfg.seed,
             "wall_times_s": self.times,
             "files": {name: _sha256(self.dir / name) for name in sorted(self.files)},
         }
-        _write_json(self.dir / "manifest.json", manifest)
+        _write_json(path, {
+            "schema": "degenlab-manifest-v2",
+            "package_version": __version__,
+            "commands": commands,
+        })
 
 
 class _Stage:
@@ -427,7 +434,6 @@ def cmd_measure(cfg: RunConfig, args) -> int:
                 "C_star": cmp_rep.C_star,
                 "spread": cmp_rep.spread,
                 "ratios": list(cmp_rep.ratios),
-                "holds": cmp_rep.holds,
             }
         elif omega_error is not None:
             entry["comparison"] = {"error": omega_error}

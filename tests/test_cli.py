@@ -1,5 +1,6 @@
 """Command-line interface: artifacts, exit codes, determinism."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -42,8 +43,7 @@ class TestSolve:
         err = json.loads((out / "benchmark_error.json").read_text())
         assert err["relative_sup_error"] < 0.01
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["command"] == "solve"
-        assert "field.csv" in manifest["files"]
+        assert "field.csv" in manifest["commands"]["solve"]["files"]
 
     def test_field_csv_shape(self, run_config):
         path, out = run_config
@@ -214,6 +214,36 @@ class TestReport:
             main(["report", "--config", str(path), "--out", str(empty)])
             == EXIT_CONFIG
         )
+
+
+class TestManifest:
+    def test_one_entry_per_command(self, run_config):
+        path, out = run_config
+        base = ["--config", str(path), "--seed", "7"]
+        field = [*base, "--field", str(out / "field.csv")]
+        assert main(["solve", *base]) == EXIT_OK
+        assert main(["certify", *field]) == EXIT_OK
+        assert main(["build-modulus", *base]) == EXIT_OK
+        assert main(["measure", *field]) == EXIT_OK
+        assert main(["report", *base]) == EXIT_OK
+        commands = json.loads((out / "manifest.json").read_text())["commands"]
+        assert set(commands) == {"solve", "certify", "build-modulus", "measure", "report"}
+        digests = {}
+        for entry in commands.values():
+            assert entry["seed"] == 7
+            digests.update(entry["files"])
+        others = {p.name for p in out.iterdir()} - {"manifest.json"}
+        assert set(digests) == others
+        for name, digest in digests.items():
+            assert digest == hashlib.sha256((out / name).read_bytes()).hexdigest()
+
+    def test_rerun_replaces_its_entry(self, run_config):
+        path, out = run_config
+        main(["build-modulus", "--config", str(path), "--seed", "1"])
+        main(["build-modulus", "--config", str(path), "--seed", "2"])
+        commands = json.loads((out / "manifest.json").read_text())["commands"]
+        assert list(commands) == ["build-modulus"]
+        assert commands["build-modulus"]["seed"] == 2
 
 
 class TestErrorsAndDeterminism:

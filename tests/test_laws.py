@@ -78,6 +78,43 @@ class TestEvaluation:
         law = PowerLaw(p=p)
         assert law(law.inverse(s)) == pytest.approx(s, rel=1e-9)
 
+    @pytest.mark.parametrize(
+        "law",
+        [
+            PowerLaw(p=0.3),
+            PowerLaw(p=3.0),
+            PowerLogLaw(p=1.0, q=1.0),
+            PowerLogLaw(p=0.5, q=-0.3),
+            PowerLogLaw(p=3.0, q=2.0),
+            ExponentialFlatLaw(),
+            TabulatedLaw(points=((0.5, 0.25), (1.0, 1.0), (4.0, 2.0))),
+            ScaledLaw(base=PowerLogLaw(p=1.0, q=1.0), prefactor=3.0, argscale=0.5),
+        ],
+        ids=lambda law: law.family,
+    )
+    def test_inverse_relative_roundtrip_down_to_underflow(self, law):
+        s = np.geomspace(1e-300, law(law.t_max), 601)
+        t = law.inverse(s)
+        normal = t >= np.finfo(float).tiny
+        assert normal.sum() > 100
+        assert np.all(np.abs(law(t[normal]) / s[normal] - 1.0) <= 1e-10)
+        assert np.all(t[~normal] < np.finfo(float).tiny)
+
+    @pytest.mark.parametrize("q", [-0.3, 1.0])
+    def test_power_log_at_subnormal_t(self, q):
+        vals = PowerLogLaw(p=0.5, q=q)(np.array([5e-310, 1e-308, 1e-300]))
+        assert np.all(np.isfinite(vals)) and np.all(vals > 0.0)
+        assert np.all(np.diff(vals) > 0.0)
+
+    def test_inverse_range_is_checked(self):
+        for law in (PowerLaw(p=2.0), PowerLogLaw(p=1.0, q=1.0)):
+            with pytest.raises(DomainError):
+                law.inverse(-1e-3)
+            with pytest.raises(DomainError):
+                law.inverse(2.0 * law(law.t_max))
+            with pytest.raises(DomainError):
+                law.primitive(2.0 * law.t_max)
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(DomainError):
             PowerLaw(p=-1.0)
@@ -108,6 +145,10 @@ class TestDini:
     @pytest.mark.parametrize("K", [64, 128, 256])
     def test_power_verdict_stable(self, p, K):
         assert dini_sum(PowerLaw(p=p), theta=0.25, K=K).verdict == "dini"
+
+    def test_power_log_is_dini(self):
+        # sigma^{-1}(s) ~ s log(1/s) is summable along theta^k
+        assert dini_sum(PowerLogLaw(p=1.0, q=1.0), theta=0.25, K=128).verdict == "dini"
 
     def test_theta_must_be_in_unit_interval(self):
         with pytest.raises(DomainError):
@@ -140,3 +181,20 @@ class TestConfig:
             law_from_config({"family": "power", "p": 1.0, "zz": 2})
         with pytest.raises(ConfigError):
             law_from_config({"p": 1.0})
+        with pytest.raises(ConfigError, match="malformed"):
+            law_from_config({"family": "power", "p": "abc"})
+        with pytest.raises(ConfigError, match="malformed"):
+            law_from_config({"family": "tabulated", "points": [[0.5]]})
+        # every family: an unknown key, and each required parameter missing
+        for cfg, required in (
+            ({"family": "power", "p": 1.5}, ("p",)),
+            ({"family": "power-log", "p": 1.0, "q": 2.0}, ("p", "q")),
+            ({"family": "exponential-flat", "t_max": 5.0}, ()),
+            ({"family": "tabulated", "points": [[0.5, 0.25], [1.0, 1.0]]}, ("points",)),
+        ):
+            with pytest.raises(ConfigError, match="unknown keys"):
+                law_from_config({**cfg, "zz": 2})
+            for key in required:
+                partial = {k: v for k, v in cfg.items() if k != key}
+                with pytest.raises(ConfigError, match="missing parameter"):
+                    law_from_config(partial)

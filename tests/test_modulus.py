@@ -5,13 +5,15 @@ sequence, the amplitude recursion, the certified tail, and the assembled
 modulus omega.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degenlab.errors import ConfigError, DomainError, UncertifiableTailError
-from degenlab.laws import ExponentialFlatLaw, PowerLaw, a_sequence
+from degenlab.laws import ExponentialFlatLaw, PowerLaw, PowerLogLaw, a_sequence
 from degenlab.modulus import (
     Modulus,
     RescaleParams,
@@ -118,7 +120,8 @@ class TestRecursion:
         sched = choose_scale(1.0, 0.5)
         law = PowerLaw(p=1.0)
         K = 8
-        table = mu_recursion(sched, (law, law), np.ones(K), K)
+        a = a_sequence(law, law, sched.theta, K)
+        table = mu_recursion(sched, (law, law), a, np.ones(K))
         assert table.branch1 == ("seed",) + ("hold",) * (K - 1)
         assert np.allclose(table.tau, 0.5 ** np.arange(1, K + 1), rtol=1e-13)
         assert np.all(np.asarray(table.mu_star) == 0.5)
@@ -127,7 +130,8 @@ class TestRecursion:
         # dropping c_2 to 1/32 forces a root: mu_2* = 1/sqrt(2)
         sched = choose_scale(1.0, 0.5)
         law = PowerLaw(p=1.0)
-        table = mu_recursion(sched, (law, law), np.array([1.0, 1.0 / 32.0]), 2)
+        a = a_sequence(law, law, sched.theta, 2)
+        table = mu_recursion(sched, (law, law), a, np.array([1.0, 1.0 / 32.0]))
         assert table.branch1[1] == "root"
         assert table.mu_star[1] == pytest.approx(2.0**-0.5, rel=1e-11)
         assert table.tau[1] == pytest.approx(2.0**-1.5, rel=1e-11)
@@ -137,7 +141,7 @@ class TestRecursion:
         laws = (PowerLaw(p=1.0), PowerLaw(p=2.0))
         a = np.array(a_sequence(laws[0], laws[1], sched.theta, 32))
         c = rescale_sequence(a, RescaleParams(delta=0.125))
-        table = mu_recursion(sched, laws, c, 32)
+        table = mu_recursion(sched, laws, a, c)
         mu = np.asarray(table.mu_star)
         assert np.all(np.diff(mu) >= -1e-15)
         assert np.all(mu < 1.0)
@@ -146,8 +150,10 @@ class TestRecursion:
 
     def test_rejects_short_rescaling(self):
         sched = choose_scale(1.0, 0.5)
+        laws = (PowerLaw(p=1.0),) * 2
+        a = a_sequence(*laws, sched.theta, 8)
         with pytest.raises(ConfigError):
-            mu_recursion(sched, (PowerLaw(p=1.0),) * 2, np.ones(3), 8)
+            mu_recursion(sched, laws, a, np.ones(3))
 
 
 class TestTailAndOmega:
@@ -221,6 +227,14 @@ class TestTailAndOmega:
                 delta=0.125,
                 K=64,
             )
+
+    def test_power_log_law_has_a_finite_tail(self):
+        # summable, so the tail certifies once the inverse is accurate below 1e-10
+        _, table, omega = build_modulus(
+            PowerLogLaw(p=1.0, q=1.0), PowerLaw(p=1.0), C=1.0, alpha0=0.5, delta=0.125, K=256
+        )
+        assert table.K == 256
+        assert math.isfinite(omega.tail_bound) and omega.tail_bound >= 0.0
 
     def test_truncated_prefix_consistency(self):
         _, table, _ = self._pipeline(1.0, 2.0)
