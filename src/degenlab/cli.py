@@ -233,16 +233,19 @@ def read_field(path: str, grid: Grid) -> DiscreteField:
 
 def _diag_json(diag) -> dict:
     return {
-        "schema": "degenlab-solve-diagnostics-v1",
+        "schema": "degenlab-solve-diagnostics-v2",
         "scheme": diag.scheme,
         "converged": diag.converged,
         "iterations": diag.iterations,
+        "linear_solves": diag.linear_solves,
+        "rejected_steps": diag.rejected_steps,
         "final_residual": diag.final_residual,
         "dt": diag.dt,
         "dt_min": diag.dt_min,
         "eps_deg": diag.eps_deg,
         "sigma_clamped": diag.sigma_clamped,
         "residual_history": list(diag.residual_history),
+        "levels": list(diag.levels),
     }
 
 

@@ -17,7 +17,7 @@ needs and rejects unknown keys everywhere):
       #   "f": 0.0, "g": 0.0, "C0": 1.0, "q": [0.0, 0.0]
       # },
       "grid":    {"d": 2, "n": 65},
-      "scheme":  {"tol_solve": 1e-6, "max_iter": 200000,
+      "scheme":  {"tol_solve": 1e-6, "max_iter": 1000,
                   "eps_deg": 1e-4, "dt": null, "scheme": "auto",
                   "levels": 0},         # coarsenings below grid.n
       "modulus": {"C": 1.0, "alpha0": 0.5, "delta": 0.125, "K": 256},
@@ -42,7 +42,7 @@ from .errors import ConfigError
 from .grids import Grid
 from .laws import law_from_config
 from .problem import ProblemInstance
-from .solver import SchemeConfig
+from .solver import MAX_ITER, SchemeConfig
 
 _TOP_KEYS = {"problem", "grid", "scheme", "modulus", "lab", "out", "seed"}
 _PROBLEM_BENCH_KEYS = {"benchmark", "params", "C0"}
@@ -118,7 +118,7 @@ class RunConfig:
             eps = bench.recommended_eps_deg(grid)
         kwargs = {
             "tol": float(s.get("tol_solve", 1e-8)),
-            "max_iter": int(s.get("max_iter", 200000)),
+            "max_iter": int(s.get("max_iter", MAX_ITER)),
             "scheme": s.get("scheme", "auto"),
         }
         if eps is not None:

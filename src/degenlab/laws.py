@@ -35,8 +35,9 @@ Contract
 ``DegeneracyLaw`` owns the argument handling of all three maps: sigma
 (``__call__``) takes t in [0, t_max], ``inverse`` takes s in
 [0, sigma(t_max)] and ``primitive`` takes t in [0, t_max], each up to a
-relative slack of 1e-12; anything else raises DomainError.  Scalars come
-back as floats, arrays keep their shape.  A family supplies only ``_raw``
+relative slack of 1e-12; anything else, NaN included, raises DomainError.
+Scalars come back as floats, arrays keep their shape.  A family supplies
+only ``_raw``
 (sigma on checked arrays) and the closed forms it has, wrapped by
 ``_inverse`` / ``_primitive`` so that every class still defines its own
 ``inverse``.  Without a closed form the inverse is the generic bisection,
@@ -70,8 +71,8 @@ _MIN_PROBE_TERMS = 3
 def _checked(law, x, top: float, what: str):
     """x as a float array checked to lie in [0, top], and whether it was a scalar."""
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > top * (1.0 + 1e-12)):
-        raise DomainError(f"{law.family}: {what} outside [0, {top:g}]")
+    if not np.all((arr >= 0.0) & (arr <= top * (1.0 + 1e-12))):  # NaN fails too
+        raise DomainError(f"{law.family}: {what} outside [0, {top:g}] or NaN")
     return arr, arr.ndim == 0
 
 

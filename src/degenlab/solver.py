@@ -1,4 +1,4 @@
-"""Monotone wide-stencil discretization and pseudo-time solver.
+"""Monotone wide-stencil discretization and pseudo-transient Newton solver.
 
 Discretization
 --------------
@@ -16,25 +16,53 @@ uniform grid: the axis frame {(1,0), (0,1)} and the diagonal frame
                     phi_plus(t)  = Lam t^+ + lam t^-
     bellman    min_i sum_e w_e(A_i) Delta_e, each A_i diagonal in a frame
 
-Each is non-decreasing in every neighbour value, so the explicit update
+Each is a min (or max) of linear branches sum_e c_e Delta_e with c_e >= 0
+(phi(t) = phi'(t) t, so a pucci branch takes c_e = phi'(Delta_e)), hence
+non-decreasing in every neighbour value.  The residual is
 
-    u <- u + dt (sigma_{sgn(u)}(max(|grad_h u + q|, eps_deg)) F_h(u) - f)
+    R(u) = sigma_{sgn(u)}(max(|grad_h u + q|, eps_deg)) F_h(u) - f
 
-is monotone whenever dt * sigma * (center weight of F_h) <= 1.  The center
-weight is at most 2 d Lam_F / h^2, which gives the stability cap; steps
-take 0.9 of it.  sigma_{sgn(u)} is ProblemInstance.law_pair followed by
-problem.select_phase, the same evaluation the certifier uses.
+with central gradients; sigma_{sgn(u)} is ProblemInstance.law_pair followed
+by problem.select_phase, the same evaluation the certifier uses.
 
 Time stepping
 -------------
-The degeneracy makes the stiffness ratio max(sigma)/min(sigma) huge, so a
-single global dt obeying the cap with sigma_max crawls on the degenerate
-set.  Each node therefore advances with its own dt at its own cap: every
-individual update is still monotone and the fixed points are identical,
-only the pseudo-time parametrization changes.  The dt denominator takes
-sigma from the node's whole stencil (neighbour max): updates move the
-neighbours too, and pointwise sigma lets dt and sigma oscillate in
-antiphase around a CFL-lag limit cycle.
+The solver follows the pseudo-time flow u_t = R(u) to its steady state by
+pseudo-transient continuation (Kelley & Keyes 1998).  Each step solves
+
+    (diag(1/dt) - J(u)) delta = R(u),    u <- u + delta,
+
+where J is the frozen-policy Jacobian of R (``jacobian``): the active
+pucci frame or bellman branch, the slope phi'(Delta_e) and the phase of
+every node are held fixed, which makes the step one semismooth Newton /
+Howard policy-iteration step (Bokanowski, Maroso & Zidani 2009) damped by
+1/dt.  The wide-stencil J also carries F_h sigma'(|grad_h u|) d|grad_h u|/du
+through the central gradient, with sigma' one relative central difference
+of the law itself (``_law_slope``).  In the flux form, J is tridiagonal with
+edge weight sigma_phase(max(|s + q|, eps_deg)) / h^2.  Every linear system
+is a scipy.sparse matrix on a stencil pattern fixed per discretization,
+factored by SuperLU with the MMD ordering of A^T + A.
+
+dt is a per-node array.  It starts at the explicit stability cap: the
+center weight of F_h is at most 2 d Lam_F / h^2, and 0.9 of the cap with
+sigma taken as the neighbour max over the stencil keeps an explicit update
+u <- u + dt R(u) monotone (pointwise sigma lets dt and sigma oscillate in
+antiphase around a CFL-lag limit cycle).  After an accepted step dt grows
+by switched evolution relaxation, dt <- dt |R_prev| / |R|, so it approaches
+a pure Newton step as the residual falls; a step accepted at its first try
+at least doubles dt.  A step is rejected when delta is not finite or the
+residual rises; dt is then halved, and once the cut reaches the cap the
+step is the explicit update at the cap, which is always taken.  The fixed
+points are those of the explicit relaxation: only the path through
+pseudo-time changes.
+
+Acceptance and growth measure R by its root mean square; the stop at
+cfg.tol stays in the sup norm.  The sup norm sits on one boundary-layer or
+front node for hundreds of steps while the rest of the grid converges.
+The floor on the growth serves degenerate regions, where a cold start
+sinks nearly uniformly and R falls additively: by the residual ratio
+alone, dt stays near the cap for over a thousand steps (1-d radial power,
+n = 97: 1261 steps with the ratio alone, 32 with the floor).
 
 Scheme selection
 ----------------
@@ -55,17 +83,36 @@ to zero.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from .errors import ConfigError, SolverDivergenceError
 from .grids import DiscreteField, Grid, refine_linear
 from .problem import ProblemInstance, select_phase
 
+# Default step cap of SchemeConfig and of the config key "max_iter": a step
+# costs one sparse factorization or more, and converging solves take tens.
+MAX_ITER = 1000
+
 _EXPLODE_FACTOR = 1e8
 _SAFETY = 0.9
 _FRAME_ALIGN_TOL = 1e-12
+_DT_CUT = 2.0
+# Least growth of dt after a step accepted at its first try.
+_DT_GROWTH_MIN = 2.0
+# dt never grows past this multiple of the explicit cap; 1/dt is negligible
+# against J long before, and the bound limits the cuts after a rejection.
+_DT_GROWTH_MAX = 1e12
+# Relative step of the central difference that gives sigma'.
+_SLOPE_STEP = 1e-5
+
+# Second-difference directions per dimension, and the frames over them.
+_DIRECTIONS = {1: ((1,),), 2: ((1, 0), (0, 1), (1, 1), (1, -1))}
+_FRAMES = {"axis": (0, 1), "diag": (2, 3)}
 
 
 @dataclass(frozen=True)
@@ -76,15 +123,17 @@ class SchemeConfig:
     below; it regularizes the 0/0 ambiguity of sigma(|Du|) F(D^2 u) = f on
     the degenerate set and should scale with the accuracy target, not with
     machine precision.  ``initial`` may be None (constant field at the mean
-    boundary value), a number, an array, a DiscreteField or a callable.
+    boundary value), a number, an array, a DiscreteField or a callable; it
+    must be finite.  ``max_iter`` caps ``SolveDiagnostics.iterations`` and
+    ``history_stride`` keeps every stride-th residual in the diagnostics.
     """
 
-    max_iter: int = 200_000
+    max_iter: int = MAX_ITER
     tol: float = 1e-8
     eps_deg: float = 1e-4
     dt_max: float | None = None
     initial: object = None
-    history_stride: int = 0
+    history_stride: int = 1
     scheme: str = "auto"
 
     def __post_init__(self):
@@ -94,12 +143,22 @@ class SchemeConfig:
             raise ConfigError("SchemeConfig: tol must be positive")
         if self.eps_deg < 0.0:
             raise ConfigError("SchemeConfig: eps_deg must be non-negative")
+        if self.history_stride < 1:
+            raise ConfigError("SchemeConfig: history_stride must be positive")
         if self.scheme not in ("auto", "wide", "flux-1d"):
             raise ConfigError("SchemeConfig: scheme must be 'auto', 'wide' or 'flux-1d'")
 
 
 @dataclass(frozen=True)
 class SolveDiagnostics:
+    """How one solve ran.
+
+    ``iterations`` counts residual evaluations of accepted iterates (the
+    steps taken plus one), ``linear_solves`` the factorizations tried and
+    ``rejected_steps`` the trial steps thrown away.  ``solve_cascade`` fills
+    ``levels`` with one record per grid, coarsest first.
+    """
+
     iterations: int
     final_residual: float
     dt: float
@@ -109,6 +168,65 @@ class SolveDiagnostics:
     residual_history: tuple
     sigma_clamped: bool
     scheme: str = "wide"
+    linear_solves: int = 0
+    rejected_steps: int = 0
+    levels: tuple = ()
+
+
+class _StencilPattern:
+    """Sparse CSC pattern of a fixed stencil on the interior nodes.
+
+    ``matrix(coeffs)`` takes coefficients of shape (len(offsets), *shape),
+    where coeffs[k] at a node multiplies the value at node + offsets[k],
+    and fills the pattern without sorting.  Neighbours outside the interior
+    carry Dirichlet data and are dropped.
+    """
+
+    def __init__(self, shape: tuple, offsets: list):
+        size = int(np.prod(shape))
+        index = np.arange(size).reshape(shape)
+        rows, cols = [], []
+        for off in offsets:
+            node = tuple(slice(max(0, -o), n - max(0, o)) for o, n in zip(off, shape))
+            nbr = tuple(slice(max(0, o), n - max(0, -o)) for o, n in zip(off, shape))
+            rows.append(index[node].ravel())
+            cols.append(index[nbr].ravel())
+        src = np.concatenate([k * size + r for k, r in enumerate(rows)])
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        order = np.lexsort((rows, cols))
+        self.size = size
+        self.src = src[order]
+        self.indices = rows[order].astype(np.int32)
+        self.indptr = np.searchsorted(cols[order], np.arange(size + 1)).astype(np.int32)
+
+    def matrix(self, coeffs: np.ndarray):
+        data = coeffs.reshape(-1)[self.src]
+        return sparse.csc_matrix((data, self.indices, self.indptr), shape=(self.size,) * 2)
+
+
+def _law_slope(law, t):
+    """sigma'(t) by one relative central difference of sigma itself.
+
+    Zero from t_max on, where law_pair freezes the law.
+    """
+    tc = np.minimum(t, law.t_max)
+    lo = tc * (1.0 - _SLOPE_STEP)
+    hi = np.minimum(tc * (1.0 + _SLOPE_STEP), law.t_max)
+    slope = (law(hi) - law(lo)) / np.where(hi > lo, hi - lo, 1.0)
+    return np.where(t < law.t_max, slope, 0.0)
+
+
+def _shift(u: np.ndarray, off) -> np.ndarray:
+    """Values at node + off for every interior node."""
+    return u[tuple(slice(1 + o, n - 1 + o) for o, n in zip(off, u.shape))]
+
+
+def _neg(off: tuple) -> tuple:
+    return tuple(-o for o in off)
+
+
+def _norm(g: list) -> np.ndarray:
+    return np.abs(g[0]) if len(g) == 1 else np.hypot(*g)
 
 
 class _Discretization:
@@ -123,68 +241,73 @@ class _Discretization:
         self.q = prob.q_vector(grid.d)
         self.f_int = self.f[1:-1] if grid.d == 1 else self.f[1:-1, 1:-1]
         op = prob.operator
+        d = grid.d
+        lam_f = 1.0 if op.kind == "trace" else op.pair.Lam
+        self.center_bound = 2.0 * d * lam_f / self.h**2
+
+        # Linear branches of F_h: (direction indices, coefficients); None
+        # marks a pucci branch, whose coefficients are phi'(Delta_e).
+        axis = _FRAMES["axis"][:d]
         if op.kind == "trace":
-            self.lam_f = 1.0
+            self.branches = [(axis, (1.0,) * d)]
+        elif op.kind == "bellman-min-of-traces":
+            self.branches = [
+                (_FRAMES[frame][:d], w)
+                for frame, w in (_frame_weights(A.matrix, d) for A in op.coefficients)
+            ]
         else:
-            self.lam_f = op.pair.Lam
-        self.center_bound = 2.0 * grid.d * self.lam_f / self.h**2
-        if op.kind == "bellman-min-of-traces":
-            self.bellman_frames = [_frame_weights(A.matrix, grid.d) for A in op.coefficients]
+            self.branches = [(_FRAMES[frame][:d], None) for frame in ("axis", "diag")[:d]]
+            lam, Lam = op.pair.lam, op.pair.Lam
+            self.slopes = (lam, Lam) if op.kind == "pucci-minus" else (Lam, lam)
+        self.pick_max = op.kind == "pucci-plus"
+
+        dirs = sorted({k for ks, _ in self.branches for k in ks} | set(axis))
+        self.offsets = [(0,) * d]
+        for k in dirs:
+            e = _DIRECTIONS[d][k]
+            self.offsets += [e, _neg(e)]
+        self.offset_index = {off: i for i, off in enumerate(self.offsets)}
+        self.pattern = _StencilPattern(self.f_int.shape, self.offsets)
 
     # -- interior differential quantities ---------------------------------
 
+    def _gradient(self, u: np.ndarray) -> list:
+        """Central-difference gradient components, shifted by q."""
+        axes = _DIRECTIONS[self.grid.d][: self.grid.d]
+        return [
+            (_shift(u, e) - _shift(u, _neg(e))) / (2.0 * self.h) + qa
+            for e, qa in zip(axes, self.q)
+        ]
+
     def gradient_norm(self, u: np.ndarray) -> np.ndarray:
         """Central-difference gradient magnitude, shifted by q."""
-        h = self.h
-        if self.grid.d == 1:
-            gx = (u[2:] - u[:-2]) / (2.0 * h) + self.q[0]
-            return np.abs(gx)
-        gx = (u[2:, 1:-1] - u[:-2, 1:-1]) / (2.0 * h) + self.q[0]
-        gy = (u[1:-1, 2:] - u[1:-1, :-2]) / (2.0 * h) + self.q[1]
-        return np.hypot(gx, gy)
+        return _norm(self._gradient(u))
 
     def second_differences(self, u: np.ndarray):
+        c = u[(slice(1, -1),) * self.grid.d]
         h2 = self.h**2
-        if self.grid.d == 1:
-            return ((u[2:] - 2.0 * u[1:-1] + u[:-2]) / h2,)
-        c = u[1:-1, 1:-1]
-        dxx = (u[2:, 1:-1] - 2.0 * c + u[:-2, 1:-1]) / h2
-        dyy = (u[1:-1, 2:] - 2.0 * c + u[1:-1, :-2]) / h2
-        dpp = (u[2:, 2:] - 2.0 * c + u[:-2, :-2]) / (2.0 * h2)
-        dmm = (u[2:, :-2] - 2.0 * c + u[:-2, 2:]) / (2.0 * h2)
-        return dxx, dyy, dpp, dmm
+        return tuple(
+            (_shift(u, e) - 2.0 * c + _shift(u, _neg(e))) / (h2 * float(np.dot(e, e)))
+            for e in _DIRECTIONS[self.grid.d]
+        )
+
+    def _branch_values(self, u: np.ndarray):
+        """[(direction indices, coefficients, value)] of each linear branch."""
+        diffs = self.second_differences(u)
+        out = []
+        for ks, w in self.branches:
+            if w is None:
+                up, down = self.slopes
+                w = [np.where(diffs[k] > 0.0, up, down) for k in ks]
+            terms = [wk * diffs[k] for k, wk in zip(ks, w)]
+            out.append((ks, w, sum(terms[1:], terms[0])))
+        return out
+
+    def _reduce(self, values: list) -> np.ndarray:
+        return (np.maximum if self.pick_max else np.minimum).reduce(values)
 
     def operator_values(self, u: np.ndarray) -> np.ndarray:
-        op = self.prob.operator
-        diffs = self.second_differences(u)
-        if self.grid.d == 1:
-            (dxx,) = diffs
-            if op.kind == "trace":
-                return dxx
-            if op.kind == "pucci-minus":
-                return _phi_minus(dxx, op.pair)
-            if op.kind == "pucci-plus":
-                return _phi_plus(dxx, op.pair)
-            vals = [w[0] * dxx for w in self.bellman_frames]
-            return np.minimum.reduce(vals)
-        dxx, dyy, dpp, dmm = diffs
-        if op.kind == "trace":
-            return dxx + dyy
-        if op.kind == "pucci-minus":
-            axis = _phi_minus(dxx, op.pair) + _phi_minus(dyy, op.pair)
-            diag = _phi_minus(dpp, op.pair) + _phi_minus(dmm, op.pair)
-            return np.minimum(axis, diag)
-        if op.kind == "pucci-plus":
-            axis = _phi_plus(dxx, op.pair) + _phi_plus(dyy, op.pair)
-            diag = _phi_plus(dpp, op.pair) + _phi_plus(dmm, op.pair)
-            return np.maximum(axis, diag)
-        vals = []
-        for frame, w in self.bellman_frames:
-            if frame == "axis":
-                vals.append(w[0] * dxx + w[1] * dyy)
-            else:
-                vals.append(w[0] * dpp + w[1] * dmm)
-        return np.minimum.reduce(vals)
+        return self._reduce([v for _, _, v in self._branch_values(u)])
 
     def sigma_eff(self, u: np.ndarray):
         """Per-node law value sigma_{sgn(u)}, with the gradient clamp.
@@ -193,12 +316,49 @@ class _Discretization:
         cap (the law freezes there); the flag reports whether that fired.
         """
         sp, sm, clamped = self.prob.law_pair(np.maximum(self.gradient_norm(u), self.eps_deg))
-        c = u[1:-1] if self.grid.d == 1 else u[1:-1, 1:-1]
+        c = u[(slice(1, -1),) * self.grid.d]
         return select_phase(c, sp, sm), clamped
 
     def residual_interior(self, u: np.ndarray):
         sig, clamped = self.sigma_eff(u)
         return sig * self.operator_values(u) - self.f_int, sig, clamped
+
+    def jacobian(self, u: np.ndarray, sig: np.ndarray):
+        """Frozen-policy derivative of ``residual_interior`` at u (CSC).
+
+        ``sig`` is the sigma that residual_interior returned at u.  The
+        active branch, each pucci slope phi'(Delta_e) and the phase of every
+        node are held fixed.
+        """
+        d, h = self.grid.d, self.h
+        branches = self._branch_values(u)
+        values = [v for _, _, v in branches]
+        F = self._reduce(values)
+        active = (np.argmax if self.pick_max else np.argmin)(np.stack(values), axis=0)
+        coeffs = np.zeros((len(self.offsets),) + F.shape)
+        for j, (ks, w, _) in enumerate(branches):
+            on = active == j
+            for k, wk in zip(ks, w):
+                e = _DIRECTIONS[d][k]
+                a = np.where(on, sig * wk, 0.0) / (h**2 * float(np.dot(e, e)))
+                coeffs[self.offset_index[e]] += a
+                coeffs[self.offset_index[_neg(e)]] += a
+                coeffs[0] -= 2.0 * a
+
+        g = self._gradient(u)
+        norm = _norm(g)
+        live = norm > self.eps_deg
+        speed = np.maximum(norm, self.eps_deg)
+        sp, sm, _ = self.prob.law_pair(speed)
+        dp = _law_slope(self.prob.sigma_plus, speed)
+        dm = _law_slope(self.prob.sigma_minus, speed)
+        c = u[(slice(1, -1),) * d]
+        slope = select_phase(c, dp, dm, np.where(sp <= sm, dp, dm))
+        t = np.where(live, F * slope / np.where(live, norm, 1.0), 0.0) / (2.0 * h)
+        for e, ga in zip(_DIRECTIONS[d][:d], g):
+            coeffs[self.offset_index[e]] += t * ga
+            coeffs[self.offset_index[_neg(e)]] -= t * ga
+        return self.pattern.matrix(coeffs)
 
 
 class _FluxDiscretization1D:
@@ -224,6 +384,8 @@ class _FluxDiscretization1D:
     degenerate-interface regime the equation is designed around.
     """
 
+    offsets = [(-1,), (0,), (1,)]
+
     def __init__(self, prob: ProblemInstance, grid: Grid, eps_deg: float):
         if grid.d != 1 or prob.operator.kind != "trace":
             raise ConfigError("flux discretization requires d = 1 and F = trace")
@@ -235,7 +397,7 @@ class _FluxDiscretization1D:
         self.f_int = self.f[1:-1]
         self.q = float(prob.q_vector(1)[0])
         self.center_bound = 2.0 / grid.h**2
-        self.lam_f = 1.0
+        self.pattern = _StencilPattern(self.f_int.shape, self.offsets)
 
     def _psi(self, law, w):
         w_cl = np.clip(np.abs(w), 0.0, law.t_max)
@@ -244,29 +406,38 @@ class _FluxDiscretization1D:
     def _edge_flux(self, law, slopes):
         return self._psi(law, slopes + self.q) - self._psi(law, self.q)
 
-    def residual_interior(self, u: np.ndarray):
-        h = self.h
-        slopes = (u[1:] - u[:-1]) / h
+    def _edges(self, u: np.ndarray):
+        """Edge fluxes, the sigma of the branch each edge uses, and the clamp flag.
+
+        That sigma, at max(|s + q|, eps_deg), is the flux's slope dG/ds.
+        """
+        slopes = (u[1:] - u[:-1]) / self.h
         pair_sign = np.sign(u[1:] + u[:-1])
         gp = self._edge_flux(self.prob.sigma_plus, slopes)
         gm = self._edge_flux(self.prob.sigma_minus, slopes)
-        g_min = np.where(np.abs(gp) <= np.abs(gm), gp, gm)
-        flux = select_phase(pair_sign, gp, gm, g_min)
-        r = (flux[1:] - flux[:-1]) / h - self.f_int
-
-        # sigma scale per node for the dt cap only (no clamp in the flux)
+        plus_smaller = np.abs(gp) <= np.abs(gm)
+        flux = select_phase(pair_sign, gp, gm, np.where(plus_smaller, gp, gm))
         sp, sm, clamped = self.prob.law_pair(np.maximum(np.abs(slopes + self.q), self.eps_deg))
-        sig_edge = select_phase(pair_sign, sp, sm)
-        sig = np.maximum(sig_edge[1:], sig_edge[:-1])
-        return r, sig, clamped
+        sig = select_phase(pair_sign, sp, sm, np.where(plus_smaller, sp, sm))
+        return flux, sig, clamped
 
+    def residual_interior(self, u: np.ndarray):
+        flux, sig_edge, clamped = self._edges(u)
+        r = (flux[1:] - flux[:-1]) / self.h - self.f_int
+        # per-node sigma scale for the dt cap
+        return r, np.maximum(sig_edge[1:], sig_edge[:-1]), clamped
 
-def _phi_minus(t, pair):
-    return pair.lam * np.maximum(t, 0.0) + pair.Lam * np.minimum(t, 0.0)
+    def jacobian(self, u: np.ndarray, sig: np.ndarray):
+        """Frozen-phase derivative of ``residual_interior`` at u (CSC).
 
-
-def _phi_plus(t, pair):
-    return pair.Lam * np.maximum(t, 0.0) + pair.lam * np.minimum(t, 0.0)
+        Tridiagonal: edge e couples its two nodes with weight sigma_e / h^2.
+        Past t_max, where the flux is frozen, the weight stays at
+        sigma(t_max) rather than 0, which keeps J non-singular.  ``sig`` is
+        unused; the edge sigmas are recomputed from u.
+        """
+        _, sig_edge, _ = self._edges(u)
+        w = sig_edge / self.h**2
+        return self.pattern.matrix(np.stack((w[:-1], -(w[:-1] + w[1:]), w[1:])))
 
 
 def _frame_weights(A: np.ndarray, d: int):
@@ -325,6 +496,8 @@ def _initial_values(cfg: SchemeConfig, grid: Grid, g_vals: np.ndarray) -> np.nda
         u = arr.copy()
     mask = grid.boundary_mask()
     u[mask] = g_vals[mask]
+    if not np.all(np.isfinite(u)):
+        raise ConfigError("initial field and boundary data must be finite")
     return u
 
 
@@ -361,80 +534,114 @@ def _make_discretization(prob: ProblemInstance, grid: Grid, eps_deg: float,
     return _Discretization(prob, grid, eps_deg), "wide"
 
 
-def solve(prob: ProblemInstance, grid: Grid, cfg: SchemeConfig = SchemeConfig()):
-    """Relax to a discrete solution; returns (field, diagnostics).
+def _sup(r: np.ndarray) -> float:
+    return float(np.max(np.abs(r))) if r.size else 0.0
 
-    Convergence is declared when the sup norm of the interior residual
-    drops below cfg.tol.  Hitting max_iter returns converged=False; a
-    residual blow-up past 1e8 times its starting level (or any non-finite
-    value) raises SolverDivergenceError.
+
+def _rms(r: np.ndarray) -> float:
+    top = _sup(r)  # scaled, so that r * r cannot overflow
+    if not (0.0 < top < np.inf):
+        return top
+    return top * float(np.sqrt(np.mean((r / top) ** 2)))
+
+
+def _implicit_trial(J, u: np.ndarray, r: np.ndarray, dt: np.ndarray):
+    """u + delta with (diag(1/dt) - J) delta = r, or None if that is not finite."""
+    A = sparse.diags(1.0 / dt.ravel(), format="csc") - J
+    try:
+        delta = splu(A, permc_spec="MMD_AT_PLUS_A").solve(r.ravel())
+    except RuntimeError:  # exactly singular
+        return None
+    trial = u.copy()
+    trial[(slice(1, -1),) * u.ndim] += delta.reshape(r.shape)
+    return trial if np.all(np.isfinite(trial)) else None
+
+
+def solve(prob: ProblemInstance, grid: Grid, cfg: SchemeConfig = SchemeConfig()):
+    """Drive the residual to zero by pseudo-transient continuation.
+
+    Returns (field, diagnostics).  Convergence is declared when the sup
+    norm of the interior residual drops below cfg.tol.  Hitting max_iter
+    returns converged=False; a residual blow-up past 1e8 times its starting
+    level (or any non-finite value) raises SolverDivergenceError.
     """
     disc, scheme = _make_discretization(prob, grid, cfg.eps_deg, cfg.scheme)
-    g_vals = prob.g_on(grid)
-    u = _initial_values(cfg, grid, g_vals)
+    u = _initial_values(cfg, grid, prob.g_on(grid))
     interior = (slice(1, -1),) * grid.d
-
     dt_cap = cfg.dt_max if cfg.dt_max is not None else grid.h
-    stride = cfg.history_stride or max(1, cfg.max_iter // 256)
+
+    r, sig, sigma_clamped = disc.residual_interior(u)
+    res0 = res_norm = _sup(r)
+    rms = _rms(r)
+    growth = 1.0  # dt as a multiple of the explicit cap
     history = []
-    sigma_clamped = False
-    res0 = None
-    dt_last = dt_cap
-    dt_min_seen = np.inf
-    it = 0
-    res_norm = np.inf
+    dt_last, dt_min_seen = dt_cap, np.inf
+    solves = rejected = it = 0
+
+    def diag(converged: bool) -> SolveDiagnostics:
+        return SolveDiagnostics(
+            iterations=it,
+            final_residual=float(res_norm),
+            dt=float(dt_last),
+            dt_min=float(dt_min_seen if np.isfinite(dt_min_seen) else dt_last),
+            converged=converged,
+            eps_deg=cfg.eps_deg,
+            residual_history=tuple(history),
+            sigma_clamped=sigma_clamped,
+            scheme=scheme,
+            linear_solves=solves,
+            rejected_steps=rejected,
+        )
 
     for it in range(1, cfg.max_iter + 1):
-        r, sig, clamped = disc.residual_interior(u)
-        sigma_clamped = sigma_clamped or clamped
-        res_norm = float(np.max(np.abs(r))) if r.size else 0.0
         if not np.isfinite(res_norm):
-            raise SolverDivergenceError(
-                "residual became non-finite",
-                _diag(it, res_norm, dt_last, dt_min_seen, False, cfg, history,
-                      sigma_clamped, scheme),
-            )
-        if res0 is None:
-            res0 = res_norm
-        if it == 1 or it % stride == 0:
+            raise SolverDivergenceError("residual became non-finite", diag(False))
+        if it == 1 or it % cfg.history_stride == 0:
             history.append((it, res_norm))
         if res_norm <= cfg.tol:
-            return (
-                DiscreteField(grid=grid, values=u),
-                _diag(it, res_norm, dt_last, dt_min_seen, True, cfg, history,
-                      sigma_clamped, scheme),
-            )
+            return DiscreteField(grid=grid, values=u), diag(True)
         if res_norm > _EXPLODE_FACTOR * max(res0, 1.0):
             raise SolverDivergenceError(
-                f"residual grew to {res_norm:.3e} from {res0:.3e}",
-                _diag(it, res_norm, dt_last, dt_min_seen, False, cfg, history,
-                      sigma_clamped, scheme),
+                f"residual grew to {res_norm:.3e} from {res0:.3e}", diag(False)
             )
+
         dt = _SAFETY / (disc.center_bound * np.maximum(_neighbor_max(sig), 1e-300))
         dt = np.minimum(dt, dt_cap)
-        dt_last = float(np.max(dt))
-        dt_min_seen = min(dt_min_seen, float(np.min(dt)))
-        u[interior] += dt * r
+        J = disc.jacobian(u, sig)
+        first_try = True
+        while True:
+            step = growth * dt
+            trial = _implicit_trial(J, u, r, step)
+            solves += 1
+            if trial is not None:
+                r_t, sig_t, clamped = disc.residual_interior(trial)
+                rms_t = _rms(r_t)
+                if rms_t <= rms:
+                    break
+            rejected += 1
+            first_try = False
+            growth /= _DT_CUT
+            if growth <= 1.0:
+                growth, step = 1.0, dt
+                trial = u.copy()
+                trial[interior] += dt * r
+                if not np.all(np.isfinite(trial)):
+                    raise SolverDivergenceError("iterate became non-finite", diag(False))
+                r_t, sig_t, clamped = disc.residual_interior(trial)
+                rms_t = _rms(r_t)
+                break
 
-    return (
-        DiscreteField(grid=grid, values=u),
-        _diag(it, res_norm, dt_last, dt_min_seen, False, cfg, history,
-              sigma_clamped, scheme),
-    )
+        ratio = rms / rms_t if rms_t > 0.0 else _DT_GROWTH_MAX
+        if first_try:
+            ratio = max(ratio, _DT_GROWTH_MIN)
+        if ratio > 1.0:
+            growth = min(growth * ratio, _DT_GROWTH_MAX)
+        u, r, sig, rms, res_norm = trial, r_t, sig_t, rms_t, _sup(r_t)
+        sigma_clamped = sigma_clamped or clamped
+        dt_last = float(np.max(step))
+        dt_min_seen = min(dt_min_seen, float(np.min(step)))
 
-
-def _diag(it, res, dt, dt_min, converged, cfg, history, clamped, scheme) -> SolveDiagnostics:
-    return SolveDiagnostics(
-        iterations=it,
-        final_residual=float(res),
-        dt=float(dt),
-        dt_min=float(dt_min if np.isfinite(dt_min) else dt),
-        converged=converged,
-        eps_deg=cfg.eps_deg,
-        residual_history=tuple(history),
-        sigma_clamped=clamped,
-        scheme=scheme,
-    )
+    return DiscreteField(grid=grid, values=u), diag(False)
 
 
 def solve_cascade(prob: ProblemInstance, grid: Grid, cfg: SchemeConfig, levels: int = 0):
@@ -442,7 +649,9 @@ def solve_cascade(prob: ProblemInstance, grid: Grid, cfg: SchemeConfig, levels: 
 
     ``levels`` counts coarsenings below ``grid``; each coarse level must
     still have at least MIN_NODES nodes (n coarsens as (n+1)/2).  Returns
-    the fine solution and the diagnostics of the final (fine) solve.
+    the fine solution and the diagnostics of the final (fine) solve, whose
+    ``levels`` holds n, iterations, linear solves, rejected steps and final
+    residual of every level, coarsest first.
     """
     ns = [grid.n]
     for _ in range(levels):
@@ -454,15 +663,17 @@ def solve_cascade(prob: ProblemInstance, grid: Grid, cfg: SchemeConfig, levels: 
 
     u_prev = None
     out_field, out_diag = None, None
+    records = []
     for n in ns:
         level_grid = Grid(d=grid.d, n=n)
-        level_cfg = cfg if u_prev is None else _with_initial(cfg, u_prev)
+        level_cfg = cfg if u_prev is None else dataclasses.replace(cfg, initial=u_prev)
         out_field, out_diag = solve(prob, level_grid, level_cfg)
+        records.append({
+            "n": n,
+            "iterations": out_diag.iterations,
+            "linear_solves": out_diag.linear_solves,
+            "rejected_steps": out_diag.rejected_steps,
+            "final_residual": out_diag.final_residual,
+        })
         u_prev = refine_linear(out_field) if n != ns[-1] else out_field
-    return out_field, out_diag
-
-
-def _with_initial(cfg: SchemeConfig, init_field: DiscreteField) -> SchemeConfig:
-    import dataclasses
-
-    return dataclasses.replace(cfg, initial=init_field)
+    return out_field, dataclasses.replace(out_diag, levels=tuple(records))

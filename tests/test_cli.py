@@ -65,6 +65,42 @@ class TestSolve:
         diag = json.loads((tmp_path / "stall" / "solve_diagnostics.json").read_text())
         assert diag["converged"] is False
 
+    def test_diagnostics_report_levels_and_linear_solves(self, run_config, tmp_path):
+        path, _ = run_config
+        cfg = json.loads(path.read_text())
+        cfg["scheme"]["levels"] = 1
+        cfg["out"] = str(tmp_path / "levels")
+        p2 = tmp_path / "levels.json"
+        p2.write_text(json.dumps(cfg))
+        assert main(["solve", "--config", str(p2)]) == EXIT_OK
+        diag = json.loads((tmp_path / "levels" / "solve_diagnostics.json").read_text())
+        assert [lv["n"] for lv in diag["levels"]] == [25, 49]
+        finest = diag["levels"][-1]
+        assert finest["linear_solves"] == diag["linear_solves"] >= 1
+        assert finest["iterations"] == diag["iterations"]
+        assert set(finest) == {"n", "iterations", "linear_solves", "rejected_steps",
+                               "final_residual"}
+
+    @pytest.mark.parametrize("f", [1e300, float("inf")])
+    def test_runaway_solve_exits_diverged_not_as_a_law_error(self, tmp_path, capsys, f):
+        cfg = {
+            "problem": {
+                "operator": {"kind": "trace", "lam": 1.0, "Lam": 1.0},
+                "sigma_plus": {"family": "power", "p": 1.0},
+                "sigma_minus": {"family": "power", "p": 2.0},
+                "f": f, "g": 0.0, "C0": 1.0,
+            },
+            "grid": {"d": 1, "n": 17},
+            "scheme": {"tol_solve": 1e-6, "max_iter": 50},
+            "out": str(tmp_path / "out"),
+        }
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["solve", "--config", str(path)]) == EXIT_DIVERGED
+        assert "outside" not in capsys.readouterr().err
+        diag = json.loads((tmp_path / "out" / "solve_diagnostics.json").read_text())
+        assert diag["converged"] is False
+
     @pytest.mark.parametrize("levels, sizes", [(None, [33]), (0, [33]), (1, [17, 33])])
     def test_levels_counts_coarsenings(self, run_config, tmp_path, monkeypatch,
                                        levels, sizes):

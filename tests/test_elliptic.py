@@ -5,6 +5,7 @@ import pytest
 
 from degenlab.elliptic import (
     EllipticityPair,
+    EllipticityReport,
     EllipticOperator,
     SymMatrix,
     check_ellipticity,
@@ -148,6 +149,19 @@ class TestOperators:
         assert rep.worst_low_slack >= -1e-10
         assert rep.worst_high_slack >= -1e-10
 
+    @pytest.mark.parametrize("d, a11, first_failure", [(1, 0.45, 1), (2, 0.45, 108), (3, 0.2, 13)])
+    def test_batched_check_matches_draw_by_draw_loop(self, d, a11, first_failure):
+        """Same samples count, slacks and counterexample at the first failure."""
+        coeff = np.diag([a11] + [1.25] * (d - 1))
+        op = EllipticOperator("bellman-min-of-traces", EllipticityPair(0.1, 5.0), (coeff,))
+        narrow = EllipticityPair(0.5, 2.0)  # a11 escapes it: the check must fail
+        object.__setattr__(op, "pair", narrow)
+        rep = check_ellipticity(op, d, 300, seed=3)
+        assert not rep.passed and rep.samples == first_failure
+        assert rep == _ellipticity_loop(op, d, 300, seed=3)
+        ok = EllipticOperator("pucci-plus", narrow)
+        assert check_ellipticity(ok, d, 300, seed=3) == _ellipticity_loop(ok, d, 300, seed=3)
+
     def test_pucci_kinds_are_the_envelopes(self):
         pair = EllipticityPair(0.7, 1.9)
         lo = EllipticOperator(kind="pucci-minus", pair=pair)
@@ -158,6 +172,23 @@ class TestOperators:
             M = (B + B.T) / 2
             assert lo(M) <= hi(M) + 1e-14
             assert lo(M) == pytest.approx(pucci_minus(M, pair))
+
+
+def _ellipticity_loop(op, d, samples, seed):
+    """Reference: one matrix pair per draw, stopping at the first failure."""
+    rng = np.random.default_rng(seed)
+    worst_low = worst_high = np.inf
+    for i in range(samples):
+        B = rng.uniform(-1.0, 1.0, size=(2, d, d))
+        M, N = (B[0] + B[0].T) / 2.0, (B[1] + B[1].T) / 2.0
+        diff = op.apply(M) - op.apply(N)
+        low = diff - pucci_minus(M - N, op.pair)
+        high = pucci_plus(M - N, op.pair) - diff
+        worst_low, worst_high = min(worst_low, low), min(worst_high, high)
+        if low < -1e-9 or high < -1e-9:
+            return EllipticityReport(False, i + 1, float(worst_low), float(worst_high),
+                                     (M.tolist(), N.tolist()))
+    return EllipticityReport(True, samples, float(worst_low), float(worst_high), None)
 
 
 _KINDS = ("trace", "pucci-minus", "pucci-plus", "bellman-min-of-traces")

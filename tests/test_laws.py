@@ -115,6 +115,18 @@ class TestEvaluation:
             with pytest.raises(DomainError):
                 law.primitive(2.0 * law.t_max)
 
+    @pytest.mark.parametrize("law, method", [
+        (PowerLaw(p=2.0), "__call__"),
+        (PowerLaw(p=2.0), "primitive"),
+        (PowerLogLaw(p=1.0, q=1.0), "inverse"),
+        (PowerLogLaw(p=1.0, q=1.0), "__call__"),
+    ])
+    def test_nan_is_a_domain_error(self, law, method):
+        with pytest.raises(DomainError):
+            getattr(law, method)(math.nan)
+        with pytest.raises(DomainError):
+            getattr(law, method)(np.array([0.5, math.nan]))
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(DomainError):
             PowerLaw(p=-1.0)

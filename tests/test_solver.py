@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from degenlab.benchmarks import exact_benchmark
+from degenlab.errors import ConfigError
 from degenlab.grids import DiscreteField, Grid
-from degenlab.solver import SchemeConfig, residual, solve, solve_cascade
+from degenlab.solver import MAX_ITER, SchemeConfig, residual, solve, solve_cascade
 
 
 def _rel_sup_error(u, exact):
@@ -139,3 +140,59 @@ class TestDiagnostics:
         u_casc, diag = solve_cascade(bench.problem, grid, cfg, levels=2)
         assert diag.converged
         assert np.max(np.abs(u_direct.values - u_casc.values)) < 1e-4
+
+
+class TestPseudoTransient:
+    @pytest.mark.parametrize("bad", ["nan", "inf-inside"])
+    def test_nonfinite_initial_field_is_config_error(self, bad):
+        bench = exact_benchmark("radial-power", {"theta": 1.0, "d": 1})
+        grid = Grid(d=1, n=17)
+        init = np.zeros(grid.shape)
+        init[8] = np.inf
+        cfg = SchemeConfig(initial=np.nan if bad == "nan" else init)
+        with pytest.raises(ConfigError):
+            solve(bench.problem, grid, cfg)
+
+    def test_stalling_solve_stops_at_the_default_cap(self):
+        bench = exact_benchmark("radial-power", {"theta": 1.0, "d": 1})
+        grid = Grid(d=1, n=17)
+        cfg = SchemeConfig(tol=1e-300, eps_deg=bench.recommended_eps_deg(grid))
+        u, diag = solve(bench.problem, grid, cfg)
+        assert not diag.converged
+        assert diag.iterations == MAX_ITER == cfg.max_iter
+        assert diag.final_residual < 1e-10
+        u.assert_finite()
+
+    def test_cascade_reports_every_level(self):
+        bench = exact_benchmark("transmission-1d", {"theta1": 1.0, "theta2": 2.0, "c": 1.0})
+        grid = Grid(d=1, n=129)
+        cfg = SchemeConfig(tol=1e-6, eps_deg=bench.recommended_eps_deg(grid))
+        _, diag = solve_cascade(bench.problem, grid, cfg, levels=4)
+        assert [lv["n"] for lv in diag.levels] == [9, 17, 33, 65, 129]
+        assert all(lv["final_residual"] <= cfg.tol for lv in diag.levels)
+        # a handful of Newton steps per level, not thousands of explicit ones
+        assert all(lv["iterations"] <= 20 for lv in diag.levels)
+        finest = diag.levels[-1]
+        assert finest["iterations"] == diag.iterations
+        assert finest["linear_solves"] == diag.linear_solves
+        assert finest["rejected_steps"] == diag.rejected_steps
+        assert finest["final_residual"] == diag.final_residual
+        # every residual is kept by default
+        assert [it for it, _ in diag.residual_history] == list(range(1, diag.iterations + 1))
+
+    @pytest.mark.parametrize("kind", ["pucci-minus", "pucci-plus", "bellman-min-of-traces"])
+    def test_one_dimensional_wide_stencil_kinds_solve(self, kind):
+        from degenlab.elliptic import EllipticityPair, EllipticOperator
+        from degenlab.laws import PowerLaw
+        from degenlab.problem import ProblemInstance
+
+        coeffs = (np.array([[0.7]]), np.array([[1.5]])) if kind.startswith("bellman") else ()
+        prob = ProblemInstance(
+            operator=EllipticOperator(kind, EllipticityPair(0.5, 2.0), coeffs),
+            sigma_plus=PowerLaw(1.0), sigma_minus=PowerLaw(2.0),
+            f=0.5, g=lambda x: x, C0=1.0,
+        )
+        grid = Grid(d=1, n=33)
+        u, diag = solve(prob, grid, SchemeConfig(tol=1e-8, eps_deg=0.05))
+        assert diag.converged and diag.scheme == "wide"
+        assert residual(u, prob, eps_deg=0.05).sup_norm() <= 1e-8
