@@ -37,10 +37,9 @@ Contract
 [0, sigma(t_max)] and ``primitive`` takes t in [0, t_max], each up to a
 relative slack of 1e-12; anything else, NaN included, raises DomainError.
 Scalars come back as floats, arrays keep their shape.  A family supplies
-only ``_raw``
-(sigma on checked arrays) and the closed forms it has, wrapped by
-``_inverse`` / ``_primitive`` so that every class still defines its own
-``inverse``.  Without a closed form the inverse is the generic bisection,
+only ``_raw`` (sigma on checked arrays) and the closed forms it has,
+wrapped by ``_inverse`` / ``_primitive`` so that every class still defines
+its own ``inverse``.  Without a closed form the inverse is the generic bisection,
 which is accurate to one unit in the last place of t wherever the inverse
 is a normal double and returns 0 where the exact inverse underflows, so
 sigma(sigma^{-1}(s)) / s - 1 stays at rounding level down to s = 1e-300.
