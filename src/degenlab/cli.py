@@ -275,7 +275,7 @@ def cmd_solve(cfg: RunConfig, args) -> int:
     run = _Run(cfg, args.config, args.out, "solve")
     grid = cfg.build_grid()
     prob, bench = cfg.build_problem()
-    scheme = cfg.build_scheme(bench, grid)
+    scheme = cfg.build_scheme(prob, grid, bench)
     code = EXIT_OK
     try:
         with run.stage("solve"):
@@ -388,9 +388,8 @@ def cmd_measure(cfg: RunConfig, args) -> int:
     grid = cfg.build_grid()
     u = read_field(args.field, grid)
     lab = cfg.lab
-    centers = [tuple(float(v) for v in c) for c in lab.get("centers", [(0.0,) * grid.d])]
-    r = float(lab.get("r", 0.5))
-    N = int(lab.get("N", 6))
+    centers = lab.get("centers", [(0.0,) * grid.d])
+    r, N = lab.get("r", 0.5), lab.get("N", 6)
 
     profiles = []
     with run.stage("measure"):

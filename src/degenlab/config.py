@@ -1,7 +1,7 @@
 """Run configuration: one JSON file drives every command.
 
 Schema (all blocks optional; each command checks for the blocks it
-needs and rejects unknown keys everywhere):
+needs and rejects unknown keys everywhere; null stands for the default):
 
     {
       "problem": {                      # either a named benchmark ...
@@ -17,8 +17,8 @@ needs and rejects unknown keys everywhere):
       #   "f": 0.0, "g": 0.0, "C0": 1.0, "q": [0.0, 0.0]
       # },
       "grid":    {"d": 2, "n": 65},
-      "scheme":  {"tol_solve": 1e-6, "max_iter": 1000,
-                  "eps_deg": 1e-4, "dt": null, "scheme": "auto",
+      "scheme":  {"tol_solve": 1e-6, "max_iter": 1000, "eps_deg": 1e-4,
+                  "scheme": "auto",     # or the name of the one it picks
                   "levels": 0},         # coarsenings below grid.n
       "modulus": {"C": 1.0, "alpha0": 0.5, "delta": 0.125, "K": 256},
       "lab":     {"centers": [[0.0, 0.0]], "r": 0.5, "N": 6},
@@ -28,13 +28,17 @@ needs and rejects unknown keys everywhere):
 
 The benchmark form also fixes grid-independent defaults (exact boundary
 data, forcing, recommended gradient clamp); explicit fields f and g must
-be numbers in a config file (callables are API-only).
+be numbers in a config file (callables are API-only).  The problem fixes
+its discretization (``solver.scheme_name``); "scheme" only checks it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
+from functools import partial
 
 from .benchmarks import BENCHMARK_NAMES, Benchmark, exact_benchmark
 from .elliptic import EllipticOperator, EllipticityPair
@@ -42,30 +46,122 @@ from .errors import ConfigError
 from .grids import Grid
 from .laws import law_from_config
 from .problem import ProblemInstance
-from .solver import MAX_ITER, SchemeConfig
+from .solver import SchemeConfig, scheme_name
 
-_TOP_KEYS = {"problem", "grid", "scheme", "modulus", "lab", "out", "seed"}
-_PROBLEM_BENCH_KEYS = {"benchmark", "params", "C0"}
-_PROBLEM_EXPLICIT_KEYS = {"operator", "sigma_plus", "sigma_minus", "f", "g", "C0", "q"}
-_OPERATOR_KEYS = {"kind", "lam", "Lam", "coefficients"}
-_GRID_KEYS = {"d", "n"}
-_SCHEME_KEYS = {"tol_solve", "max_iter", "eps_deg", "dt", "scheme", "levels"}
-_MODULUS_KEYS = {"C", "alpha0", "delta", "K"}
-_LAB_KEYS = {"centers", "r", "N"}
+# Every value is converted once, by validate_config: each key of a block
+# names its conversion, and a malformed value is a one-line ConfigError.
+
+
+def _block(block, where: str, schema: dict, required=()) -> dict:
+    """``block`` without its null values, the others converted by ``schema``."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be an object, got {block!r}")
+    extra = set(block) - set(schema)
+    if extra:
+        raise ConfigError(f"{where}: unknown keys {sorted(extra)}")
+    out = {k: schema[k](v, f"{where}.{k}") for k, v in block.items() if v is not None}
+    for req in required:
+        if req not in out:
+            raise ConfigError(f"{where} needs '{req}'")
+    return out
+
+
+def _number(value, where: str, integer: bool = False, least: float = 0.0):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+    if integer and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    if not value >= least:
+        raise ConfigError(f"{where} must be at least {least:g}, got {value!r}")
+    return int(value) if integer else float(value)
+
+
+_count = partial(_number, integer=True)
+_real = partial(_number, least=-math.inf)
+
+
+def _reals(value, where):
+    """A list of numbers or of such lists (checked, not converted)."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be a list of numbers, got {value!r}")
+    for v in value:
+        (_reals if isinstance(v, list) else _real)(v, where)
+    return value
+
+
+def _points(value, where):
+    if not (isinstance(value, list) and all(isinstance(p, list) for p in value)):
+        raise ConfigError(f"{where} must be a list of coordinate lists, got {value!r}")
+    return [tuple(_real(v, where) for v in p) for p in value]
+
+
+def _params(value, where):
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be an object, got {value!r}")
+    _reals(list(value.values()), where)  # each benchmark converts its own
+    return value
+
+
+def _benchmark(value, where):
+    if value not in BENCHMARK_NAMES:
+        raise ConfigError(f"{where}: unknown benchmark {value!r}; "
+                          f"available: {sorted(BENCHMARK_NAMES)}")
+    return value
+
+
+def _text(value, where):
+    if not isinstance(value, str):
+        raise ConfigError(f"{where} must be a string, got {value!r}")
+    return value
+
+
+def _keep(value, where):  # checked where it is used
+    return value
+
+
+def _problem(value, where):
+    if isinstance(value, dict) and "benchmark" in value:
+        return _block(value, where, _PROBLEM_BENCH_KEYS, ("benchmark",))
+    required = ("operator", "sigma_plus", "sigma_minus")
+    return _block(value, where, _PROBLEM_EXPLICIT_KEYS, required)
+
+
+# _number takes a non-negative number, _count a non-negative integer.
+_OPERATOR_KEYS = {"kind": _keep, "lam": _number, "Lam": _number, "coefficients": _reals}
+_PROBLEM_BENCH_KEYS = {"benchmark": _benchmark, "params": _params, "C0": _number}
+_PROBLEM_EXPLICIT_KEYS = {
+    "operator": partial(_block, schema=_OPERATOR_KEYS, required=("kind", "lam", "Lam")),
+    "sigma_plus": _keep, "sigma_minus": _keep,
+    "f": _real, "g": _real, "C0": _number, "q": _reals,
+}
+_GRID_KEYS = {"d": _count, "n": _count}
+_SCHEME_KEYS = {"tol_solve": _number, "max_iter": _count, "eps_deg": _number,
+                "scheme": _keep, "levels": _count}
+_MODULUS_KEYS = {"C": _number, "alpha0": _number, "delta": _number,
+                 "K": partial(_number, integer=True, least=1)}
+_LAB_KEYS = {"centers": _points, "r": _number, "N": _count}
+_TOP_KEYS = {
+    "problem": _problem,
+    "grid": partial(_block, schema=_GRID_KEYS, required=("d", "n")),
+    "scheme": partial(_block, schema=_SCHEME_KEYS),
+    "modulus": partial(_block, schema=_MODULUS_KEYS),
+    "lab": partial(_block, schema=_LAB_KEYS),
+    "out": _text,
+    "seed": partial(_number, integer=True, least=-math.inf),
+}
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Validated contents of one run configuration file."""
 
-    problem: dict | None
-    grid: dict | None
-    scheme: dict
-    modulus: dict | None
-    lab: dict | None
-    out: str | None
-    seed: int
-    raw: dict = field(repr=False)
+    problem: dict | None = None
+    grid: dict | None = None
+    scheme: dict = field(default_factory=dict)
+    modulus: dict | None = None
+    lab: dict | None = None
+    out: str | None = None
+    seed: int = 0
 
     def require(self, *blocks: str) -> None:
         for b in blocks:
@@ -76,142 +172,67 @@ class RunConfig:
 
     def build_grid(self) -> Grid:
         self.require("grid")
-        return Grid(d=int(self.grid["d"]), n=int(self.grid["n"]))
+        return Grid(d=self.grid["d"], n=self.grid["n"])
 
     def build_problem(self) -> tuple[ProblemInstance, Benchmark | None]:
         """(instance, benchmark-or-None)."""
         self.require("problem")
         spec = self.problem
         if "benchmark" in spec:
-            bench = exact_benchmark(spec["benchmark"], dict(spec.get("params", {})))
+            try:
+                bench = exact_benchmark(spec["benchmark"], spec.get("params", {}))
+            except KeyError as exc:
+                raise ConfigError(f"config.problem.params needs {exc}") from None
             prob = bench.problem
             if "C0" in spec:
-                import dataclasses
-
-                prob = dataclasses.replace(prob, C0=float(spec["C0"]))
+                prob = dataclasses.replace(prob, C0=spec["C0"])
             return prob, bench
-        op_spec = dict(spec["operator"])
-        pair = EllipticityPair(
-            lam=float(op_spec.pop("lam")), Lam=float(op_spec.pop("Lam"))
+        op = spec["operator"]
+        operator = EllipticOperator(
+            kind=op["kind"],
+            pair=EllipticityPair(lam=op["lam"], Lam=op["Lam"]),
+            coefficients=tuple(op.get("coefficients", ())),
         )
-        kind = op_spec.pop("kind")
-        coeffs = tuple(op_spec.pop("coefficients", ()))
-        if op_spec:
-            raise ConfigError(f"operator: unknown keys {sorted(op_spec)}")
-        operator = EllipticOperator(kind=kind, pair=pair, coefficients=coeffs)
         prob = ProblemInstance(
             operator=operator,
             sigma_plus=law_from_config(spec["sigma_plus"]),
             sigma_minus=law_from_config(spec["sigma_minus"]),
-            f=float(spec.get("f", 0.0)),
-            g=float(spec.get("g", 0.0)),
-            C0=float(spec.get("C0", 0.0)),
-            q=tuple(float(v) for v in spec.get("q", ())),
+            f=spec.get("f", 0.0),
+            g=spec.get("g", 0.0),
+            C0=spec.get("C0", 0.0),
+            q=tuple(spec.get("q", ())),
         )
         return prob, None
 
-    def build_scheme(self, bench: Benchmark | None = None,
-                     grid: Grid | None = None) -> SchemeConfig:
+    def build_scheme(self, prob: ProblemInstance, grid: Grid,
+                     bench: Benchmark | None = None) -> SchemeConfig:
+        """SchemeConfig of the keys present; a benchmark recommends eps_deg."""
         s = self.scheme
-        eps = s.get("eps_deg")
-        if eps is None and bench is not None and grid is not None:
-            eps = bench.recommended_eps_deg(grid)
-        kwargs = {
-            "tol": float(s.get("tol_solve", 1e-8)),
-            "max_iter": int(s.get("max_iter", MAX_ITER)),
-            "scheme": s.get("scheme", "auto"),
-        }
-        if eps is not None:
-            kwargs["eps_deg"] = float(eps)
-        if s.get("dt") is not None:
-            kwargs["dt_max"] = float(s["dt"])
+        fixed = scheme_name(prob, grid)
+        if s.get("scheme", "auto") not in ("auto", fixed):
+            raise ConfigError(f"config.scheme.scheme is {s['scheme']!r}, but this "
+                              f"problem gets {fixed!r}; use 'auto' or {fixed!r}")
+        kwargs = {arg: s[key] for key, arg in (
+            ("tol_solve", "tol"), ("max_iter", "max_iter"), ("eps_deg", "eps_deg"),
+        ) if key in s}
+        if "eps_deg" not in kwargs and bench is not None:
+            kwargs["eps_deg"] = float(bench.recommended_eps_deg(grid))
         return SchemeConfig(**kwargs)
 
     def modulus_kwargs(self) -> dict:
         """The C / alpha0 / delta / K keyword arguments of build_modulus."""
         self.require("modulus")
-        m = self.modulus
-        return {
-            "C": float(m.get("C", 1.0)),
-            "alpha0": float(m.get("alpha0", 0.5)),
-            "delta": float(m.get("delta", 0.125)),
-            "K": int(m.get("K", 256)),
-        }
+        return {"C": 1.0, "alpha0": 0.5, "delta": 0.125, "K": 256, **self.modulus}
 
     @property
     def levels(self) -> int:
         """Number of coarsenings of the solve cascade (0: fine grid only)."""
-        return int(self.scheme.get("levels", 0))
-
-
-def _check_keys(block: dict, allowed: set, name: str) -> None:
-    if not isinstance(block, dict):
-        raise ConfigError(f"config: block '{name}' must be an object")
-    extra = set(block) - allowed
-    if extra:
-        raise ConfigError(f"config: unknown keys in '{name}': {sorted(extra)}")
+        return self.scheme.get("levels", 0)
 
 
 def validate_config(data: dict) -> RunConfig:
-    """Schema-check a parsed configuration dictionary."""
-    _check_keys(data, _TOP_KEYS, "top level")
-
-    problem = data.get("problem")
-    if problem is not None:
-        if not isinstance(problem, dict):
-            raise ConfigError("config: 'problem' must be an object")
-        if "benchmark" in problem:
-            _check_keys(problem, _PROBLEM_BENCH_KEYS, "problem")
-            if problem["benchmark"] not in BENCHMARK_NAMES:
-                raise ConfigError(
-                    f"config: unknown benchmark {problem['benchmark']!r}; "
-                    f"available: {sorted(BENCHMARK_NAMES)}"
-                )
-        else:
-            _check_keys(problem, _PROBLEM_EXPLICIT_KEYS, "problem")
-            for req in ("operator", "sigma_plus", "sigma_minus"):
-                if req not in problem:
-                    raise ConfigError(f"config: problem block needs '{req}'")
-            _check_keys(problem["operator"], _OPERATOR_KEYS, "problem.operator")
-
-    grid = data.get("grid")
-    if grid is not None:
-        _check_keys(grid, _GRID_KEYS, "grid")
-        for req in ("d", "n"):
-            if req not in grid:
-                raise ConfigError(f"config: grid block needs '{req}'")
-
-    scheme = data.get("scheme", {})
-    _check_keys(scheme, _SCHEME_KEYS, "scheme")
-
-    modulus = data.get("modulus")
-    if modulus is not None:
-        _check_keys(modulus, _MODULUS_KEYS, "modulus")
-        if int(modulus.get("K", 256)) < 1:
-            raise ConfigError("config: modulus K must be at least 1")
-
-    lab = data.get("lab")
-    if lab is not None:
-        _check_keys(lab, _LAB_KEYS, "lab")
-
-    out = data.get("out")
-    if out is not None and not isinstance(out, str):
-        raise ConfigError("config: 'out' must be a string path")
-
-    seed = data.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ConfigError("config: 'seed' must be an integer")
-
-    return RunConfig(
-        problem=problem,
-        grid=grid,
-        scheme=dict(scheme),
-        modulus=modulus,
-        lab=lab,
-        out=out,
-        seed=seed,
-        raw=data,
-    )
+    """Schema-check a parsed configuration dictionary and convert its values."""
+    return RunConfig(**_block(data, "config", _TOP_KEYS))
 
 
 def load_config(path: str) -> RunConfig:

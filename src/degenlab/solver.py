@@ -47,14 +47,14 @@ dt is a per-node array.  It starts at the explicit stability cap: the
 center weight of F_h is at most 2 d Lam_F / h^2, and 0.9 of the cap with
 sigma taken as the neighbour max over the stencil keeps an explicit update
 u <- u + dt R(u) monotone (pointwise sigma lets dt and sigma oscillate in
-antiphase around a CFL-lag limit cycle).  After an accepted step dt grows
-by switched evolution relaxation, dt <- dt |R_prev| / |R|, so it approaches
-a pure Newton step as the residual falls; a step accepted at its first try
-at least doubles dt.  A step is rejected when delta is not finite or the
-residual rises; dt is then halved, and once the cut reaches the cap the
-step is the explicit update at the cap, which is always taken.  The fixed
-points are those of the explicit relaxation: only the path through
-pseudo-time changes.
+antiphase around a CFL-lag limit cycle); the cap never exceeds h.  After
+an accepted step dt grows by switched evolution relaxation,
+dt <- dt |R_prev| / |R|, so it approaches a pure Newton step as the
+residual falls; a step accepted at its first try at least doubles dt.  A
+step is rejected when delta is not finite or the residual rises; dt is
+then halved, and once the cut reaches the cap the step is the explicit
+update at the cap, which is always taken.  The fixed points are those of
+the explicit relaxation: only the path through pseudo-time changes.
 
 Acceptance and growth measure R by its root mean square; the stop at
 cfg.tol stays in the sup norm.  The sup norm sits on one boundary-layer or
@@ -74,11 +74,13 @@ pins the solution branch at degenerate free boundaries.  The pointwise
 wide-stencil form admits spurious grid-anchored roots there (a dip whose
 central gradient vanishes feeds sigma ~ 0 back into f / sigma).  No such
 divergence structure exists for general F or in 2-d, where the pointwise
-form with central gradients is consistent, empirically stable on
-single-phase and smooth-interface problems, and the only monotone option.
-``_make_discretization`` makes this choice for ``solve`` and for the public
-``residual`` alike, so the residual reported is the one the solver drives
-to zero.
+form with central gradients is consistent and empirically stable on
+single-phase and smooth-interface problems.  Neither form is monotone as a
+whole: sigma F_h is for frozen sigma, but sigma reads the central
+gradient, and the flux form is only while no edge changes phase (see
+tests/test_properties.py).  ``scheme_name`` makes the choice for
+``solve``, for the public ``residual`` and for the run configuration, so
+the residual reported is the one the solver drives to zero.
 """
 
 from __future__ import annotations
@@ -123,18 +125,14 @@ class SchemeConfig:
     below; it regularizes the 0/0 ambiguity of sigma(|Du|) F(D^2 u) = f on
     the degenerate set and should scale with the accuracy target, not with
     machine precision.  ``initial`` may be None (constant field at the mean
-    boundary value), a number, an array, a DiscreteField or a callable; it
-    must be finite.  ``max_iter`` caps ``SolveDiagnostics.iterations`` and
-    ``history_stride`` keeps every stride-th residual in the diagnostics.
+    boundary value), a number, an array or a DiscreteField; it must be
+    finite.  ``max_iter`` caps ``SolveDiagnostics.iterations``.
     """
 
     max_iter: int = MAX_ITER
     tol: float = 1e-8
     eps_deg: float = 1e-4
-    dt_max: float | None = None
     initial: object = None
-    history_stride: int = 1
-    scheme: str = "auto"
 
     def __post_init__(self):
         if self.max_iter < 1:
@@ -143,10 +141,6 @@ class SchemeConfig:
             raise ConfigError("SchemeConfig: tol must be positive")
         if self.eps_deg < 0.0:
             raise ConfigError("SchemeConfig: eps_deg must be non-negative")
-        if self.history_stride < 1:
-            raise ConfigError("SchemeConfig: history_stride must be positive")
-        if self.scheme not in ("auto", "wide", "flux-1d"):
-            raise ConfigError("SchemeConfig: scheme must be 'auto', 'wide' or 'flux-1d'")
 
 
 @dataclass(frozen=True)
@@ -232,6 +226,8 @@ def _norm(g: list) -> np.ndarray:
 class _Discretization:
     """Grid-resolved form of one problem: arrays ready for iteration."""
 
+    name = "wide"
+
     def __init__(self, prob: ProblemInstance, grid: Grid, eps_deg: float):
         self.grid = grid
         self.prob = prob
@@ -279,10 +275,6 @@ class _Discretization:
             for e, qa in zip(axes, self.q)
         ]
 
-    def gradient_norm(self, u: np.ndarray) -> np.ndarray:
-        """Central-difference gradient magnitude, shifted by q."""
-        return _norm(self._gradient(u))
-
     def second_differences(self, u: np.ndarray):
         c = u[(slice(1, -1),) * self.grid.d]
         h2 = self.h**2
@@ -309,28 +301,27 @@ class _Discretization:
     def operator_values(self, u: np.ndarray) -> np.ndarray:
         return self._reduce([v for _, _, v in self._branch_values(u)])
 
-    def sigma_eff(self, u: np.ndarray):
-        """Per-node law value sigma_{sgn(u)}, with the gradient clamp.
-
-        Gradient magnitudes beyond the law's domain cap are clipped to the
-        cap (the law freezes there); the flag reports whether that fired.
-        """
-        sp, sm, clamped = self.prob.law_pair(np.maximum(self.gradient_norm(u), self.eps_deg))
-        c = u[(slice(1, -1),) * self.grid.d]
-        return select_phase(c, sp, sm), clamped
-
     def residual_interior(self, u: np.ndarray):
-        sig, clamped = self.sigma_eff(u)
+        """(R, sigma_{sgn(u)}, whether law_pair froze a law) on the interior."""
+        speed = np.maximum(_norm(self._gradient(u)), self.eps_deg)
+        sp, sm, clamped = self.prob.law_pair(speed)
+        sig = select_phase(u[(slice(1, -1),) * self.grid.d], sp, sm)
         return sig * self.operator_values(u) - self.f_int, sig, clamped
 
-    def jacobian(self, u: np.ndarray, sig: np.ndarray):
+    def jacobian(self, u: np.ndarray):
         """Frozen-policy derivative of ``residual_interior`` at u (CSC).
 
-        ``sig`` is the sigma that residual_interior returned at u.  The
-        active branch, each pucci slope phi'(Delta_e) and the phase of every
-        node are held fixed.
+        The active branch, each pucci slope phi'(Delta_e) and the phase of
+        every node are held fixed.
         """
         d, h = self.grid.d, self.h
+        g = self._gradient(u)
+        norm = _norm(g)
+        live = norm > self.eps_deg
+        speed = np.maximum(norm, self.eps_deg)
+        sp, sm, _ = self.prob.law_pair(speed)
+        c = u[(slice(1, -1),) * d]
+        sig = select_phase(c, sp, sm)
         branches = self._branch_values(u)
         values = [v for _, _, v in branches]
         F = self._reduce(values)
@@ -345,14 +336,8 @@ class _Discretization:
                 coeffs[self.offset_index[_neg(e)]] += a
                 coeffs[0] -= 2.0 * a
 
-        g = self._gradient(u)
-        norm = _norm(g)
-        live = norm > self.eps_deg
-        speed = np.maximum(norm, self.eps_deg)
-        sp, sm, _ = self.prob.law_pair(speed)
         dp = _law_slope(self.prob.sigma_plus, speed)
         dm = _law_slope(self.prob.sigma_minus, speed)
-        c = u[(slice(1, -1),) * d]
         slope = select_phase(c, dp, dm, np.where(sp <= sm, dp, dm))
         t = np.where(live, F * slope / np.where(live, norm, 1.0), 0.0) / (2.0 * h)
         for e, ga in zip(_DIRECTIONS[d][:d], g):
@@ -384,11 +369,10 @@ class _FluxDiscretization1D:
     degenerate-interface regime the equation is designed around.
     """
 
+    name = "flux-1d"
     offsets = [(-1,), (0,), (1,)]
 
     def __init__(self, prob: ProblemInstance, grid: Grid, eps_deg: float):
-        if grid.d != 1 or prob.operator.kind != "trace":
-            raise ConfigError("flux discretization requires d = 1 and F = trace")
         self.grid = grid
         self.prob = prob
         self.eps_deg = float(eps_deg)
@@ -427,13 +411,12 @@ class _FluxDiscretization1D:
         # per-node sigma scale for the dt cap
         return r, np.maximum(sig_edge[1:], sig_edge[:-1]), clamped
 
-    def jacobian(self, u: np.ndarray, sig: np.ndarray):
+    def jacobian(self, u: np.ndarray):
         """Frozen-phase derivative of ``residual_interior`` at u (CSC).
 
         Tridiagonal: edge e couples its two nodes with weight sigma_e / h^2.
         Past t_max, where the flux is frozen, the weight stays at
-        sigma(t_max) rather than 0, which keeps J non-singular.  ``sig`` is
-        unused; the edge sigmas are recomputed from u.
+        sigma(t_max) rather than 0, which keeps J non-singular.
         """
         _, sig_edge, _ = self._edges(u)
         w = sig_edge / self.h**2
@@ -462,39 +445,31 @@ def _frame_weights(A: np.ndarray, d: int):
     )
 
 
-def residual(u: DiscreteField, prob: ProblemInstance, eps_deg: float = 0.0) -> DiscreteField:
-    """Interior residual of the scheme ``solve`` would use ("auto").
+def residual(u: DiscreteField, prob: ProblemInstance, eps_deg: float) -> DiscreteField:
+    """Interior residual of the scheme ``solve`` uses (see ``scheme_name``).
 
     That is the flux form on 1-d trace problems and the pointwise
     sigma_{sgn(u)}(...) F_h(u) - f otherwise.  Boundary entries of the
     returned field are zero: Dirichlet data is imposed exactly, so it never
     carries a residual.
     """
-    disc, _ = _make_discretization(prob, u.grid, eps_deg)
-    r, _, _ = disc.residual_interior(u.values)
+    r, _, _ = _make_discretization(prob, u.grid, eps_deg).residual_interior(u.values)
     out = np.zeros(u.grid.shape)
     out[(slice(1, -1),) * u.grid.d] = r
     return DiscreteField(grid=u.grid, values=out)
 
 
 def _initial_values(cfg: SchemeConfig, grid: Grid, g_vals: np.ndarray) -> np.ndarray:
+    mask = grid.boundary_mask()
     init = cfg.initial
     if init is None:
-        u = np.full(grid.shape, float(np.mean(g_vals[grid.boundary_mask()])))
+        init = np.mean(g_vals[mask])
     elif isinstance(init, DiscreteField):
-        if init.grid.shape != grid.shape:
-            raise ConfigError("initial field shape does not match the grid")
-        u = init.values.copy()
-    elif callable(init):
-        u = grid.sample(init)
-    elif np.ndim(init) == 0:
-        u = np.full(grid.shape, float(init))
-    else:
-        arr = np.asarray(init, dtype=float)
-        if arr.shape != grid.shape:
-            raise ConfigError("initial array shape does not match the grid")
-        u = arr.copy()
-    mask = grid.boundary_mask()
+        init = init.values
+    init = np.asarray(init, dtype=float)
+    if init.ndim and init.shape != grid.shape:
+        raise ConfigError("initial field shape does not match the grid")
+    u = np.broadcast_to(init, grid.shape).copy()
     u[mask] = g_vals[mask]
     if not np.all(np.isfinite(u)):
         raise ConfigError("initial field and boundary data must be finite")
@@ -510,28 +485,25 @@ def _neighbor_max(s: np.ndarray) -> np.ndarray:
     sustains a CFL-lag limit cycle.
     """
     out = s.copy()
-    if s.ndim == 1:
-        np.maximum(out[1:], s[:-1], out=out[1:])
-        np.maximum(out[:-1], s[1:], out=out[:-1])
-        return out
-    np.maximum(out[1:, :], s[:-1, :], out=out[1:, :])
-    np.maximum(out[:-1, :], s[1:, :], out=out[:-1, :])
-    np.maximum(out[:, 1:], s[:, :-1], out=out[:, 1:])
-    np.maximum(out[:, :-1], s[:, 1:], out=out[:, :-1])
+    for axis in range(s.ndim):
+        hi = (slice(None),) * axis + (slice(1, None),)
+        lo = (slice(None),) * axis + (slice(None, -1),)
+        np.maximum(out[hi], s[lo], out=out[hi])
+        np.maximum(out[lo], s[hi], out=out[lo])
     return out
 
 
-def _make_discretization(prob: ProblemInstance, grid: Grid, eps_deg: float,
-                         scheme: str = "auto"):
-    if scheme == "auto":
-        scheme = (
-            "flux-1d"
-            if grid.d == 1 and prob.operator.kind == "trace"
-            else "wide"
-        )
-    if scheme == "flux-1d":
-        return _FluxDiscretization1D(prob, grid, eps_deg), "flux-1d"
-    return _Discretization(prob, grid, eps_deg), "wide"
+def scheme_name(prob: ProblemInstance, grid: Grid) -> str:
+    """The discretization ``solve`` uses: "flux-1d" on 1-d trace problems,
+    "wide" otherwise (see the module docstring)."""
+    if grid.d == 1 and prob.operator.kind == "trace":
+        return _FluxDiscretization1D.name
+    return _Discretization.name
+
+
+def _make_discretization(prob: ProblemInstance, grid: Grid, eps_deg: float):
+    flux = scheme_name(prob, grid) == _FluxDiscretization1D.name
+    return (_FluxDiscretization1D if flux else _Discretization)(prob, grid, eps_deg)
 
 
 def _sup(r: np.ndarray) -> float:
@@ -565,17 +537,16 @@ def solve(prob: ProblemInstance, grid: Grid, cfg: SchemeConfig = SchemeConfig())
     returns converged=False; a residual blow-up past 1e8 times its starting
     level (or any non-finite value) raises SolverDivergenceError.
     """
-    disc, scheme = _make_discretization(prob, grid, cfg.eps_deg, cfg.scheme)
+    disc = _make_discretization(prob, grid, cfg.eps_deg)
     u = _initial_values(cfg, grid, prob.g_on(grid))
     interior = (slice(1, -1),) * grid.d
-    dt_cap = cfg.dt_max if cfg.dt_max is not None else grid.h
 
     r, sig, sigma_clamped = disc.residual_interior(u)
     res0 = res_norm = _sup(r)
     rms = _rms(r)
     growth = 1.0  # dt as a multiple of the explicit cap
     history = []
-    dt_last, dt_min_seen = dt_cap, np.inf
+    dt_last, dt_min_seen = grid.h, np.inf
     solves = rejected = it = 0
 
     def diag(converged: bool) -> SolveDiagnostics:
@@ -588,7 +559,7 @@ def solve(prob: ProblemInstance, grid: Grid, cfg: SchemeConfig = SchemeConfig())
             eps_deg=cfg.eps_deg,
             residual_history=tuple(history),
             sigma_clamped=sigma_clamped,
-            scheme=scheme,
+            scheme=disc.name,
             linear_solves=solves,
             rejected_steps=rejected,
         )
@@ -596,8 +567,7 @@ def solve(prob: ProblemInstance, grid: Grid, cfg: SchemeConfig = SchemeConfig())
     for it in range(1, cfg.max_iter + 1):
         if not np.isfinite(res_norm):
             raise SolverDivergenceError("residual became non-finite", diag(False))
-        if it == 1 or it % cfg.history_stride == 0:
-            history.append((it, res_norm))
+        history.append((it, res_norm))
         if res_norm <= cfg.tol:
             return DiscreteField(grid=grid, values=u), diag(True)
         if res_norm > _EXPLODE_FACTOR * max(res0, 1.0):
@@ -606,8 +576,8 @@ def solve(prob: ProblemInstance, grid: Grid, cfg: SchemeConfig = SchemeConfig())
             )
 
         dt = _SAFETY / (disc.center_bound * np.maximum(_neighbor_max(sig), 1e-300))
-        dt = np.minimum(dt, dt_cap)
-        J = disc.jacobian(u, sig)
+        dt = np.minimum(dt, grid.h)
+        J = disc.jacobian(u)
         first_try = True
         while True:
             step = growth * dt

@@ -251,7 +251,6 @@ def test_criterion_7_end_to_end_envelope(capsys):
         max_iter=400_000,
         tol=1e-6,
         eps_deg=bench.recommended_eps_deg(grid),
-        scheme="flux-1d",
     )
     u, diag = solve_cascade(bench.problem, grid, cfg, levels=4)
     profile = decay_scan(u, (0.0,), 0.5, 6)

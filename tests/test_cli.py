@@ -288,6 +288,69 @@ class TestErrorsAndDeterminism:
         bad.write_text("{oops")
         assert main(["solve", "--config", str(bad)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("block, key, value", [
+        ("scheme", "tol_solve", "abc"),
+        ("scheme", "max_iter", 10.5),
+        ("scheme", "levels", 2.5),
+        ("scheme", "levels", -1),
+        ("scheme", "eps_deg", True),
+        ("grid", "d", "one"),
+        ("grid", "n", [49]),
+        ("modulus", "K", "abc"),
+        ("modulus", "C", -1.0),
+        ("lab", "r", "x"),
+        ("lab", "N", -2),
+        ("lab", "centers", [0.0]),
+        ("problem", "C0", "big"),
+        ("problem", "params", {"theta": "x", "d": 1}),
+    ])
+    @pytest.mark.parametrize("command", ["solve", "measure"])
+    def test_malformed_value_is_one_line_config_error(self, run_config, tmp_path, capsys,
+                                                      block, key, value, command):
+        path, out = run_config
+        cfg = json.loads(path.read_text())
+        cfg[block][key] = value
+        path.write_text(json.dumps(cfg))
+        argv = [command, "--config", str(path), "--field", str(out / "field.csv")]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: config") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("problem, d, scheme, code", [
+        ({"benchmark": "radial-power", "params": {"theta": 1.0, "d": 1}}, 1, "wide",
+         EXIT_CONFIG),
+        ({"benchmark": "radial-power", "params": {"theta": 1.0, "d": 2}}, 2, "flux-1d",
+         EXIT_CONFIG),
+        ({"benchmark": "radial-power", "params": {"theta": 1.0, "d": 1}}, 1, "explicit",
+         EXIT_CONFIG),
+        ({"operator": {"kind": "pucci-minus", "lam": 0.5, "Lam": 2.0},
+          "sigma_plus": {"family": "power", "p": 1.0},
+          "sigma_minus": {"family": "power", "p": 1.0}, "f": 0.5, "C0": 1.0},
+         1, "flux-1d", EXIT_CONFIG),
+        ({"benchmark": "radial-power", "params": {"theta": 1.0, "d": 1}}, 1, "auto", EXIT_OK),
+        ({"benchmark": "radial-power", "params": {"theta": 1.0, "d": 1}}, 1, "flux-1d",
+         EXIT_OK),
+        ({"benchmark": "radial-power", "params": {"theta": 1.0, "d": 2}}, 2, "wide", EXIT_OK),
+    ])
+    def test_scheme_key_must_name_the_problems_discretization(self, tmp_path, capsys,
+                                                              problem, d, scheme, code):
+        cfg = {
+            "problem": problem,
+            "grid": {"d": d, "n": 17},
+            "scheme": {"tol_solve": 1e-6, "scheme": scheme},
+            "out": str(tmp_path / "out"),
+        }
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["solve", "--config", str(path)]) == code
+        if code == EXIT_CONFIG:
+            assert "error: config.scheme.scheme" in capsys.readouterr().err
+            assert not (tmp_path / "out" / "field.csv").exists()
+        else:
+            diag = json.loads((tmp_path / "out" / "solve_diagnostics.json").read_text())
+            assert diag["scheme"] == ("flux-1d" if d == 1 else "wide")
+
     def test_byte_identical_reruns(self, run_config, tmp_path):
         path, _ = run_config
         outs = []

@@ -70,6 +70,22 @@ class TestValidation:
         with pytest.raises(ConfigError):
             validate_config(data)
 
+    def test_missing_benchmark_parameter_is_config_error(self):
+        data = _base()
+        del data["problem"]["params"]["theta"]
+        with pytest.raises(ConfigError, match="theta"):
+            validate_config(data).build_problem()
+
+    def test_values_are_converted_once(self):
+        data = _base()
+        data["grid"]["n"] = 49.0
+        data["scheme"].update(max_iter=10.0, eps_deg=None, levels=2)
+        data["lab"] = {"centers": [[0], [0.5]], "r": 1}
+        cfg = validate_config(data)
+        assert cfg.grid == {"d": 1, "n": 49} and type(cfg.grid["n"]) is int
+        assert cfg.scheme == {"tol_solve": 1e-6, "max_iter": 10, "levels": 2}
+        assert cfg.lab == {"centers": [(0.0,), (0.5,)], "r": 1.0}
+
     def test_c0_override_on_benchmark(self):
         data = _base()
         data["problem"]["C0"] = 9.5
@@ -79,11 +95,16 @@ class TestValidation:
 
 
 class TestSchemeBuild:
+    def test_absent_keys_take_the_scheme_config_defaults(self):
+        cfg = validate_config({"grid": {"d": 1, "n": 33}})
+        prob, _ = validate_config(_base()).build_problem()
+        assert cfg.build_scheme(prob, cfg.build_grid()) == SchemeConfig()
+
     def test_defaults_fill_in(self):
         cfg = validate_config(_base())
         grid = cfg.build_grid()
-        _, bench = cfg.build_problem()
-        scheme = cfg.build_scheme(bench, grid)
+        prob, bench = cfg.build_problem()
+        scheme = cfg.build_scheme(prob, grid, bench)
         assert isinstance(scheme, SchemeConfig)
         assert scheme.tol == 1e-6
         assert scheme.eps_deg == pytest.approx(bench.recommended_eps_deg(grid))
@@ -93,8 +114,8 @@ class TestSchemeBuild:
         data["scheme"]["eps_deg"] = 0.01
         cfg = validate_config(data)
         grid = cfg.build_grid()
-        _, bench = cfg.build_problem()
-        assert cfg.build_scheme(bench, grid).eps_deg == 0.01
+        prob, bench = cfg.build_problem()
+        assert cfg.build_scheme(prob, grid, bench).eps_deg == 0.01
 
     def test_levels_default_and_override(self):
         assert validate_config(_base()).levels == 0

@@ -1,5 +1,7 @@
 """Monotone grid solver: convergence against closed-form benchmarks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,12 +16,10 @@ def _rel_sup_error(u, exact):
     return float(np.max(np.abs(u.values - exact))) / scale
 
 
-def _solve_benchmark(name, params, n, tol=1e-6, levels=1, scheme="auto"):
+def _solve_benchmark(name, params, n, tol=1e-6, levels=1):
     bench = exact_benchmark(name, params)
     grid = Grid(d=bench.d, n=n)
-    cfg = SchemeConfig(
-        tol=tol, eps_deg=bench.recommended_eps_deg(grid), scheme=scheme
-    )
+    cfg = SchemeConfig(tol=tol, eps_deg=bench.recommended_eps_deg(grid))
     if levels > 1:
         u, diag = solve_cascade(bench.problem, grid, cfg, levels=levels)
     else:
@@ -46,7 +46,7 @@ class TestAffine:
 class TestRadial:
     def test_radial_1d_flux_scheme(self):
         u, diag, exact = _solve_benchmark(
-            "radial-power", {"theta": 1.0, "d": 1}, n=97, scheme="flux-1d", levels=2
+            "radial-power", {"theta": 1.0, "d": 1}, n=97, levels=2
         )
         assert diag.converged
         assert diag.scheme == "flux-1d"
@@ -73,7 +73,6 @@ class TestTransmission:
             "transmission-1d",
             {"theta1": 1.0, "theta2": 2.0, "c": 1.0},
             n=65,
-            scheme="flux-1d",
         )
         assert diag.converged
         assert _rel_sup_error(u, exact) < 0.02
@@ -101,41 +100,33 @@ class TestDiagnostics:
         assert diag.final_residual > 1e-12
         u.assert_finite()
 
-    def test_history_stride_records_residuals(self):
+    def test_history_records_every_residual(self):
         bench = exact_benchmark("affine", {"d": 1, "b": [1.0], "a": 0.0})
         grid = Grid(d=1, n=33)
-        cfg = SchemeConfig(tol=1e-8, history_stride=10)
+        cfg = SchemeConfig(tol=1e-8)
         _, diag = solve(bench.problem, grid, cfg)
         assert len(diag.residual_history) >= 1
         # entries are (iteration, residual) pairs
         its = [it for it, _ in diag.residual_history]
         ress = [r for _, r in diag.residual_history]
-        assert its == sorted(its)
+        assert its == list(range(1, diag.iterations + 1))
+        assert ress[-1] == diag.final_residual
         assert ress[-1] <= ress[0] + 1e-12
 
     def test_initial_guess_is_used(self):
         bench = exact_benchmark("radial-power", {"theta": 1.0, "d": 1})
         grid = Grid(d=1, n=49)
         warm = DiscreteField(grid=grid, values=bench.exact_on(grid))
-        cfg_warm = SchemeConfig(
-            tol=1e-6,
-            scheme="flux-1d",
-            eps_deg=bench.recommended_eps_deg(grid),
-            initial=warm,
-        )
+        cfg_cold = SchemeConfig(tol=1e-6, eps_deg=bench.recommended_eps_deg(grid))
+        cfg_warm = dataclasses.replace(cfg_cold, initial=warm)
         _, diag_warm = solve(bench.problem, grid, cfg_warm)
-        cfg_cold = SchemeConfig(
-            tol=1e-6, scheme="flux-1d", eps_deg=bench.recommended_eps_deg(grid)
-        )
         _, diag_cold = solve(bench.problem, grid, cfg_cold)
         assert diag_warm.iterations < diag_cold.iterations
 
     def test_cascade_matches_direct_solve(self):
         bench = exact_benchmark("radial-power", {"theta": 1.0, "d": 1})
         grid = Grid(d=1, n=97)
-        cfg = SchemeConfig(
-            tol=1e-7, scheme="flux-1d", eps_deg=bench.recommended_eps_deg(grid)
-        )
+        cfg = SchemeConfig(tol=1e-7, eps_deg=bench.recommended_eps_deg(grid))
         u_direct, _ = solve(bench.problem, grid, cfg)
         u_casc, diag = solve_cascade(bench.problem, grid, cfg, levels=2)
         assert diag.converged
