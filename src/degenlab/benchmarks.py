@@ -101,10 +101,16 @@ def exact_benchmark(name: str, params: dict) -> Benchmark:
     raise DomainError(f"unknown benchmark {name!r}; choose from {BENCHMARK_NAMES}")
 
 
-def _affine(params: dict) -> Benchmark:
-    d = int(params.pop("d", 2))
+def _dimension(params: dict, name: str) -> int:
+    """Pop the benchmark's dimension "d" (default 2): exactly 1 or 2."""
+    d = params.pop("d", 2)
     if d not in (1, 2):
-        raise DomainError("affine benchmark: d must be 1 or 2")
+        raise DomainError(f"{name} benchmark: d must be 1 or 2, got {d!r}")
+    return int(d)
+
+
+def _affine(params: dict) -> Benchmark:
+    d = _dimension(params, "affine")
     b = params.pop("b", (0.75,) * d)
     a = float(params.pop("a", 0.0))
     if params:
@@ -136,13 +142,11 @@ def _affine(params: dict) -> Benchmark:
 
 def _radial_power(params: dict) -> Benchmark:
     theta = float(params.pop("theta"))
-    d = int(params.pop("d", 2))
+    d = _dimension(params, "radial-power")
     if params:
         raise DomainError(f"radial-power benchmark: unknown params {sorted(params)}")
     if theta <= 0.0:
         raise DomainError("radial-power benchmark: theta must be positive")
-    if d not in (1, 2):
-        raise DomainError("radial-power benchmark: d must be 1 or 2")
     gamma = (2.0 + theta) / (1.0 + theta)
     f_value = gamma ** (1.0 + theta) * (gamma + d - 2.0)
 

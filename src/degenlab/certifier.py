@@ -43,7 +43,6 @@ Hessians and ``ProblemInstance.law_pair`` at the candidate gradients.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
@@ -52,7 +51,7 @@ import numpy as np
 from .elliptic import SymMatrix
 from .errors import DomainError
 from .grids import DiscreteField
-from .problem import ProblemInstance
+from .problem import ProblemInstance, gradient_norm
 
 _DEFAULT_RHO_TEST = 3
 
@@ -263,8 +262,7 @@ class _State:
 
     def inequality_value(self, p, m, q, side):
         g = [p[i] + q[i] for i in range(self.d)]
-        speed = np.abs(g[0]) if self.d == 1 else functools.reduce(np.hypot, g)
-        sp, sm, sat = self.prob.law_pair(speed)
+        sp, sm, sat = self.prob.law_pair(gradient_norm(g))
         hess = np.empty(self.block_shape + (self.d, self.d))
         for (i, j), v in m.items():
             hess[..., i, j] = hess[..., j, i] = v

@@ -187,17 +187,8 @@ class _Stage:
 
 def write_field(run: _Run, name: str, u: DiscreteField) -> None:
     grid = u.grid
-    if grid.d == 1:
-        rows = ((x, v) for x, v in zip(grid.axis, u.values))
-        run.emit_csv(name, ("x", "u"), rows)
-    else:
-        X, Y = grid.meshgrid()
-        rows = (
-            (X[i, j], Y[i, j], u.values[i, j])
-            for i in range(grid.n)
-            for j in range(grid.n)
-        )
-        run.emit_csv(name, ("x", "y", "u"), rows)
+    columns = [c.ravel() for c in (*grid.meshgrid(), u.values)]
+    run.emit_csv(name, ("x", "y")[: grid.d] + ("u",), zip(*columns))
 
 
 def read_field(path: str, grid: Grid) -> DiscreteField:
@@ -216,6 +207,8 @@ def read_field(path: str, grid: Grid) -> DiscreteField:
         data = np.array([[float(c) for c in ln.split(",")] for ln in lines[1:]])
     except ValueError as exc:
         raise ConfigError(f"field: {path} has a malformed row: {exc}") from exc
+    if not np.all(np.isfinite(data)):
+        raise ConfigError(f"field: {path} holds a non-finite value")
     if data.shape[0] != grid.n**grid.d:
         raise ConfigError(
             f"field: {path} holds {data.shape[0]} nodes, grid wants {grid.n**grid.d}"
@@ -272,10 +265,10 @@ def _cert_json(rep) -> dict:
 
 def cmd_solve(cfg: RunConfig, args) -> int:
     cfg.require("problem", "grid")
-    run = _Run(cfg, args.config, args.out, "solve")
     grid = cfg.build_grid()
     prob, bench = cfg.build_problem()
     scheme = cfg.build_scheme(prob, grid, bench)
+    run = _Run(cfg, args.config, args.out, "solve")
     code = EXIT_OK
     try:
         with run.stage("solve"):
@@ -317,10 +310,10 @@ def cmd_certify(cfg: RunConfig, args) -> int:
     cfg.require("problem", "grid")
     if not args.field:
         raise ConfigError("certify: --field PATH is required")
-    run = _Run(cfg, args.config, args.out, "certify")
     grid = cfg.build_grid()
     prob, _ = cfg.build_problem()
     u = read_field(args.field, grid)
+    run = _Run(cfg, args.config, args.out, "certify")
     with run.stage("certify"):
         rep_min = certify_min(u, prob)
         rep_max = certify_max(u, prob)
@@ -344,8 +337,8 @@ def cmd_certify(cfg: RunConfig, args) -> int:
 
 def cmd_build_modulus(cfg: RunConfig, args) -> int:
     cfg.require("problem", "modulus")
-    run = _Run(cfg, args.config, args.out, "build-modulus")
     prob, _ = cfg.build_problem()
+    run = _Run(cfg, args.config, args.out, "build-modulus")
     try:
         with run.stage("build-modulus"):
             schedule, table, omega = build_modulus(
@@ -384,32 +377,13 @@ def cmd_measure(cfg: RunConfig, args) -> int:
     cfg.require("grid", "lab")
     if not args.field:
         raise ConfigError("measure: --field PATH is required")
-    run = _Run(cfg, args.config, args.out, "measure")
     grid = cfg.build_grid()
     u = read_field(args.field, grid)
     lab = cfg.lab
     centers = lab.get("centers", [(0.0,) * grid.d])
+    if any(len(center) != grid.d for center in centers):
+        raise ConfigError(f"config.lab.centers must be points of the {grid.d}-d grid")
     r, N = lab.get("r", 0.5), lab.get("N", 6)
-
-    profiles = []
-    with run.stage("measure"):
-        for center in centers:
-            profiles.append(decay_scan(u, center, r, N))
-
-    rows = []
-    for center, prof in zip(centers, profiles):
-        for scale, excess, rate in prof.rows():
-            rows.append((*center, scale, excess, rate))
-    coord_cols = ("x0",) if grid.d == 1 else ("x0", "y0")
-    run.emit_csv("decay_profile.csv", (*coord_cols, "scale", "excess", "rate"), rows)
-    pair_rows = [
-        (*center, dist, diff)
-        for center, prof in zip(centers, profiles)
-        for dist, diff in prof.gradient_pairs
-    ]
-    run.emit_csv("gradient_pairs.csv", (*coord_cols, "distance", "grad_diff"), pair_rows)
-
-    comparison: dict = {"schema": "degenlab-comparison-v1", "centers": []}
     omega = None
     omega_error = None
     if cfg.modulus is not None and cfg.problem is not None:
@@ -420,6 +394,27 @@ def cmd_measure(cfg: RunConfig, args) -> int:
             )
         except UncertifiableTailError as exc:
             omega_error = str(exc)
+    run = _Run(cfg, args.config, args.out, "measure")
+
+    profiles = []
+    with run.stage("measure"):
+        for center in centers:
+            profiles.append(decay_scan(u, center, r, N))
+
+    rows = []
+    for center, prof in zip(centers, profiles):
+        for scale, excess, rate in prof.rows():
+            rows.append((*center, scale, excess, rate))
+    coord_cols = tuple(f"{c}0" for c in ("x", "y")[: grid.d])
+    run.emit_csv("decay_profile.csv", (*coord_cols, "scale", "excess", "rate"), rows)
+    pair_rows = [
+        (*center, dist, diff)
+        for center, prof in zip(centers, profiles)
+        for dist, diff in prof.gradient_pairs
+    ]
+    run.emit_csv("gradient_pairs.csv", (*coord_cols, "distance", "grad_diff"), pair_rows)
+
+    comparison: dict = {"schema": "degenlab-comparison-v1", "centers": []}
     for center, prof in zip(centers, profiles):
         entry = {
             "center": list(center),

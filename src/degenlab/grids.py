@@ -1,17 +1,18 @@
 """Uniform tensor grids on [-1, 1]^d and scalar fields living on them.
 
-Layout conventions used across the solver, certifier and lab:
+One layout rule, used across the solver, certifier and lab in any d:
+values[i_0, ..., i_{d-1}] sits at (x_{i_0}, ..., x_{i_{d-1}}) with
+x_i = -1 + i h, h = 2 / (n - 1); axis k is coordinate k (row-major,
+matching ``np.meshgrid(..., indexing="ij")``).
 
-* d = 1: values[i] sits at x_i = -1 + i h, h = 2 / (n - 1).
-* d = 2: values[i, j] sits at (x_i, y_j); axis 0 is x, axis 1 is y
-  (row-major, matching ``np.meshgrid(..., indexing="ij")``).
-
-Interior nodes are those with all indices in 1 .. n-2; diagonal neighbours
-of interior nodes always exist, which the wide-stencil operators rely on.
+The interior nodes, those with every index in 1 .. n-2, are
+``values[grid.interior]``; diagonal neighbours of interior nodes always
+exist, which the wide-stencil operators rely on.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,19 +47,18 @@ class Grid:
     def shape(self) -> tuple:
         return (self.n,) * self.d
 
+    @property
+    def interior(self) -> tuple:
+        """Index of the interior nodes: values[grid.interior]."""
+        return (slice(1, -1),) * self.d
+
     def meshgrid(self):
         """Coordinate arrays of the full grid, shape == self.shape each."""
-        if self.d == 1:
-            return (self.axis,)
-        return np.meshgrid(self.axis, self.axis, indexing="ij")
+        return np.meshgrid(*(self.axis,) * self.d, indexing="ij")
 
     def boundary_mask(self) -> np.ndarray:
-        mask = np.zeros(self.shape, dtype=bool)
-        if self.d == 1:
-            mask[0] = mask[-1] = True
-        else:
-            mask[0, :] = mask[-1, :] = True
-            mask[:, 0] = mask[:, -1] = True
+        mask = np.ones(self.shape, dtype=bool)
+        mask[self.interior] = False
         return mask
 
     def sample(self, func) -> np.ndarray:
@@ -106,28 +106,31 @@ class DiscreteField:
 
     def interior(self) -> np.ndarray:
         """View of the interior nodes."""
-        if self.grid.d == 1:
-            return self.values[1:-1]
-        return self.values[1:-1, 1:-1]
+        return self.values[self.grid.interior]
+
+
+def corners(k: int) -> list:
+    """The 2^k offsets in {0, 1}^k, the first axis varying fastest."""
+    return [c[::-1] for c in itertools.product((0, 1), repeat=k)]
 
 
 def refine_linear(field: DiscreteField) -> DiscreteField:
     """Interpolate a field onto the grid with 2n - 1 nodes per axis.
 
     Fine nodes are the coarse nodes plus edge / cell midpoints, so linear
-    interpolation is exact averaging; used to warm-start fine solves.
+    interpolation is exact averaging; used to warm-start fine solves.  A
+    midpoint across k axes is 0.5^k times the sum of its 2^k coarse
+    corners, summed in ``corners`` order from the first corner on (not
+    from 0, so -0.0 survives).
     """
     g = field.grid
     fine = Grid(d=g.d, n=2 * g.n - 1)
     u = field.values
-    if g.d == 1:
-        v = np.empty(fine.shape)
-        v[0::2] = u
-        v[1::2] = 0.5 * (u[:-1] + u[1:])
-        return DiscreteField(grid=fine, values=v)
     v = np.empty(fine.shape)
-    v[0::2, 0::2] = u
-    v[1::2, 0::2] = 0.5 * (u[:-1, :] + u[1:, :])
-    v[0::2, 1::2] = 0.5 * (u[:, :-1] + u[:, 1:])
-    v[1::2, 1::2] = 0.25 * (u[:-1, :-1] + u[1:, :-1] + u[:-1, 1:] + u[1:, 1:])
+    for parity in itertools.product((0, 1), repeat=g.d):
+        terms = [
+            u[tuple(slice(c, g.n - 1 + c) if p else slice(None) for c, p in zip(corner, parity))]
+            for corner in corners(g.d) if all(c <= p for c, p in zip(corner, parity))
+        ]
+        v[tuple(slice(p, None, 2) for p in parity)] = 0.5 ** sum(parity) * sum(terms[1:], terms[0])
     return DiscreteField(grid=fine, values=v)

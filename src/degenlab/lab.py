@@ -26,7 +26,9 @@ optimality certificate (HiGHS duality gap at most 1e-9 max(1, excess)).
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -34,7 +36,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .errors import DomainError, NumericError
-from .grids import DiscreteField, Grid
+from .grids import DiscreteField, Grid, corners
 from .modulus import Modulus
 
 DUALITY_GAP_TOL = 1e-9
@@ -112,16 +114,9 @@ def _ball_nodes(grid: Grid, x0, rho: float):
     if len(x0) != grid.d:
         raise DomainError("ball center dimension does not match the grid")
     tol = 1e-12 * max(1.0, rho)
-    masks = []
-    for x0i in x0:
-        masks.append(np.abs(grid.axis - x0i) <= rho + tol)
-    if grid.d == 1:
-        sel = masks[0]
-        coords = (grid.axis[sel],)
-        return coords, sel
-    mask = masks[0][:, None] & masks[1][None, :]
-    X, Y = grid.meshgrid()
-    return (X[mask], Y[mask]), mask
+    coords = grid.meshgrid()
+    mask = np.logical_and.reduce([np.abs(c - x0i) <= rho + tol for c, x0i in zip(coords, x0)])
+    return tuple(c[mask] for c in coords), mask
 
 
 def best_affine(u: DiscreteField, x0, rho: float) -> AffineFit:
@@ -248,16 +243,13 @@ def _gradient_pairs(u: DiscreteField):
     grid = u.grid
     h = grid.h
     v = u.values
-    if grid.d == 1:
-        g = np.full(grid.n, np.nan)
-        g[1:-1] = (v[2:] - v[:-2]) / (2 * h)
-        grads = (g,)
-    else:
-        gx = np.full(grid.shape, np.nan)
-        gy = np.full(grid.shape, np.nan)
-        gx[1:-1, :] = (v[2:, :] - v[:-2, :]) / (2 * h)
-        gy[:, 1:-1] = (v[:, 2:] - v[:, :-2]) / (2 * h)
-        grads = (gx, gy)
+    grads = []
+    for axis in range(grid.d):
+        lo, mid, hi = ((slice(None),) * axis + (s,)
+                       for s in (slice(None, -2), slice(1, -1), slice(2, None)))
+        g = np.full(grid.shape, np.nan)
+        g[mid] = (v[hi] - v[lo]) / (2 * h)
+        grads.append(g)
 
     stride = max(1, (grid.n - 2) // GRAD_MAX_NODES_PER_AXIS)
     idx = np.arange(1, grid.n - 1, stride)
@@ -271,24 +263,11 @@ def _gradient_pairs(u: DiscreteField):
         keep = idx[idx + gap <= grid.n - 2]
         if keep.size == 0:
             continue
-        if grid.d == 1:
-            diff = np.abs(grads[0][keep + gap] - grads[0][keep])
-            dist = np.full(keep.size, gap * h)
-            pairs.extend(zip(dist.tolist(), diff.tolist()))
-        else:
-            for axis in (0, 1):
-                sl_from = (keep[:, None], idx[None, :]) if axis == 0 else (
-                    idx[:, None], keep[None, :])
-                sl_to = ((keep + gap)[:, None], idx[None, :]) if axis == 0 else (
-                    idx[:, None], (keep + gap)[None, :])
-                d2 = np.zeros_like(grads[0][sl_from])
-                for g in grads:
-                    d2 = d2 + (g[sl_to] - g[sl_from]) ** 2
-                diff = np.sqrt(d2).ravel()
-                ok = np.isfinite(diff)
-                pairs.extend(
-                    (gap * h, float(dv)) for dv in diff[ok]
-                )
+        for axis in range(grid.d):
+            sl_from = np.ix_(*(keep if a == axis else idx for a in range(grid.d)))
+            sl_to = np.ix_(*(keep + gap if a == axis else idx for a in range(grid.d)))
+            diff = np.sqrt(sum((g[sl_to] - g[sl_from]) ** 2 for g in grads)).ravel()
+            pairs.extend((gap * h, float(dv)) for dv in diff[np.isfinite(diff)])
     return tuple(pairs)
 
 
@@ -314,7 +293,7 @@ def rescale_field(u: DiscreteField, fit: AffineFit, r: float, mu: float) -> Disc
 
 
 def _interp(u: DiscreteField, coords):
-    """(Bi)linear interpolation of a grid field at coordinate arrays."""
+    """Multilinear interpolation of a grid field at coordinate arrays."""
     grid = u.grid
     h = grid.h
     idx_frac = []
@@ -325,18 +304,12 @@ def _interp(u: DiscreteField, coords):
         t = np.clip((c + 1.0) / h, 0.0, grid.n - 1.0)
         i0 = np.minimum(t.astype(int), grid.n - 2)
         idx_frac.append((i0, t - i0))
-    if grid.d == 1:
-        (i0, f), = idx_frac
-        v = u.values
-        return (1 - f) * v[i0] + f * v[i0 + 1]
-    (i0, fx), (j0, fy) = idx_frac
-    v = u.values
-    return (
-        (1 - fx) * (1 - fy) * v[i0, j0]
-        + fx * (1 - fy) * v[i0 + 1, j0]
-        + (1 - fx) * fy * v[i0, j0 + 1]
-        + fx * fy * v[i0 + 1, j0 + 1]
-    )
+    terms = []
+    for corner in corners(grid.d):
+        weights = [f if c else 1 - f for (_, f), c in zip(idx_frac, corner)]
+        node = tuple(i0 + c for (i0, _), c in zip(idx_frac, corner))
+        terms.append(functools.reduce(operator.mul, weights) * u.values[node])
+    return sum(terms[1:], terms[0])
 
 
 def compare_modulus(profile: DecayProfile, omega: Modulus) -> ModulusComparison:

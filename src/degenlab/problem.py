@@ -11,11 +11,13 @@ test against.  Where u = 0 the discretization uses the smaller of the two
 laws, matching the minimal inequality that viscosity solutions satisfy
 across the free boundary.  ``ProblemInstance.law_pair`` and
 ``select_phase`` are the one evaluation of the phase laws and the one sign
-selection that the solver and the certifier share.
+selection that the solver and the certifier share; ``gradient_norm`` is
+the gradient magnitude both feed to the laws.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +37,11 @@ def _as_node_function(obj, what: str):
     except (TypeError, ValueError):
         raise DomainError(f"{what} must be a callable or a number") from None
     return lambda *coords: np.full_like(np.asarray(coords[0], dtype=float), const)
+
+
+def gradient_norm(g) -> np.ndarray:
+    """|g| of the gradient components g: their absolute value in 1-d, hypot in 2-d."""
+    return np.abs(g[0]) if len(g) == 1 else functools.reduce(np.hypot, g)
 
 
 def select_phase(u, plus, minus, zero=None):

@@ -94,7 +94,7 @@ from scipy.sparse.linalg import splu
 
 from .errors import ConfigError, SolverDivergenceError
 from .grids import DiscreteField, Grid, refine_linear
-from .problem import ProblemInstance, select_phase
+from .problem import ProblemInstance, gradient_norm, select_phase
 
 # Default step cap of SchemeConfig and of the config key "max_iter": a step
 # costs one sparse factorization or more, and converging solves take tens.
@@ -219,10 +219,6 @@ def _neg(off: tuple) -> tuple:
     return tuple(-o for o in off)
 
 
-def _norm(g: list) -> np.ndarray:
-    return np.abs(g[0]) if len(g) == 1 else np.hypot(*g)
-
-
 class _Discretization:
     """Grid-resolved form of one problem: arrays ready for iteration."""
 
@@ -235,7 +231,7 @@ class _Discretization:
         self.h = grid.h
         self.f = prob.f_on(grid)
         self.q = prob.q_vector(grid.d)
-        self.f_int = self.f[1:-1] if grid.d == 1 else self.f[1:-1, 1:-1]
+        self.f_int = self.f[grid.interior]
         op = prob.operator
         d = grid.d
         lam_f = 1.0 if op.kind == "trace" else op.pair.Lam
@@ -276,7 +272,7 @@ class _Discretization:
         ]
 
     def second_differences(self, u: np.ndarray):
-        c = u[(slice(1, -1),) * self.grid.d]
+        c = u[self.grid.interior]
         h2 = self.h**2
         return tuple(
             (_shift(u, e) - 2.0 * c + _shift(u, _neg(e))) / (h2 * float(np.dot(e, e)))
@@ -303,9 +299,9 @@ class _Discretization:
 
     def residual_interior(self, u: np.ndarray):
         """(R, sigma_{sgn(u)}, whether law_pair froze a law) on the interior."""
-        speed = np.maximum(_norm(self._gradient(u)), self.eps_deg)
+        speed = np.maximum(gradient_norm(self._gradient(u)), self.eps_deg)
         sp, sm, clamped = self.prob.law_pair(speed)
-        sig = select_phase(u[(slice(1, -1),) * self.grid.d], sp, sm)
+        sig = select_phase(u[self.grid.interior], sp, sm)
         return sig * self.operator_values(u) - self.f_int, sig, clamped
 
     def jacobian(self, u: np.ndarray):
@@ -316,11 +312,11 @@ class _Discretization:
         """
         d, h = self.grid.d, self.h
         g = self._gradient(u)
-        norm = _norm(g)
+        norm = gradient_norm(g)
         live = norm > self.eps_deg
         speed = np.maximum(norm, self.eps_deg)
         sp, sm, _ = self.prob.law_pair(speed)
-        c = u[(slice(1, -1),) * d]
+        c = u[self.grid.interior]
         sig = select_phase(c, sp, sm)
         branches = self._branch_values(u)
         values = [v for _, _, v in branches]
@@ -378,7 +374,7 @@ class _FluxDiscretization1D:
         self.eps_deg = float(eps_deg)
         self.h = grid.h
         self.f = prob.f_on(grid)
-        self.f_int = self.f[1:-1]
+        self.f_int = self.f[grid.interior]
         self.q = float(prob.q_vector(1)[0])
         self.center_bound = 2.0 / grid.h**2
         self.pattern = _StencilPattern(self.f_int.shape, self.offsets)
@@ -455,7 +451,7 @@ def residual(u: DiscreteField, prob: ProblemInstance, eps_deg: float) -> Discret
     """
     r, _, _ = _make_discretization(prob, u.grid, eps_deg).residual_interior(u.values)
     out = np.zeros(u.grid.shape)
-    out[(slice(1, -1),) * u.grid.d] = r
+    out[u.grid.interior] = r
     return DiscreteField(grid=u.grid, values=out)
 
 
@@ -517,7 +513,7 @@ def _rms(r: np.ndarray) -> float:
     return top * float(np.sqrt(np.mean((r / top) ** 2)))
 
 
-def _implicit_trial(J, u: np.ndarray, r: np.ndarray, dt: np.ndarray):
+def _implicit_trial(J, u: np.ndarray, r: np.ndarray, dt: np.ndarray, interior: tuple):
     """u + delta with (diag(1/dt) - J) delta = r, or None if that is not finite."""
     A = sparse.diags(1.0 / dt.ravel(), format="csc") - J
     try:
@@ -525,7 +521,7 @@ def _implicit_trial(J, u: np.ndarray, r: np.ndarray, dt: np.ndarray):
     except RuntimeError:  # exactly singular
         return None
     trial = u.copy()
-    trial[(slice(1, -1),) * u.ndim] += delta.reshape(r.shape)
+    trial[interior] += delta.reshape(r.shape)
     return trial if np.all(np.isfinite(trial)) else None
 
 
@@ -539,7 +535,7 @@ def solve(prob: ProblemInstance, grid: Grid, cfg: SchemeConfig = SchemeConfig())
     """
     disc = _make_discretization(prob, grid, cfg.eps_deg)
     u = _initial_values(cfg, grid, prob.g_on(grid))
-    interior = (slice(1, -1),) * grid.d
+    interior = grid.interior
 
     r, sig, sigma_clamped = disc.residual_interior(u)
     res0 = res_norm = _sup(r)
@@ -581,7 +577,7 @@ def solve(prob: ProblemInstance, grid: Grid, cfg: SchemeConfig = SchemeConfig())
         first_try = True
         while True:
             step = growth * dt
-            trial = _implicit_trial(J, u, r, step)
+            trial = _implicit_trial(J, u, r, step, interior)
             solves += 1
             if trial is not None:
                 r_t, sig_t, clamped = disc.residual_interior(trial)

@@ -63,3 +63,30 @@ def geometric_tailed_sequence(rng):
     scale = rng.uniform(0.1, 10.0)
     jitter = rng.uniform(0.5, 1.5, size=m)
     return scale * jitter * q ** np.arange(1, m + 1)
+
+
+def refine_linear_reference(u):
+    """Values on the 2n - 1 grid by the explicit averaging formulas of d = 1, 2."""
+    u = np.asarray(u, dtype=float)
+    v = np.empty(tuple(2 * s - 1 for s in u.shape))
+    if u.ndim == 1:
+        v[0::2] = u
+        v[1::2] = 0.5 * (u[:-1] + u[1:])
+        return v
+    v[0::2, 0::2] = u
+    v[1::2, 0::2] = 0.5 * (u[:-1, :] + u[1:, :])
+    v[0::2, 1::2] = 0.5 * (u[:, :-1] + u[:, 1:])
+    v[1::2, 1::2] = 0.25 * (u[:-1, :-1] + u[1:, :-1] + u[:-1, 1:] + u[1:, 1:])
+    return v
+
+
+def bilinear_reference(u, h, x, y):
+    """Bilinear interpolation of u[i, j] at (-1 + i h, -1 + j h), point by point."""
+    out = np.empty(np.shape(x))
+    for k, (xk, yk) in enumerate(zip(np.ravel(x), np.ravel(y))):
+        i = min(int((xk + 1.0) / h), u.shape[0] - 2)
+        j = min(int((yk + 1.0) / h), u.shape[1] - 2)
+        fx, fy = (xk + 1.0) / h - i, (yk + 1.0) / h - j
+        out.flat[k] = ((1 - fx) * (1 - fy) * u[i, j] + fx * (1 - fy) * u[i + 1, j]
+                       + (1 - fx) * fy * u[i, j + 1] + fx * fy * u[i + 1, j + 1])
+    return out

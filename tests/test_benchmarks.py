@@ -137,6 +137,22 @@ class TestDispatch:
         with pytest.raises(DomainError):
             exact_benchmark("mystery", {})
 
+    @pytest.mark.parametrize("name, params", [
+        ("affine", {}),
+        ("radial-power", {"theta": 1.0}),
+    ])
+    @pytest.mark.parametrize("d", [1.5, 2.5, 0, 3])
+    def test_dimension_must_be_one_or_two_exactly(self, name, params, d):
+        with pytest.raises(DomainError, match="d must be 1 or 2"):
+            exact_benchmark(name, {**params, "d": d})
+
+    @pytest.mark.parametrize("name, params", [
+        ("affine", {}),
+        ("radial-power", {"theta": 1.0}),
+    ])
+    def test_integral_float_dimension_accepted(self, name, params):
+        assert exact_benchmark(name, {**params, "d": 1.0}).d == 1
+
     def test_recommended_eps_deg_positive(self):
         bench = exact_benchmark("radial-power", {"theta": 1.0, "d": 2})
         assert bench.recommended_eps_deg(Grid(d=2, n=33)) > 0.0

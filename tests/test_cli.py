@@ -1,6 +1,7 @@
 """Command-line interface: artifacts, exit codes, determinism."""
 
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -280,6 +281,113 @@ class TestManifest:
         commands = json.loads((out / "manifest.json").read_text())["commands"]
         assert list(commands) == ["build-modulus"]
         assert commands["build-modulus"]["seed"] == 2
+
+
+class TestFieldFiles:
+    @pytest.mark.parametrize("d, header, first_nodes", [
+        (1, "x,u", [["-1"], ["-0.875"]]),
+        (2, "x,y,u", [["-1", "-1"], ["-1", "-0.875"]]),  # row-major
+    ])
+    def test_csv_headers_name_the_coordinates(self, tmp_path, d, header, first_nodes):
+        cfg = {
+            "problem": {"benchmark": "radial-power", "params": {"theta": 1.0, "d": d}},
+            "grid": {"d": d, "n": 17},
+            "lab": {"centers": [[0.0] * d], "r": 0.5, "N": 1},
+            "out": str(tmp_path / "out"),
+        }
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        xs = [f"{x:.17g}" for x in np.linspace(-1.0, 1.0, 17)]
+        nodes = itertools.product(xs, repeat=d)
+        field = tmp_path / "zero.csv"
+        field.write_text(header + "\n" + "\n".join(",".join((*c, "0")) for c in nodes) + "\n")
+        assert main(["measure", "--config", str(path), "--field", str(field)]) == EXIT_OK
+        centers = ",".join(f"{c}0" for c in header.split(",")[:d])
+        assert (out / "decay_profile.csv").read_text().splitlines()[0] == (
+            f"{centers},scale,excess,rate")
+        assert (out / "gradient_pairs.csv").read_text().splitlines()[0] == (
+            f"{centers},distance,grad_diff")
+        assert main(["solve", "--config", str(path)]) == EXIT_OK
+        lines = (out / "field.csv").read_text().splitlines()
+        assert lines[0] == header and len(lines) == 1 + 17**d
+        assert [ln.split(",")[:d] for ln in lines[1:3]] == first_nodes
+
+    @pytest.mark.parametrize("command", ["certify", "measure"])
+    def test_non_finite_value_is_a_one_line_config_error(self, run_config, tmp_path,
+                                                         capsys, command):
+        path, out = run_config
+        xs = np.linspace(-1.0, 1.0, 49)
+        vals = ["nan" if k == 20 else "0.25" for k in range(49)]
+        bad = tmp_path / "nan.csv"
+        bad.write_text("x,u\n" + "\n".join(f"{x:.17g},{v}" for x, v in zip(xs, vals)) + "\n")
+        assert main([command, "--config", str(path), "--field", str(bad)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"error: field: {bad} holds a non-finite value\n"
+        assert not out.exists()
+
+
+class TestNoOutputOnConfigError:
+    """A command that exits 1 on its configuration leaves no --out directory."""
+
+    def _run(self, tmp_path, command, cfg, field=None):
+        cfg = {**cfg, "out": str(tmp_path / "out")}
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(cfg))
+        argv = [command, "--config", str(path)]
+        if field is not None:
+            argv += ["--field", str(field)]
+        assert main(argv) == EXIT_CONFIG
+        assert not (tmp_path / "out").exists()
+
+    def _field_1d(self, tmp_path, n):
+        path = tmp_path / "field.csv"
+        xs = np.linspace(-1.0, 1.0, n)
+        path.write_text("x,u\n" + "\n".join(f"{x:.17g},{x * x:.17g}" for x in xs) + "\n")
+        return path
+
+    BAD_LAW = {
+        "operator": {"kind": "trace", "lam": 1.0, "Lam": 1.0},
+        "sigma_plus": {"family": "mystery"},
+        "sigma_minus": {"family": "power", "p": 1.0},
+        "f": 0.0, "C0": 1.0,
+    }
+    MODULUS = {"C": 1.0, "alpha0": 0.5, "delta": 0.125, "K": 64}
+
+    def test_solve_with_a_mismatched_scheme(self, tmp_path):
+        self._run(tmp_path, "solve", {
+            "problem": {"benchmark": "radial-power", "params": {"theta": 1.0, "d": 1}},
+            "grid": {"d": 1, "n": 17},
+            "scheme": {"scheme": "wide"},
+        })
+
+    @pytest.mark.parametrize("name, params", [
+        ("radial-power", {"theta": 1.0, "d": 1.5}),
+        ("affine", {"d": 2.5}),
+    ])
+    def test_solve_with_a_fractional_benchmark_dimension(self, tmp_path, name, params):
+        self._run(tmp_path, "solve", {
+            "problem": {"benchmark": name, "params": params},
+            "grid": {"d": 1, "n": 17},
+        })
+
+    def test_certify_with_a_malformed_law(self, tmp_path):
+        self._run(tmp_path, "certify", {"problem": self.BAD_LAW, "grid": {"d": 1, "n": 17}},
+                  field=self._field_1d(tmp_path, 17))
+
+    def test_build_modulus_with_a_malformed_law(self, tmp_path):
+        self._run(tmp_path, "build-modulus", {"problem": self.BAD_LAW, "modulus": self.MODULUS})
+
+    def test_measure_with_a_center_of_the_wrong_dimension(self, tmp_path):
+        self._run(tmp_path, "measure", {
+            "grid": {"d": 1, "n": 17}, "lab": {"centers": [[0.0, 0.0]], "r": 0.5, "N": 2},
+        }, field=self._field_1d(tmp_path, 17))
+
+    def test_measure_with_a_malformed_law(self, tmp_path):
+        self._run(tmp_path, "measure", {
+            "problem": self.BAD_LAW, "grid": {"d": 1, "n": 17}, "modulus": self.MODULUS,
+            "lab": {"centers": [[0.0]], "r": 0.5, "N": 2},
+        }, field=self._field_1d(tmp_path, 17))
 
 
 class TestErrorsAndDeterminism:

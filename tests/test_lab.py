@@ -8,6 +8,9 @@ import pytest
 from degenlab.errors import DomainError
 from degenlab.grids import DiscreteField, Grid
 from degenlab.lab import (
+    _ball_nodes,
+    _gradient_pairs,
+    _interp,
     best_affine,
     compare_modulus,
     decay_scan,
@@ -15,7 +18,7 @@ from degenlab.lab import (
 )
 from degenlab.modulus import build_modulus
 from degenlab.laws import PowerLaw
-from oracles import brute_affine_1d
+from oracles import bilinear_reference, brute_affine_1d
 
 
 class TestBestAffine:
@@ -186,3 +189,67 @@ class TestCompareModulus:
         rep = compare_modulus(prof, self._omega())
         # the fit leaves at most solver-precision dust in the excess
         assert rep.C_star <= 1e-14
+
+
+class TestGridSampling:
+    """The d-generic ball, gradient-pair and interpolation kernels."""
+
+    @pytest.mark.parametrize("d, x0, rho, count", [
+        (1, (0.0,), 0.25, 5),
+        (1, (0.1,), 0.2, 3),
+        (1, (0.5,), 0.3, 5),
+        (2, (0.0, 0.0), 0.25, 25),
+        (2, (0.1, 0.5), 0.2, 9),
+        (2, (-1.0, 1.0), 0.25, 9),
+    ])
+    def test_ball_node_counts(self, d, x0, rho, count):
+        grid = Grid(d=d, n=17)
+        coords, mask = _ball_nodes(grid, x0, rho)
+        assert mask.shape == grid.shape and mask.sum() == count
+        for c, full, x0i in zip(coords, grid.meshgrid(), x0):
+            assert np.array_equal(c, full[mask])  # row-major node order
+            assert np.all(np.abs(c - x0i) <= rho + 1e-12)
+
+    def test_gradient_pairs_1d_are_central_difference_increments(self):
+        n = 40
+        grid = Grid(d=1, n=n)
+        v = np.random.default_rng(3).normal(size=n)
+        h = grid.h
+        g = {i: (v[i + 1] - v[i - 1]) / (2 * h) for i in range(1, n - 1)}
+        want = [
+            (gap * h, abs(g[i + gap] - g[i]))
+            for gap in (2, 4, 8, 16, 32)
+            for i in range(1, n - 1) if i + gap <= n - 2
+        ]
+        assert _gradient_pairs(DiscreteField(grid, v)) == tuple(want)
+
+    def test_gradient_pairs_2d_order_axis_then_row_major(self):
+        n = 12
+        grid = Grid(d=2, n=n)
+        v = np.random.default_rng(4).normal(size=(n, n))
+        h = grid.h
+        gx = (v[2:, 1:-1] - v[:-2, 1:-1]) / (2 * h)  # at nodes (1..n-2)^2
+        gy = (v[1:-1, 2:] - v[1:-1, :-2]) / (2 * h)
+        want = []
+        for gap in (2, 4, 8):
+            m = n - 2 - gap  # first indices i with i + gap <= n - 2
+            for a, b in (((slice(gap, gap + m), slice(None)), (slice(0, m), slice(None))),
+                         ((slice(None), slice(gap, gap + m)), (slice(None), slice(0, m)))):
+                dx, dy = gx[a] - gx[b], gy[a] - gy[b]
+                want += [(gap * h, float(t)) for t in np.sqrt(dx**2 + dy**2).ravel()]
+        assert _gradient_pairs(DiscreteField(grid, v)) == tuple(want)
+
+    def test_interp_1d_matches_numpy(self):
+        grid = Grid(d=1, n=17)
+        v = np.random.default_rng(5).normal(size=17)
+        x = np.concatenate([np.random.default_rng(6).uniform(-1.0, 1.0, 50), grid.axis])
+        got = _interp(DiscreteField(grid, v), (x,))
+        assert np.allclose(got, np.interp(x, grid.axis, v), rtol=0.0, atol=1e-14)
+
+    def test_interp_2d_matches_the_bilinear_formula(self):
+        grid = Grid(d=2, n=17)
+        rng = np.random.default_rng(7)
+        v = rng.normal(size=(17, 17))
+        x, y = rng.uniform(-1.0, 1.0, size=(2, 6, 5))
+        got = _interp(DiscreteField(grid, v), (x, y))
+        assert np.array_equal(got, bilinear_reference(v, grid.h, x, y))
