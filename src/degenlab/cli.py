@@ -16,6 +16,10 @@ report         bundle every JSON artifact in the output directory into
 
 Exit codes: 0 success, 1 configuration/IO error, 2 solver
 non-convergence, 3 certificate failure, 4 modulus tail uncertifiable.
+``main`` owns the run: every command computes before it writes, and the
+output directory is made by the first file written into it, so an exit 1
+writes nothing, not even the directory.  Exits 0, 2, 3 and 4 record the
+command in manifest.json.  A typed error prints one ``error:`` line.
 
 manifest.json keeps one entry per command that ran into the directory:
 config digest, seed, wall times per stage and a sha256 inventory of the
@@ -28,6 +32,8 @@ the strings "inf", "-inf", "nan").
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import hashlib
 import json
 import math
@@ -105,16 +111,12 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(_ser(obj) + "\n", encoding="utf-8")
 
 
+def _cell(v) -> str:
+    return f"{float(v):.17g}" if isinstance(v, (float, np.floating)) else str(v)
+
+
 def _write_csv(path: Path, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, (float, np.floating)):
-                cells.append(f"{float(v):.17g}")
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
+    lines = [",".join(header)] + [",".join(map(_cell, row)) for row in rows]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -123,40 +125,51 @@ def _sha256(path: Path) -> str:
 
 
 class _Run:
-    """Output directory plus stage timings, flushed into manifest.json."""
+    """Output directory plus stage timings, flushed into manifest.json.
 
-    def __init__(self, cfg: RunConfig, config_path: str, out_override, command):
-        out = out_override or cfg.out
+    The directory is made when the first file is written into it.
+    """
+
+    def __init__(self, cfg: RunConfig, args):
+        out = args.out or cfg.out
         if not out:
             raise ConfigError("config: no output directory ('out' key or --out)")
         self.dir = Path(out)
-        self.dir.mkdir(parents=True, exist_ok=True)
-        self.cfg = cfg
-        self.command = command
-        self.config_digest = hashlib.sha256(Path(config_path).read_bytes()).hexdigest()
+        self.command = args.command
+        self.seed = cfg.seed
+        self.config_digest = hashlib.sha256(Path(args.config).read_bytes()).hexdigest()
         self.times: dict = {}
         self.files: list = []
 
+    @contextlib.contextmanager
     def stage(self, name: str):
-        return _Stage(self, name)
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.times[name] = time.perf_counter() - t0
+
+    def _path(self, name: str) -> Path:
+        self.dir.mkdir(parents=True, exist_ok=True)
+        return self.dir / name
 
     def emit_json(self, name: str, obj) -> None:
-        _write_json(self.dir / name, obj)
+        _write_json(self._path(name), obj)
         self.files.append(name)
 
     def emit_csv(self, name: str, header, rows) -> None:
-        _write_csv(self.dir / name, header, rows)
+        _write_csv(self._path(name), header, rows)
         self.files.append(name)
 
     def finish(self) -> None:
-        path = self.dir / "manifest.json"
+        path = self._path("manifest.json")
         try:
             commands = json.loads(path.read_text(encoding="utf-8"))["commands"]
         except (OSError, ValueError, KeyError, TypeError):
             commands = {}  # none yet, or not one of ours: start afresh
         commands[self.command] = {
             "config_sha256": self.config_digest,
-            "seed": self.cfg.seed,
+            "seed": self.seed,
             "wall_times_s": self.times,
             "files": {name: _sha256(self.dir / name) for name in sorted(self.files)},
         }
@@ -165,20 +178,6 @@ class _Run:
             "package_version": __version__,
             "commands": commands,
         })
-
-
-class _Stage:
-    def __init__(self, run: _Run, name: str):
-        self.run = run
-        self.name = name
-
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.run.times[self.name] = time.perf_counter() - self.t0
-        return False
 
 
 # ---------------------------------------------------------------------------
@@ -225,21 +224,7 @@ def read_field(path: str, grid: Grid) -> DiscreteField:
 
 
 def _diag_json(diag) -> dict:
-    return {
-        "schema": "degenlab-solve-diagnostics-v2",
-        "scheme": diag.scheme,
-        "converged": diag.converged,
-        "iterations": diag.iterations,
-        "linear_solves": diag.linear_solves,
-        "rejected_steps": diag.rejected_steps,
-        "final_residual": diag.final_residual,
-        "dt": diag.dt,
-        "dt_min": diag.dt_min,
-        "eps_deg": diag.eps_deg,
-        "sigma_clamped": diag.sigma_clamped,
-        "residual_history": list(diag.residual_history),
-        "levels": list(diag.levels),
-    }
+    return {"schema": "degenlab-solve-diagnostics-v2", **dataclasses.asdict(diag)}
 
 
 def _cert_json(rep) -> dict:
@@ -263,60 +248,46 @@ def _cert_json(rep) -> dict:
 # commands
 
 
-def cmd_solve(cfg: RunConfig, args) -> int:
-    cfg.require("problem", "grid")
+def cmd_solve(cfg: RunConfig, args, run: _Run) -> int:
     grid = cfg.build_grid()
     prob, bench = cfg.build_problem()
     scheme = cfg.build_scheme(prob, grid, bench)
-    run = _Run(cfg, args.config, args.out, "solve")
-    code = EXIT_OK
     try:
         with run.stage("solve"):
             u, diag = solve_cascade(prob, grid, scheme, levels=cfg.levels)
     except SolverDivergenceError as exc:
-        print(f"solve: diverged: {exc}", file=sys.stderr)
         if exc.diagnostics is not None:
             run.emit_json("solve_diagnostics.json", _diag_json(exc.diagnostics))
-        run.finish()
-        return EXIT_DIVERGED
-    if not diag.converged:
-        print(
-            f"solve: not converged after {diag.iterations} iterations "
-            f"(residual {diag.final_residual:.3e})",
-            file=sys.stderr,
-        )
-        code = EXIT_DIVERGED
+        raise
+    bench_error = None
+    if bench is not None:
+        exact = bench.exact_on(grid)
+        sup = float(np.max(np.abs(u.values - exact)))
+        scale = float(np.max(np.abs(exact))) or 1.0
+        bench_error = {"benchmark": bench.name, "sup_error": sup,
+                       "relative_sup_error": sup / scale}
     with run.stage("write"):
         write_field(run, "field.csv", u)
         run.emit_json("solve_diagnostics.json", _diag_json(diag))
-        if bench is not None:
-            exact = bench.exact_on(grid)
-            scale = float(np.max(np.abs(exact))) or 1.0
-            run.emit_json(
-                "benchmark_error.json",
-                {
-                    "benchmark": bench.name,
-                    "sup_error": float(np.max(np.abs(u.values - exact))),
-                    "relative_sup_error": float(
-                        np.max(np.abs(u.values - exact)) / scale
-                    ),
-                },
-            )
-    run.finish()
-    return code
+        if bench_error is not None:
+            run.emit_json("benchmark_error.json", bench_error)
+    if diag.converged:
+        return EXIT_OK
+    print(f"solve: not converged after {diag.iterations} iterations "
+          f"(residual {diag.final_residual:.3e})", file=sys.stderr)
+    return EXIT_DIVERGED
 
 
-def cmd_certify(cfg: RunConfig, args) -> int:
-    cfg.require("problem", "grid")
+def cmd_certify(cfg: RunConfig, args, run: _Run) -> int:
     if not args.field:
         raise ConfigError("certify: --field PATH is required")
     grid = cfg.build_grid()
     prob, _ = cfg.build_problem()
     u = read_field(args.field, grid)
-    run = _Run(cfg, args.config, args.out, "certify")
     with run.stage("certify"):
         rep_min = certify_min(u, prob)
         rep_max = certify_max(u, prob)
+    passed = rep_min.passed and rep_max.passed
     run.emit_json(
         "certificates.json",
         {
@@ -324,30 +295,22 @@ def cmd_certify(cfg: RunConfig, args) -> int:
             "C0": prob.C0,
             "min_inequality": _cert_json(rep_min),
             "max_inequality": _cert_json(rep_max),
-            "passed": rep_min.passed and rep_max.passed,
+            "passed": passed,
         },
     )
-    run.finish()
-    if not (rep_min.passed and rep_max.passed):
+    if not passed:
         worst = max(rep_min.max_violation, rep_max.max_violation)
         print(f"certify: failed (worst violation {worst:.6g})", file=sys.stderr)
         return EXIT_CERTIFICATE
     return EXIT_OK
 
 
-def cmd_build_modulus(cfg: RunConfig, args) -> int:
-    cfg.require("problem", "modulus")
+def cmd_build_modulus(cfg: RunConfig, args, run: _Run) -> int:
     prob, _ = cfg.build_problem()
-    run = _Run(cfg, args.config, args.out, "build-modulus")
-    try:
-        with run.stage("build-modulus"):
-            schedule, table, omega = build_modulus(
-                prob.sigma_plus, prob.sigma_minus, **cfg.modulus_kwargs()
-            )
-    except UncertifiableTailError as exc:
-        print(f"build-modulus: {exc}", file=sys.stderr)
-        run.finish()
-        return EXIT_TAIL
+    with run.stage("build-modulus"):
+        schedule, table, omega = build_modulus(
+            prob.sigma_plus, prob.sigma_minus, **cfg.modulus_kwargs()
+        )
     run.emit_csv(
         "sequence_table.csv",
         ("k", "a_k", "c_k", "mu1_k", "mu2_k", "mu_star_k", "tau_k"),
@@ -367,14 +330,13 @@ def cmd_build_modulus(cfg: RunConfig, args) -> int:
             "tau": list(omega.tau),
         },
     )
-    run.finish()
     if args.eval is not None:
         print(f"{omega(float(args.eval)):.17g}")
     return EXIT_OK
 
 
-def cmd_measure(cfg: RunConfig, args) -> int:
-    cfg.require("grid", "lab")
+def cmd_measure(cfg: RunConfig, args, run: _Run) -> int:
+    cfg.require("lab")
     if not args.field:
         raise ConfigError("measure: --field PATH is required")
     grid = cfg.build_grid()
@@ -394,26 +356,13 @@ def cmd_measure(cfg: RunConfig, args) -> int:
             )
         except UncertifiableTailError as exc:
             omega_error = str(exc)
-    run = _Run(cfg, args.config, args.out, "measure")
 
-    profiles = []
     with run.stage("measure"):
-        for center in centers:
-            profiles.append(decay_scan(u, center, r, N))
+        profiles = [decay_scan(u, center, r, N) for center in centers]
 
-    rows = []
-    for center, prof in zip(centers, profiles):
-        for scale, excess, rate in prof.rows():
-            rows.append((*center, scale, excess, rate))
-    coord_cols = tuple(f"{c}0" for c in ("x", "y")[: grid.d])
-    run.emit_csv("decay_profile.csv", (*coord_cols, "scale", "excess", "rate"), rows)
-    pair_rows = [
-        (*center, dist, diff)
-        for center, prof in zip(centers, profiles)
-        for dist, diff in prof.gradient_pairs
-    ]
-    run.emit_csv("gradient_pairs.csv", (*coord_cols, "distance", "grad_diff"), pair_rows)
-
+    rows = [(*c, *row) for c, prof in zip(centers, profiles) for row in prof.rows()]
+    pair_rows = [(*c, *pair) for c, prof in zip(centers, profiles)
+                 for pair in prof.gradient_pairs]
     comparison: dict = {"schema": "degenlab-comparison-v1", "centers": []}
     for center, prof in zip(centers, profiles):
         entry = {
@@ -435,13 +384,15 @@ def cmd_measure(cfg: RunConfig, args) -> int:
         elif omega_error is not None:
             entry["comparison"] = {"error": omega_error}
         comparison["centers"].append(entry)
+
+    coord_cols = tuple(f"{c}0" for c in ("x", "y")[: grid.d])
+    run.emit_csv("decay_profile.csv", (*coord_cols, "scale", "excess", "rate"), rows)
+    run.emit_csv("gradient_pairs.csv", (*coord_cols, "distance", "grad_diff"), pair_rows)
     run.emit_json("comparison.json", comparison)
-    run.finish()
     return EXIT_OK
 
 
-def cmd_report(cfg: RunConfig, args) -> int:
-    run = _Run(cfg, args.config, args.out, "report")
+def cmd_report(cfg: RunConfig, args, run: _Run) -> int:
     pieces = {}
     for path in sorted(run.dir.glob("*.json")):
         if path.name in ("summary.json", "manifest.json"):
@@ -456,7 +407,6 @@ def cmd_report(cfg: RunConfig, args) -> int:
         "summary.json",
         {"schema": "degenlab-summary-v1", "artifacts": pieces},
     )
-    run.finish()
     return EXIT_OK
 
 
@@ -487,27 +437,28 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
+# The first entry that matches an error's type gives its exit code.
+_EXIT_CODES = (
+    (SolverDivergenceError, EXIT_DIVERGED),
+    (UncertifiableTailError, EXIT_TAIL),
+    (DegenlabError, EXIT_CONFIG),
+)
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            import dataclasses
-
             cfg = dataclasses.replace(cfg, seed=args.seed)
-        return args.fn(cfg, args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except SolverDivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
-    except UncertifiableTailError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TAIL
+        run = _Run(cfg, args)
+        code = args.fn(cfg, args, run)
     except DegenlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        code = next(c for kind, c in _EXIT_CODES if isinstance(exc, kind))
+    if code != EXIT_CONFIG:
+        run.finish()
+    return code
 
 
 if __name__ == "__main__":

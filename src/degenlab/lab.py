@@ -38,6 +38,7 @@ from scipy.optimize import linprog
 from .errors import DomainError, NumericError
 from .grids import DiscreteField, Grid, corners
 from .modulus import Modulus
+from .problem import gradient_norm
 
 DUALITY_GAP_TOL = 1e-9
 MIN_SCALE_CELLS = 3
@@ -266,7 +267,13 @@ def _gradient_pairs(u: DiscreteField):
         for axis in range(grid.d):
             sl_from = np.ix_(*(keep if a == axis else idx for a in range(grid.d)))
             sl_to = np.ix_(*(keep + gap if a == axis else idx for a in range(grid.d)))
-            diff = np.sqrt(sum((g[sl_to] - g[sl_from]) ** 2 for g in grads)).ravel()
+            comps = [g[sl_to] - g[sl_from] for g in grads]
+            with np.errstate(over="ignore"):
+                sq = sum(c ** 2 for c in comps)
+            # sqrt of the sum where it is a normal double, else gradient_norm,
+            # which neither overflows nor underflows
+            normal = np.isfinite(sq) & (sq >= np.finfo(float).tiny)
+            diff = np.where(normal, np.sqrt(sq), gradient_norm(comps)).ravel()
             pairs.extend((gap * h, float(dv)) for dv in diff[np.isfinite(diff)])
     return tuple(pairs)
 

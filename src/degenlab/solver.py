@@ -93,7 +93,7 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .errors import ConfigError, SolverDivergenceError
-from .grids import DiscreteField, Grid, refine_linear
+from .grids import MIN_NODES, DiscreteField, Grid, refine_linear
 from .problem import ProblemInstance, gradient_norm, select_phase
 
 # Default step cap of SchemeConfig and of the config key "max_iter": a step
@@ -150,20 +150,21 @@ class SolveDiagnostics:
     ``iterations`` counts residual evaluations of accepted iterates (the
     steps taken plus one), ``linear_solves`` the factorizations tried and
     ``rejected_steps`` the trial steps thrown away.  ``solve_cascade`` fills
-    ``levels`` with one record per grid, coarsest first.
+    ``levels`` with one record per grid, coarsest first.  The fields are
+    declared in the key order of solve_diagnostics.json.
     """
 
+    scheme: str
+    converged: bool
     iterations: int
+    linear_solves: int
+    rejected_steps: int
     final_residual: float
     dt: float
     dt_min: float
-    converged: bool
     eps_deg: float
-    residual_history: tuple
     sigma_clamped: bool
-    scheme: str = "wide"
-    linear_solves: int = 0
-    rejected_steps: int = 0
+    residual_history: tuple
     levels: tuple = ()
 
 
@@ -614,7 +615,8 @@ def solve_cascade(prob: ProblemInstance, grid: Grid, cfg: SchemeConfig, levels: 
     """Solve on a coarsened-grid ladder, refining the solution as the start.
 
     ``levels`` counts coarsenings below ``grid``; each coarse level must
-    still have at least MIN_NODES nodes (n coarsens as (n+1)/2).  Returns
+    still have at least MIN_NODES nodes (n coarsens as (n+1)/2), else a
+    ConfigError is raised before any solve.  Returns
     the fine solution and the diagnostics of the final (fine) solve, whose
     ``levels`` holds n, iterations, linear solves, rejected steps and final
     residual of every level, coarsest first.
@@ -624,6 +626,9 @@ def solve_cascade(prob: ProblemInstance, grid: Grid, cfg: SchemeConfig, levels: 
         n_c = (ns[-1] + 1) // 2
         if (n_c - 1) * 2 != ns[-1] - 1:
             raise ConfigError("solve_cascade: n - 1 must halve at every level")
+        if n_c < MIN_NODES:
+            raise ConfigError(f"solve_cascade: levels={levels} coarsens the n={grid.n} "
+                              f"grid below {MIN_NODES} nodes per axis")
         ns.append(n_c)
     ns.reverse()
 

@@ -34,6 +34,13 @@ def run_config(tmp_path):
     return path, tmp_path / "out"
 
 
+def _manifest_files(out, command):
+    """The files of ``command``'s manifest entry: every other file in ``out``."""
+    files = json.loads((out / "manifest.json").read_text())["commands"][command]["files"]
+    assert set(files) == {p.name for p in out.iterdir()} - {"manifest.json"}
+    return set(files)
+
+
 class TestSolve:
     def test_writes_field_and_diagnostics(self, run_config):
         path, out = run_config
@@ -98,9 +105,17 @@ class TestSolve:
         path = tmp_path / "run.json"
         path.write_text(json.dumps(cfg))
         assert main(["solve", "--config", str(path)]) == EXIT_DIVERGED
-        assert "outside" not in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "outside" not in err and err.count("\n") == 1
         diag = json.loads((tmp_path / "out" / "solve_diagnostics.json").read_text())
         assert diag["converged"] is False
+        files = _manifest_files(tmp_path / "out", "solve")
+        if f == 1e300:  # stops at max_iter with a field
+            assert err.startswith("solve: not converged")
+            assert files == {"field.csv", "solve_diagnostics.json"}
+        else:  # SolverDivergenceError
+            assert err.startswith("error: residual became non-finite")
+            assert files == {"solve_diagnostics.json"}
 
     @pytest.mark.parametrize("levels, sizes", [(None, [33]), (0, [33]), (1, [17, 33])])
     def test_levels_counts_coarsenings(self, run_config, tmp_path, monkeypatch,
@@ -145,6 +160,7 @@ class TestCertify:
         )
         code = main(["certify", "--config", str(path), "--field", str(bad)])
         assert code == EXIT_CERTIFICATE
+        assert _manifest_files(out, "certify") == {"certificates.json"}
 
     def test_missing_field_is_config_error(self, run_config):
         path, _ = run_config
@@ -198,7 +214,7 @@ class TestBuildModulus:
         assert mod["K"] == 64
         assert float(printed) > 0.0
 
-    def test_flat_law_tail_exit(self, tmp_path):
+    def test_flat_law_tail_exit(self, tmp_path, capsys):
         cfg = {
             "problem": {
                 "operator": {"kind": "trace", "lam": 1.0, "Lam": 1.0},
@@ -213,6 +229,9 @@ class TestBuildModulus:
         p = tmp_path / "flat.json"
         p.write_text(json.dumps(cfg))
         assert main(["build-modulus", "--config", str(p)]) == EXIT_TAIL
+        assert _manifest_files(tmp_path / "flat", "build-modulus") == set()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestMeasure:
@@ -370,6 +389,18 @@ class TestNoOutputOnConfigError:
             "problem": {"benchmark": name, "params": params},
             "grid": {"d": 1, "n": 17},
         })
+
+    def test_solve_with_a_cascade_below_the_minimum_grid(self, tmp_path, capsys):
+        self._run(tmp_path, "solve", {
+            "problem": {"benchmark": "radial-power", "params": {"theta": 1.0, "d": 1}},
+            "grid": {"d": 1, "n": 17},
+            "scheme": {"levels": 2},
+        })
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "levels=2" in err and err.count("\n") == 1
+
+    def test_report_into_a_missing_directory(self, tmp_path):
+        self._run(tmp_path, "report", {})
 
     def test_certify_with_a_malformed_law(self, tmp_path):
         self._run(tmp_path, "certify", {"problem": self.BAD_LAW, "grid": {"d": 1, "n": 17}},

@@ -239,6 +239,16 @@ class TestGridSampling:
                 want += [(gap * h, float(t)) for t in np.sqrt(dx**2 + dy**2).ravel()]
         assert _gradient_pairs(DiscreteField(grid, v)) == tuple(want)
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_gradient_pairs_scale_with_the_field(self, scale):
+        grid = Grid(d=2, n=12)
+        v = np.random.default_rng(4).normal(size=(12, 12))
+        want = _gradient_pairs(DiscreteField(grid, v))
+        got = _gradient_pairs(DiscreteField(grid, scale * v))
+        assert len(got) == len(want)  # no increment overflows and is dropped
+        assert np.allclose(np.array(got), np.array(want) * [1.0, scale],
+                           rtol=1e-13, atol=0.0)
+
     def test_interp_1d_matches_numpy(self):
         grid = Grid(d=1, n=17)
         v = np.random.default_rng(5).normal(size=17)

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from degenlab import solver
 from degenlab.benchmarks import exact_benchmark
 from degenlab.errors import ConfigError
 from degenlab.grids import DiscreteField, Grid
@@ -16,11 +17,11 @@ def _rel_sup_error(u, exact):
     return float(np.max(np.abs(u.values - exact))) / scale
 
 
-def _solve_benchmark(name, params, n, tol=1e-6, levels=1):
+def _solve_benchmark(name, params, n, tol=1e-6, levels=0):
     bench = exact_benchmark(name, params)
     grid = Grid(d=bench.d, n=n)
     cfg = SchemeConfig(tol=tol, eps_deg=bench.recommended_eps_deg(grid))
-    if levels > 1:
+    if levels:
         u, diag = solve_cascade(bench.problem, grid, cfg, levels=levels)
     else:
         u, diag = solve(bench.problem, grid, cfg)
@@ -170,6 +171,15 @@ class TestPseudoTransient:
         assert finest["final_residual"] == diag.final_residual
         # every residual is kept by default
         assert [it for it, _ in diag.residual_history] == list(range(1, diag.iterations + 1))
+
+    @pytest.mark.parametrize("n, levels", [(17, 2), (9, 1), (33, 3)])
+    def test_cascade_below_the_minimum_grid_is_config_error(self, monkeypatch, n, levels):
+        bench = exact_benchmark("radial-power", {"theta": 1.0, "d": 1})
+        calls = []
+        monkeypatch.setattr(solver, "solve", lambda *a: calls.append(a))
+        with pytest.raises(ConfigError, match=f"levels={levels} .* n={n} "):
+            solve_cascade(bench.problem, Grid(d=1, n=n), SchemeConfig(), levels=levels)
+        assert calls == []  # raised before any solve
 
     @pytest.mark.parametrize("kind", ["pucci-minus", "pucci-plus", "bellman-min-of-traces"])
     def test_one_dimensional_wide_stencil_kinds_solve(self, kind):
