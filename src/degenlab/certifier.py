@@ -125,48 +125,58 @@ def _certify(u: DiscreteField, prob: ProblemInstance, cfg: CertifierConfig,
     u.assert_finite()
 
     state = _State(u.values, grid, prob, rho)
+    grads, hessians = state.nudges(eta_grad, eta_hess)
+    shifts = state.shift_table(grads, hessians)
 
     q = prob.q_vector(grid.d)
     C0 = prob.C0
     sign = 1.0 if side == "above" else -1.0
+    pick = np.minimum if side == "above" else np.maximum
     best_slack = np.full(state.block_shape, -np.inf)
     best_combo = np.full(state.block_shape, -1, dtype=int)
-    tested = 0
     saturated = False
+    F = [None] * len(hessians)  # F at each Hessian nudge, made on first use
 
-    for combo_id, (dp, dM) in enumerate(state.combos(eta_grad, eta_hess)):
-        tested += 1
-        p, m = state.candidate(dp, dM)
-        # touching filter: u - phi <= eta_touch on the window (side above),
-        # phi anchored at u(x0); mirrored for below.
-        defect = state.touch_defect(p, m, sign)
-        ok = defect <= eta_touch
-        if not np.any(ok):
-            continue
-        e_val, sat = state.inequality_value(p, m, q, side)
-        saturated = saturated or sat
-        slack = np.where(ok, sign * e_val - C0, -np.inf)
-        upd = slack > best_slack
-        best_slack = np.where(upd, slack, best_slack)
-        best_combo = np.where(upd, combo_id, best_combo)
+    for g, dp in enumerate(grads):
+        laws = None  # (sigma_plus, sigma_minus) at this gradient nudge
+        for k, dM in enumerate(hessians):
+            # touching filter: u - phi <= eta_touch on the window (side above),
+            # phi anchored at u(x0); mirrored for below.
+            ok = state.touch_defect(shifts[g, k], sign) <= eta_touch
+            if not np.any(ok):
+                continue
+            if laws is None:
+                *laws, sat = state.law_values(dp, q)
+                saturated = saturated or sat
+            if F[k] is None:
+                F[k] = state.operator_value(dM)
+            # min/max ranges over the two products sigma_i * F, not the laws:
+            # for F < 0 the larger law gives the smaller product.
+            e_val = pick(laws[0] * F[k], laws[1] * F[k])
+            slack = np.where(ok, sign * e_val - C0, -np.inf)
+            upd = slack > best_slack
+            np.copyto(best_slack, slack, where=upd)
+            best_combo[upd] = g * len(hessians) + k
 
     finite = np.isfinite(best_slack)
     max_violation = float(best_slack[finite].max()) if np.any(finite) else -np.inf
     viol_idx = np.argwhere(finite & (best_slack > eta_cert))
     violations = tuple(
-        (state.node_index(tuple(ij)), side, float(best_slack[tuple(ij)]))
-        for ij in viol_idx
+        (tuple(ix), side, slack) for ix, slack in zip(
+            (viol_idx + rho).tolist(), best_slack[tuple(viol_idx.T)].tolist()
+        )
     )
     witness = None
     if np.any(finite) and max_violation > eta_cert:
         flat = np.where(finite, best_slack, -np.inf)
         ij = tuple(np.unravel_index(int(np.argmax(flat)), flat.shape))
-        witness = state.witness(ij, int(best_combo[ij]), eta_grad, eta_hess, side)
+        g, k = divmod(int(best_combo[ij]), len(hessians))
+        witness = state.witness(ij, grads[g], hessians[k], side)
 
     return CertificateReport(
         side=side,
         checked_nodes=int(np.prod(state.block_shape)),
-        tested_candidates=tested,
+        tested_candidates=len(grads) * len(hessians),
         violations=violations,
         max_violation=max_violation,
         eta_cert=eta_cert,
@@ -180,9 +190,11 @@ def _certify(u: DiscreteField, prob: ProblemInstance, cfg: CertifierConfig,
 class _State:
     """Taylor data of u at every node of the interior block, in any d.
 
-    ``D`` maps each window offset s to the block of u(x0 + s h) - u(x0); the
-    base gradient and Hessian are its central differences, the Hessian kept
-    as its upper-triangle components.
+    ``p_base`` and ``m_base`` are the central-difference gradient and the
+    upper-triangle Hessian components of u; ``R`` holds, for each window
+    offset s (in the order of ``x``, the offsets times h), the block of
+    u(x0 + s h) - u(x0) - phi_base(s h), the residual of u against the base
+    paraboloid.
     """
 
     def __init__(self, u, grid, prob, rho):
@@ -190,12 +202,11 @@ class _State:
         self.d, self.prob, self.rho = d, prob, rho
         self.block_shape = (n - 2 * rho,) * d
         c = u[(slice(rho, n - rho),) * d]
-        self.D = {
+        D = {
             s: u[tuple(slice(rho + k, n - rho + k) for k in s)] - c
             for s in itertools.product(range(-rho, rho + 1), repeat=d)
             if any(s)
         }
-        self.window = [([k * h for k in s], Ds) for s, Ds in self.D.items()]
         self.triu = [(int(i), int(j)) for i, j in zip(*np.triu_indices(d))]
 
         def at(*steps):
@@ -203,7 +214,7 @@ class _State:
             s = [0] * d
             for k, i in steps:
                 s[i] += k
-            return self.D[tuple(s)]
+            return D[tuple(s)]
 
         self.p_base = [(at((1, i)) - at((-1, i))) / (2 * h) for i in range(d)]
         self.m_base = {
@@ -214,8 +225,28 @@ class _State:
             for i, j in self.triu
         }
 
-    def combos(self, eta_grad, eta_hess):
-        """(dp, dM) over the gradient nudges x the Hessian nudges, base first."""
+        # R_s = D_s - phi_base(s h), written over D_s: phi_base is
+        # sum_i p_i x_i + 0.5 sum_{i<=j} (2 - [i=j]) m_ij x_i x_j, summed
+        # left to right.
+        self.x = np.array([[k * h for k in s] for s in D])
+        self.R = list(D.values())
+        w = [self.m_base[(i, j)] if i == j else 2 * self.m_base[(i, j)]
+             for i, j in self.triu]
+        axes = [(i,) for i in range(d)]
+        phi, quad, tmp = (np.empty(self.block_shape) for _ in range(3))
+        for x, Rs in zip(self.x.tolist(), self.R):
+            _sum_of_products(self.p_base, axes, x, phi, tmp)
+            _sum_of_products(w, self.triu, x, quad, tmp)
+            quad *= 0.5
+            phi += quad
+            Rs -= phi
+        self._tmp = tmp
+
+    def nudges(self, eta_grad, eta_hess):
+        """(gradient nudges, Hessian nudges), each list led by the zero nudge.
+
+        The candidates are every (dp, dM) pair, gradient nudge outermost.
+        """
         d = self.d
         axes = list(np.eye(d))
         grads = [np.zeros(d)]
@@ -229,60 +260,54 @@ class _State:
         for v in dirs:
             vv = np.outer(v, v)
             hess += [eta_hess * vv, -eta_hess * vv]
-        for dp in grads:
-            for dM in hess:
-                yield dp, dM
+        return grads, hess
 
-    def candidate(self, dp, dM):
-        """Gradient components and upper-triangle Hessian of one paraboloid."""
-        p = [self.p_base[i] + dp[i] for i in range(self.d)]
-        m = {(i, j): self.m_base[(i, j)] + dM[i, j] for i, j in self.triu}
-        return p, m
+    def shift_table(self, grads, hessians):
+        """c[g, k, s] = dp_g . x_s + 0.5 x_s' dM_k x_s.
 
-    def touch_defect(self, p, m, sign):
-        """max over the window of sign * (u - phi), phi the candidate paraboloid.
-
-        phi = sum_i p_i x_i + 0.5 sum_{i<=j} (2 - [i=j]) m_ij x_i x_j, summed
-        left to right into preallocated buffers: the offset loop allocates
-        nothing, which keeps it off the allocator's page-fault path.
+        The candidate (dp_g, dM_k) minus the base paraboloid at offset s: the
+        same number at every node.
         """
-        w = [m[(i, j)] if i == j else 2 * m[(i, j)] for i, j in self.triu]
-        axes = [(i,) for i in range(self.d)]
-        worst = np.full(self.block_shape, -np.inf)
-        phi, quad, tmp = (np.empty(self.block_shape) for _ in range(3))
-        for x, Ds in self.window:
-            _sum_of_products(p, axes, x, phi, tmp)
-            _sum_of_products(w, self.triu, x, quad, tmp)
-            quad *= 0.5
-            phi += quad
-            np.subtract(Ds, phi, out=phi)
-            phi *= sign
-            np.maximum(worst, phi, out=worst)
+        lin = np.asarray(grads) @ self.x.T
+        quad = 0.5 * np.einsum("si,kij,sj->ks", self.x, np.asarray(hessians), self.x)
+        return lin[:, None, :] + quad[None, :, :]
+
+    def touch_defect(self, shift, sign):
+        """max over the window of sign * (u - phi) = sign * (R_s - shift_s).
+
+        The defect from below is -min_s (R_s - shift_s); negation is exact.
+        """
+        reduce = np.maximum if sign > 0 else np.minimum
+        worst = np.subtract(self.R[0], shift[0])
+        for c, Rs in zip(shift[1:].tolist(), self.R[1:]):
+            np.subtract(Rs, c, out=self._tmp)
+            reduce(worst, self._tmp, out=worst)
+        if sign < 0:
+            np.negative(worst, out=worst)
         return worst
 
-    def inequality_value(self, p, m, q, side):
-        g = [p[i] + q[i] for i in range(self.d)]
-        sp, sm, sat = self.prob.law_pair(gradient_norm(g))
+    def law_values(self, dp, q):
+        """(sigma_plus, sigma_minus, clamped) at the gradient p_base + dp + q."""
+        g = [self.p_base[i] + dp[i] + q[i] for i in range(self.d)]
+        return self.prob.law_pair(gradient_norm(g))
+
+    def operator_value(self, dM):
+        """F at the Hessian m_base + dM of every node."""
         hess = np.empty(self.block_shape + (self.d, self.d))
-        for (i, j), v in m.items():
-            hess[..., i, j] = hess[..., j, i] = v
-        F = self.prob.operator.apply(hess)
-        # min/max ranges over the two products sigma_i * F, not the laws:
-        # for F < 0 the larger law gives the smaller product.
-        if side == "above":
-            return np.minimum(sp * F, sm * F), sat
-        return np.maximum(sp * F, sm * F), sat
+        for i, j in self.triu:
+            hess[..., i, j] = hess[..., j, i] = self.m_base[(i, j)] + dM[i, j]
+        return self.prob.operator.apply(hess)
 
     def node_index(self, ij):
         return tuple(int(k) + self.rho for k in ij)
 
-    def witness(self, ij, combo_id, eta_grad, eta_hess, side):
-        dp, dM = list(self.combos(eta_grad, eta_hess))[combo_id]
-        p, m = self.candidate(dp, dM)
+    def witness(self, ij, dp, dM, side):
         return TouchingTest(
             center=self.node_index(ij), rho_test=self.rho,
-            p=tuple(float(pi[ij]) for pi in p),
-            M=SymMatrix(d=self.d, upper=tuple(float(m[k][ij]) for k in self.triu)),
+            p=tuple(float(self.p_base[i][ij] + dp[i]) for i in range(self.d)),
+            M=SymMatrix(d=self.d, upper=tuple(
+                float(self.m_base[(i, j)][ij] + dM[i, j]) for i, j in self.triu
+            )),
             side=side,
         )
 

@@ -14,7 +14,7 @@ measure        affine-excess decay of a stored field (+ comparison with
 report         bundle every JSON artifact in the output directory into
                summary.json
 
-Exit codes: 0 success, 1 configuration/IO error, 2 solver
+Exit codes: 0 success, 1 configuration/IO or usage error, 2 solver
 non-convergence, 3 certificate failure, 4 modulus tail uncertifiable.
 ``main`` owns the run: every command computes before it writes, and the
 output directory is made by the first file written into it, so an exit 1
@@ -228,6 +228,7 @@ def _diag_json(diag) -> dict:
 
 
 def _cert_json(rep) -> dict:
+    w = rep.witness
     return {
         "side": rep.side,
         "passed": rep.passed,
@@ -237,6 +238,13 @@ def _cert_json(rep) -> dict:
         "eta_cert": rep.eta_cert,
         "eta_touch": rep.eta_touch,
         "sigma_saturated": rep.sigma_saturated,
+        "witness": None if w is None else {
+            "center": list(w.center),
+            "rho_test": w.rho_test,
+            "p": list(w.p),
+            "M": list(w.M.upper),
+            "side": w.side,
+        },
         "violations": [
             {"index": list(ix), "side": side, "slack": slack}
             for ix, side, slack in rep.violations
@@ -413,8 +421,15 @@ def cmd_report(cfg: RunConfig, args, run: _Run) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors are ConfigErrors (exit 1), not exit 2."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="degenlab",
         description="numerical laboratory for a degenerate free transmission problem",
     )
@@ -446,8 +461,8 @@ _EXIT_CODES = (
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg = dataclasses.replace(cfg, seed=args.seed)

@@ -22,6 +22,8 @@ from degenlab.grids import DiscreteField, Grid
 from degenlab.laws import PowerLaw
 from degenlab.problem import ProblemInstance
 
+from oracles import certify_reference
+
 
 def _bench_setup(name, params, n):
     bench = exact_benchmark(name, params)
@@ -181,3 +183,65 @@ class TestReportShape:
             u, prob = _bench_setup(name, params, n)
             assert certify_min(u, prob).passed, name
             assert certify_max(u, prob).passed, name
+
+
+def _mixed_problem(d, t_max=50.0):
+    """Pucci-minus with two different power laws and a gradient shift q."""
+    return ProblemInstance(
+        operator=EllipticOperator(kind="pucci-minus", pair=EllipticityPair(0.5, 2.0)),
+        sigma_plus=PowerLaw(p=1.0, t_max=t_max),
+        sigma_minus=PowerLaw(p=2.0, t_max=t_max),
+        f=0.0, g=0.0, C0=1.0, q=(0.3, -0.2)[:d],
+    )
+
+
+def _oracle_field(kind, grid):
+    X = grid.meshgrid()
+    r2 = sum(x * x for x in X)
+    if kind == "planted":
+        return 10.0 * sum((x - 0.2) ** 2 for x in X) - 0.3
+    if kind == "kinked":
+        return np.abs(X[0] - 0.1) + 0.5 * np.sin(4.0 * X[-1]) - 0.2
+    if kind == "random":
+        rng = np.random.default_rng(5)
+        out = np.zeros(grid.shape)
+        for _ in range(4):
+            k = rng.uniform(-3.0, 3.0, size=grid.d)
+            phase = sum(ki * x for ki, x in zip(k, X)) + rng.uniform(0.0, 6.0)
+            out += rng.normal() * np.cos(phase)
+        return out
+    return 30.0 * X[0] + 2.0 * r2  # steep: |Du| passes t_max
+
+
+class TestMatchesReference:
+    """Both sides equal the reference that builds every candidate in full."""
+
+    @pytest.mark.parametrize("rho", [1, 2, 3])
+    @pytest.mark.parametrize("d, n", [(1, 65), (2, 21)])
+    @pytest.mark.parametrize("kind", ["exact", "planted", "kinked", "random"])
+    def test_fields(self, kind, d, n, rho):
+        grid = Grid(d=d, n=n)
+        if kind == "exact":
+            u, prob = _bench_setup("radial-power", {"theta": 1.0, "d": d}, n)
+        else:
+            u = DiscreteField(grid=grid, values=_oracle_field(kind, grid))
+            prob = _mixed_problem(d)
+        cfg = CertifierConfig(rho_test=rho)
+        reports = [certify_min(u, prob, cfg), certify_max(u, prob, cfg)]
+        assert reports == [certify_reference(u, prob, cfg, side)
+                           for side in ("above", "below")]
+        if kind == "exact":
+            assert all(rep.passed for rep in reports)
+        if kind == "planted":
+            assert reports[0].witness is not None and reports[0].violations
+
+    @pytest.mark.parametrize("d, n", [(1, 65), (2, 21)])
+    def test_steep_field_saturates(self, d, n):
+        grid = Grid(d=d, n=n)
+        u = DiscreteField(grid=grid, values=_oracle_field("steep", grid))
+        prob = _mixed_problem(d, t_max=5.0)
+        cfg = CertifierConfig()
+        for certify, side in ((certify_min, "above"), (certify_max, "below")):
+            rep = certify(u, prob, cfg)
+            assert rep.sigma_saturated
+            assert rep == certify_reference(u, prob, cfg, side)

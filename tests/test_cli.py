@@ -162,6 +162,31 @@ class TestCertify:
         assert code == EXIT_CERTIFICATE
         assert _manifest_files(out, "certify") == {"certificates.json"}
 
+    def test_planted_witness_is_the_paraboloid_at_the_worst_violation(self, run_config,
+                                                                      tmp_path):
+        path, out = run_config
+        xs = np.linspace(-1.0, 1.0, 49)
+        bad = tmp_path / "bad.csv"
+        bad.write_text(
+            "x,u\n" + "\n".join(f"{x:.17g},{10*x*x:.17g}" for x in xs) + "\n"
+        )
+        code = main(["certify", "--config", str(path), "--field", str(bad)])
+        assert code == EXIT_CERTIFICATE
+        cert = json.loads((out / "certificates.json").read_text())
+        assert cert["max_inequality"]["witness"] is None  # that side passes
+        side = cert["min_inequality"]
+        worst = max(side["violations"], key=lambda v: v["slack"])
+        assert worst["slack"] == side["max_violation"]
+        w = side["witness"]
+        assert set(w) == {"center", "rho_test", "p", "M", "side"}
+        assert w["center"] == worst["index"] and w["side"] == "above" and w["rho_test"] == 3
+        # u = 10 x^2 is its own Taylor paraboloid: the witness is (20 x0, 20)
+        # up to one gradient and one Hessian nudge
+        h = xs[1] - xs[0]
+        (i,) = w["center"]
+        assert abs(w["p"][0] - 20.0 * xs[i]) <= 0.5 * h * h + 1e-9
+        assert abs(w["M"][0] - 20.0) <= 0.5 * h + 1e-9
+
     def test_missing_field_is_config_error(self, run_config):
         path, _ = run_config
         assert (
@@ -426,6 +451,17 @@ class TestErrorsAndDeterminism:
         bad = tmp_path / "bad.json"
         bad.write_text("{oops")
         assert main(["solve", "--config", str(bad)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("argv, message", [
+        (["solve"], "the following arguments are required: --config"),
+        (["solve", "--config", "c.json", "--seed", "x"], "invalid int value: 'x'"),
+    ])
+    def test_usage_error_is_one_line_config_error(self, capsys, argv, message):
+        assert main(argv) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: degenlab solve: ")
+        assert message in captured.err and captured.err.count("\n") == 1
+        assert captured.out == ""
 
     @pytest.mark.parametrize("block, key, value", [
         ("scheme", "tol_solve", "abc"),
