@@ -34,11 +34,25 @@ eta_hess = h / 2 match the accuracy at which a C^2 function's gradient
 and Hessian are recoverable from exact grid samples, so exact solutions
 pass while O(1) equation violations fail by a margin.
 
-One state class serves every dimension: it holds u(x0 + s h) - u(x0) for
-the window offsets s in {-rho..rho}^d \\ {0} over the whole interior block.
-The equation value of each candidate uses the package's single evaluations
-of its two objects, ``EllipticOperator.apply`` on the batch of candidate
-Hessians and ``ProblemInstance.law_pair`` at the candidate gradients.
+Every candidate at a node is the base paraboloid plus a nudge that is the
+same at every node, so a paraboloid is built over the interior block once
+per window offset s in {-rho..rho}^d \\ {0} (x_s = s h), not once per
+candidate and offset:
+
+* the residual R_s = u(x0 + x_s) - u(x0) - phi_base(x_s), one block over
+  the whole interior per offset, written over the differences it is made
+  from;
+* the shift table c[g, k, s] = dp_g . x_s + x_s' dM_k x_s / 2 of plain
+  floats, so that u - phi = R_s - c[g, k, s] and the touching filter is
+  one subtraction and one running max (min from below) per offset;
+* sigma depends on the gradient nudge only and F on the Hessian nudge
+  only: ``ProblemInstance.law_pair`` is evaluated once per gradient nudge
+  and ``EllipticOperator.apply`` once per Hessian nudge, each the first
+  time a candidate with that nudge touches at some node.  A nudge whose
+  candidates touch nowhere is never evaluated, so ``sigma_saturated``
+  reports the gradients of touching candidates only.
+
+One state class serves every dimension.
 """
 
 from __future__ import annotations
@@ -157,6 +171,9 @@ def _certify(u: DiscreteField, prob: ProblemInstance, cfg: CertifierConfig,
             upd = slack > best_slack
             np.copyto(best_slack, slack, where=upd)
             best_combo[upd] = g * len(hessians) + k
+    # the report needs neither the residual blocks nor F: free them first
+    state.R.clear()
+    F.clear()
 
     finite = np.isfinite(best_slack)
     max_violation = float(best_slack[finite].max()) if np.any(finite) else -np.inf
@@ -298,12 +315,9 @@ class _State:
             hess[..., i, j] = hess[..., j, i] = self.m_base[(i, j)] + dM[i, j]
         return self.prob.operator.apply(hess)
 
-    def node_index(self, ij):
-        return tuple(int(k) + self.rho for k in ij)
-
     def witness(self, ij, dp, dM, side):
         return TouchingTest(
-            center=self.node_index(ij), rho_test=self.rho,
+            center=tuple(int(k) + self.rho for k in ij), rho_test=self.rho,
             p=tuple(float(self.p_base[i][ij] + dp[i]) for i in range(self.d)),
             M=SymMatrix(d=self.d, upper=tuple(
                 float(self.m_base[(i, j)][ij] + dM[i, j]) for i, j in self.triu
