@@ -179,7 +179,7 @@ def _certify(u: DiscreteField, prob: ProblemInstance, cfg: CertifierConfig,
     max_violation = float(best_slack[finite].max()) if np.any(finite) else -np.inf
     viol_idx = np.argwhere(finite & (best_slack > eta_cert))
     violations = tuple(
-        (tuple(ix), side, slack) for ix, slack in zip(
+        (tuple(ix), side, value) for ix, value in zip(
             (viol_idx + rho).tolist(), best_slack[tuple(viol_idx.T)].tolist()
         )
     )
