@@ -27,7 +27,9 @@ Every surviving candidate must satisfy its inequality up to eta_cert.
 This is a necessary-condition certificate: nodes where no candidate
 survives the touching filter (kinks sharper than the quadratic family)
 constrain nothing, exactly as points without test functions constrain
-nothing in the continuous definition.
+nothing in the continuous definition.  The report counts those nodes
+(``untouched_nodes``) and the failing ones (``violation_count``), and
+names one test function, the worst failure's, as ``witness``.
 
 Defaults eta_cert = 10 h, eta_touch = h^2, eta_grad = h^2 / 2 and
 eta_hess = h / 2 match the accuracy at which a C^2 function's gradient
@@ -106,7 +108,8 @@ class CertificateReport:
     side: str
     checked_nodes: int
     tested_candidates: int
-    violations: tuple
+    violation_count: int
+    untouched_nodes: int
     max_violation: float
     eta_cert: float
     eta_touch: float
@@ -177,12 +180,6 @@ def _certify(u: DiscreteField, prob: ProblemInstance, cfg: CertifierConfig,
 
     finite = np.isfinite(best_slack)
     max_violation = float(best_slack[finite].max()) if np.any(finite) else -np.inf
-    viol_idx = np.argwhere(finite & (best_slack > eta_cert))
-    violations = tuple(
-        (tuple(ix), side, value) for ix, value in zip(
-            (viol_idx + rho).tolist(), best_slack[tuple(viol_idx.T)].tolist()
-        )
-    )
     witness = None
     if np.any(finite) and max_violation > eta_cert:
         flat = np.where(finite, best_slack, -np.inf)
@@ -194,7 +191,8 @@ def _certify(u: DiscreteField, prob: ProblemInstance, cfg: CertifierConfig,
         side=side,
         checked_nodes=int(np.prod(state.block_shape)),
         tested_candidates=len(grads) * len(hessians),
-        violations=violations,
+        violation_count=int(np.count_nonzero(finite & (best_slack > eta_cert))),
+        untouched_nodes=int(np.count_nonzero(best_combo < 0)),
         max_violation=max_violation,
         eta_cert=eta_cert,
         eta_touch=eta_touch,

@@ -245,10 +245,8 @@ def _cert_json(rep) -> dict:
             "M": list(w.M.upper),
             "side": w.side,
         },
-        "violations": [
-            {"index": list(ix), "side": side, "slack": slack}
-            for ix, side, slack in rep.violations
-        ],
+        "violation_count": rep.violation_count,
+        "untouched_nodes": rep.untouched_nodes,
     }
 
 
@@ -299,7 +297,7 @@ def cmd_certify(cfg: RunConfig, args, run: _Run) -> int:
     run.emit_json(
         "certificates.json",
         {
-            "schema": "degenlab-certificates-v1",
+            "schema": "degenlab-certificates-v2",
             "C0": prob.C0,
             "min_inequality": _cert_json(rep_min),
             "max_inequality": _cert_json(rep_max),
@@ -319,6 +317,8 @@ def cmd_build_modulus(cfg: RunConfig, args, run: _Run) -> int:
         schedule, table, omega = build_modulus(
             prob.sigma_plus, prob.sigma_minus, **cfg.modulus_kwargs()
         )
+    if args.eval is not None:  # a T outside [0, 1] is an exit 1: before any write
+        print(f"{omega(float(args.eval)):.17g}")
     run.emit_csv(
         "sequence_table.csv",
         ("k", "a_k", "c_k", "mu1_k", "mu2_k", "mu_star_k", "tau_k"),
@@ -338,8 +338,6 @@ def cmd_build_modulus(cfg: RunConfig, args, run: _Run) -> int:
             "tau": list(omega.tau),
         },
     )
-    if args.eval is not None:
-        print(f"{omega(float(args.eval)):.17g}")
     return EXIT_OK
 
 

@@ -187,7 +187,7 @@ class Modulus:
     def level(self, t):
         """Scale index of radius t: floor(log t / log r) clamped to [1, K+1]."""
         t = np.asarray(t, dtype=float)
-        if np.any(t < 0.0) or np.any(t > 1.0):
+        if not np.all((t >= 0.0) & (t <= 1.0)):  # NaN fails too
             raise DomainError("Modulus: evaluate on t in [0, 1]")
         with np.errstate(divide="ignore"):
             raw = np.floor(np.log(np.where(t > 0.0, t, 1.0)) / math.log(self.r))

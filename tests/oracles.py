@@ -105,7 +105,9 @@ def certify_reference(u, prob, cfg, side):
     subtracted from u(x0 + x) - u(x0); where sign * (u - phi) <= eta_touch
     over the whole window (sign +1 above, -1 below), the candidate's
     min (above) or max (below) of sigma_i(|p + q|) F(M) is compared with
-    C0.  Each node keeps the first candidate of largest slack.
+    C0.  Each node keeps the first candidate of largest slack.  The report
+    counts the nodes of slack above eta_cert from a per-node list, and the
+    nodes that no candidate's touching mask ever held.
     """
     from degenlab.certifier import CertificateReport, TouchingTest
     from degenlab.elliptic import SymMatrix
@@ -150,6 +152,7 @@ def certify_reference(u, prob, cfg, side):
     shape = p_base[0].shape
     best = np.full(shape, -np.inf)
     best_pm = np.empty(shape, dtype=object)
+    touched = np.zeros(shape, dtype=bool)
     saturated = False
     for dp in grads:
         for dM in hessians:
@@ -168,6 +171,7 @@ def certify_reference(u, prob, cfg, side):
                 phi = phi + 0.5 * quad
                 defect = np.maximum(defect, sign * (diff(*s) - phi))
             ok = defect <= eta_touch
+            touched |= ok
             if not ok.any():
                 continue
             g = [p[i] + q[i] for i in range(d)]
@@ -200,7 +204,8 @@ def certify_reference(u, prob, cfg, side):
                                p=wp, M=SymMatrix(d=d, upper=wm), side=side)
     return CertificateReport(
         side=side, checked_nodes=best.size, tested_candidates=len(grads) * len(hessians),
-        violations=violations, max_violation=worst, eta_cert=eta_cert,
+        violation_count=len(violations), untouched_nodes=int((~touched).sum()),
+        max_violation=worst, eta_cert=eta_cert,
         eta_touch=eta_touch, passed=worst <= eta_cert, witness=witness,
         sigma_saturated=saturated,
     )

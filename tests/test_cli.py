@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from degenlab import solver
+from degenlab.certifier import CertifierConfig
 from degenlab.cli import (
     EXIT_CERTIFICATE,
     EXIT_CONFIG,
@@ -15,7 +16,11 @@ from degenlab.cli import (
     EXIT_OK,
     EXIT_TAIL,
     main,
+    read_field,
 )
+from degenlab.config import load_config
+
+from oracles import certify_reference
 
 
 @pytest.fixture
@@ -175,11 +180,16 @@ class TestCertify:
         cert = json.loads((out / "certificates.json").read_text())
         assert cert["max_inequality"]["witness"] is None  # that side passes
         side = cert["min_inequality"]
-        worst = max(side["violations"], key=lambda v: v["slack"])
-        assert worst["slack"] == side["max_violation"]
+        cfg = load_config(str(path))
+        prob, _ = cfg.build_problem()
+        ref = certify_reference(read_field(str(bad), cfg.build_grid()), prob,
+                                CertifierConfig(), "above")
+        assert side["max_violation"] == ref.max_violation
+        assert side["violation_count"] == ref.violation_count > 0
         w = side["witness"]
         assert set(w) == {"center", "rho_test", "p", "M", "side"}
-        assert w["center"] == worst["index"] and w["side"] == "above" and w["rho_test"] == 3
+        assert w["center"] == list(ref.witness.center)
+        assert w["side"] == "above" and w["rho_test"] == 3
         # u = 10 x^2 is its own Taylor paraboloid: the witness is (20 x0, 20)
         # up to one gradient and one Hessian nudge
         h = xs[1] - xs[0]
@@ -374,11 +384,11 @@ class TestFieldFiles:
 class TestNoOutputOnConfigError:
     """A command that exits 1 on its configuration leaves no --out directory."""
 
-    def _run(self, tmp_path, command, cfg, field=None):
+    def _run(self, tmp_path, command, cfg, field=None, extra=()):
         cfg = {**cfg, "out": str(tmp_path / "out")}
         path = tmp_path / "run.json"
         path.write_text(json.dumps(cfg))
-        argv = [command, "--config", str(path)]
+        argv = [command, "--config", str(path), *extra]
         if field is not None:
             argv += ["--field", str(field)]
         assert main(argv) == EXIT_CONFIG
@@ -433,6 +443,15 @@ class TestNoOutputOnConfigError:
 
     def test_build_modulus_with_a_malformed_law(self, tmp_path):
         self._run(tmp_path, "build-modulus", {"problem": self.BAD_LAW, "modulus": self.MODULUS})
+
+    @pytest.mark.parametrize("t", ["2", "-1", "nan"])
+    def test_build_modulus_eval_outside_the_unit_interval(self, tmp_path, capsys, t):
+        self._run(tmp_path, "build-modulus", {
+            "problem": {"benchmark": "radial-power", "params": {"theta": 1.0, "d": 1}},
+            "modulus": self.MODULUS,
+        }, extra=("--eval", t))
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: Modulus")
 
     def test_measure_with_a_center_of_the_wrong_dimension(self, tmp_path):
         self._run(tmp_path, "measure", {

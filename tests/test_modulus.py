@@ -248,6 +248,12 @@ class TestTailAndOmega:
         with pytest.raises(DomainError):
             omega(-0.5)
 
+    @pytest.mark.parametrize("t", [float("nan"), [0.25, float("nan")]])
+    def test_modulus_rejects_nan(self, t):
+        _, _, omega = self._pipeline(1.0, 1.0, K=16)
+        with pytest.raises(DomainError):
+            omega(t)
+
     def test_sequence_table_rows_align(self):
         _, table, _ = self._pipeline(1.0, 2.0, K=16)
         rows = list(table.rows())
