@@ -22,9 +22,10 @@ writes nothing, not even the directory.  Exits 0, 2, 3 and 4 record the
 command in manifest.json.  A typed error prints one ``error:`` line.
 
 manifest.json keeps one entry per command that ran into the directory:
-config digest, seed, wall times per stage and a sha256 inventory of the
-files the command emitted; rerunning a command replaces its entry.  All
-other outputs are byte-deterministic for a fixed config and seed; floats are
+config digest, seed, wall times per stage, counters (build-modulus:
+hold/root/cap steps per law) and a sha256 inventory of the files the
+command emitted; rerunning a command replaces its entry.  All other
+outputs are byte-deterministic for a fixed config and seed; floats are
 written with 17 significant digits (JSON encodes non-finite values as
 the strings "inf", "-inf", "nan").
 """
@@ -125,7 +126,7 @@ def _sha256(path: Path) -> str:
 
 
 class _Run:
-    """Output directory plus stage timings, flushed into manifest.json.
+    """Output directory plus stage timings and counters, flushed into manifest.json.
 
     The directory is made when the first file is written into it.
     """
@@ -139,6 +140,7 @@ class _Run:
         self.seed = cfg.seed
         self.config_digest = hashlib.sha256(Path(args.config).read_bytes()).hexdigest()
         self.times: dict = {}
+        self.counters: dict = {}
         self.files: list = []
 
     @contextlib.contextmanager
@@ -171,6 +173,7 @@ class _Run:
             "config_sha256": self.config_digest,
             "seed": self.seed,
             "wall_times_s": self.times,
+            "counters": self.counters,
             "files": {name: _sha256(self.dir / name) for name in sorted(self.files)},
         }
         _write_json(path, {
@@ -317,6 +320,10 @@ def cmd_build_modulus(cfg: RunConfig, args, run: _Run) -> int:
         schedule, table, omega = build_modulus(
             prob.sigma_plus, prob.sigma_minus, **cfg.modulus_kwargs()
         )
+    run.counters["modulus.branches"] = {
+        law: {b: labels.count(b) for b in ("hold", "root", "cap")}
+        for law, labels in (("sigma_plus", table.branch1), ("sigma_minus", table.branch2))
+    }
     if args.eval is not None:  # a T outside [0, 1] is an exit 1: before any write
         print(f"{omega(float(args.eval)):.17g}")
     run.emit_csv(

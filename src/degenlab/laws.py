@@ -75,6 +75,28 @@ def _checked(law, x, top: float, what: str):
     return arr, arr.ndim == 0
 
 
+def bisect_doubles(below, top):
+    """Adjacent doubles t_lo < t_hi in [0, top] where ``below`` turns false.
+
+    ``below`` maps an array of t (shaped like ``top``) to booleans that
+    are true on an initial segment of each entry's interval [0, top].
+    Non-negative doubles are ordered like their bit patterns, so halving
+    the integer interval between two patterns bisects the bracket in
+    (piecewise-linear) log t.  The loop stops when every bracket's ends
+    are adjacent doubles, at most 64 steps.  ``below`` is only ever
+    evaluated strictly inside (0, top): t_lo is 0 or a point where it
+    holds, t_hi is ``top`` or a point where it fails.
+    """
+    lo = np.zeros(np.shape(top), dtype=np.int64)
+    hi = np.array(top, dtype=np.float64).view(np.int64)
+    while np.any(hi - lo > 1):
+        mid = lo + (hi - lo) // 2
+        is_below = below(mid.view(np.float64))
+        lo = np.where(is_below, mid, lo)
+        hi = np.where(is_below, hi, mid)
+    return lo.view(np.float64), hi.view(np.float64)
+
+
 def _on_range(what: str, top):
     """Wrap a closed form (checked array in, array out) in the shared contract."""
 
@@ -112,23 +134,15 @@ class DegeneracyLaw:
     def inverse(self, s):
         """Solve sigma(t) = s on [0, t_max] for every target at once.
 
-        Non-negative doubles are ordered like their bit patterns, so
-        halving the integer interval between two patterns bisects the
-        bracket in (piecewise-linear) log t.  The loop stops when the
-        bracket ends are adjacent doubles, at most 64 steps, and returns
-        the end whose sigma is nearer the target: a relative precision of
-        one ulp in t down to the smallest normal double, and 0 where the
-        exact inverse underflows.
+        ``bisect_doubles`` brackets each root between adjacent doubles;
+        the end whose sigma is nearer the target is returned: a relative
+        precision of one ulp in t down to the smallest normal double, and
+        0 where the exact inverse underflows.
         """
         flat = s.reshape(-1)
-        lo = np.zeros(flat.shape, dtype=np.int64)
-        hi = np.full(flat.shape, np.float64(self.t_max).view(np.int64))
-        while np.any(hi - lo > 1):
-            mid = lo + (hi - lo) // 2
-            below = self._raw(mid.view(np.float64)) < flat
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        t_lo, t_hi = lo.view(np.float64), hi.view(np.float64)
+        t_lo, t_hi = bisect_doubles(
+            lambda t: self._raw(t) < flat, np.full(flat.shape, float(self.t_max))
+        )
         nearer_lo = flat - self._raw(t_lo) <= self._raw(t_hi) - flat
         return np.where(nearer_lo, t_lo, t_hi).reshape(s.shape)
 

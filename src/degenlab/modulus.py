@@ -25,6 +25,22 @@ four steps, each exposed as one operation:
     (mu*_k) is nondecreasing, which is exactly what makes the root-step
     bound tau_k <= max_i sigma_i^{-1}(theta^k) / c_k provable:
     tau_k >= mu_1^k gives sigma_i(tau_k c_k) = r^k / tau_k <= theta^k.
+
+    The roots come in closed form.  With t = mu tau_{k-1} c_k the
+    condition g_i(mu) >= 1 reads
+
+        h_i(t) = t sigma_i(min(t, t_max)) >= c_k r^k,
+
+    which does not involve the recursion.  So one vectorized bisection
+    per law (``laws.bisect_doubles``) gives every t*_k, the smallest
+    double with h_i(t) >= c_k r^k, comparing log t + log sigma_i(t) with
+    log c_k + k log r: c_k r^k itself underflows near k = 230 at
+    r = 1/16.  The recursion is then a scalar pass without law calls:
+    mu = t*_k / (tau_{k-1} c_k) is held at mu*_{k-1} when mu <= mu*_{k-1},
+    capped at 1 when mu > 1, and otherwise taken as the root.  Each
+    label comes from that one comparison, so a root is strictly above
+    mu*_{k-1} and mu* is nondecreasing even at near-ties, not only up to
+    rounding.
 4.  ``assemble_omega``:  omega(t) sums the amplitude products tau_n from
     the scale index of t up to the truncation K, plus a certified bound
     on the dropped tail.
@@ -57,10 +73,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DomainError, NumericError, UncertifiableTailError
-from .laws import DegeneracyLaw, a_sequence
+from .laws import DegeneracyLaw, a_sequence, bisect_doubles
 
 REL_TOL = 1e-12
-BISECT_TOL = 1e-12
 RESCALE_BISECT_TOL = 1e-15
 BISECT_MAX_ITER = 200
 TAIL_MARGIN = 1e-3
@@ -281,29 +296,30 @@ def rescale_sequence(a, params: RescaleParams):
     return c.tolist()
 
 
-def _amplitude_step(law, tau_prev, c_k, r_k, mu_lo):
-    """Smallest mu in [mu_lo, 1] with (mu tau/r^k) sigma(mu tau c) >= 1."""
+def _root_scales(law, c, log_targets):
+    """Every t*_k at once: the smallest double t with h(t) >= c_k r^k.
 
-    def g(mu):
-        arg = mu * tau_prev * c_k
-        return (mu * tau_prev / r_k) * float(law(min(arg, law.t_max)))
+    h(t) = t sigma(min(t, t_max)) is compared in logs (log sigma = -inf
+    where sigma underflows reads as "below").  Where h stays below the
+    target on (0, c_k), t*_k = c_k, which the recursion reads as a cap:
+    mu = c_k / (tau_{k-1} c_k) > 1 because tau_{k-1} <= mu_1 < 1.
+    """
 
-    if g(mu_lo) >= 1.0:
-        return mu_lo, "hold"
-    if g(1.0) < 1.0:
+    def below(t):
+        with np.errstate(divide="ignore"):
+            sigma = law(np.minimum(t, law.t_max))
+            return np.log(t) + np.log(sigma) < log_targets
+
+    return bisect_doubles(below, c)[1].tolist()
+
+
+def _amplitude(mu_root, mu_prev):
+    """(mu_k, branch) from the root mu_root and the previous mu*_{k-1}."""
+    if mu_root <= mu_prev:
+        return mu_prev, "hold"
+    if mu_root > 1.0:
         return 1.0, "cap"
-    lo, hi = mu_lo, 1.0
-    for _ in range(BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if g(mid) < 1.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= BISECT_TOL * hi:
-            break
-    if not (g(hi) >= 1.0 >= g(lo) or hi - lo <= BISECT_TOL * hi):
-        raise NumericError("amplitude step: bisection lost its bracket")
-    return hi, "root"
+    return mu_root, "root"
 
 
 def mu_recursion(schedule: ScaleSchedule, laws, a, c) -> SequenceTable:
@@ -325,16 +341,19 @@ def mu_recursion(schedule: ScaleSchedule, laws, a, c) -> SequenceTable:
     if any(not (v > 0.0 and math.isfinite(v)) for v in c):
         raise DomainError("mu_recursion: dividers must be positive and finite")
 
+    c_arr = np.asarray(c[:K])
+    log_targets = np.log(c_arr) + np.arange(1, K + 1) * math.log(schedule.r)
+    roots = [_root_scales(law, c_arr, log_targets) for law in (law1, law2)]
+
     mu_a = [schedule.mu1]
     mu_b = [schedule.mu1]
     mu_star = [schedule.mu1]
     tau = [schedule.mu1]
     br1 = ["seed"]
     br2 = ["seed"]
-    for k in range(2, K + 1):
-        r_k = schedule.r**k
-        m1, b1 = _amplitude_step(law1, tau[-1], c[k - 1], r_k, mu_star[-1])
-        m2, b2 = _amplitude_step(law2, tau[-1], c[k - 1], r_k, mu_star[-1])
+    for k in range(1, K):
+        scale = tau[-1] * c[k]
+        (m1, b1), (m2, b2) = (_amplitude(t[k] / scale, mu_star[-1]) for t in roots)
         ms = max(m1, m2)
         mu_a.append(m1)
         mu_b.append(m2)

@@ -6,6 +6,7 @@ implementations must agree with.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -65,6 +66,28 @@ def geometric_tailed_sequence(rng):
     scale = rng.uniform(0.1, 10.0)
     jitter = rng.uniform(0.5, 1.5, size=m)
     return scale * jitter * q ** np.arange(1, m + 1)
+
+
+def power_recursion_reference(mu1, r, c, p1, p2):
+    """mu*_k and tau_k of the amplitude recursion for sigma_i(t) = t**p_i.
+
+    With t = mu tau_{k-1} c_k (below every t_max), g_i(mu) >= 1 reads
+    t**(1 + p_i) >= c_k r^k, so the root is t* = (c_k r^k)**(1/(1 + p_i)),
+    taken in logs because c_k r^k underflows.  The amplitude is the root
+    mu = t* / (tau_{k-1} c_k), raised to mu*_{k-1} (hold) and cut at 1
+    (cap).
+    """
+    mu_star, tau = [mu1], [mu1]
+    for k in range(2, len(c) + 1):
+        log_target = math.log(c[k - 1]) + k * math.log(r)
+        log_scale = math.log(tau[-1]) + math.log(c[k - 1])
+        amps = [
+            min(max(math.exp(log_target / (1.0 + p) - log_scale), mu_star[-1]), 1.0)
+            for p in (p1, p2)
+        ]
+        mu_star.append(max(amps))
+        tau.append(tau[-1] * mu_star[-1])
+    return np.array(mu_star), np.array(tau)
 
 
 def refine_linear_reference(u):

@@ -249,6 +249,16 @@ class TestBuildModulus:
         assert mod["K"] == 64
         assert float(printed) > 0.0
 
+    def test_manifest_counts_branches(self, run_config):
+        path, out = run_config
+        assert main(["build-modulus", "--config", str(path)]) == EXIT_OK
+        entry = json.loads((out / "manifest.json").read_text())["commands"]["build-modulus"]
+        branches = entry["counters"]["modulus.branches"]
+        assert set(branches) == {"sigma_plus", "sigma_minus"}
+        for counts in branches.values():
+            assert set(counts) == {"hold", "root", "cap"}
+            assert sum(counts.values()) == 64 - 1  # every step but the seed
+
     def test_flat_law_tail_exit(self, tmp_path, capsys):
         cfg = {
             "problem": {

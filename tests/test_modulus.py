@@ -25,7 +25,7 @@ from degenlab.modulus import (
     rescale_sequence,
     truncated,
 )
-from oracles import geometric_tailed_sequence
+from oracles import geometric_tailed_sequence, power_recursion_reference
 
 
 class TestChooseScale:
@@ -116,7 +116,7 @@ class TestRescale:
 
 class TestRecursion:
     def test_all_hold_for_flat_rescaling(self):
-        # sigma = t, c = 1: g(mu1) = 1 at every level, tau_k = 2^-k exactly
+        # sigma = t, c = 1: g(mu1) = 4^k >= 1 at every level, tau_k = 2^-k exactly
         sched = choose_scale(1.0, 0.5)
         law = PowerLaw(p=1.0)
         K = 8
@@ -143,10 +143,81 @@ class TestRecursion:
         c = rescale_sequence(a, RescaleParams(delta=0.125))
         table = mu_recursion(sched, laws, a, c)
         mu = np.asarray(table.mu_star)
-        assert np.all(np.diff(mu) >= -1e-15)
+        assert np.all(np.diff(mu) >= 0.0)
         assert np.all(mu < 1.0)
         # tau_k = mu_1* ... mu_k*
         assert table.tau[-1] == pytest.approx(np.prod(table.mu_star), rel=1e-12)
+
+    @pytest.mark.parametrize("p1,p2", [(1.0, 1.0), (1.0, 2.0), (0.5, 3.0)])
+    def test_matches_power_reference(self, p1, p2):
+        sched, table, _ = build_modulus(
+            PowerLaw(p=p1), PowerLaw(p=p2), C=1.0, alpha0=0.5, delta=0.125, K=256
+        )
+        mu_ref, tau_ref = power_recursion_reference(sched.mu1, sched.r, table.c, p1, p2)
+        assert np.max(np.abs(np.asarray(table.mu_star) / mu_ref - 1.0)) <= 1e-11
+        assert np.max(np.abs(np.asarray(table.tau) / tau_ref - 1.0)) <= 1e-11
+
+    @pytest.mark.parametrize(
+        "laws,labels_seen",
+        [
+            ((PowerLaw(p=1.0), PowerLaw(p=2.0)), {"hold", "root"}),
+            ((PowerLaw(p=0.5), PowerLaw(p=3.0)), {"hold", "root"}),
+            ((PowerLogLaw(p=1.0, q=1.0), PowerLaw(p=1.0)), {"hold"}),
+            ((ExponentialFlatLaw(), PowerLaw(p=1.0)), {"hold", "root", "cap"}),
+        ],
+        ids=["power-1-2", "power-0.5-3", "power-log", "exponential-flat"],
+    )
+    def test_labels_meet_their_inequalities(self, laws, labels_seen):
+        # hold: g(mu*_{k-1}) >= 1; root: g(mu_k) = 1; cap: g(1) < 1, each
+        # up to a relative slack of 1e-9 in g, evaluated in logs
+        sched = choose_scale(1.0, 0.5)
+        a = a_sequence(*laws, sched.theta, 256)
+        c = rescale_sequence(a, RescaleParams(delta=0.125))
+        table = mu_recursion(sched, laws, a, c)
+        slack = 1e-9
+
+        def log_g(law, k, mu):
+            sigma = law(min(mu * table.tau[k - 1] * table.c[k], law.t_max))
+            if sigma == 0.0:  # sigma underflowed: g is below any level
+                return -math.inf
+            return (math.log(mu * table.tau[k - 1]) - (k + 1) * math.log(sched.r)
+                    + math.log(sigma))
+
+        seen = set()
+        for law, mus, labels in zip(laws, (table.mu1, table.mu2),
+                                    (table.branch1, table.branch2)):
+            for k in range(1, table.K):
+                label = labels[k]
+                seen.add(label)
+                if label == "hold":
+                    assert mus[k] == table.mu_star[k - 1]
+                    assert log_g(law, k, mus[k]) >= -slack
+                elif label == "root":
+                    assert table.mu_star[k - 1] < mus[k] <= 1.0
+                    assert abs(log_g(law, k, mus[k])) <= slack
+                else:
+                    assert label == "cap" and mus[k] == 1.0
+                    assert log_g(law, k, 1.0) < slack
+        assert seen == labels_seen
+
+    def test_underflowing_targets(self):
+        # c_k r^k underflows to 0 in linear arithmetic before k = 256 at
+        # r = 1/16; the log-space root solve still yields finite positive
+        # amplitudes and the dyadic bound at root steps
+        sched, table, _ = build_modulus(
+            PowerLaw(p=1.0), PowerLaw(p=2.0), C=1.0, alpha0=0.5, delta=0.125, K=256
+        )
+        assert sched.r == 1.0 / 16.0
+        targets = np.asarray(table.c) * sched.r ** np.arange(1, table.K + 1)
+        assert np.any(targets == 0.0)
+        for seq in (table.mu1, table.mu2, table.mu_star, table.tau):
+            arr = np.asarray(seq)
+            assert np.all(np.isfinite(arr)) and np.all(arr > 0.0)
+        b = np.asarray(table.a) / np.asarray(table.c)
+        roots = [k for k in range(table.K) if "root" in (table.branch1[k], table.branch2[k])]
+        assert roots
+        for k in roots:
+            assert table.tau[k] <= b[k] * (1.0 + 1e-8)
 
     def test_rejects_short_rescaling(self):
         sched = choose_scale(1.0, 0.5)
@@ -171,10 +242,9 @@ class TestTailAndOmega:
         )
 
     def test_frozen_omega_values(self):
-        _, table, omega = self._pipeline(1.0, 2.0)
-        ach = self._achiever_branches(table)
-        branches = {b: ach.count(b) for b in set(ach)}
-        assert branches == {"seed": 1, "hold": 233, "root": 22}
+        # the hold/root split is not pinned: near-ties sit within rounding
+        # (test_labels_meet_their_inequalities checks each label instead)
+        _, _, omega = self._pipeline(1.0, 2.0)
         assert omega(1.0) == pytest.approx(1.0002319266595507, rel=1e-12)
         assert omega.tail_bound == pytest.approx(7.4808895354965229e-59, rel=1e-10)
 
