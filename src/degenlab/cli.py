@@ -8,9 +8,10 @@ certify        check both viscosity inequalities on a stored field;
                writes certificates.json
 build-modulus  run the modulus pipeline; writes sequence_table.csv and
                modulus.json (--eval T also prints omega(T))
-measure        affine-excess decay of a stored field (+ comparison with
-               the configured modulus); writes decay_profile.csv,
-               gradient_pairs.csv and comparison.json
+measure        affine-excess decay of a stored field around each center
+               (+ comparison with the configured modulus); writes
+               decay_profile.csv, comparison.json and gradient_pairs.csv,
+               the field's one gradient-increment cloud repeated per center
 report         bundle every JSON artifact in the output directory into
                summary.json
 
@@ -23,11 +24,13 @@ command in manifest.json.  A typed error prints one ``error:`` line.
 
 manifest.json keeps one entry per command that ran into the directory:
 config digest, seed, wall times per stage, counters (build-modulus:
-hold/root/cap steps per law) and a sha256 inventory of the files the
-command emitted; rerunning a command replaces its entry.  All other
-outputs are byte-deterministic for a fixed config and seed; floats are
-written with 17 significant digits (JSON encodes non-finite values as
-the strings "inf", "-inf", "nan").
+hold/root/cap steps per law, also on exit 4; measure: LP fits and the
+fits whose duality gap is too wide to certify) and a sha256 inventory of
+the files the command emitted; rerunning a command replaces its entry.
+All other outputs are byte-deterministic for a fixed config and seed;
+floats are written with 17 significant digits (JSON encodes non-finite
+values as the strings "inf", "-inf", "nan").  Field and CSV files move
+between disk and arrays a whole column at a time.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -54,7 +58,7 @@ from .errors import (
     UncertifiableTailError,
 )
 from .grids import DiscreteField, Grid
-from .lab import compare_modulus, decay_scan
+from .lab import compare_modulus, decay_scan, gradient_pairs
 from .modulus import build_modulus
 # ``solve`` is bound here although the commands call only ``solve_cascade``:
 # bench/spans.py times the solver by wrapping degenlab.cli.solve.
@@ -71,14 +75,6 @@ EXIT_TAIL = 4
 # deterministic serialization
 
 
-def _fmt(x: float) -> str:
-    if math.isnan(x):
-        return '"nan"'
-    if math.isinf(x):
-        return '"inf"' if x > 0 else '"-inf"'
-    return f"{x:.17g}"
-
-
 def _ser(obj, indent: int = 0) -> str:
     """JSON text with fixed float formatting (17 significant digits)."""
     pad = "  " * indent
@@ -92,19 +88,16 @@ def _ser(obj, indent: int = 0) -> str:
         ]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
     if isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
+        if not obj:
             return "[]"
-        items = [f"{inner}{_ser(v, indent + 1)}" for v in seq]
+        items = [f"{inner}{_ser(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    if isinstance(obj, bool) or obj is None:
+    if isinstance(obj, (bool, str)) or obj is None:
         return json.dumps(obj)
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
+    if isinstance(obj, (float, np.floating)):  # non-finite: the string "nan", "inf", "-inf"
+        return f"{obj:.17g}" if math.isfinite(obj) else json.dumps(str(float(obj)))
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
@@ -112,13 +105,14 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(_ser(obj) + "\n", encoding="utf-8")
 
 
-def _cell(v) -> str:
-    return f"{float(v):.17g}" if isinstance(v, (float, np.floating)) else str(v)
-
-
-def _write_csv(path: Path, header, rows) -> None:
-    lines = [",".join(header)] + [",".join(map(_cell, row)) for row in rows]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _write_csv(path: Path, header, columns) -> None:
+    """Equal-length columns, ``%d`` for an integer column and ``%.17g`` for
+    the rest, formatted by one ``%`` on the row template repeated per row."""
+    columns = [np.asarray(c) for c in columns]
+    row = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\n"
+    cells = np.column_stack(columns).ravel().tolist()
+    body = (row * len(columns[0])) % tuple(cells)
+    path.write_text(",".join(header) + "\n" + body, encoding="utf-8")
 
 
 def _sha256(path: Path) -> str:
@@ -159,8 +153,8 @@ class _Run:
         _write_json(self._path(name), obj)
         self.files.append(name)
 
-    def emit_csv(self, name: str, header, rows) -> None:
-        _write_csv(self._path(name), header, rows)
+    def emit_csv(self, name: str, header, columns) -> None:
+        _write_csv(self._path(name), header, columns)
         self.files.append(name)
 
     def finish(self) -> None:
@@ -189,36 +183,37 @@ class _Run:
 
 def write_field(run: _Run, name: str, u: DiscreteField) -> None:
     grid = u.grid
-    columns = [c.ravel() for c in (*grid.meshgrid(), u.values)]
-    run.emit_csv(name, ("x", "y")[: grid.d] + ("u",), zip(*columns))
+    run.emit_csv(name, ("x", "y")[: grid.d] + ("u",),
+                 [c.ravel() for c in (*grid.meshgrid(), u.values)])
 
 
 def read_field(path: str, grid: Grid) -> DiscreteField:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"field: cannot read {path}: {exc}") from exc
+    # loadtxt rejects whitespace-only lines, so every blank line goes here
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ConfigError(f"field: {path} is empty")
-    header = lines[0].split(",")
-    d = len(header) - 1
+    d = lines[0].count(",")
     if d != grid.d:
         raise ConfigError(f"field: {path} is {d}-dimensional, config grid is {grid.d}")
+    if len(lines) - 1 != grid.n**grid.d:  # before loadtxt, which warns on no rows
+        raise ConfigError(
+            f"field: {path} holds {len(lines) - 1} nodes, grid wants {grid.n**grid.d}"
+        )
     try:
-        data = np.array([[float(c) for c in ln.split(",")] for ln in lines[1:]])
+        data = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
+        if data.shape[1] != d + 1:  # loadtxt rejects ragged rows, not a wrong width
+            raise ValueError(f"{data.shape[1]} columns under a {d + 1}-column header")
     except ValueError as exc:
         raise ConfigError(f"field: {path} has a malformed row: {exc}") from exc
     if not np.all(np.isfinite(data)):
         raise ConfigError(f"field: {path} holds a non-finite value")
-    if data.shape[0] != grid.n**grid.d:
-        raise ConfigError(
-            f"field: {path} holds {data.shape[0]} nodes, grid wants {grid.n**grid.d}"
-        )
-    # sanity: every coordinate column must match the grid
-    for k, expect in enumerate(grid.meshgrid()):
-        if not np.allclose(data[:, k].reshape(grid.shape), expect, atol=1e-10):
-            raise ConfigError(f"field: {path} coordinates do not match the config grid")
+    nodes = np.stack([c.ravel() for c in grid.meshgrid()], axis=1)
+    if not np.allclose(data[:, :-1], nodes, atol=1e-10):  # every coordinate column
+        raise ConfigError(f"field: {path} coordinates do not match the config grid")
     return DiscreteField(grid=grid, values=data[:, -1].reshape(grid.shape))
 
 
@@ -316,20 +311,22 @@ def cmd_certify(cfg: RunConfig, args, run: _Run) -> int:
 
 def cmd_build_modulus(cfg: RunConfig, args, run: _Run) -> int:
     prob, _ = cfg.build_problem()
-    with run.stage("build-modulus"):
-        schedule, table, omega = build_modulus(
-            prob.sigma_plus, prob.sigma_minus, **cfg.modulus_kwargs()
-        )
-    run.counters["modulus.branches"] = {
-        law: {b: labels.count(b) for b in ("hold", "root", "cap")}
-        for law, labels in (("sigma_plus", table.branch1), ("sigma_minus", table.branch2))
-    }
+    try:
+        with run.stage("build-modulus"):
+            schedule, table, omega = build_modulus(
+                prob.sigma_plus, prob.sigma_minus, **cfg.modulus_kwargs()
+            )
+    except UncertifiableTailError as exc:
+        if exc.table is not None:  # the recursion ran: its caps explain the exit
+            run.counters["modulus.branches"] = exc.table.branch_counts()
+        raise
+    run.counters["modulus.branches"] = table.branch_counts()
     if args.eval is not None:  # a T outside [0, 1] is an exit 1: before any write
         print(f"{omega(float(args.eval)):.17g}")
     run.emit_csv(
         "sequence_table.csv",
         ("k", "a_k", "c_k", "mu1_k", "mu2_k", "mu_star_k", "tau_k"),
-        table.rows(),
+        table.columns(),
     )
     run.emit_json(
         "modulus.json",
@@ -359,8 +356,7 @@ def cmd_measure(cfg: RunConfig, args, run: _Run) -> int:
     if any(len(center) != grid.d for center in centers):
         raise ConfigError(f"config.lab.centers must be points of the {grid.d}-d grid")
     r, N = lab.get("r", 0.5), lab.get("N", 6)
-    omega = None
-    omega_error = None
+    omega = omega_error = None
     if cfg.modulus is not None and cfg.problem is not None:
         prob, _ = cfg.build_problem()
         try:
@@ -372,10 +368,15 @@ def cmd_measure(cfg: RunConfig, args, run: _Run) -> int:
 
     with run.stage("measure"):
         profiles = [decay_scan(u, center, r, N) for center in centers]
+        cloud = gradient_pairs(u)  # one cloud: it does not depend on the center
+    run.counters["lab.fits"] = sum(len(prof.scales) for prof in profiles)
+    run.counters["lab.uncertified_fits"] = sum(prof.uncertified for prof in profiles)
 
-    rows = [(*c, *row) for c, prof in zip(centers, profiles) for row in prof.rows()]
-    pair_rows = [(*c, *pair) for c, prof in zip(centers, profiles)
-                 for pair in prof.gradient_pairs]
+    rows = np.array([(*c, *row) for c, prof in zip(centers, profiles) for row in prof.rows()],
+                    dtype=float).reshape(-1, grid.d + 3)
+    points = np.asarray(centers, dtype=float).reshape(-1, grid.d)
+    pairs = np.hstack([np.repeat(points, len(cloud), axis=0),
+                       np.tile(cloud, (len(points), 1))])
     comparison: dict = {"schema": "degenlab-comparison-v1", "centers": []}
     for center, prof in zip(centers, profiles):
         entry = {
@@ -399,8 +400,8 @@ def cmd_measure(cfg: RunConfig, args, run: _Run) -> int:
         comparison["centers"].append(entry)
 
     coord_cols = tuple(f"{c}0" for c in ("x", "y")[: grid.d])
-    run.emit_csv("decay_profile.csv", (*coord_cols, "scale", "excess", "rate"), rows)
-    run.emit_csv("gradient_pairs.csv", (*coord_cols, "distance", "grad_diff"), pair_rows)
+    run.emit_csv("decay_profile.csv", (*coord_cols, "scale", "excess", "rate"), rows.T)
+    run.emit_csv("gradient_pairs.csv", (*coord_cols, "distance", "grad_diff"), pairs.T)
     run.emit_json("comparison.json", comparison)
     return EXIT_OK
 
@@ -433,19 +434,15 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     p = _Parser(
         prog="degenlab",
         description="numerical laboratory for a degenerate free transmission problem",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    for name, fn in (
-        ("solve", cmd_solve),
-        ("certify", cmd_certify),
-        ("build-modulus", cmd_build_modulus),
-        ("measure", cmd_measure),
-        ("report", cmd_report),
-    ):
+    for fn in (cmd_solve, cmd_certify, cmd_build_modulus, cmd_measure, cmd_report):
+        name = fn.__name__.removeprefix("cmd_").replace("_", "-")
         q = sub.add_parser(name)
         q.add_argument("--config", required=True, help="path to the JSON run config")
         q.add_argument("--field", help="path to a stored field.csv")

@@ -36,4 +36,9 @@ class SolverDivergenceError(DegenlabError):
 
 
 class UncertifiableTailError(DegenlabError):
-    """A truncated series has no certified geometric tail at this depth."""
+    """A truncated series has no certified geometric tail at this depth;
+    carries the sequence table whose tail failed, when the recursion ran."""
+
+    def __init__(self, message, table=None):
+        super().__init__(message)
+        self.table = table

@@ -7,8 +7,10 @@ than rho.  This module measures that decay and compares it with a
 constructed modulus:
 
 * ``best_affine``      minimax (Chebyshev) affine fit on a discrete ball;
-* ``decay_scan``       excess across dyadic scales + gradient-increment
-                       cloud, with a log-log slope fit;
+* ``decay_scan``       excess across dyadic scales around one center, with
+                       a log-log slope fit;
+* ``gradient_pairs``   the gradient-increment cloud of the whole field, one
+                       (m, 2) array; it does not depend on any center;
 * ``rescale_field``    the normalization (u(x0 + r y) - affine) / (mu r)
                        used by the scale iteration, resampled onto the
                        standard grid;
@@ -63,12 +65,6 @@ class AffineFit:
         if self.excess < 0.0:
             raise DomainError("AffineFit: excess must be non-negative")
 
-    def __call__(self, *coords):
-        out = np.full_like(np.asarray(coords[0], dtype=float), self.a)
-        for bi, ci, x0i in zip(self.b, coords, self.x0):
-            out = out + bi * (np.asarray(ci, dtype=float) - x0i)
-        return out
-
 
 @dataclass(frozen=True)
 class DecayProfile:
@@ -82,7 +78,7 @@ class DecayProfile:
     intercept: float | None
     clean_affine: bool
     truncated: bool
-    gradient_pairs: tuple
+    uncertified: int  # fits whose LP duality gap exceeds DUALITY_GAP_TOL
 
     def __post_init__(self):
         if len(self.scales) != len(self.rates) or len(self.scales) != len(self.excesses):
@@ -95,8 +91,7 @@ class DecayProfile:
 
     def rows(self):
         """(scale, excess, rate) triples for CSV export."""
-        for s, e, r in zip(self.scales, self.excesses, self.rates):
-            yield (s, e, r)
+        return zip(self.scales, self.excesses, self.rates)
 
 
 @dataclass(frozen=True)
@@ -191,8 +186,8 @@ def decay_scan(u: DiscreteField, x0, r: float, N: int) -> DecayProfile:
     x0 = tuple(float(v) for v in x0)
     margin = 1.0 - max(abs(v) for v in x0) if x0 else 1.0
 
-    scales, excesses, rates = [], [], []
-    truncated = False
+    scales, excesses = [], []
+    truncated, uncertified = False, 0
     for nlev in range(1, N + 1):
         rho = r**nlev
         if rho > margin + 1e-12 or rho < MIN_SCALE_CELLS * grid.h:
@@ -201,7 +196,7 @@ def decay_scan(u: DiscreteField, x0, r: float, N: int) -> DecayProfile:
         fit = best_affine(u, x0, rho)
         scales.append(rho)
         excesses.append(fit.excess)
-        rates.append(fit.excess / rho)
+        uncertified += not fit.certified
     if not scales:
         raise DomainError(
             "decay_scan: no scale between 3h and the boundary margin; "
@@ -230,16 +225,17 @@ def decay_scan(u: DiscreteField, x0, r: float, N: int) -> DecayProfile:
         intercept=intercept,
         clean_affine=clean,
         truncated=truncated,
-        gradient_pairs=_gradient_pairs(u),
+        uncertified=uncertified,
     )
 
 
-def _gradient_pairs(u: DiscreteField):
+def gradient_pairs(u: DiscreteField) -> np.ndarray:
     """Deterministic cloud of (|x-y|, |grad_h u(x) - grad_h u(y)|) samples.
 
     Central-difference gradients on a coarse deterministic subgrid,
     paired along the axes at gaps of 2h, 4h, 8h, ... (pairs closer than
-    2h only measure stencil noise and are skipped).
+    2h only measure stencil noise and are skipped).  Returns one (m, 2)
+    array, rows ordered by gap, then axis, then node (row-major).
     """
     grid = u.grid
     h = grid.h
@@ -254,16 +250,10 @@ def _gradient_pairs(u: DiscreteField):
 
     stride = max(1, (grid.n - 2) // GRAD_MAX_NODES_PER_AXIS)
     idx = np.arange(1, grid.n - 1, stride)
-    gaps = []
+    pairs = []
     gap = GRAD_PAIR_MIN_CELLS
     while gap < grid.n - 2:
-        gaps.append(gap)
-        gap *= 2
-    pairs = []
-    for gap in gaps:
-        keep = idx[idx + gap <= grid.n - 2]
-        if keep.size == 0:
-            continue
+        keep = idx[idx + gap <= grid.n - 2]  # holds idx[0] = 1, as gap <= n - 3
         for axis in range(grid.d):
             sl_from = np.ix_(*(keep if a == axis else idx for a in range(grid.d)))
             sl_to = np.ix_(*(keep + gap if a == axis else idx for a in range(grid.d)))
@@ -274,8 +264,10 @@ def _gradient_pairs(u: DiscreteField):
             # which neither overflows nor underflows
             normal = np.isfinite(sq) & (sq >= np.finfo(float).tiny)
             diff = np.where(normal, np.sqrt(sq), gradient_norm(comps)).ravel()
-            pairs.extend((gap * h, float(dv)) for dv in diff[np.isfinite(diff)])
-    return tuple(pairs)
+            diff = diff[np.isfinite(diff)]
+            pairs.append(np.column_stack([np.full(diff.size, gap * h), diff]))
+        gap *= 2
+    return np.concatenate(pairs)
 
 
 def rescale_field(u: DiscreteField, fit: AffineFit, r: float, mu: float) -> DiscreteField:

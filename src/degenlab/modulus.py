@@ -168,11 +168,15 @@ class SequenceTable:
             if abs(self.tau[k] - prod) > REL_TOL * prod:
                 raise DomainError("SequenceTable: tau is not the running product")
 
-    def rows(self):
-        """(k, a_k, c_k, mu1_k, mu2_k, mu_star_k, tau_k) for CSV export."""
-        for k in range(self.K):
-            yield (k + 1, self.a[k], self.c[k], self.mu1[k], self.mu2[k],
-                   self.mu_star[k], self.tau[k])
+    def branch_counts(self) -> dict:
+        """Per law, the number of steps labelled hold, root and cap."""
+        return {law: {b: labels.count(b) for b in ("hold", "root", "cap")}
+                for law, labels in (("sigma_plus", self.branch1), ("sigma_minus", self.branch2))}
+
+    def columns(self):
+        """k, a_k, c_k, mu1_k, mu2_k, mu_star_k, tau_k for CSV export."""
+        return (range(1, self.K + 1), self.a, self.c, self.mu1, self.mu2,
+                self.mu_star, self.tau)
 
 
 @dataclass(frozen=True)
@@ -389,11 +393,12 @@ def certified_tail(table: SequenceTable) -> float:
     mu_last = table.mu_star[-1]
     if mu_last >= 1.0:
         raise UncertifiableTailError(
-            "certified_tail: mu* reached 1; increase K or check the laws"
+            "certified_tail: mu* reached 1; increase K or check the laws", table
         )
     lo = max(0, K - TAIL_PROBE - 1)
     if K - lo < 2:
-        raise UncertifiableTailError("certified_tail: need K >= 2 for a ratio probe")
+        raise UncertifiableTailError("certified_tail: need K >= 2 for a ratio probe",
+                                     table)
     # Decay evidence lives in the driving sequence a; the dividers c end
     # with a truncated suffix sum that only inflates the last few ratios
     # of b (conservatively for the bound below), so the trend is probed
@@ -405,7 +410,7 @@ def certified_tail(table: SequenceTable) -> float:
     if not trend_ok or q > 1.0 - TAIL_MARGIN:
         raise UncertifiableTailError(
             f"certified_tail: comparison ratios not certifiably geometric "
-            f"(max ratio {q:.6g}); increase K"
+            f"(max ratio {q:.6g}); increase K", table
         )
     hold_part = table.tau[-1] * mu_last / (1.0 - mu_last)
     root_part = float(b[-1]) * q / (1.0 - q)

@@ -59,6 +59,17 @@ def brute_affine_1d(u, x0, rho, n_nodes, n_slopes=2001):
     return best, best_ab
 
 
+def csv_reference(header, rows):
+    """CSV text written one cell at a time: a float cell with 17 significant
+    digits, any other cell (an int) by str()."""
+
+    def cell(v):
+        return f"{float(v):.17g}" if isinstance(v, (float, np.floating)) else str(v)
+
+    lines = [",".join(header)] + [",".join(map(cell, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def geometric_tailed_sequence(rng):
     """Random positive sequence with a geometric tail (for rescaling tests)."""
     m = int(rng.integers(5, 60))

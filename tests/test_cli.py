@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from degenlab import solver
+from degenlab import lab, solver
 from degenlab.certifier import CertifierConfig
 from degenlab.cli import (
     EXIT_CERTIFICATE,
@@ -15,12 +15,15 @@ from degenlab.cli import (
     EXIT_DIVERGED,
     EXIT_OK,
     EXIT_TAIL,
+    _write_csv,
     main,
     read_field,
+    write_field,
 )
 from degenlab.config import load_config
+from degenlab.grids import DiscreteField, Grid
 
-from oracles import certify_reference
+from oracles import certify_reference, csv_reference
 
 
 @pytest.fixture
@@ -277,6 +280,12 @@ class TestBuildModulus:
         assert _manifest_files(tmp_path / "flat", "build-modulus") == set()
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        # the recursion ran before the tail failed: its capped steps are the reason
+        manifest = json.loads((tmp_path / "flat" / "manifest.json").read_text())
+        branches = manifest["commands"]["build-modulus"]["counters"]["modulus.branches"]
+        assert set(branches) == {"sigma_plus", "sigma_minus"}
+        for counts in branches.values():
+            assert counts["cap"] > 0 and sum(counts.values()) == 64 - 1
 
 
 class TestMeasure:
@@ -294,6 +303,49 @@ class TestMeasure:
         entry = cmp_doc["centers"][0]
         assert "comparison" in entry
         assert entry["comparison"]["C_star"] > 0.0
+
+
+    @pytest.mark.parametrize("gap_tol, uncertified", [(None, 0), (-1.0, 4)])
+    def test_manifest_counts_fits(self, tmp_path, monkeypatch, gap_tol, uncertified):
+        cfg = {
+            "grid": {"d": 2, "n": 33},
+            "lab": {"centers": [[0.0, 0.0], [0.25, -0.25]], "r": 0.5, "N": 2},
+            "out": str(tmp_path / "out"),
+        }
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(cfg))
+        xs = np.linspace(-1.0, 1.0, 33)
+        field = tmp_path / "field.csv"
+        field.write_text("x,y,u\n" + "".join(
+            f"{x:.17g},{y:.17g},{abs(x) ** 1.5 + x * y:.17g}\n" for x in xs for y in xs))
+        if gap_tol is not None:  # every duality gap now counts as too wide
+            monkeypatch.setattr(lab, "DUALITY_GAP_TOL", gap_tol)
+        assert main(["measure", "--config", str(path), "--field", str(field)]) == EXIT_OK
+        entry = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        counters = entry["commands"]["measure"]["counters"]
+        assert counters == {"lab.fits": 4, "lab.uncertified_fits": uncertified}
+        profile = (tmp_path / "out" / "decay_profile.csv").read_text().splitlines()
+        assert len(profile) == 1 + counters["lab.fits"]  # one LP fit per row
+
+    def test_gradient_pairs_repeat_one_cloud_per_center(self, tmp_path):
+        cfg = {
+            "grid": {"d": 2, "n": 33},
+            "lab": {"centers": [[0.0, 0.0], [0.25, -0.25]], "r": 0.5, "N": 2},
+            "out": str(tmp_path / "out"),
+        }
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(cfg))
+        xs = np.linspace(-1.0, 1.0, 33)
+        field = tmp_path / "field.csv"
+        field.write_text("x,y,u\n" + "".join(
+            f"{x:.17g},{y:.17g},{np.sin(3 * x) * y:.17g}\n" for x in xs for y in xs))
+        assert main(["measure", "--config", str(path), "--field", str(field)]) == EXIT_OK
+        lines = (tmp_path / "out" / "gradient_pairs.csv").read_text().splitlines()[1:]
+        half = len(lines) // 2
+        assert len(lines) == 2 * half > 0
+        assert all(ln.startswith("0,0,") for ln in lines[:half])
+        assert all(ln.startswith("0.25,-0.25,") for ln in lines[half:])
+        assert [ln[4:] for ln in lines[:half]] == [ln[11:] for ln in lines[half:]]
 
 
 class TestReport:
@@ -337,6 +389,16 @@ class TestManifest:
         assert set(digests) == others
         for name, digest in digests.items():
             assert digest == hashlib.sha256((out / name).read_bytes()).hexdigest()
+
+    def test_cached_parser_keeps_no_state_between_calls(self, run_config, capsys):
+        path, out = run_config  # the config's seed is 7
+        argv = ["build-modulus", "--config", str(path)]
+        assert main([*argv, "--seed", "5", "--eval", "0.5"]) == EXIT_OK
+        assert float(capsys.readouterr().out) > 0.0
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == ""
+        entry = json.loads((out / "manifest.json").read_text())["commands"]["build-modulus"]
+        assert entry["seed"] == 7
 
     def test_rerun_replaces_its_entry(self, run_config):
         path, out = run_config
@@ -389,6 +451,131 @@ class TestFieldFiles:
         err = capsys.readouterr().err
         assert err == f"error: field: {bad} holds a non-finite value\n"
         assert not out.exists()
+
+
+class TestCsvBytes:
+    """The column writer gives the bytes of the cell-by-cell reference writer."""
+
+    def test_mixed_columns_and_non_finite_cells(self, tmp_path):
+        rng = np.random.default_rng(12)
+        bits = rng.integers(0, 2**63, size=300, dtype=np.uint64).view(np.float64)
+        special = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1e-300, -1e-300,
+                   np.nan, np.inf, -np.inf, 0.1, 1.0 / 3.0, 2.0**53, 1e16, 1e17, 123.0]
+        floats = np.concatenate([special, bits, rng.normal(size=83)])
+        ks = np.arange(-3, floats.size - 3)
+        columns = (ks, floats, floats[::-1].copy(), ks * 1_000_003)
+        header = ("k", "a", "b", "big_k")
+        path = tmp_path / "mixed.csv"
+        _write_csv(path, header, columns)
+        rows = zip(*(c.tolist() for c in columns))  # Python ints and floats, as before
+        assert path.read_text() == csv_reference(header, rows)
+        _write_csv(path, header, [c[:0] for c in columns])
+        assert path.read_text() == "k,a,b,big_k\n"
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_round_trip_is_bit_identical(self, tmp_path, d):
+        grid = Grid(d=d, n=9)
+        values = np.random.default_rng(d).normal(size=grid.shape)
+        edge = [-0.0, 5e-324, 1e308, 1e-300, -1e-300, -5e-324, -1e308, 2.0**-1074 * 3]
+        values.flat[: len(edge)] = edge
+
+        class Run:
+            def emit_csv(self, name, header, columns):
+                _write_csv(tmp_path / name, header, columns)
+
+        write_field(Run(), "field.csv", DiscreteField(grid, values))
+        got = read_field(str(tmp_path / "field.csv"), grid).values
+        assert got.view(np.int64).tolist() == values.view(np.int64).tolist()
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_every_csv_of_a_five_stage_run(self, tmp_path, d):
+        cfg = {
+            "problem": {"benchmark": "radial-power", "params": {"theta": 1.0, "d": d}},
+            "grid": {"d": d, "n": 33},
+            "scheme": {"tol_solve": 1e-6},
+            "modulus": {"C": 1.0, "alpha0": 0.5, "delta": 0.125, "K": 32},
+            "lab": {"centers": [[0.0] * d, [0.25] * d], "r": 0.5, "N": 2},
+            "out": str(tmp_path / "out"),
+        }
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        base = ["--config", str(path)]
+        field = [*base, "--field", str(out / "field.csv")]
+        for argv in (["solve", *base], ["certify", *field], ["build-modulus", *base],
+                     ["measure", *field], ["report", *base]):
+            assert main(argv) == EXIT_OK
+        names = sorted(p.name for p in out.glob("*.csv"))
+        assert names == ["decay_profile.csv", "field.csv", "gradient_pairs.csv",
+                         "sequence_table.csv"]
+        for name in names:
+            header, *lines = (out / name).read_text().splitlines()
+            header = header.split(",")
+            # parse back, then format cell by cell: %.17g round-trips every double
+            rows = [[int(c) if col == "k" else float(c) for col, c in zip(header, ln.split(","))]
+                    for ln in lines]
+            assert (out / name).read_text() == csv_reference(header, rows), name
+
+
+class TestReadField:
+    """read_field's contract: each rejection is one error line, exit 1, no output."""
+
+    XS = [f"{x:.17g}" for x in np.linspace(-1.0, 1.0, 49)]
+    GOOD = "x,u\n" + "".join(f"{x},0.25\n" for x in XS)
+
+    # name: (file body, the part of the error line after "field: <path> ")
+    REJECTED = {
+        "letters": (GOOD.replace(",0.25\n", ",abc\n", 1), "has a malformed row"),
+        "ragged": (GOOD.replace(",0.25\n", ",0.25,1\n", 1), "has a malformed row"),
+        "empty_cells": (GOOD.replace(",0.25\n", ",,\n", 1), "has a malformed row"),
+        "extra_column": ("x,u\n" + "".join(f"{x},0.25,1\n" for x in XS),
+                         "has a malformed row"),
+        "one_column": ("x,u\n" + "".join(f"{x}\n" for x in XS), "has a malformed row"),
+        "underscore": (GOOD.replace("0.25", "1_0", 1), "has a malformed row"),
+        "node_count": ("x,u\n" + "".join(f"{x},0.25\n" for x in XS[:-1]),
+                       "holds 48 nodes, grid wants 49"),
+        "off_grid": ("x,u\n" + "".join(f"{x},0.25\n" for x in XS[1:] + ["1.125"]),
+                     "coordinates do not match the config grid"),
+        "dimension": ("x,y,u\n" + "".join(f"{x},0,0.25\n" for x in XS),
+                      "is 2-dimensional, config grid is 1"),
+        "empty": ("", "is empty"),
+        "blank": (" \n\t\n\n", "is empty"),
+        "header_only": ("x,u\n", "holds 0 nodes, grid wants 49"),
+    }
+
+    @pytest.mark.parametrize("case", list(REJECTED))
+    @pytest.mark.parametrize("command", ["certify", "measure"])
+    @pytest.mark.filterwarnings("error")
+    def test_rejection_is_a_one_line_config_error(self, run_config, tmp_path, capsys,
+                                                  case, command):
+        path, out = run_config
+        body, message = self.REJECTED[case]
+        bad = tmp_path / "bad.csv"
+        bad.write_text(body)
+        assert main([command, "--config", str(path), "--field", str(bad)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: field: {bad} {message}") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_undecodable_file_is_a_config_error(self, run_config, tmp_path, capsys):
+        path, out = run_config
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(self.GOOD.encode() + b"\xff\n")
+        assert main(["certify", "--config", str(path), "--field", str(bad)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: field: cannot read {bad}: ")
+        assert not out.exists()
+
+    def test_blank_and_whitespace_lines_are_skipped(self, run_config, tmp_path):
+        path, _ = run_config
+        grid = load_config(str(path)).build_grid()
+        clean = tmp_path / "clean.csv"
+        clean.write_text(self.GOOD)
+        lines = self.GOOD.splitlines()
+        spaced = tmp_path / "spaced.csv"
+        spaced.write_text("\n \n" + lines[0] + "\n\t\n" + "\n  \n".join(lines[1:]) + "\n\n \n")
+        want = read_field(str(clean), grid).values
+        assert np.array_equal(read_field(str(spaced), grid).values, want)
+        assert np.all(want == 0.25)
 
 
 class TestNoOutputOnConfigError:

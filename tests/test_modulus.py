@@ -326,7 +326,7 @@ class TestTailAndOmega:
 
     def test_sequence_table_rows_align(self):
         _, table, _ = self._pipeline(1.0, 2.0, K=16)
-        rows = list(table.rows())
+        rows = list(zip(*table.columns()))
         assert len(rows) == 16
         k, a_k, c_k, mu1_k, mu2_k, mu_star_k, tau_k = rows[4]
         assert k == 5
