@@ -24,8 +24,9 @@ command in manifest.json.  A typed error prints one ``error:`` line.
 
 manifest.json keeps one entry per command that ran into the directory:
 config digest, seed, wall times per stage, counters (build-modulus:
-hold/root/cap steps per law, also on exit 4; measure: LP fits and the
-fits whose duality gap is too wide to certify) and a sha256 inventory of
+hold/root/cap steps per law, also on exit 4; measure: minimax fits, the
+fits whose duality gap is too wide to certify and the exchange steps of
+all fits) and a sha256 inventory of
 the files the command emitted; rerunning a command replaces its entry.
 All other outputs are byte-deterministic for a fixed config and seed;
 floats are written with 17 significant digits (JSON encodes non-finite
@@ -371,6 +372,7 @@ def cmd_measure(cfg: RunConfig, args, run: _Run) -> int:
         cloud = gradient_pairs(u)  # one cloud: it does not depend on the center
     run.counters["lab.fits"] = sum(len(prof.scales) for prof in profiles)
     run.counters["lab.uncertified_fits"] = sum(prof.uncertified for prof in profiles)
+    run.counters["lab.exchange_steps"] = sum(prof.exchange_steps for prof in profiles)
 
     rows = np.array([(*c, *row) for c, prof in zip(centers, profiles) for row in prof.rows()],
                     dtype=float).reshape(-1, grid.d + 3)

@@ -21,9 +21,16 @@ constructed modulus:
 
 Balls are sup-norm balls of node coordinates (exact node counting on the
 grid; all norms here are equivalent up to dimensional constants).  The
-minimax fit is seeded by least squares and refined to the exact
-Chebyshev optimum by linear programming; every fit carries the LP's
-optimality certificate (HiGHS duality gap at most 1e-9 max(1, excess)).
+minimax fit is exact.  It is the exchange (dual simplex) method of
+discrete linear Chebyshev approximation (Stiefel, Numer. Math. 1, 1959;
+Cheney, Introduction to Approximation Theory, ch. 2): a reference of
+d + 2 ball nodes with signs is levelled, and the most violated node is
+swapped in until no residual exceeds the level.  The final reference and
+its dual weights are the fit's optimality certificate: they give the
+de la Vallee Poussin lower bound on every affine fit's error, and the fit
+is certified when that bound is within 1e-9 max(1, excess) of the
+excess.  A fit that has not settled after EXCHANGE_STEP_CAP steps raises
+NumericError.
 """
 
 from __future__ import annotations
@@ -35,7 +42,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import DomainError, NumericError
 from .grids import DiscreteField, Grid, corners
@@ -43,6 +49,10 @@ from .modulus import Modulus
 from .problem import gradient_norm
 
 DUALITY_GAP_TOL = 1e-9
+WEIGHT_TOL = 1e-12  # slack of sum(y) = 1 and sum(y s A) = 0 in the certificate
+LEVEL_TOL = 2.0**-46  # optimality slack of the exchange, values scaled into [-1, 1]
+PIVOT_TOL = 1e-12  # smallest ratio-test pivot, relative to the largest
+EXCHANGE_STEP_CAP = 1000
 MIN_SCALE_CELLS = 3
 CLEAN_AFFINE_TOL = 1e-12
 GRAD_PAIR_MIN_CELLS = 2
@@ -60,6 +70,9 @@ class AffineFit:
     excess: float
     n_nodes: int
     certified: bool
+    reference: tuple  # d + 2 indices into the ball's nodes, row-major
+    weights: tuple  # their signed dual weights y_i s_i
+    exchange_steps: int
 
     def __post_init__(self):
         if self.excess < 0.0:
@@ -78,7 +91,8 @@ class DecayProfile:
     intercept: float | None
     clean_affine: bool
     truncated: bool
-    uncertified: int  # fits whose LP duality gap exceeds DUALITY_GAP_TOL
+    uncertified: int  # fits whose duality gap exceeds DUALITY_GAP_TOL
+    exchange_steps: int  # dual simplex steps over all fits
 
     def __post_init__(self):
         if len(self.scales) != len(self.rates) or len(self.scales) != len(self.excesses):
@@ -116,9 +130,28 @@ def _ball_nodes(grid: Grid, x0, rho: float):
 
 
 def best_affine(u: DiscreteField, x0, rho: float) -> AffineFit:
-    """Minimax affine fit of u on the discrete sup-ball B_rho(x0)."""
+    """Minimax affine fit of u on the discrete sup-ball B_rho(x0).
+
+    The fit is exact: ``_exchange`` runs the dual simplex of the
+    Chebyshev problem on the ball's nodes and returns the optimal affine
+    function with its reference and dual weights.  The values are scaled
+    by a power of two first, which is exact, so the fit is the same at
+    every magnitude a double holds.  ``certified`` checks that
+    certificate: the weights y >= 0 sum to 1, sum_i y_i s_i (1, x_i - x0)
+    vanishes, and the lower bound sum_i y_i s_i u_i they give on every
+    affine fit's error is within DUALITY_GAP_TOL max(1, excess) of the
+    excess.
+
+    A center outside [-1, 1]^d, a non-finite value in the ball and a ball
+    of fewer than d + 2 nodes are DomainErrors; a fit that does not fit in
+    a double or needs more than EXCHANGE_STEP_CAP steps is a NumericError.
+    """
     if rho <= 0.0:
         raise DomainError("best_affine: rho must be positive")
+    x0 = tuple(float(v) for v in x0)
+    # also rejects a NaN; inside the cube, every ball of d + 2 nodes spans d dimensions
+    if not all(abs(v) <= 1.0 + 1e-12 for v in x0):
+        raise DomainError(f"best_affine: center {x0} lies outside [-1, 1]^d")
     grid = u.grid
     coords, mask = _ball_nodes(grid, x0, rho)
     vals = u.values[mask].astype(float)
@@ -128,38 +161,28 @@ def best_affine(u: DiscreteField, x0, rho: float) -> AffineFit:
             f"best_affine: ball B_{rho}(x0) holds {m} nodes, "
             f"need at least {grid.d + 2}"
         )
-    x0 = tuple(float(v) for v in x0)
+    if not np.all(np.isfinite(vals)):
+        raise DomainError(f"best_affine: ball B_{rho}({x0}) holds a non-finite value")
     # design matrix [1, x - x0]
     A = np.ones((m, grid.d + 1))
     for j in range(grid.d):
         A[:, j + 1] = coords[j] - x0[j]
 
-    seed, *_ = np.linalg.lstsq(A, vals, rcond=None)
-
-    # Chebyshev refinement: minimize t subject to |A z - vals| <= t.
-    nvar = grid.d + 2
-    c = np.zeros(nvar)
-    c[-1] = 1.0
-    ones = np.ones((m, 1))
-    A_ub = np.block([[A, -ones], [-A, -ones]])
-    b_ub = np.concatenate([vals, -vals])
-    res = linprog(
-        c,
-        A_ub=A_ub,
-        b_ub=b_ub,
-        bounds=[(None, None)] * (nvar - 1) + [(0.0, None)],
-        method="highs",
+    _, e = np.frexp(np.max(np.abs(vals)))
+    z, residual, reference, sign, y, steps = _exchange(A, np.ldexp(vals, -e))
+    with np.errstate(over="ignore"):
+        z, excess = np.ldexp(z, e), float(np.ldexp(np.max(np.abs(residual)), e))
+    if not (np.all(np.isfinite(z)) and math.isfinite(excess)):
+        raise NumericError(f"best_affine: the fit on B_{rho}({x0}) overflows a double")
+    weights = sign * y
+    # |partial sums| <= max |vals|, as sum |weights| = 1: no overflow
+    lower = float(weights @ vals[reference])
+    certified = bool(
+        np.all(y >= -WEIGHT_TOL)
+        and abs(y.sum() - 1.0) <= WEIGHT_TOL
+        and np.max(np.abs(weights @ A[reference])) <= WEIGHT_TOL
+        and excess - lower <= DUALITY_GAP_TOL * max(1.0, excess)
     )
-    if not res.success:
-        raise NumericError(f"best_affine: minimax refinement failed: {res.message}")
-    z = res.x[:-1]
-    seed_excess = float(np.max(np.abs(A @ seed - vals)))
-    excess = float(np.max(np.abs(A @ z - vals)))
-    if seed_excess < excess:
-        z, excess = seed, seed_excess
-    # Weak duality: b_ub @ marginals bounds every feasible excess from below.
-    gap = excess - float(b_ub @ res.ineqlin.marginals)
-    certified = bool(gap <= DUALITY_GAP_TOL * max(1.0, excess))
     return AffineFit(
         x0=x0,
         rho=float(rho),
@@ -168,6 +191,54 @@ def best_affine(u: DiscreteField, x0, rho: float) -> AffineFit:
         excess=excess,
         n_nodes=m,
         certified=certified,
+        reference=tuple(int(i) for i in reference),
+        weights=tuple(float(w) for w in weights),
+        exchange_steps=steps,
+    )
+
+
+def _exchange(A: np.ndarray, v: np.ndarray):
+    """Exact min_z max_i |v_i - A_i z| by the dual simplex (exchange) method.
+
+    A is the (m, k) design [1, x - x0] of a box of nodes.  The dual is
+    max sum_i y_i s_i v_i over y >= 0, sum y = 1, sum_i y_i s_i A_i = 0
+    with signs s_i; its basic solutions are references of k + 1 nodes.
+    Each step levels the reference (s_i (v_i - A_i z) = t on it, one
+    (k + 1) x (k + 1) system), scans every residual, and stops when none
+    exceeds the level t by more than LEVEL_TOL.  Otherwise the most
+    violated node enters with the sign of its residual, and the ratio
+    test picks the node that leaves; ties go to the smallest node index.
+
+    Returns z, the residual v - A z, the reference, its signs s and
+    weights y, and the number of exchange steps.
+    """
+    k = A.shape[1]
+    # start: the box's corner nodes, and in 1-d the middle node between them
+    ref = [int(np.argmax(A[:, 1:] @ (2.0 * np.array(c) - 1.0))) for c in corners(k - 1)]
+    if len(ref) < k + 1:
+        ref.insert(1, A.shape[0] // 2)
+    ref = np.array(ref)
+    # signs of the reference's one affine dependence, oriented so that t >= 0
+    lam = np.append(np.linalg.solve(A[ref[:k]].T, -A[ref[k]]), 1.0)
+    sign = np.sign(lam) * (1.0 if lam @ v[ref] >= 0.0 else -1.0)
+    last = np.eye(k + 1)[-1]
+    for steps in range(EXCHANGE_STEP_CAP + 1):
+        basis = np.vstack([(sign[:, None] * A[ref]).T, np.ones(k + 1)])
+        level = np.linalg.solve(basis.T, sign * v[ref])
+        z = level[:k]
+        residual = v - A @ z
+        j = int(np.argmax(np.abs(residual)))
+        if abs(residual[j]) - level[k] <= LEVEL_TOL:
+            return z, residual, ref, sign, np.linalg.solve(basis, last), steps
+        s = 1.0 if residual[j] > 0.0 else -1.0
+        y, w = np.linalg.solve(basis, np.column_stack([last, np.append(s * A[j], 1.0)])).T
+        pivots = np.flatnonzero(w > PIVOT_TOL * np.max(np.abs(w)))  # never empty: sum(w) = 1
+        ratio = np.maximum(y[pivots], 0.0) / w[pivots]
+        ties = pivots[ratio == ratio.min()]
+        out = ties[np.argmin(ref[ties])]
+        ref[out], sign[out] = j, s
+    raise NumericError(
+        f"best_affine: the exchange did not settle in {EXCHANGE_STEP_CAP} steps"
     )
 
 
@@ -187,7 +258,7 @@ def decay_scan(u: DiscreteField, x0, r: float, N: int) -> DecayProfile:
     margin = 1.0 - max(abs(v) for v in x0) if x0 else 1.0
 
     scales, excesses = [], []
-    truncated, uncertified = False, 0
+    truncated, uncertified, steps = False, 0, 0
     for nlev in range(1, N + 1):
         rho = r**nlev
         if rho > margin + 1e-12 or rho < MIN_SCALE_CELLS * grid.h:
@@ -197,6 +268,7 @@ def decay_scan(u: DiscreteField, x0, r: float, N: int) -> DecayProfile:
         scales.append(rho)
         excesses.append(fit.excess)
         uncertified += not fit.certified
+        steps += fit.exchange_steps
     if not scales:
         raise DomainError(
             "decay_scan: no scale between 3h and the boundary margin; "
@@ -226,6 +298,7 @@ def decay_scan(u: DiscreteField, x0, r: float, N: int) -> DecayProfile:
         clean_affine=clean,
         truncated=truncated,
         uncertified=uncertified,
+        exchange_steps=steps,
     )
 
 

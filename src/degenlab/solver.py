@@ -41,7 +41,9 @@ through the central gradient, with sigma' one relative central difference
 of the law itself (``_law_slope``).  In the flux form, J is tridiagonal with
 edge weight sigma_phase(max(|s + q|, eps_deg)) / h^2.  Every linear system
 is a scipy.sparse matrix on a stencil pattern fixed per discretization,
-factored by SuperLU with the MMD ordering of A^T + A.
+factored by SuperLU with the MMD ordering of A^T + A.  scipy is imported
+where the matrix is built and factored, so the commands that solve nothing
+never load it.
 
 dt is a per-node array.  It starts at the explicit stability cap: the
 center weight of F_h is at most 2 d Lam_F / h^2, and 0.9 of the cap with
@@ -89,8 +91,6 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from .errors import ConfigError, SolverDivergenceError
 from .grids import MIN_NODES, DiscreteField, Grid, refine_linear
@@ -195,6 +195,8 @@ class _StencilPattern:
         self.indptr = np.searchsorted(cols[order], np.arange(size + 1)).astype(np.int32)
 
     def matrix(self, coeffs: np.ndarray):
+        from scipy import sparse
+
         data = coeffs.reshape(-1)[self.src]
         return sparse.csc_matrix((data, self.indices, self.indptr), shape=(self.size,) * 2)
 
@@ -516,6 +518,9 @@ def _rms(r: np.ndarray) -> float:
 
 def _implicit_trial(J, u: np.ndarray, r: np.ndarray, dt: np.ndarray, interior: tuple):
     """u + delta with (diag(1/dt) - J) delta = r, or None if that is not finite."""
+    from scipy import sparse
+    from scipy.sparse.linalg import splu
+
     A = sparse.diags(1.0 / dt.ravel(), format="csc") - J
     try:
         delta = splu(A, permc_spec="MMD_AT_PLUS_A").solve(r.ravel())

@@ -9,6 +9,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy.optimize import linprog
 
 
 def pucci_reference(M, lam, Lam):
@@ -57,6 +58,34 @@ def brute_affine_1d(u, x0, rho, n_nodes, n_slopes=2001):
             best = e
             best_ab = ((r.max() + r.min()) / 2.0, b)
     return best, best_ab
+
+
+def minimax_reference(coords, values, x0, rho):
+    """Minimax affine fit on the sup-ball B_rho(x0) of a point set, by LP.
+
+    HiGHS (scipy.optimize.linprog) on  min t  s.t.  |a + b.(x - x0) - v| <= t
+    over the points with max_j |x_j - x0_j| <= rho (1e-12 slack).  Returns
+    the excess evaluated at the LP's (a, b), the ball mask and (a, b).
+    """
+    coords = [np.asarray(c, dtype=float).ravel() for c in coords]
+    values = np.asarray(values, dtype=float).ravel()
+    mask = np.ones(values.size, dtype=bool)
+    for c, x0j in zip(coords, x0):
+        mask &= np.abs(c - x0j) <= rho + 1e-12 * max(1.0, rho)
+    v = values[mask]
+    A = np.column_stack([np.ones(v.size)] + [c[mask] - x0j for c, x0j in zip(coords, x0)])
+    k = A.shape[1]
+    ones = np.ones((v.size, 1))
+    res = linprog(
+        np.append(np.zeros(k), 1.0),
+        A_ub=np.block([[A, -ones], [-A, -ones]]),
+        b_ub=np.concatenate([v, -v]),
+        bounds=[(None, None)] * k + [(0.0, None)],
+        method="highs",
+    )
+    assert res.success, res.message
+    z = res.x[:k]
+    return float(np.max(np.abs(A @ z - v))), mask, z
 
 
 def csv_reference(header, rows):

@@ -3,6 +3,10 @@
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -323,9 +327,14 @@ class TestMeasure:
         assert main(["measure", "--config", str(path), "--field", str(field)]) == EXIT_OK
         entry = json.loads((tmp_path / "out" / "manifest.json").read_text())
         counters = entry["commands"]["measure"]["counters"]
-        assert counters == {"lab.fits": 4, "lab.uncertified_fits": uncertified}
+        u = read_field(str(field), Grid(d=2, n=33))
+        steps = sum(lab.best_affine(u, x0, rho).exchange_steps
+                    for x0 in cfg["lab"]["centers"] for rho in (0.5, 0.25))
+        assert steps > 0  # the corner start is not optimal for this field
+        assert counters == {"lab.fits": 4, "lab.uncertified_fits": uncertified,
+                            "lab.exchange_steps": steps}
         profile = (tmp_path / "out" / "decay_profile.csv").read_text().splitlines()
-        assert len(profile) == 1 + counters["lab.fits"]  # one LP fit per row
+        assert len(profile) == 1 + counters["lab.fits"]  # one minimax fit per row
 
     def test_gradient_pairs_repeat_one_cloud_per_center(self, tmp_path):
         cfg = {
@@ -660,6 +669,34 @@ class TestNoOutputOnConfigError:
             "problem": self.BAD_LAW, "grid": {"d": 1, "n": 17}, "modulus": self.MODULUS,
             "lab": {"centers": [[0.0]], "r": 0.5, "N": 2},
         }, field=self._field_1d(tmp_path, 17))
+
+
+class TestImports:
+    def test_only_solve_loads_scipy(self, run_config, tmp_path):
+        # a fresh interpreter: the test process has scipy loaded already
+        path, _ = run_config
+        field = tmp_path / "field.csv"
+        field.write_text("x,u\n" + "".join(
+            f"{x:.17g},{abs(x) ** 1.5:.17g}\n" for x in np.linspace(-1.0, 1.0, 49)))
+        script = "\n".join([
+            "import sys, degenlab.cli as cli",
+            "def scipy(): return sorted(m for m in sys.modules if m.startswith('scipy'))",
+            "print(scipy())",
+            "for cmd in ('certify', 'build-modulus', 'measure', 'report'):",
+            f"    print(cmd, cli.main([cmd, '--config', {str(path)!r}, '--field', {str(field)!r}]))",
+            "print(scipy())",
+            f"print('solve', cli.main(['solve', '--config', {str(path)!r}]))",
+            "print('scipy.sparse' in scipy())",
+        ])
+        src = str(Path(lab.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=300, check=True)
+        assert done.stdout.splitlines() == [
+            "[]", "certify 0", "build-modulus 0", "measure 0", "report 0", "[]",
+            "solve 0", "True",  # the check can fail: solve factorizes
+        ]
 
 
 class TestErrorsAndDeterminism:

@@ -4,8 +4,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from degenlab.errors import DomainError
+from degenlab import lab
+from degenlab.errors import DomainError, NumericError
 from degenlab.grids import DiscreteField, Grid
 from degenlab.lab import (
     _ball_nodes,
@@ -18,7 +21,7 @@ from degenlab.lab import (
 )
 from degenlab.modulus import build_modulus
 from degenlab.laws import PowerLaw
-from oracles import bilinear_reference, brute_affine_1d
+from oracles import bilinear_reference, brute_affine_1d, minimax_reference
 
 
 class TestBestAffine:
@@ -89,6 +92,115 @@ class TestBestAffine:
         with pytest.raises(DomainError):
             best_affine(u, (0.0,), 1e-6)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_in_the_ball(self, bad):
+        g = Grid(d=2, n=17)
+        v = np.zeros(g.shape)
+        v[8, 9] = bad
+        u = DiscreteField(grid=g, values=v)
+        with pytest.raises(DomainError, match="non-finite"):
+            best_affine(u, (0.0, 0.0), 0.25)
+        assert best_affine(u, (-0.5, -0.5), 0.25).excess == 0.0  # not in that ball
+
+    @pytest.mark.parametrize("x0", [(1.125, 0.0), (0.0, -1.5), (np.nan, 0.0)])
+    def test_center_outside_the_cube(self, x0):
+        # (1.125, 0) would see the collinear 5-node column x = 1
+        g = Grid(d=2, n=17)
+        u = DiscreteField.from_function(g, lambda x, y: x**2 + y)
+        with pytest.raises(DomainError, match="outside"):
+            best_affine(u, x0, 0.25)
+
+    def test_extreme_magnitudes(self):
+        g = Grid(d=2, n=17)
+        X, Y = g.meshgrid()
+        checker = (-1.0) ** np.add.outer(np.arange(17), np.arange(17))
+        fit = best_affine(DiscreteField(grid=g, values=1e308 * checker), (0.0, 0.0), 0.25)
+        assert (fit.excess, fit.a, fit.b) == (1e308, 0.0, (0.0, 0.0))
+        assert fit.certified
+        fit = best_affine(DiscreteField(grid=g, values=1.7e308 * X), (0.0, 0.0), 0.25)
+        assert fit.excess == 0.0 and fit.b[0] == 1.7e308
+        tiny = best_affine(DiscreteField(grid=g, values=1e-320 * checker), (0.0, 0.0), 0.25)
+        assert tiny.excess == 1e-320 and tiny.certified
+        # the slope of a +-1e308 step over one cell is no double
+        step = DiscreteField(grid=g, values=np.where(X > 0.0, 1e308, -1e308))
+        with pytest.raises(NumericError, match="overflows"):
+            best_affine(step, (0.0, 0.0), 0.25)
+
+    def test_step_cap_raises(self, monkeypatch):
+        g = Grid(d=2, n=33)
+        X, Y = g.meshgrid()
+        u = DiscreteField(grid=g, values=np.hypot(X, Y) ** 1.5)
+        steps = best_affine(u, (0.0, 0.0), 0.5).exchange_steps
+        assert steps > 0  # the corners alone level at 0, the center is off by max
+        monkeypatch.setattr(lab, "EXCHANGE_STEP_CAP", steps)
+        best_affine(u, (0.0, 0.0), 0.5)
+        monkeypatch.setattr(lab, "EXCHANGE_STEP_CAP", steps - 1)
+        with pytest.raises(NumericError, match="did not settle"):
+            best_affine(u, (0.0, 0.0), 0.5)
+
+
+def _tie_heavy_values(kind, coords, x0, rng):
+    if kind == "noise":
+        return rng.normal(size=coords[0].shape)
+    if kind == "radial":  # centred on the ball: symmetric, every ring ties
+        return np.sqrt(sum((c - x0j) ** 2 for c, x0j in zip(coords, x0)))
+    if kind == "checker":
+        return (-1.0) ** sum(np.indices(coords[0].shape))
+    if kind == "constant":
+        return np.full(coords[0].shape, 0.75)
+    return 0.25 - 0.5 * coords[0] + 2.0 * coords[-1]  # affine
+
+
+class TestExchangeAgainstLP:
+    """The exchange fit against HiGHS, on random and tie-heavy fields."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        d=st.sampled_from((1, 2)),
+        n=st.sampled_from((9, 17, 33)),
+        kind=st.sampled_from(("noise", "radial", "checker", "constant", "affine")),
+        seed=st.integers(0, 2**32 - 1),
+        half_cells=st.integers(1, 24),
+        on_node=st.booleans(),
+    )
+    def test_matches_lp_and_certifies(self, d, n, kind, seed, half_cells, on_node):
+        grid = Grid(d=d, n=n)
+        rng = np.random.default_rng(seed)
+        coords = grid.meshgrid()
+        if on_node:  # a node or, for odd half_cells, a cell center: smallest balls
+            idx = rng.integers(0, n - 1, size=d)
+            x0 = tuple(grid.axis[i] + (half_cells % 2) * grid.h / 2 for i in idx)
+        else:
+            x0 = tuple(rng.uniform(-1.0, 1.0, size=d))
+        rho = half_cells * grid.h / 2
+        values = _tie_heavy_values(kind, coords, x0, rng)
+        u = DiscreteField(grid=grid, values=values)
+        excess, mask, _ = minimax_reference(coords, values, x0, rho)
+        if mask.sum() < d + 2:
+            with pytest.raises(DomainError, match="need at least"):
+                best_affine(u, x0, rho)
+            return
+        fit = best_affine(u, x0, rho)
+        assert fit.n_nodes == mask.sum()
+        assert fit.excess == pytest.approx(excess, rel=1e-9, abs=1e-12)
+        # the reported excess is that of the reported affine function
+        v = values.ravel()[mask]
+        A = np.column_stack([np.ones(v.size)] + [c.ravel()[mask] - x0j
+                                                  for c, x0j in zip(coords, x0)])
+        z = np.array((fit.a, *fit.b))
+        assert np.max(np.abs(v - A @ z)) == pytest.approx(fit.excess, rel=1e-12, abs=1e-15)
+        # the certificate: weights y s on d + 2 distinct nodes, y >= 0 summing
+        # to 1, annihilating every affine function, and their lower bound
+        # sum(y s v) closing the gap to the excess
+        ref, w = np.array(fit.reference), np.array(fit.weights)
+        assert ref.size == d + 2 == np.unique(ref).size
+        assert abs(np.abs(w).sum() - 1.0) <= 1e-12
+        assert np.max(np.abs(w @ A[ref])) <= 1e-12
+        lower = w @ v[ref]
+        assert lower <= excess + 1e-12
+        assert fit.excess - lower <= 1e-9 * max(1.0, fit.excess)
+        assert fit.certified
+
 
 class TestDecayScan:
     def test_cusp_slope_is_half(self):
@@ -101,6 +213,8 @@ class TestDecayScan:
         assert prof.slope == pytest.approx(0.5, abs=1e-10)
         assert prof.truncated
         assert prof.uncertified == 0
+        assert prof.exchange_steps == sum(
+            best_affine(u, (0.0,), rho).exchange_steps for rho in prof.scales)
         assert gradient_pairs(u).shape[0] > 0
 
     def test_scales_descend_geometrically(self):
