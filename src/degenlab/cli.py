@@ -11,7 +11,7 @@ build-modulus  run the modulus pipeline; writes sequence_table.csv and
 measure        affine-excess decay of a stored field around each center
                (+ comparison with the configured modulus); writes
                decay_profile.csv, comparison.json and gradient_pairs.csv,
-               the field's one gradient-increment cloud repeated per center
+               the field's one gradient-increment cloud
 report         bundle every JSON artifact in the output directory into
                summary.json
 
@@ -376,9 +376,6 @@ def cmd_measure(cfg: RunConfig, args, run: _Run) -> int:
 
     rows = np.array([(*c, *row) for c, prof in zip(centers, profiles) for row in prof.rows()],
                     dtype=float).reshape(-1, grid.d + 3)
-    points = np.asarray(centers, dtype=float).reshape(-1, grid.d)
-    pairs = np.hstack([np.repeat(points, len(cloud), axis=0),
-                       np.tile(cloud, (len(points), 1))])
     comparison: dict = {"schema": "degenlab-comparison-v1", "centers": []}
     for center, prof in zip(centers, profiles):
         entry = {
@@ -403,7 +400,7 @@ def cmd_measure(cfg: RunConfig, args, run: _Run) -> int:
 
     coord_cols = tuple(f"{c}0" for c in ("x", "y")[: grid.d])
     run.emit_csv("decay_profile.csv", (*coord_cols, "scale", "excess", "rate"), rows.T)
-    run.emit_csv("gradient_pairs.csv", (*coord_cols, "distance", "grad_diff"), pairs.T)
+    run.emit_csv("gradient_pairs.csv", ("distance", "grad_diff"), cloud.T)
     run.emit_json("comparison.json", comparison)
     return EXIT_OK
 

@@ -37,6 +37,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -71,6 +72,8 @@ def _number(value, where: str, integer: bool = False, least: float = 0.0):
         raise ConfigError(f"{where} must be a number, got {value!r}")
     if integer and isinstance(value, float) and not value.is_integer():
         raise ConfigError(f"{where} must be an integer, got {value!r}")
+    if not (integer or abs(value) <= sys.float_info.max):  # NaN, an infinity or too large
+        raise ConfigError(f"{where} must be finite, got {value!r}")
     if not value >= least:
         raise ConfigError(f"{where} must be at least {least:g}, got {value!r}")
     return int(value) if integer else float(value)
@@ -126,7 +129,7 @@ def _problem(value, where):
     return _block(value, where, _PROBLEM_EXPLICIT_KEYS, required)
 
 
-# _number takes a non-negative number, _count a non-negative integer.
+# _number takes a finite non-negative number, _count a non-negative integer.
 _OPERATOR_KEYS = {"kind": _keep, "lam": _number, "Lam": _number, "coefficients": _reals}
 _PROBLEM_BENCH_KEYS = {"benchmark": _benchmark, "params": _params, "C0": _number}
 _PROBLEM_EXPLICIT_KEYS = {

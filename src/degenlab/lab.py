@@ -119,14 +119,15 @@ class ModulusComparison:
 
 
 def _ball_nodes(grid: Grid, x0, rho: float):
-    """Coordinates (flattened) and values mask of the sup-ball B_rho(x0)."""
+    """Coordinates (flattened, row-major) and index box of the sup-ball B_rho(x0)."""
     x0 = tuple(float(v) for v in x0)
     if len(x0) != grid.d:
         raise DomainError("ball center dimension does not match the grid")
     tol = 1e-12 * max(1.0, rho)
-    coords = grid.meshgrid()
-    mask = np.logical_and.reduce([np.abs(c - x0i) <= rho + tol for c, x0i in zip(coords, x0)])
-    return tuple(c[mask] for c in coords), mask
+    axis = grid.axis
+    ranges = [np.flatnonzero(np.abs(axis - x0i) <= rho + tol) for x0i in x0]
+    coords = np.meshgrid(*(axis[r] for r in ranges), indexing="ij")
+    return tuple(c.ravel() for c in coords), np.ix_(*ranges)
 
 
 def best_affine(u: DiscreteField, x0, rho: float) -> AffineFit:
@@ -153,8 +154,8 @@ def best_affine(u: DiscreteField, x0, rho: float) -> AffineFit:
     if not all(abs(v) <= 1.0 + 1e-12 for v in x0):
         raise DomainError(f"best_affine: center {x0} lies outside [-1, 1]^d")
     grid = u.grid
-    coords, mask = _ball_nodes(grid, x0, rho)
-    vals = u.values[mask].astype(float)
+    coords, box = _ball_nodes(grid, x0, rho)
+    vals = u.values[box].ravel().astype(float)
     m = vals.size
     if m < grid.d + 2:
         raise DomainError(

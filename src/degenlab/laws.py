@@ -362,7 +362,7 @@ def law_from_config(cfg: dict) -> DegeneracyLaw:
             raise ConfigError(f"{fam} law: missing parameter {key!r}")
     try:
         params = {k: convert[k](v) for k, v in cfg.items() if k != "family"}
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{fam} law: malformed parameter: {exc}") from None
     return cls(**params)
 

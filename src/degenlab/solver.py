@@ -32,18 +32,19 @@ pseudo-transient continuation (Kelley & Keyes 1998).  Each step solves
 
     (diag(1/dt) - J(u)) delta = R(u),    u <- u + delta,
 
-where J is the frozen-policy Jacobian of R (``jacobian``): the active
-pucci frame or bellman branch, the slope phi'(Delta_e) and the phase of
-every node are held fixed, which makes the step one semismooth Newton /
-Howard policy-iteration step (Bokanowski, Maroso & Zidani 2009) damped by
-1/dt.  The wide-stencil J also carries F_h sigma'(|grad_h u|) d|grad_h u|/du
-through the central gradient, with sigma' one relative central difference
-of the law itself (``_law_slope``).  In the flux form, J is tridiagonal with
-edge weight sigma_phase(max(|s + q|, eps_deg)) / h^2.  Every linear system
-is a scipy.sparse matrix on a stencil pattern fixed per discretization,
-factored by SuperLU with the MMD ordering of A^T + A.  scipy is imported
-where the matrix is built and factored, so the commands that solve nothing
-never load it.
+where J is the frozen-policy Jacobian of R: the active pucci frame or
+bellman branch, the slope phi'(Delta_e) and the phase of every node are
+held fixed, which makes the step one semismooth Newton / Howard
+policy-iteration step (Bokanowski, Maroso & Zidani 2009) damped by 1/dt.
+``residual_interior`` returns J with R, as a stencil coefficient stack
+built from the same arrays, so each iterate is evaluated once.  The
+wide-stencil J also carries F_h sigma'(|grad_h u|) d|grad_h u|/du through
+the central gradient, with sigma' one relative central difference of the
+law itself (``_law_slope``).  In the flux form, J is tridiagonal with edge
+weight sigma_phase(max(|s + q|, eps_deg)) / h^2.  ``_StencilPattern``
+builds diag(1/dt) - J as one CSC matrix, factored by SuperLU with the MMD
+ordering of A^T + A.  scipy is imported where the matrix is built and
+factored, so the commands that solve nothing never load it.
 
 dt is a per-node array.  It starts at the explicit stability cap: the
 center weight of F_h is at most 2 d Lam_F / h^2, and 0.9 of the cap with
@@ -147,8 +148,8 @@ class SchemeConfig:
 class SolveDiagnostics:
     """How one solve ran.
 
-    ``iterations`` counts residual evaluations of accepted iterates (the
-    steps taken plus one), ``linear_solves`` the factorizations tried and
+    ``iterations`` counts accepted iterates, each evaluated once (the steps
+    taken plus one), ``linear_solves`` the factorizations tried and
     ``rejected_steps`` the trial steps thrown away.  ``solve_cascade`` fills
     ``levels`` with one record per grid, coarsest first.  The fields are
     declared in the key order of solve_diagnostics.json.
@@ -171,10 +172,11 @@ class SolveDiagnostics:
 class _StencilPattern:
     """Sparse CSC pattern of a fixed stencil on the interior nodes.
 
-    ``matrix(coeffs)`` takes coefficients of shape (len(offsets), *shape),
-    where coeffs[k] at a node multiplies the value at node + offsets[k],
-    and fills the pattern without sorting.  Neighbours outside the interior
-    carry Dirichlet data and are dropped.
+    ``matrix(J, dt)`` takes a stencil coefficient stack J of shape
+    (len(offsets), *shape), where J[k] at a node multiplies the value at
+    node + offsets[k], and returns diag(1/dt) - J in one build.  Neighbours
+    outside the interior carry Dirichlet data and are dropped.  Exact zeros
+    are not stored, as SuperLU's ordering depends on the stored entries.
     """
 
     def __init__(self, shape: tuple, offsets: list):
@@ -191,14 +193,20 @@ class _StencilPattern:
         order = np.lexsort((rows, cols))
         self.size = size
         self.src = src[order]
+        self.diagonal = np.flatnonzero(rows[order] == cols[order])
         self.indices = rows[order].astype(np.int32)
         self.indptr = np.searchsorted(cols[order], np.arange(size + 1)).astype(np.int32)
 
-    def matrix(self, coeffs: np.ndarray):
+    def matrix(self, coeffs: np.ndarray, dt: np.ndarray):
         from scipy import sparse
 
-        data = coeffs.reshape(-1)[self.src]
-        return sparse.csc_matrix((data, self.indices, self.indptr), shape=(self.size,) * 2)
+        data = -coeffs.reshape(-1)[self.src]
+        data[self.diagonal] += 1.0 / dt.ravel()
+        # eliminate_zeros prunes the index arrays in place: give it copies
+        A = sparse.csc_matrix((data, self.indices.copy(), self.indptr.copy()),
+                              shape=(self.size,) * 2)
+        A.eliminate_zeros()
+        return A
 
 
 def _law_slope(law, t):
@@ -232,9 +240,8 @@ class _Discretization:
         self.prob = prob
         self.eps_deg = float(eps_deg)
         self.h = grid.h
-        self.f = prob.f_on(grid)
         self.q = prob.q_vector(grid.d)
-        self.f_int = self.f[grid.interior]
+        self.f_int = prob.f_on(grid)[grid.interior]
         op = prob.operator
         d = grid.d
         lam_f = 1.0 if op.kind == "trace" else op.pair.Lam
@@ -301,24 +308,19 @@ class _Discretization:
         return self._reduce([v for _, _, v in self._branch_values(u)])
 
     def residual_interior(self, u: np.ndarray):
-        """(R, sigma_{sgn(u)}, whether law_pair froze a law) on the interior."""
-        speed = np.maximum(gradient_norm(self._gradient(u)), self.eps_deg)
-        sp, sm, clamped = self.prob.law_pair(speed)
-        sig = select_phase(u[self.grid.interior], sp, sm)
-        return sig * self.operator_values(u) - self.f_int, sig, clamped
+        """(R, sigma_{sgn(u)}, clamped, J) on the interior.
 
-    def jacobian(self, u: np.ndarray):
-        """Frozen-policy derivative of ``residual_interior`` at u (CSC).
-
-        The active branch, each pucci slope phi'(Delta_e) and the phase of
-        every node are held fixed.
+        ``clamped`` tells whether law_pair froze a law.  J is the stencil
+        coefficient stack of the frozen-policy derivative of R at u: the
+        active branch, each pucci slope phi'(Delta_e) and the phase of every
+        node are held fixed.
         """
         d, h = self.grid.d, self.h
         g = self._gradient(u)
         norm = gradient_norm(g)
         live = norm > self.eps_deg
         speed = np.maximum(norm, self.eps_deg)
-        sp, sm, _ = self.prob.law_pair(speed)
+        sp, sm, clamped = self.prob.law_pair(speed)
         c = u[self.grid.interior]
         sig = select_phase(c, sp, sm)
         branches = self._branch_values(u)
@@ -342,7 +344,7 @@ class _Discretization:
         for e, ga in zip(_DIRECTIONS[d][:d], g):
             coeffs[self.offset_index[e]] += t * ga
             coeffs[self.offset_index[_neg(e)]] -= t * ga
-        return self.pattern.matrix(coeffs)
+        return sig * F - self.f_int, sig, clamped, coeffs
 
 
 class _FluxDiscretization1D:
@@ -376,8 +378,7 @@ class _FluxDiscretization1D:
         self.prob = prob
         self.eps_deg = float(eps_deg)
         self.h = grid.h
-        self.f = prob.f_on(grid)
-        self.f_int = self.f[grid.interior]
+        self.f_int = prob.f_on(grid)[grid.interior]
         self.q = float(prob.q_vector(1)[0])
         self.center_bound = 2.0 / grid.h**2
         self.pattern = _StencilPattern(self.f_int.shape, self.offsets)
@@ -405,21 +406,17 @@ class _FluxDiscretization1D:
         return flux, sig, clamped
 
     def residual_interior(self, u: np.ndarray):
+        """(R, per-node sigma for the dt cap, clamped, J) on the interior.
+
+        J, the frozen-phase derivative of R, is tridiagonal: edge e couples
+        its two nodes with weight sigma_e / h^2, kept at sigma(t_max) past
+        t_max (where the flux is frozen) so that J stays non-singular.
+        """
         flux, sig_edge, clamped = self._edges(u)
         r = (flux[1:] - flux[:-1]) / self.h - self.f_int
-        # per-node sigma scale for the dt cap
-        return r, np.maximum(sig_edge[1:], sig_edge[:-1]), clamped
-
-    def jacobian(self, u: np.ndarray):
-        """Frozen-phase derivative of ``residual_interior`` at u (CSC).
-
-        Tridiagonal: edge e couples its two nodes with weight sigma_e / h^2.
-        Past t_max, where the flux is frozen, the weight stays at
-        sigma(t_max) rather than 0, which keeps J non-singular.
-        """
-        _, sig_edge, _ = self._edges(u)
         w = sig_edge / self.h**2
-        return self.pattern.matrix(np.stack((w[:-1], -(w[:-1] + w[1:]), w[1:])))
+        J = np.stack((w[:-1], -(w[:-1] + w[1:]), w[1:]))
+        return r, np.maximum(sig_edge[1:], sig_edge[:-1]), clamped, J
 
 
 def _frame_weights(A: np.ndarray, d: int):
@@ -452,7 +449,7 @@ def residual(u: DiscreteField, prob: ProblemInstance, eps_deg: float) -> Discret
     returned field are zero: Dirichlet data is imposed exactly, so it never
     carries a residual.
     """
-    r, _, _ = _make_discretization(prob, u.grid, eps_deg).residual_interior(u.values)
+    r = _make_discretization(prob, u.grid, eps_deg).residual_interior(u.values)[0]
     out = np.zeros(u.grid.shape)
     out[u.grid.interior] = r
     return DiscreteField(grid=u.grid, values=out)
@@ -516,12 +513,10 @@ def _rms(r: np.ndarray) -> float:
     return top * float(np.sqrt(np.mean((r / top) ** 2)))
 
 
-def _implicit_trial(J, u: np.ndarray, r: np.ndarray, dt: np.ndarray, interior: tuple):
-    """u + delta with (diag(1/dt) - J) delta = r, or None if that is not finite."""
-    from scipy import sparse
+def _implicit_trial(A, u: np.ndarray, r: np.ndarray, interior: tuple):
+    """u + delta with A delta = r, or None if that is not finite."""
     from scipy.sparse.linalg import splu
 
-    A = sparse.diags(1.0 / dt.ravel(), format="csc") - J
     try:
         delta = splu(A, permc_spec="MMD_AT_PLUS_A").solve(r.ravel())
     except RuntimeError:  # exactly singular
@@ -543,7 +538,7 @@ def solve(prob: ProblemInstance, grid: Grid, cfg: SchemeConfig = SchemeConfig())
     u = _initial_values(cfg, grid, prob.g_on(grid))
     interior = grid.interior
 
-    r, sig, sigma_clamped = disc.residual_interior(u)
+    r, sig, sigma_clamped, J = disc.residual_interior(u)
     res0 = res_norm = _sup(r)
     rms = _rms(r)
     growth = 1.0  # dt as a multiple of the explicit cap
@@ -579,14 +574,13 @@ def solve(prob: ProblemInstance, grid: Grid, cfg: SchemeConfig = SchemeConfig())
 
         dt = _SAFETY / (disc.center_bound * np.maximum(_neighbor_max(sig), 1e-300))
         dt = np.minimum(dt, grid.h)
-        J = disc.jacobian(u)
         first_try = True
         while True:
             step = growth * dt
-            trial = _implicit_trial(J, u, r, step, interior)
+            trial = _implicit_trial(disc.pattern.matrix(J, step), u, r, interior)
             solves += 1
             if trial is not None:
-                r_t, sig_t, clamped = disc.residual_interior(trial)
+                r_t, sig_t, clamped, J_t = disc.residual_interior(trial)
                 rms_t = _rms(r_t)
                 if rms_t <= rms:
                     break
@@ -599,7 +593,7 @@ def solve(prob: ProblemInstance, grid: Grid, cfg: SchemeConfig = SchemeConfig())
                 trial[interior] += dt * r
                 if not np.all(np.isfinite(trial)):
                     raise SolverDivergenceError("iterate became non-finite", diag(False))
-                r_t, sig_t, clamped = disc.residual_interior(trial)
+                r_t, sig_t, clamped, J_t = disc.residual_interior(trial)
                 rms_t = _rms(r_t)
                 break
 
@@ -608,7 +602,7 @@ def solve(prob: ProblemInstance, grid: Grid, cfg: SchemeConfig = SchemeConfig())
             ratio = max(ratio, _DT_GROWTH_MIN)
         if ratio > 1.0:
             growth = min(growth * ratio, _DT_GROWTH_MAX)
-        u, r, sig, rms, res_norm = trial, r_t, sig_t, rms_t, _sup(r_t)
+        u, r, sig, J, rms, res_norm = trial, r_t, sig_t, J_t, rms_t, _sup(r_t)
         sigma_clamped = sigma_clamped or clamped
         dt_last = float(np.max(step))
         dt_min_seen = min(dt_min_seen, float(np.min(step)))

@@ -1,8 +1,10 @@
 """Command-line interface: artifacts, exit codes, determinism."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -24,7 +26,7 @@ from degenlab.cli import (
     read_field,
     write_field,
 )
-from degenlab.config import load_config
+from degenlab.config import RunConfig, load_config
 from degenlab.grids import DiscreteField, Grid
 
 from oracles import certify_reference, csv_reference
@@ -102,7 +104,8 @@ class TestSolve:
                                "final_residual"}
 
     @pytest.mark.parametrize("f", [1e300, float("inf")])
-    def test_runaway_solve_exits_diverged_not_as_a_law_error(self, tmp_path, capsys, f):
+    def test_runaway_solve_exits_diverged_not_as_a_law_error(self, tmp_path, capsys,
+                                                             monkeypatch, f):
         cfg = {
             "problem": {
                 "operator": {"kind": "trace", "lam": 1.0, "Lam": 1.0},
@@ -116,6 +119,16 @@ class TestSolve:
         }
         path = tmp_path / "run.json"
         path.write_text(json.dumps(cfg))
+        if f == float("inf"):
+            # a config cannot hold an infinite f, so put it into the built problem
+            assert main(["solve", "--config", str(path)]) == EXIT_CONFIG
+            assert capsys.readouterr().err.startswith("error: config.problem.f must be finite")
+            assert not (tmp_path / "out").exists()
+            cfg["problem"]["f"] = 0.0
+            path.write_text(json.dumps(cfg))
+            build = RunConfig.build_problem
+            monkeypatch.setattr(RunConfig, "build_problem", lambda self: (
+                dataclasses.replace(build(self)[0], f=f), None))
         assert main(["solve", "--config", str(path)]) == EXIT_DIVERGED
         err = capsys.readouterr().err
         assert "outside" not in err and err.count("\n") == 1
@@ -336,7 +349,7 @@ class TestMeasure:
         profile = (tmp_path / "out" / "decay_profile.csv").read_text().splitlines()
         assert len(profile) == 1 + counters["lab.fits"]  # one minimax fit per row
 
-    def test_gradient_pairs_repeat_one_cloud_per_center(self, tmp_path):
+    def test_gradient_pairs_hold_the_cloud_once(self, tmp_path):
         cfg = {
             "grid": {"d": 2, "n": 33},
             "lab": {"centers": [[0.0, 0.0], [0.25, -0.25]], "r": 0.5, "N": 2},
@@ -349,12 +362,11 @@ class TestMeasure:
         field.write_text("x,y,u\n" + "".join(
             f"{x:.17g},{y:.17g},{np.sin(3 * x) * y:.17g}\n" for x in xs for y in xs))
         assert main(["measure", "--config", str(path), "--field", str(field)]) == EXIT_OK
-        lines = (tmp_path / "out" / "gradient_pairs.csv").read_text().splitlines()[1:]
-        half = len(lines) // 2
-        assert len(lines) == 2 * half > 0
-        assert all(ln.startswith("0,0,") for ln in lines[:half])
-        assert all(ln.startswith("0.25,-0.25,") for ln in lines[half:])
-        assert [ln[4:] for ln in lines[:half]] == [ln[11:] for ln in lines[half:]]
+        # one cloud for both centers: it does not depend on the center
+        cloud = lab.gradient_pairs(read_field(str(field), Grid(d=2, n=33)))
+        assert len(cloud) > 0
+        assert (tmp_path / "out" / "gradient_pairs.csv").read_text() == csv_reference(
+            ("distance", "grad_diff"), cloud)
 
 
 class TestReport:
@@ -441,8 +453,7 @@ class TestFieldFiles:
         centers = ",".join(f"{c}0" for c in header.split(",")[:d])
         assert (out / "decay_profile.csv").read_text().splitlines()[0] == (
             f"{centers},scale,excess,rate")
-        assert (out / "gradient_pairs.csv").read_text().splitlines()[0] == (
-            f"{centers},distance,grad_diff")
+        assert (out / "gradient_pairs.csv").read_text().splitlines()[0] == "distance,grad_diff"
         assert main(["solve", "--config", str(path)]) == EXIT_OK
         lines = (out / "field.csv").read_text().splitlines()
         assert lines[0] == header and len(lines) == 1 + 17**d
@@ -722,6 +733,15 @@ class TestErrorsAndDeterminism:
         ("scheme", "levels", 2.5),
         ("scheme", "levels", -1),
         ("scheme", "eps_deg", True),
+        ("scheme", "tol_solve", math.inf),
+        ("scheme", "eps_deg", math.inf),
+        ("scheme", "max_iter", math.inf),
+        ("modulus", "C", math.inf),
+        ("lab", "r", math.inf),
+        ("lab", "centers", [[-math.inf]]),
+        ("problem", "C0", math.inf),
+        ("problem", "params", {"theta": math.inf, "d": 1}),
+        ("problem", "params", {"theta": -math.inf, "d": 1}),
         ("grid", "d", "one"),
         ("grid", "n", [49]),
         ("modulus", "K", "abc"),

@@ -319,11 +319,15 @@ class TestGridSampling:
     ])
     def test_ball_node_counts(self, d, x0, rho, count):
         grid = Grid(d=d, n=17)
-        coords, mask = _ball_nodes(grid, x0, rho)
-        assert mask.shape == grid.shape and mask.sum() == count
-        for c, full, x0i in zip(coords, grid.meshgrid(), x0):
-            assert np.array_equal(c, full[mask])  # row-major node order
-            assert np.all(np.abs(c - x0i) <= rho + 1e-12)
+        coords, box = _ball_nodes(grid, x0, rho)
+        # the ball by its definition, as a mask over the whole grid
+        mask = np.logical_and.reduce(
+            [np.abs(c - x0i) <= rho + 1e-12 for c, x0i in zip(grid.meshgrid(), x0)])
+        assert mask.sum() == count
+        nodes = np.arange(grid.n**d).reshape(grid.shape)
+        assert np.array_equal(nodes[box].ravel(), nodes[mask])  # row-major node order
+        for c, full in zip(coords, grid.meshgrid()):
+            assert np.array_equal(c, full[mask])
 
     def test_gradient_pairs_1d_are_central_difference_increments(self):
         n = 40

@@ -197,6 +197,8 @@ class TestConfig:
             law_from_config({"family": "power", "p": "abc"})
         with pytest.raises(ConfigError, match="malformed"):
             law_from_config({"family": "tabulated", "points": [[0.5]]})
+        with pytest.raises(ConfigError, match="malformed"):
+            law_from_config({"family": "power", "p": 10**400})  # past a double's range
         # every family: an unknown key, and each required parameter missing
         for cfg, required in (
             ({"family": "power", "p": 1.5}, ("p",)),

@@ -197,3 +197,117 @@ class TestPseudoTransient:
         u, diag = solve(prob, grid, SchemeConfig(tol=1e-8, eps_deg=0.05))
         assert diag.converged and diag.scheme == "wide"
         assert residual(u, prob, eps_deg=0.05).sup_norm() <= 1e-8
+
+
+def _wide_problem(kind, d):
+    from degenlab.elliptic import EllipticityPair, EllipticOperator
+    from degenlab.laws import PowerLaw, PowerLogLaw
+    from degenlab.problem import ProblemInstance
+
+    bellman = {1: (np.array([[0.7]]), np.array([[1.5]])),
+               2: (np.diag([0.6, 1.8]), np.array([[1.0, 0.4], [0.4, 1.0]]))}
+    return ProblemInstance(
+        operator=EllipticOperator(kind, EllipticityPair(0.5, 2.0),
+                                  bellman[d] if kind.startswith("bellman") else ()),
+        sigma_plus=PowerLaw(1.5), sigma_minus=PowerLogLaw(1.0, 0.5),
+        f=0.3, g=0.0, C0=1.0, q=(0.2,) * d,
+    )
+
+
+def _discretizations():
+    """Every operator kind of the wide stencil in 1-d and 2-d, and the flux form."""
+    kinds = ("trace", "pucci-minus", "pucci-plus", "bellman-min-of-traces")
+    cases = [pytest.param(solver._Discretization(_wide_problem(kind, d), Grid(d=d, n=9), 1e-4),
+                          id=f"{kind}-{d}d")
+             for d in (1, 2) for kind in kinds]
+    bench = exact_benchmark("transmission-1d", {"theta1": 1.0, "theta2": 2.0, "c": 1.0})
+    flux = solver._FluxDiscretization1D(bench.problem, Grid(d=1, n=9), 1e-4)
+    return cases + [pytest.param(flux, id="flux-1d")]
+
+
+EACH_DISCRETIZATION = pytest.mark.parametrize("disc", _discretizations())
+
+
+class TestStepMatrix:
+    """The step matrix is built from the stencil stack in one CSC build."""
+
+    @staticmethod
+    def _reference(pattern, coeffs, dt):
+        # the two-matrix build it replaces: J on the pattern, then a sparse subtraction
+        from scipy import sparse
+
+        J = sparse.csc_matrix((coeffs.reshape(-1)[pattern.src], pattern.indices, pattern.indptr),
+                              shape=(pattern.size,) * 2)
+        return sparse.diags(1.0 / dt.ravel(), format="csc") - J
+
+    @pytest.mark.parametrize("zeros", [False, True], ids=["generic", "exact-zeros"])
+    @EACH_DISCRETIZATION
+    def test_matches_diag_minus_jacobian(self, disc, zeros):
+        rng = np.random.default_rng(7)
+        u = rng.uniform(-1.0, 1.0, disc.grid.shape)
+        coeffs = disc.residual_interior(u)[3]
+        dt = rng.uniform(0.01, 1.0, disc.f_int.shape)
+        if zeros:
+            coeffs = coeffs.copy()
+            coeffs[:, rng.uniform(size=disc.f_int.shape) < 0.3] = 0.0
+            cancel = rng.uniform(size=disc.f_int.shape) < 0.3  # 1/dt - J_ii = 0
+            coeffs[0][cancel] = 1.0 / dt[cancel]
+        got = disc.pattern.matrix(coeffs, dt)
+        want = self._reference(disc.pattern, coeffs, dt)
+        if zeros:
+            assert got.nnz < coeffs.reshape(-1)[disc.pattern.src].size
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            assert getattr(got, name).dtype == getattr(want, name).dtype, name
+
+    @EACH_DISCRETIZATION
+    def test_builds_leave_the_pattern_unchanged(self, disc):
+        pattern = disc.pattern
+        indices, indptr = pattern.indices.copy(), pattern.indptr.copy()
+        coeffs = np.zeros((len(disc.offsets),) + disc.f_int.shape)
+        coeffs[0] = 1.0  # every off-diagonal entry and, with dt = 1, every diagonal one vanishes
+        for dt in (np.ones(disc.f_int.shape), np.full(disc.f_int.shape, 0.5)):
+            pattern.matrix(coeffs, dt)
+        assert np.array_equal(pattern.indices, indices)
+        assert np.array_equal(pattern.indptr, indptr)
+
+
+class TestOneEvaluationPerIterate:
+    """A solve evaluates each iterate's arrays once, for R and J together."""
+
+    @staticmethod
+    def _count(monkeypatch, owner, name, calls):
+        inner = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    def test_wide(self, monkeypatch):
+        from degenlab.problem import ProblemInstance
+
+        calls = {}
+        for name in ("residual_interior", "_gradient", "_branch_values"):
+            self._count(monkeypatch, solver._Discretization, name, calls)
+        self._count(monkeypatch, ProblemInstance, "law_pair", calls)
+        bench = exact_benchmark("radial-power", {"theta": 1.0, "d": 2})
+        grid = Grid(d=2, n=17)
+        _, diag = solve(bench.problem, grid,
+                        SchemeConfig(tol=1e-6, eps_deg=bench.recommended_eps_deg(grid)))
+        assert diag.converged and diag.scheme == "wide"
+        assert calls["residual_interior"] >= diag.iterations > 1
+        assert calls == dict.fromkeys(calls, calls["residual_interior"])
+
+    def test_flux(self, monkeypatch):
+        calls = {}
+        for name in ("residual_interior", "_edges"):
+            self._count(monkeypatch, solver._FluxDiscretization1D, name, calls)
+        bench = exact_benchmark("transmission-1d", {"theta1": 1.0, "theta2": 2.0, "c": 1.0})
+        grid = Grid(d=1, n=33)
+        _, diag = solve(bench.problem, grid,
+                        SchemeConfig(tol=1e-6, eps_deg=bench.recommended_eps_deg(grid)))
+        assert diag.converged and diag.scheme == "flux-1d"
+        assert calls["residual_interior"] >= diag.iterations > 1
+        assert calls["_edges"] == calls["residual_interior"]
