@@ -41,12 +41,21 @@ same at every node, so a paraboloid is built over the interior block once
 per window offset s in {-rho..rho}^d \\ {0} (x_s = s h), not once per
 candidate and offset:
 
-* the residual R_s = u(x0 + x_s) - u(x0) - phi_base(x_s), one block over
-  the whole interior per offset, written over the differences it is made
-  from;
+* the residual R_s = u(x0 + x_s) - u(x0) - phi_base(x_s), one row of a
+  single (offsets, *block) array per offset, written over the differences
+  it is made from;
 * the shift table c[g, k, s] = dp_g . x_s + x_s' dM_k x_s / 2 of plain
-  floats, so that u - phi = R_s - c[g, k, s] and the touching filter is
-  one subtraction and one running max (min from below) per offset;
+  floats, so that u - phi = R_s - c[g, k, s];
+* the touching filter max_s sign (R_s - c_s) <= eta_touch is decided from
+  bounds: rounded subtraction is monotone in both arguments, so with
+  top = max_s sign R_s (one reduction per side, shared by every candidate)
+  and e_s = sign c_s, the defect lies between fl(top - max e) and
+  fl(top - min e).  A node touches if the upper bound is at most
+  eta_touch and does not if the lower one exceeds it; only the nodes in
+  between are scanned over the window, one column each, with the same
+  rounded differences, so the mask is the one a full scan gives;
+* the masks of all candidates are kept a bit per node and the residual
+  rows are freed before any law is evaluated;
 * sigma depends on the gradient nudge only and F on the Hessian nudge
   only: ``ProblemInstance.law_pair`` is evaluated once per gradient nudge
   and ``EllipticOperator.apply`` once per Hessian nudge, each the first
@@ -54,13 +63,16 @@ candidate and offset:
   candidates touch nowhere is never evaluated, so ``sigma_saturated``
   reports the gradients of touching candidates only.
 
+The report's ``window_scans`` counts the (node, candidate) pairs that the
+bounds left open; it measures work and takes no part in comparisons.
+
 One state class serves every dimension.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -116,6 +128,7 @@ class CertificateReport:
     passed: bool
     witness: TouchingTest | None
     sigma_saturated: bool
+    window_scans: int = field(default=0, compare=False)
 
 
 def certify_min(u: DiscreteField, prob: ProblemInstance,
@@ -143,12 +156,18 @@ def _certify(u: DiscreteField, prob: ProblemInstance, cfg: CertifierConfig,
 
     state = _State(u.values, grid, prob, rho)
     grads, hessians = state.nudges(eta_grad, eta_hess)
-    shifts = state.shift_table(grads, hessians)
+    sign = 1.0 if side == "above" else -1.0
+    # touching filter: u - phi <= eta_touch on the window (side above), phi
+    # anchored at u(x0); mirrored for below.  The residual rows are not
+    # needed past it: free them before sigma and F are made.
+    touching = [[np.packbits(state.touching(shift, sign, eta_touch)) for shift in row]
+                for row in state.shift_table(grads, hessians)]
+    del state.R
 
     q = prob.q_vector(grid.d)
     C0 = prob.C0
-    sign = 1.0 if side == "above" else -1.0
     pick = np.minimum if side == "above" else np.maximum
+    nodes = int(np.prod(state.block_shape))
     best_slack = np.full(state.block_shape, -np.inf)
     best_combo = np.full(state.block_shape, -1, dtype=int)
     saturated = False
@@ -157,11 +176,10 @@ def _certify(u: DiscreteField, prob: ProblemInstance, cfg: CertifierConfig,
     for g, dp in enumerate(grads):
         laws = None  # (sigma_plus, sigma_minus) at this gradient nudge
         for k, dM in enumerate(hessians):
-            # touching filter: u - phi <= eta_touch on the window (side above),
-            # phi anchored at u(x0); mirrored for below.
-            ok = state.touch_defect(shifts[g, k], sign) <= eta_touch
+            ok = np.unpackbits(touching[g][k], count=nodes).view(bool)
             if not np.any(ok):
                 continue
+            ok = ok.reshape(state.block_shape)
             if laws is None:
                 *laws, sat = state.law_values(dp, q)
                 saturated = saturated or sat
@@ -174,9 +192,7 @@ def _certify(u: DiscreteField, prob: ProblemInstance, cfg: CertifierConfig,
             upd = slack > best_slack
             np.copyto(best_slack, slack, where=upd)
             best_combo[upd] = g * len(hessians) + k
-    # the report needs neither the residual blocks nor F: free them first
-    state.R.clear()
-    F.clear()
+    F.clear()  # the report needs no F: free it first
 
     finite = np.isfinite(best_slack)
     max_violation = float(best_slack[finite].max()) if np.any(finite) else -np.inf
@@ -189,7 +205,7 @@ def _certify(u: DiscreteField, prob: ProblemInstance, cfg: CertifierConfig,
 
     return CertificateReport(
         side=side,
-        checked_nodes=int(np.prod(state.block_shape)),
+        checked_nodes=nodes,
         tested_candidates=len(grads) * len(hessians),
         violation_count=int(np.count_nonzero(finite & (best_slack > eta_cert))),
         untouched_nodes=int(np.count_nonzero(best_combo < 0)),
@@ -199,6 +215,7 @@ def _certify(u: DiscreteField, prob: ProblemInstance, cfg: CertifierConfig,
         passed=max_violation <= eta_cert,
         witness=witness,
         sigma_saturated=saturated,
+        window_scans=state.window_scans,
     )
 
 
@@ -209,19 +226,20 @@ class _State:
     upper-triangle Hessian components of u; ``R`` holds, for each window
     offset s (in the order of ``x``, the offsets times h), the block of
     u(x0 + s h) - u(x0) - phi_base(s h), the residual of u against the base
-    paraboloid.
+    paraboloid, as row s of one array.
     """
 
     def __init__(self, u, grid, prob, rho):
         d, n, h = grid.d, grid.n, grid.h
         self.d, self.prob, self.rho = d, prob, rho
         self.block_shape = (n - 2 * rho,) * d
+        offsets = [s for s in itertools.product(range(-rho, rho + 1), repeat=d) if any(s)]
+        # D_s = u(x0 + s h) - u(x0), each written into its row of R
         c = u[(slice(rho, n - rho),) * d]
-        D = {
-            s: u[tuple(slice(rho + k, n - rho + k) for k in s)] - c
-            for s in itertools.product(range(-rho, rho + 1), repeat=d)
-            if any(s)
-        }
+        self.R = np.empty((len(offsets),) + self.block_shape)
+        for s, Ds in zip(offsets, self.R):
+            np.subtract(u[tuple(slice(rho + k, n - rho + k) for k in s)], c, out=Ds)
+        row = {s: i for i, s in enumerate(offsets)}
         self.triu = [(int(i), int(j)) for i, j in zip(*np.triu_indices(d))]
 
         def at(*steps):
@@ -229,7 +247,7 @@ class _State:
             s = [0] * d
             for k, i in steps:
                 s[i] += k
-            return D[tuple(s)]
+            return self.R[row[tuple(s)]]
 
         self.p_base = [(at((1, i)) - at((-1, i))) / (2 * h) for i in range(d)]
         self.m_base = {
@@ -243,8 +261,7 @@ class _State:
         # R_s = D_s - phi_base(s h), written over D_s: phi_base is
         # sum_i p_i x_i + 0.5 sum_{i<=j} (2 - [i=j]) m_ij x_i x_j, summed
         # left to right.
-        self.x = np.array([[k * h for k in s] for s in D])
-        self.R = list(D.values())
+        self.x = np.array([[k * h for k in s] for s in offsets])
         w = [self.m_base[(i, j)] if i == j else 2 * self.m_base[(i, j)]
              for i, j in self.triu]
         axes = [(i,) for i in range(d)]
@@ -255,7 +272,8 @@ class _State:
             quad *= 0.5
             phi += quad
             Rs -= phi
-        self._tmp = tmp
+        self._top = {}  # max_s sign * R_s by sign, made on first use
+        self.window_scans = 0
 
     def nudges(self, eta_grad, eta_hess):
         """(gradient nudges, Hessian nudges), each list led by the zero nudge.
@@ -287,19 +305,33 @@ class _State:
         quad = 0.5 * np.einsum("si,kij,sj->ks", self.x, np.asarray(hessians), self.x)
         return lin[:, None, :] + quad[None, :, :]
 
-    def touch_defect(self, shift, sign):
-        """max over the window of sign * (u - phi) = sign * (R_s - shift_s).
+    def touching(self, shift, sign, eta):
+        """Mask of the nodes where max_s sign * (R_s - shift_s) <= eta.
 
-        The defect from below is -min_s (R_s - shift_s); negation is exact.
+        With top = max_s sign R_s and e = sign * shift, the defect
+        max_s fl(sign R_s - e_s) (negation is exact) lies between
+        fl(top - max e) and fl(top - min e), rounded subtraction being
+        monotone in both arguments.  Those bounds decide most nodes; the
+        window of each node they leave open is scanned in full, a block's
+        worth of columns at a time, so that no field makes a copy of R.
         """
-        reduce = np.maximum if sign > 0 else np.minimum
-        worst = np.subtract(self.R[0], shift[0])
-        for c, Rs in zip(shift[1:].tolist(), self.R[1:]):
-            np.subtract(Rs, c, out=self._tmp)
-            reduce(worst, self._tmp, out=worst)
-        if sign < 0:
-            np.negative(worst, out=worst)
-        return worst
+        if sign not in self._top:
+            self._top[sign] = self.R.max(axis=0) if sign > 0 else -self.R.min(axis=0)
+        top = self._top[sign]
+        e = sign * shift
+        ok = top - e.min() <= eta
+        # a NaN in top is never open: the scan would find it and not touch
+        scan = np.flatnonzero(~ok & (top - e.max() <= eta))
+        rows = self.R.reshape(len(shift), -1)
+        flat = ok.reshape(-1)
+        step = max(1, flat.size // len(shift))
+        for lo in range(0, scan.size, step):
+            j = scan[lo:lo + step]
+            cols = rows[:, j]
+            cols -= shift[:, None]
+            flat[j] = (cols.max(axis=0) if sign > 0 else -cols.min(axis=0)) <= eta
+        self.window_scans += scan.size
+        return ok
 
     def law_values(self, dp, q):
         """(sigma_plus, sigma_minus, clamped) at the gradient p_base + dp + q."""

@@ -292,6 +292,7 @@ def cmd_certify(cfg: RunConfig, args, run: _Run) -> int:
     with run.stage("certify"):
         rep_min = certify_min(u, prob)
         rep_max = certify_max(u, prob)
+    run.counters["certifier.window_scans"] = rep_min.window_scans + rep_max.window_scans
     passed = rep_min.passed and rep_max.passed
     run.emit_json(
         "certificates.json",

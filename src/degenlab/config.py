@@ -74,6 +74,8 @@ def _number(value, where: str, integer: bool = False, least: float = 0.0):
         raise ConfigError(f"{where} must be an integer, got {value!r}")
     if not (integer or abs(value) <= sys.float_info.max):  # NaN, an infinity or too large
         raise ConfigError(f"{where} must be finite, got {value!r}")
+    if integer and not -(2**63) <= value < 2**63:
+        raise ConfigError(f"{where} must fit in a 64-bit integer, got {value!r}")
     if not value >= least:
         raise ConfigError(f"{where} must be at least {least:g}, got {value!r}")
     return int(value) if integer else float(value)
@@ -122,6 +124,16 @@ def _keep(value, where):  # checked where it is used
     return value
 
 
+def _grid(value, where):
+    out = _block(value, where, _GRID_KEYS, ("d", "n"))
+    d, n = out["d"], out["n"]
+    # sys.maxsize is numpy's largest index (np.intp); n > 1 and d >= 64 give
+    # at least 2**64 nodes, and below that n**d is cheap to form
+    if n > 1 and (d >= 64 or n ** d > sys.maxsize):
+        raise ConfigError(f"{where}: n**d = {n}**{d} nodes do not fit in an array index")
+    return out
+
+
 def _problem(value, where):
     if isinstance(value, dict) and "benchmark" in value:
         return _block(value, where, _PROBLEM_BENCH_KEYS, ("benchmark",))
@@ -129,7 +141,7 @@ def _problem(value, where):
     return _block(value, where, _PROBLEM_EXPLICIT_KEYS, required)
 
 
-# _number takes a finite non-negative number, _count a non-negative integer.
+# _number takes a finite non-negative number, _count a non-negative 64-bit integer.
 _OPERATOR_KEYS = {"kind": _keep, "lam": _number, "Lam": _number, "coefficients": _reals}
 _PROBLEM_BENCH_KEYS = {"benchmark": _benchmark, "params": _params, "C0": _number}
 _PROBLEM_EXPLICIT_KEYS = {
@@ -145,7 +157,7 @@ _MODULUS_KEYS = {"C": _number, "alpha0": _number, "delta": _number,
 _LAB_KEYS = {"centers": _points, "r": _number, "N": _count}
 _TOP_KEYS = {
     "problem": _problem,
-    "grid": partial(_block, schema=_GRID_KEYS, required=("d", "n")),
+    "grid": _grid,
     "scheme": partial(_block, schema=_SCHEME_KEYS),
     "modulus": partial(_block, schema=_MODULUS_KEYS),
     "lab": partial(_block, schema=_LAB_KEYS),

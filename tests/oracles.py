@@ -157,6 +157,20 @@ def bilinear_reference(u, h, x, y):
     return out
 
 
+def reference_full_scan(R, shift, sign):
+    """max over the window of sign * (R_s - shift_s), one full block per offset s.
+
+    R holds the residual blocks by offset and shift the candidate's plain
+    float per offset; from below the minimum of R_s - shift_s is taken and
+    negated, which is exact.
+    """
+    reduce = np.maximum if sign > 0 else np.minimum
+    worst = R[0] - shift[0]
+    for c, Rs in zip(shift[1:], R[1:]):
+        worst = reduce(worst, Rs - c)
+    return worst if sign > 0 else -worst
+
+
 def certify_reference(u, prob, cfg, side):
     """One side's CertificateReport with every candidate paraboloid built in full.
 

@@ -7,6 +7,7 @@ C0 = sup|f| + 10h; planted non-solutions must fail loudly.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ import pytest
 from degenlab.benchmarks import exact_benchmark
 from degenlab.certifier import (
     CertifierConfig,
+    _State,
     certify_max,
     certify_min,
 )
@@ -22,7 +24,7 @@ from degenlab.grids import DiscreteField, Grid
 from degenlab.laws import PowerLaw
 from degenlab.problem import ProblemInstance
 
-from oracles import certify_reference
+from oracles import certify_reference, reference_full_scan
 
 
 def _bench_setup(name, params, n):
@@ -247,3 +249,70 @@ class TestMatchesReference:
             rep = certify(u, prob, cfg)
             assert rep.sigma_saturated
             assert rep == certify_reference(u, prob, cfg, side)
+
+
+def _scan_field(kind, grid):
+    """A field for the touching filter: an oracle field, or rounded noise
+    (many equal residuals, so bounds and defects meet eta exactly)."""
+    if kind == "ties":
+        return np.round(4.0 * np.random.default_rng(3).normal(size=grid.shape)) / 4.0
+    return _oracle_field(kind, grid)
+
+
+class TestTouchingFilter:
+    """The mask decided from the window extremes equals the full per-offset scan."""
+
+    @pytest.mark.parametrize("scale", [1.0, 1e300, 1e307])  # 1e307: R holds inf and NaN
+    @pytest.mark.parametrize("rho", [1, 2, 3])
+    @pytest.mark.parametrize("d, n", [(1, 65), (2, 21)])
+    @pytest.mark.parametrize("kind", ["planted", "kinked", "random", "ties"])
+    def test_matches_full_scan(self, kind, d, n, rho, scale):
+        grid = Grid(d=d, n=n)
+        h = grid.h
+        with np.errstate(over="ignore", invalid="ignore"):
+            state = _State(scale * _scan_field(kind, grid), grid, _mixed_problem(d), rho)
+            grads, hessians = state.nudges(0.5 * h * h, 0.5 * h)
+            shifts = state.shift_table(grads, hessians).reshape(-1, len(state.x))
+            for sign in (1.0, -1.0):
+                top = state.R.max(axis=0) if sign > 0 else -state.R.min(axis=0)
+                finite = top[np.isfinite(top)]
+                for eta in (0.0, h * h, float(np.median(finite)) if finite.size else 1.0):
+                    for shift in shifts:
+                        want = reference_full_scan(state.R, shift, sign) <= eta
+                        assert np.array_equal(state.touching(shift, sign, eta), want)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("d, n", [(1, 65), (2, 21)])
+    def test_eta_on_a_defect_value(self, d, n, sign):
+        """eta equal to a node's defect: that node touches, by <=."""
+        grid = Grid(d=d, n=n)
+        state = _State(_scan_field("random", grid), grid, _mixed_problem(d), 3)
+        grads, hessians = state.nudges(0.5 * grid.h**2, 0.5 * grid.h)
+        scans = 0
+        for shift in state.shift_table(grads, hessians).reshape(-1, len(state.x)):
+            defect = reference_full_scan(state.R, shift, sign)
+            for eta in np.quantile(defect, [0.1, 0.5, 0.9], method="nearest"):
+                before = state.window_scans
+                assert np.array_equal(state.touching(shift, sign, eta), defect <= eta)
+                scans += state.window_scans - before
+        assert scans > 0  # the exact scan was reached
+
+    def test_bounds_decide_most_pairs(self):
+        u, prob = _bench_setup("radial-power", {"theta": 1.0, "d": 2}, 65)
+        for rep in (certify_min(u, prob), certify_max(u, prob)):
+            pairs = rep.checked_nodes * rep.tested_candidates
+            assert 0 < rep.window_scans < 0.1 * pairs
+
+    def test_one_copy_of_the_residual_blocks(self):
+        """A certify_min peaks below 1.25 times its residual blocks: a second
+        copy of them (a stacked R, say) does not fit."""
+        u, prob = _bench_setup("radial-power", {"theta": 1.0, "d": 2}, 65)
+        certify_min(u, prob)
+        tracemalloc.start()
+        try:
+            certify_min(u, prob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        offsets, block = 7 * 7 - 1, (65 - 2 * 3) ** 2
+        assert peak < 1.25 * offsets * block * 8

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from degenlab import lab, solver
-from degenlab.certifier import CertifierConfig
+from degenlab.certifier import CertifierConfig, certify_max, certify_min
 from degenlab.cli import (
     EXIT_CERTIFICATE,
     EXIT_CONFIG,
@@ -216,6 +216,20 @@ class TestCertify:
         (i,) = w["center"]
         assert abs(w["p"][0] - 20.0 * xs[i]) <= 0.5 * h * h + 1e-9
         assert abs(w["M"][0] - 20.0) <= 0.5 * h + 1e-9
+
+    def test_manifest_counts_window_scans(self, run_config):
+        path, out = run_config
+        main(["solve", "--config", str(path)])
+        field = out / "field.csv"
+        assert main(["certify", "--config", str(path), "--field", str(field)]) == EXIT_OK
+        cfg = load_config(str(path))
+        prob, _ = cfg.build_problem()
+        u = read_field(str(field), cfg.build_grid())
+        scans = certify_min(u, prob).window_scans + certify_max(u, prob).window_scans
+        entry = json.loads((out / "manifest.json").read_text())["commands"]["certify"]
+        assert entry["counters"] == {"certifier.window_scans": scans} and scans > 0
+        cert = json.loads((out / "certificates.json").read_text())
+        assert "window_scans" not in cert["min_inequality"]
 
     def test_missing_field_is_config_error(self, run_config):
         path, _ = run_config
@@ -651,6 +665,14 @@ class TestNoOutputOnConfigError:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "levels=2" in err and err.count("\n") == 1
 
+    def test_solve_on_a_grid_past_an_array_index(self, tmp_path, capsys):
+        self._run(tmp_path, "solve", {
+            "problem": {"benchmark": "radial-power", "params": {"theta": 1.0, "d": 2}},
+            "grid": {"d": 2, "n": 2**32},
+        })
+        err = capsys.readouterr().err
+        assert err.startswith("error: config.grid") and err.count("\n") == 1
+
     def test_report_into_a_missing_directory(self, tmp_path):
         self._run(tmp_path, "report", {})
 
@@ -751,6 +773,12 @@ class TestErrorsAndDeterminism:
         ("lab", "centers", [0.0]),
         ("problem", "C0", "big"),
         ("problem", "params", {"theta": "x", "d": 1}),
+        ("grid", "n", 10**51),
+        ("grid", "d", 2**62),
+        ("scheme", "max_iter", 2**63),
+        ("scheme", "levels", 10**20),
+        ("modulus", "K", 1e30),
+        ("lab", "N", 2**64),
     ])
     @pytest.mark.parametrize("command", ["solve", "measure"])
     def test_malformed_value_is_one_line_config_error(self, run_config, tmp_path, capsys,

@@ -56,6 +56,12 @@ class TestValidation:
             lambda d: d["problem"].update(benchmark="mystery"),
             lambda d: d.update(seed="not-an-int"),
             lambda d: d.update(modulus={"K": 0}),
+            lambda d: d["grid"].update(n=10**51),
+            lambda d: d["grid"].update(n=1e30),
+            lambda d: d["scheme"].update(max_iter=2**63),
+            lambda d: d.update(seed=-(2**63) - 1),
+            lambda d: d.update(grid={"d": 2, "n": 2**32}),
+            lambda d: d.update(grid={"d": 2**62, "n": 9}),
         ],
     )
     def test_rejections(self, mutate):
@@ -63,6 +69,13 @@ class TestValidation:
         mutate(data)
         with pytest.raises(ConfigError):
             validate_config(data)
+
+    def test_largest_int64_values_pass(self):
+        data = _base()
+        data["seed"] = -(2**63)
+        data["scheme"]["max_iter"] = 2**63 - 1
+        cfg = validate_config(data)
+        assert cfg.seed == -(2**63) and cfg.scheme["max_iter"] == 2**63 - 1
 
     def test_problem_requires_full_explicit_block(self):
         data = _base()
