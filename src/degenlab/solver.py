@@ -46,18 +46,24 @@ builds diag(1/dt) - J as one CSC matrix, factored by SuperLU with the MMD
 ordering of A^T + A.  scipy is imported where the matrix is built and
 factored, so the commands that solve nothing never load it.
 
-dt is a per-node array.  It starts at the explicit stability cap: the
+dt is a per-node array, a multiple of the explicit stability cap: the
 center weight of F_h is at most 2 d Lam_F / h^2, and 0.9 of the cap with
 sigma taken as the neighbour max over the stencil keeps an explicit update
 u <- u + dt R(u) monotone (pointwise sigma lets dt and sigma oscillate in
-antiphase around a CFL-lag limit cycle); the cap never exceeds h.  After
-an accepted step dt grows by switched evolution relaxation,
-dt <- dt |R_prev| / |R|, so it approaches a pure Newton step as the
-residual falls; a step accepted at its first try at least doubles dt.  A
-step is rejected when delta is not finite or the residual rises; dt is
-then halved, and once the cut reaches the cap the step is the explicit
-update at the cap, which is always taken.  The fixed points are those of
-the explicit relaxation: only the path through pseudo-time changes.
+antiphase around a CFL-lag limit cycle); the cap never exceeds h.  A cold
+solve starts at the cap.  A solve given a start (cfg.initial, as
+``solve_cascade`` gives each refined level) starts warm, at _WARM times
+the cap, where the first step is nearly a Newton step: a refined coarse
+solution is close enough for pseudo-time to take its large steps at once
+(Kelley & Keyes 1998).  If that warm step is rejected, the solve restarts
+once on the cold path, at the cap.  After an accepted step dt grows by
+switched evolution relaxation, dt <- dt |R_prev| / |R|, so it approaches
+a pure Newton step as the residual falls; a step accepted at its first
+try at least doubles dt.  A step is rejected when delta is not finite or
+the residual rises; dt is then halved, and once the cut reaches the cap
+the step is the explicit update at the cap, which is always taken.  The
+fixed points are those of the explicit relaxation: only the path through
+pseudo-time changes.
 
 Acceptance and growth measure R by its root mean square; the stop at
 cfg.tol stays in the sup norm.  The sup norm sits on one boundary-layer or
@@ -105,6 +111,9 @@ _EXPLODE_FACTOR = 1e8
 _SAFETY = 0.9
 _FRAME_ALIGN_TOL = 1e-12
 _DT_CUT = 2.0
+# First dt of a solve given a start (cfg.initial), as a multiple of the
+# explicit cap: a start near the solution takes nearly a Newton step.
+_WARM = 1e3
 # Least growth of dt after a step accepted at its first try.
 _DT_GROWTH_MIN = 2.0
 # dt never grows past this multiple of the explicit cap; 1/dt is negligible
@@ -127,7 +136,11 @@ class SchemeConfig:
     the degenerate set and should scale with the accuracy target, not with
     machine precision.  ``initial`` may be None (constant field at the mean
     boundary value), a number, an array or a DiscreteField; it must be
-    finite.  ``max_iter`` caps ``SolveDiagnostics.iterations``.
+    finite.  None starts pseudo-time at the explicit cap; any given start
+    is taken to be near the solution and starts it far above (see the
+    module docstring), which pays when the start is a refined solution
+    and can cost steps when it is far off.  ``max_iter`` caps
+    ``SolveDiagnostics.iterations``.
     """
 
     max_iter: int = MAX_ITER
@@ -541,7 +554,8 @@ def solve(prob: ProblemInstance, grid: Grid, cfg: SchemeConfig = SchemeConfig())
     r, sig, sigma_clamped, J = disc.residual_interior(u)
     res0 = res_norm = _sup(r)
     rms = _rms(r)
-    growth = 1.0  # dt as a multiple of the explicit cap
+    warm = cfg.initial is not None
+    growth = _WARM if warm else 1.0  # dt as a multiple of the explicit cap
     history = []
     dt_last, dt_min_seen = grid.h, np.inf
     solves = rejected = it = 0
@@ -585,6 +599,9 @@ def solve(prob: ProblemInstance, grid: Grid, cfg: SchemeConfig = SchemeConfig())
                 if rms_t <= rms:
                     break
             rejected += 1
+            if warm:  # the warm start missed: restart once on the cold path
+                growth, warm = 1.0, False
+                continue
             first_try = False
             growth /= _DT_CUT
             if growth <= 1.0:
@@ -596,6 +613,7 @@ def solve(prob: ProblemInstance, grid: Grid, cfg: SchemeConfig = SchemeConfig())
                 r_t, sig_t, clamped, J_t = disc.residual_interior(trial)
                 rms_t = _rms(r_t)
                 break
+        warm = False
 
         ratio = rms / rms_t if rms_t > 0.0 else _DT_GROWTH_MAX
         if first_try:
@@ -615,9 +633,13 @@ def solve_cascade(prob: ProblemInstance, grid: Grid, cfg: SchemeConfig, levels: 
 
     ``levels`` counts coarsenings below ``grid``; each coarse level must
     still have at least MIN_NODES nodes (n coarsens as (n+1)/2), else a
-    ConfigError is raised before any solve.  Returns
-    the fine solution and the diagnostics of the final (fine) solve, whose
-    ``levels`` holds n, iterations, linear solves, rejected steps and final
+    ConfigError is raised before any solve.  The coarsest level starts
+    cold; every finer one is one call of ``solve`` with the refined
+    solution below as ``initial``, so it starts warm and takes a few
+    Newton-like steps.  Returns the fine solution and the diagnostics of
+    the final (fine) solve, whose ``levels`` holds n, iterations, linear
+    solves, rejected steps, start residual (the sup residual of the
+    level's first iterate, which shows the refinement jump) and final
     residual of every level, coarsest first.
     """
     ns = [grid.n]
@@ -643,6 +665,7 @@ def solve_cascade(prob: ProblemInstance, grid: Grid, cfg: SchemeConfig, levels: 
             "iterations": out_diag.iterations,
             "linear_solves": out_diag.linear_solves,
             "rejected_steps": out_diag.rejected_steps,
+            "start_residual": out_diag.residual_history[0][1],
             "final_residual": out_diag.final_residual,
         })
         u_prev = refine_linear(out_field) if n != ns[-1] else out_field

@@ -101,7 +101,8 @@ class TestSolve:
         assert finest["linear_solves"] == diag["linear_solves"] >= 1
         assert finest["iterations"] == diag["iterations"]
         assert set(finest) == {"n", "iterations", "linear_solves", "rejected_steps",
-                               "final_residual"}
+                               "start_residual", "final_residual"}
+        assert finest["start_residual"] == diag["residual_history"][0][1]
 
     @pytest.mark.parametrize("f", [1e300, float("inf")])
     def test_runaway_solve_exits_diverged_not_as_a_law_error(self, tmp_path, capsys,

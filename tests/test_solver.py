@@ -162,12 +162,15 @@ class TestPseudoTransient:
         _, diag = solve_cascade(bench.problem, grid, cfg, levels=4)
         assert [lv["n"] for lv in diag.levels] == [9, 17, 33, 65, 129]
         assert all(lv["final_residual"] <= cfg.tol for lv in diag.levels)
-        # a handful of Newton steps per level, not thousands of explicit ones
-        assert all(lv["iterations"] <= 20 for lv in diag.levels)
+        # a handful of Newton steps per level, not thousands of explicit ones;
+        # the refined levels start warm, a few steps from the solution
+        assert diag.levels[0]["iterations"] <= 20
+        assert all(lv["iterations"] <= 6 for lv in diag.levels[1:])
         finest = diag.levels[-1]
         assert finest["iterations"] == diag.iterations
         assert finest["linear_solves"] == diag.linear_solves
         assert finest["rejected_steps"] == diag.rejected_steps
+        assert finest["start_residual"] == diag.residual_history[0][1]
         assert finest["final_residual"] == diag.final_residual
         # every residual is kept by default
         assert [it for it, _ in diag.residual_history] == list(range(1, diag.iterations + 1))
@@ -197,6 +200,52 @@ class TestPseudoTransient:
         u, diag = solve(prob, grid, SchemeConfig(tol=1e-8, eps_deg=0.05))
         assert diag.converged and diag.scheme == "wide"
         assert residual(u, prob, eps_deg=0.05).sup_norm() <= 1e-8
+
+
+class TestWarmStart:
+    """A given start begins pseudo-time far above the explicit cap."""
+
+    @pytest.mark.parametrize("name, params, n, tol, levels", [
+        ("radial-power", {"theta": 1.0, "d": 2}, 65, 1e-4, 3),
+        ("transmission-1d", {"theta1": 1.0, "theta2": 2.0, "c": 1.0}, 129, 1e-6, 4),
+    ], ids=["radial-2d", "transmission-1d"])
+    def test_refined_levels_take_a_few_factorizations(self, name, params, n, tol, levels):
+        _, diag, _ = _solve_benchmark(name, params, n=n, tol=tol, levels=levels)
+        assert diag.converged and len(diag.levels) == levels + 1
+        for lv in diag.levels[1:]:
+            assert lv["linear_solves"] <= 5, lv
+            assert lv["rejected_steps"] == 0, lv
+
+    def test_rejected_warm_start_restarts_once_at_the_cap(self):
+        # the noise puts the warm first step out of reach; halving back down to
+        # the cap would throw away about ten factorizations
+        bench = exact_benchmark("radial-power", {"theta": 1.0, "d": 2})
+        grid = Grid(d=2, n=33)
+        noise = np.random.default_rng(0).standard_normal(grid.shape)
+        cfg = SchemeConfig(tol=1e-6, eps_deg=bench.recommended_eps_deg(grid),
+                           initial=bench.exact_on(grid) + 0.05 * noise)
+        _, diag = solve(bench.problem, grid, cfg)
+        assert diag.converged
+        assert diag.rejected_steps <= 1
+
+    def test_cascade_calls_solve_once_per_level(self, monkeypatch):
+        # bench/spans.py counts solver iterations by wrapping this module-level name
+        bench = exact_benchmark("transmission-1d", {"theta1": 1.0, "theta2": 2.0, "c": 1.0})
+        grid = Grid(d=1, n=65)
+        calls = []
+        inner = solver.solve
+
+        def spy(prob, level_grid, cfg):
+            calls.append((level_grid.n, cfg.initial))
+            return inner(prob, level_grid, cfg)
+
+        monkeypatch.setattr(solver, "solve", spy)
+        cfg = SchemeConfig(tol=1e-6, eps_deg=bench.recommended_eps_deg(grid))
+        _, diag = solve_cascade(bench.problem, grid, cfg, levels=3)
+        assert [n for n, _ in calls] == [lv["n"] for lv in diag.levels] == [9, 17, 33, 65]
+        assert calls[0][1] is None
+        for n, initial in calls[1:]:
+            assert isinstance(initial, DiscreteField) and initial.grid.n == n
 
 
 def _wide_problem(kind, d):
