@@ -63,8 +63,17 @@ candidate and offset:
   candidates touch nowhere is never evaluated, so ``sigma_saturated``
   reports the gradients of touching candidates only.
 
-The report's ``window_scans`` counts the (node, candidate) pairs that the
-bounds left open; it measures work and takes no part in comparisons.
+Both sides of one field share one state when the field is given to
+``certify_min`` and ``certify_max`` as ``BothSides(u)``: the first call
+builds the Taylor data and R once, packs the touching masks of both signs
+from that one R and frees it before any law is evaluated, so the peak
+holds one copy of R; the second call reuses the masks and every sigma and
+F value the first one made.  A field given bare is certified on the
+called side only.
+
+The report's ``window_scans`` counts the (node, candidate) pairs of its
+side that the bounds left open; it measures work and takes no part in
+comparisons.
 
 One state class serves every dimension.
 """
@@ -131,68 +140,72 @@ class CertificateReport:
     window_scans: int = field(default=0, compare=False)
 
 
-def certify_min(u: DiscreteField, prob: ProblemInstance,
+class BothSides:
+    """A field to certify on both sides from one state.
+
+    Give it for the field to ``certify_min`` and ``certify_max`` with the
+    same problem and config: the first call builds the state with both
+    sides' touching masks, the other reuses it.  A call with another
+    problem or config builds the state afresh.
+    """
+
+    def __init__(self, u: DiscreteField):
+        self.u = u
+        self.state = None
+
+    def state_for(self, prob, cfg):
+        """The masked state of both signs for prob and cfg, built once."""
+        if self.state is None or self.state.prob is not prob or self.state.cfg != cfg:
+            self.state = _State.masked(self.u, prob, cfg, signs=(1.0, -1.0))
+        return self.state
+
+
+def certify_min(u: DiscreteField | BothSides, prob: ProblemInstance,
                 cfg: CertifierConfig = CertifierConfig()) -> CertificateReport:
     """Check min_i sigma_i(|p + q|) F(M) <= C0 + eta_cert from above."""
     return _certify(u, prob, cfg, side="above")
 
 
-def certify_max(u: DiscreteField, prob: ProblemInstance,
+def certify_max(u: DiscreteField | BothSides, prob: ProblemInstance,
                 cfg: CertifierConfig = CertifierConfig()) -> CertificateReport:
     """Check max_i sigma_i(|p + q|) F(M) >= -C0 - eta_cert from below."""
     return _certify(u, prob, cfg, side="below")
 
 
-def _certify(u: DiscreteField, prob: ProblemInstance, cfg: CertifierConfig,
+def _certify(u: DiscreteField | BothSides, prob: ProblemInstance, cfg: CertifierConfig,
              side: str) -> CertificateReport:
-    grid = u.grid
-    h = grid.h
-    rho, eta_cert, eta_touch, eta_grad, eta_hess = cfg.resolved(h)
-    if rho < 1:
-        raise DomainError("certifier: rho_test must be at least one cell")
-    if 2 * rho + 1 > grid.n:
-        raise DomainError("certifier: test window does not fit on the grid")
-    u.assert_finite()
-
-    state = _State(u.values, grid, prob, rho)
-    grads, hessians = state.nudges(eta_grad, eta_hess)
     sign = 1.0 if side == "above" else -1.0
-    # touching filter: u - phi <= eta_touch on the window (side above), phi
-    # anchored at u(x0); mirrored for below.  The residual rows are not
-    # needed past it: free them before sigma and F are made.
-    touching = [[np.packbits(state.touching(shift, sign, eta_touch)) for shift in row]
-                for row in state.shift_table(grads, hessians)]
-    del state.R
+    if isinstance(u, BothSides):
+        state = u.state_for(prob, cfg)
+    else:
+        state = _State.masked(u, prob, cfg, signs=(sign,))
+    grads, hessians = state.grads, state.hessians
+    eta_cert, eta_touch = state.eta_cert, state.eta_touch
+    touching = state.masks[sign]
 
-    q = prob.q_vector(grid.d)
     C0 = prob.C0
     pick = np.minimum if side == "above" else np.maximum
     nodes = int(np.prod(state.block_shape))
     best_slack = np.full(state.block_shape, -np.inf)
     best_combo = np.full(state.block_shape, -1, dtype=int)
     saturated = False
-    F = [None] * len(hessians)  # F at each Hessian nudge, made on first use
 
-    for g, dp in enumerate(grads):
-        laws = None  # (sigma_plus, sigma_minus) at this gradient nudge
-        for k, dM in enumerate(hessians):
+    for g in range(len(grads)):
+        for k in range(len(hessians)):
             ok = np.unpackbits(touching[g][k], count=nodes).view(bool)
             if not np.any(ok):
                 continue
             ok = ok.reshape(state.block_shape)
-            if laws is None:
-                *laws, sat = state.law_values(dp, q)
-                saturated = saturated or sat
-            if F[k] is None:
-                F[k] = state.operator_value(dM)
+            sigma_plus, sigma_minus, sat = state.law_values(g)
+            saturated = saturated or sat
+            F = state.operator_value(k)
             # min/max ranges over the two products sigma_i * F, not the laws:
             # for F < 0 the larger law gives the smaller product.
-            e_val = pick(laws[0] * F[k], laws[1] * F[k])
+            e_val = pick(sigma_plus * F, sigma_minus * F)
             slack = np.where(ok, sign * e_val - C0, -np.inf)
             upd = slack > best_slack
             np.copyto(best_slack, slack, where=upd)
             best_combo[upd] = g * len(hessians) + k
-    F.clear()  # the report needs no F: free it first
 
     finite = np.isfinite(best_slack)
     max_violation = float(best_slack[finite].max()) if np.any(finite) else -np.inf
@@ -215,7 +228,7 @@ def _certify(u: DiscreteField, prob: ProblemInstance, cfg: CertifierConfig,
         passed=max_violation <= eta_cert,
         witness=witness,
         sigma_saturated=saturated,
-        window_scans=state.window_scans,
+        window_scans=state.scans[sign],
     )
 
 
@@ -226,8 +239,39 @@ class _State:
     upper-triangle Hessian components of u; ``R`` holds, for each window
     offset s (in the order of ``x``, the offsets times h), the block of
     u(x0 + s h) - u(x0) - phi_base(s h), the residual of u against the base
-    paraboloid, as row s of one array.
+    paraboloid, as row s of one array.  ``masked`` makes the state a
+    certificate runs on: R reduced to packed touching masks and freed.
     """
+
+    @classmethod
+    def masked(cls, u: DiscreteField, prob, cfg, signs):
+        """The state of u with every candidate's touching mask for each sign.
+
+        R is freed before it returns, so no law is evaluated while it lives.
+        """
+        grid = u.grid
+        rho, eta_cert, eta_touch, eta_grad, eta_hess = cfg.resolved(grid.h)
+        if rho < 1:
+            raise DomainError("certifier: rho_test must be at least one cell")
+        if 2 * rho + 1 > grid.n:
+            raise DomainError("certifier: test window does not fit on the grid")
+        u.assert_finite()
+
+        state = cls(u.values, grid, prob, rho)
+        state.cfg, state.eta_cert, state.eta_touch = cfg, eta_cert, eta_touch
+        state.grads, state.hessians = state.nudges(eta_grad, eta_hess)
+        shifts = state.shift_table(state.grads, state.hessians)
+        # touching filter: u - phi <= eta_touch on the window (sign +1, from
+        # above), phi anchored at u(x0); mirrored for sign -1 (below).
+        state.masks, state.scans = {}, {}
+        for sign in signs:
+            before = state.window_scans
+            state.masks[sign] = [[np.packbits(state.touching(shift, sign, eta_touch))
+                                  for shift in row] for row in shifts]
+            state.scans[sign] = state.window_scans - before
+            del state._top[sign]  # one sign's window maxima at a time
+        del state.R
+        return state
 
     def __init__(self, u, grid, prob, rho):
         d, n, h = grid.d, grid.n, grid.h
@@ -274,6 +318,8 @@ class _State:
             Rs -= phi
         self._top = {}  # max_s sign * R_s by sign, made on first use
         self.window_scans = 0
+        self._laws = {}  # law_values by gradient nudge, made on first use
+        self._F = {}  # operator_value by Hessian nudge, made on first use
 
     def nudges(self, eta_grad, eta_hess):
         """(gradient nudges, Hessian nudges), each list led by the zero nudge.
@@ -333,17 +379,23 @@ class _State:
         self.window_scans += scan.size
         return ok
 
-    def law_values(self, dp, q):
-        """(sigma_plus, sigma_minus, clamped) at the gradient p_base + dp + q."""
-        g = [self.p_base[i] + dp[i] + q[i] for i in range(self.d)]
-        return self.prob.law_pair(gradient_norm(g))
+    def law_values(self, g):
+        """(sigma_plus, sigma_minus, clamped) at the gradient p_base + dp_g + q."""
+        if g not in self._laws:
+            dp, q = self.grads[g], self.prob.q_vector(self.d)
+            grad = [self.p_base[i] + dp[i] + q[i] for i in range(self.d)]
+            self._laws[g] = self.prob.law_pair(gradient_norm(grad))
+        return self._laws[g]
 
-    def operator_value(self, dM):
-        """F at the Hessian m_base + dM of every node."""
-        hess = np.empty(self.block_shape + (self.d, self.d))
-        for i, j in self.triu:
-            hess[..., i, j] = hess[..., j, i] = self.m_base[(i, j)] + dM[i, j]
-        return self.prob.operator.apply(hess)
+    def operator_value(self, k):
+        """F at the Hessian m_base + dM_k of every node."""
+        if k not in self._F:
+            dM = self.hessians[k]
+            hess = np.empty(self.block_shape + (self.d, self.d))
+            for i, j in self.triu:
+                hess[..., i, j] = hess[..., j, i] = self.m_base[(i, j)] + dM[i, j]
+            self._F[k] = self.prob.operator.apply(hess)
+        return self._F[k]
 
     def witness(self, ij, dp, dM, side):
         return TouchingTest(

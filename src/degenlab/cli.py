@@ -4,14 +4,17 @@ Subcommands
 -----------
 solve          solve the configured problem; writes field.csv and
                solve_diagnostics.json
-certify        check both viscosity inequalities on a stored field;
-               writes certificates.json
+certify        check both viscosity inequalities on a stored field, both
+               sides from one certifier state; writes certificates.json
 build-modulus  run the modulus pipeline; writes sequence_table.csv and
                modulus.json (--eval T also prints omega(T))
 measure        affine-excess decay of a stored field around each center
                (+ comparison with the configured modulus); writes
                decay_profile.csv, comparison.json and gradient_pairs.csv,
-               the field's one gradient-increment cloud
+               the field's one gradient-increment cloud.  The modulus is
+               read back from modulus.json when the manifest's
+               build-modulus entry has this config's digest and that
+               file's current digest; otherwise it is built
 report         bundle every JSON artifact in the output directory into
                summary.json
 
@@ -25,9 +28,12 @@ command in manifest.json.  A typed error prints one ``error:`` line.
 manifest.json keeps one entry per command that ran into the directory:
 config digest, seed, wall times per stage, counters (build-modulus:
 hold/root/cap steps per law, also on exit 4; measure: minimax fits, the
-fits whose duality gap is too wide to certify and the exchange steps of
-all fits) and a sha256 inventory of
-the files the command emitted; rerunning a command replaces its entry.
+fits whose duality gap is too wide to certify, the exchange steps of
+all fits and whether the modulus was read back) and a sha256 inventory
+of the files the command emitted; rerunning a command replaces its entry.
+A manifest of another schema or package version, or one that is not
+JSON or whose ``commands`` is not an object, is not ours: the next
+command starts it afresh, and measure does not trust it.
 All other outputs are byte-deterministic for a fixed config and seed;
 floats are written with 17 significant digits (JSON encodes non-finite
 values as the strings "inf", "-inf", "nan").  Field and CSV files move
@@ -50,7 +56,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .certifier import certify_max, certify_min
+from .certifier import BothSides, certify_max, certify_min
 from .config import RunConfig, load_config
 from .errors import (
     ConfigError,
@@ -60,7 +66,7 @@ from .errors import (
 )
 from .grids import DiscreteField, Grid
 from .lab import compare_modulus, decay_scan, gradient_pairs
-from .modulus import build_modulus
+from .modulus import Modulus, build_modulus
 # ``solve`` is bound here although the commands call only ``solve_cascade``:
 # bench/spans.py times the solver by wrapping degenlab.cli.solve.
 from .solver import solve, solve_cascade  # noqa: F401
@@ -120,6 +126,9 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+_MANIFEST_SCHEMA = "degenlab-manifest-v2"
+
+
 class _Run:
     """Output directory plus stage timings and counters, flushed into manifest.json.
 
@@ -158,12 +167,26 @@ class _Run:
         _write_csv(self._path(name), header, columns)
         self.files.append(name)
 
-    def finish(self) -> None:
-        path = self._path("manifest.json")
+    def commands(self) -> dict:
+        """The command entries of the directory's manifest.
+
+        Empty when there is none of ours yet: no file, or one that is not
+        JSON, has another schema or package version, or whose ``commands``
+        is not an object.
+        """
         try:
-            commands = json.loads(path.read_text(encoding="utf-8"))["commands"]
-        except (OSError, ValueError, KeyError, TypeError):
-            commands = {}  # none yet, or not one of ours: start afresh
+            doc = json.loads((self.dir / "manifest.json").read_text(encoding="utf-8"))
+        except (OSError, ValueError):
+            return {}
+        if not (isinstance(doc, dict) and doc.get("schema") == _MANIFEST_SCHEMA
+                and doc.get("package_version") == __version__
+                and isinstance(doc.get("commands"), dict)):
+            return {}
+        return doc["commands"]
+
+    def finish(self) -> None:
+        commands = self.commands()
+        path = self._path("manifest.json")
         commands[self.command] = {
             "config_sha256": self.config_digest,
             "seed": self.seed,
@@ -172,7 +195,7 @@ class _Run:
             "files": {name: _sha256(self.dir / name) for name in sorted(self.files)},
         }
         _write_json(path, {
-            "schema": "degenlab-manifest-v2",
+            "schema": _MANIFEST_SCHEMA,
             "package_version": __version__,
             "commands": commands,
         })
@@ -290,8 +313,9 @@ def cmd_certify(cfg: RunConfig, args, run: _Run) -> int:
     prob, _ = cfg.build_problem()
     u = read_field(args.field, grid)
     with run.stage("certify"):
-        rep_min = certify_min(u, prob)
-        rep_max = certify_max(u, prob)
+        both = BothSides(u)  # certify_min builds the state that certify_max reuses
+        rep_min = certify_min(both, prob)
+        rep_max = certify_max(both, prob)
     run.counters["certifier.window_scans"] = rep_min.window_scans + rep_max.window_scans
     passed = rep_min.passed and rep_max.passed
     run.emit_json(
@@ -358,8 +382,11 @@ def cmd_measure(cfg: RunConfig, args, run: _Run) -> int:
     if any(len(center) != grid.d for center in centers):
         raise ConfigError(f"config.lab.centers must be points of the {grid.d}-d grid")
     r, N = lab.get("r", 0.5), lab.get("N", 6)
-    omega = omega_error = None
-    if cfg.modulus is not None and cfg.problem is not None:
+    configured = cfg.modulus is not None and cfg.problem is not None
+    omega = _written_modulus(run) if configured else None
+    run.counters["modulus.loaded"] = int(omega is not None)
+    omega_error = None
+    if configured and omega is None:
         prob, _ = cfg.build_problem()
         try:
             _, _, omega = build_modulus(
@@ -404,6 +431,32 @@ def cmd_measure(cfg: RunConfig, args, run: _Run) -> int:
     run.emit_csv("gradient_pairs.csv", ("distance", "grad_diff"), cloud.T)
     run.emit_json("comparison.json", comparison)
     return EXIT_OK
+
+
+def _written_modulus(run: _Run) -> Modulus | None:
+    """The modulus that build-modulus wrote into the output directory from
+    the same config file, or None unless the manifest vouches for it.
+
+    The manifest must hold this package version's build-modulus entry with
+    this config's digest and the digest of modulus.json as it is now.  The
+    file's floats have 17 significant digits, so omega is the built one bit
+    for bit.
+    """
+    entry = run.commands().get("build-modulus")
+    try:
+        if entry["config_sha256"] != run.config_digest:
+            return None
+        data = (run.dir / "modulus.json").read_bytes()
+        if entry["files"]["modulus.json"] != hashlib.sha256(data).hexdigest():
+            return None  # edited since it was written
+        doc = json.loads(data)
+        return Modulus(r=float(doc["r"]), K=int(doc["K"]),
+                       tau=tuple(float(t) for t in doc["tau"]),
+                       tail_bound=float(doc["tail_bound"]))
+    except (OSError, ValueError, KeyError, TypeError, DegenlabError):
+        # no entry, an exit-4 entry that lists no modulus.json, no file, or
+        # not the shape build-modulus writes
+        return None
 
 
 def cmd_report(cfg: RunConfig, args, run: _Run) -> int:

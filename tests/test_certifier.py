@@ -14,6 +14,7 @@ import pytest
 
 from degenlab.benchmarks import exact_benchmark
 from degenlab.certifier import (
+    BothSides,
     CertifierConfig,
     _State,
     certify_max,
@@ -303,16 +304,60 @@ class TestTouchingFilter:
             pairs = rep.checked_nodes * rep.tested_candidates
             assert 0 < rep.window_scans < 0.1 * pairs
 
-    def test_one_copy_of_the_residual_blocks(self):
-        """A certify_min peaks below 1.25 times its residual blocks: a second
-        copy of them (a stacked R, say) does not fit."""
+    @pytest.mark.parametrize("paired", [False, True])
+    def test_one_copy_of_the_residual_blocks(self, paired):
+        """A certify_min, or both sides through one state, peaks below 1.25
+        times its residual blocks: a second copy of them (a stacked R, or
+        one R per side) does not fit."""
         u, prob = _bench_setup("radial-power", {"theta": 1.0, "d": 2}, 65)
-        certify_min(u, prob)
+
+        def certify():
+            if paired:
+                both = BothSides(u)
+                certify_min(both, prob)
+                certify_max(both, prob)
+            else:
+                certify_min(u, prob)
+
+        certify()
         tracemalloc.start()
         try:
-            certify_min(u, prob)
+            certify()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         offsets, block = 7 * 7 - 1, (65 - 2 * 3) ** 2
         assert peak < 1.25 * offsets * block * 8
+
+
+class TestBothSides:
+    """One state certifies both sides exactly as two one-side calls do."""
+
+    @pytest.mark.parametrize("min_first", [True, False])
+    @pytest.mark.parametrize("d, n", [(1, 65), (2, 21)])
+    @pytest.mark.parametrize("kind", ["exact", "planted", "kinked", "random", "steep"])
+    def test_reports_equal_one_side_calls(self, kind, d, n, min_first):
+        grid = Grid(d=d, n=n)
+        if kind == "exact":
+            u, prob = _bench_setup("radial-power", {"theta": 1.0, "d": d}, n)
+        else:
+            u = DiscreteField(grid=grid, values=_oracle_field(kind, grid))
+            prob = _mixed_problem(d, t_max=5.0)
+        both = BothSides(u)
+        sides = [certify_min, certify_max][::1 if min_first else -1]
+        for certify in sides:
+            shared, alone = certify(both, prob), certify(u, prob)
+            assert shared == alone
+            assert shared.window_scans == alone.window_scans
+
+    def test_another_config_builds_afresh(self):
+        grid = Grid(d=2, n=21)
+        u = DiscreteField(grid=grid, values=_oracle_field("random", grid))
+        prob = _mixed_problem(2)
+        both = BothSides(u)
+        certify_min(both, prob)
+        cfg = CertifierConfig(rho_test=2, eta_touch=1e-3)
+        for certify in (certify_min, certify_max):
+            shared, alone = certify(both, prob, cfg), certify(u, prob, cfg)
+            assert shared == alone
+            assert shared.window_scans == alone.window_scans

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from degenlab import lab, solver
+from degenlab import __version__, certifier, lab, solver
 from degenlab.certifier import CertifierConfig, certify_max, certify_min
 from degenlab.cli import (
     EXIT_CERTIFICATE,
@@ -232,6 +232,21 @@ class TestCertify:
         cert = json.loads((out / "certificates.json").read_text())
         assert "window_scans" not in cert["min_inequality"]
 
+    def test_one_state_per_command(self, run_config, monkeypatch):
+        path, out = run_config
+        main(["solve", "--config", str(path)])
+        built = []
+
+        class Spy(certifier._State):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(certifier, "_State", Spy)
+        field = str(out / "field.csv")
+        assert main(["certify", "--config", str(path), "--field", field]) == EXIT_OK
+        assert len(built) == 1
+
     def test_missing_field_is_config_error(self, run_config):
         path, _ = run_config
         assert (
@@ -360,7 +375,7 @@ class TestMeasure:
                     for x0 in cfg["lab"]["centers"] for rho in (0.5, 0.25))
         assert steps > 0  # the corner start is not optimal for this field
         assert counters == {"lab.fits": 4, "lab.uncertified_fits": uncertified,
-                            "lab.exchange_steps": steps}
+                            "lab.exchange_steps": steps, "modulus.loaded": 0}
         profile = (tmp_path / "out" / "decay_profile.csv").read_text().splitlines()
         assert len(profile) == 1 + counters["lab.fits"]  # one minimax fit per row
 
@@ -382,6 +397,97 @@ class TestMeasure:
         assert len(cloud) > 0
         assert (tmp_path / "out" / "gradient_pairs.csv").read_text() == csv_reference(
             ("distance", "grad_diff"), cloud)
+
+
+def _measure(path, out, field):
+    """(comparison.json bytes, the modulus.loaded counter) of one measure."""
+    argv = ["measure", "--config", str(path), "--out", str(out), "--field", str(field)]
+    assert main(argv) == EXIT_OK
+    entry = json.loads((out / "manifest.json").read_text())["commands"]["measure"]
+    return (out / "comparison.json").read_bytes(), entry["counters"]["modulus.loaded"]
+
+
+class TestMeasureReusesModulus:
+    """measure loads the omega of modulus.json only when the manifest vouches for it."""
+
+    @pytest.fixture
+    def field(self, tmp_path):
+        path = tmp_path / "field.csv"
+        path.write_text("x,u\n" + "".join(
+            f"{x:.17g},{abs(x) ** 1.5:.17g}\n" for x in np.linspace(-1.0, 1.0, 49)))
+        return path
+
+    def test_loaded_equals_built(self, run_config, field, tmp_path):
+        path, out = run_config
+        assert main(["build-modulus", "--config", str(path)]) == EXIT_OK
+        loaded = _measure(path, out, field)
+        built = _measure(path, tmp_path / "fresh", field)  # no build-modulus there
+        assert (loaded[1], built[1]) == (1, 0)
+        assert loaded[0] == built[0]
+        assert b'"C_star"' in loaded[0]
+
+    def test_edited_modulus_is_rebuilt(self, run_config, field, tmp_path):
+        path, out = run_config
+        assert main(["build-modulus", "--config", str(path)]) == EXIT_OK
+        mod = json.loads((out / "modulus.json").read_text())
+        mod["tail_bound"] += 1.0
+        (out / "modulus.json").write_text(json.dumps(mod))
+        assert _measure(path, out, field) == (_measure(path, tmp_path / "fresh", field)[0], 0)
+
+    def test_another_config_is_rebuilt(self, run_config, field, tmp_path):
+        path, out = run_config
+        assert main(["build-modulus", "--config", str(path)]) == EXIT_OK
+        cfg = json.loads(path.read_text())
+        cfg["modulus"]["K"] = 32
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps(cfg))
+        assert _measure(other, out, field) == (_measure(other, tmp_path / "fresh", field)[0], 0)
+
+    def test_exit_4_build_is_not_reused(self, run_config, field, tmp_path):
+        path, out = run_config
+        assert main(["build-modulus", "--config", str(path)]) == EXIT_OK
+        flat = json.loads(path.read_text())
+        flat["problem"] = {
+            "operator": {"kind": "trace", "lam": 1.0, "Lam": 1.0},
+            "sigma_plus": {"family": "exponential-flat", "t_max": 10.0},
+            "sigma_minus": {"family": "exponential-flat", "t_max": 10.0},
+            "f": 1.0,
+            "C0": 1.0,
+        }
+        flat_path = tmp_path / "flat.json"
+        flat_path.write_text(json.dumps(flat))
+        # the entry now carries this config's digest; modulus.json is the power one's
+        assert main(["build-modulus", "--config", str(flat_path)]) == EXIT_TAIL
+        assert (out / "modulus.json").exists()
+        comparison, loaded = _measure(flat_path, out, field)
+        assert (comparison, loaded) == (_measure(flat_path, tmp_path / "fresh", field)[0], 0)
+        assert set(json.loads(comparison)["centers"][0]["comparison"]) == {"error"}
+
+    @pytest.mark.parametrize("commands", [[], "build-modulus"])
+    def test_commands_not_an_object_is_not_a_manifest(self, run_config, field, commands):
+        path, out = run_config
+        out.mkdir()
+        bad = json.dumps({"schema": "degenlab-manifest-v2", "package_version": __version__,
+                          "commands": commands})
+        (out / "manifest.json").write_text(bad)
+        assert main(["build-modulus", "--config", str(path)]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert list(manifest["commands"]) == ["build-modulus"]
+        (out / "manifest.json").write_text(bad)  # modulus.json is now unvouched for
+        assert _measure(path, out, field)[1] == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert list(manifest["commands"]) == ["measure"]
+
+    def test_other_package_version_is_not_a_manifest(self, run_config, field):
+        path, out = run_config
+        assert main(["build-modulus", "--config", str(path)]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["package_version"] = "0.0.0"
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        assert _measure(path, out, field)[1] == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["package_version"] == __version__
+        assert list(manifest["commands"]) == ["measure"]
 
 
 class TestReport:
