@@ -12,7 +12,8 @@ provides, in dependency order:
 * ``elliptic``   Pucci extremal operators and uniformly elliptic F
 * ``grids``      uniform grids on [-1, 1]^d and discrete fields
 * ``benchmarks`` closed-form solutions used as solver ground truth
-* ``solver``     monotone wide-stencil discretization and pseudo-time solve
+* ``solver``     wide-stencil / flux-form schemes, non-decreasing in each
+                 neighbour for frozen sigma, and a pseudo-time solve
 * ``certifier``  discrete viscosity-inequality certificates
 * ``modulus``    the constructive modulus-of-continuity pipeline
 * ``lab``        empirical regularity measurements (affine-excess decay)

@@ -27,8 +27,9 @@ transmission-1d(theta1, theta2, c)
     the function u = kappa_1 x^{gamma_1} for x >= 0, u = -kappa_2
     |x|^{gamma_2} for x < 0 satisfies sigma_{sgn(u)}(|u'|) u'' = c sgn(x):
     substituting gives |u'|^{theta_i} u'' = (kappa_i gamma_i)^{1+theta_i}
-    (gamma_i - 1 + theta_i (gamma_i - 1) + gamma_i - 2 ... ) with all |x|
-    powers cancelling, and the kappa_i above normalize the constant to c.
+    (gamma_i - 1) |x|^{(gamma_i - 1)(1 + theta_i) - 1}, and
+    (gamma_i - 1)(1 + theta_i) = 1 cancels the power of |x|, so
+    |u'|^{theta_i} u'' = (kappa_i gamma_i)^{1+theta_i} / (1 + theta_i) = c.
     The source term is piecewise constant (f(0) = 0), the solution is C^1
     across the interface, and the positivity set switches exactly at 0.
 """

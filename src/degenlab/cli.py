@@ -23,7 +23,9 @@ non-convergence, 3 certificate failure, 4 modulus tail uncertifiable.
 ``main`` owns the run: every command computes before it writes, and the
 output directory is made by the first file written into it, so an exit 1
 writes nothing, not even the directory.  Exits 0, 2, 3 and 4 record the
-command in manifest.json.  A typed error prints one ``error:`` line.
+command in manifest.json.  A typed error prints one ``error:`` line, and
+so does a failed write into the output directory (exit 1; when only
+manifest.json cannot be written, the command's other files stay).
 
 manifest.json keeps one entry per command that ran into the directory:
 config digest, seed, wall times per stage, counters (build-modulus:
@@ -155,16 +157,20 @@ class _Run:
         finally:
             self.times[name] = time.perf_counter() - t0
 
-    def _path(self, name: str) -> Path:
-        self.dir.mkdir(parents=True, exist_ok=True)
-        return self.dir / name
+    def _write(self, name: str, write, *args) -> None:
+        """write(path, *args) for the file ``name``; an OSError is a ConfigError."""
+        try:
+            self.dir.mkdir(parents=True, exist_ok=True)
+            write(self.dir / name, *args)
+        except OSError as exc:
+            raise ConfigError(f"out: cannot write {name} into {self.dir}: {exc}") from exc
 
     def emit_json(self, name: str, obj) -> None:
-        _write_json(self._path(name), obj)
+        self._write(name, _write_json, obj)
         self.files.append(name)
 
     def emit_csv(self, name: str, header, columns) -> None:
-        _write_csv(self._path(name), header, columns)
+        self._write(name, _write_csv, header, columns)
         self.files.append(name)
 
     def commands(self) -> dict:
@@ -186,7 +192,6 @@ class _Run:
 
     def finish(self) -> None:
         commands = self.commands()
-        path = self._path("manifest.json")
         commands[self.command] = {
             "config_sha256": self.config_digest,
             "seed": self.seed,
@@ -194,7 +199,7 @@ class _Run:
             "counters": self.counters,
             "files": {name: _sha256(self.dir / name) for name in sorted(self.files)},
         }
-        _write_json(path, {
+        self._write("manifest.json", _write_json, {
             "schema": _MANIFEST_SCHEMA,
             "package_version": __version__,
             "commands": commands,
@@ -282,7 +287,7 @@ def cmd_solve(cfg: RunConfig, args, run: _Run) -> int:
     scheme = cfg.build_scheme(prob, grid, bench)
     try:
         with run.stage("solve"):
-            u, diag = solve_cascade(prob, grid, scheme, levels=cfg.levels)
+            u, diag = solve_cascade(prob, grid, scheme)
     except SolverDivergenceError as exc:
         if exc.diagnostics is not None:
             run.emit_json("solve_diagnostics.json", _diag_json(exc.diagnostics))
@@ -466,8 +471,8 @@ def cmd_report(cfg: RunConfig, args, run: _Run) -> int:
             continue
         try:
             pieces[path.name] = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"report: {path} is not valid JSON: {exc}") from exc
+        except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
+            raise ConfigError(f"report: cannot read {path} as JSON: {exc}") from exc
     if not pieces:
         raise ConfigError(f"report: no JSON artifacts in {run.dir}")
     run.emit_json(
@@ -524,11 +529,19 @@ def main(argv=None) -> int:
         run = _Run(cfg, args)
         code = args.fn(cfg, args, run)
     except DegenlabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        code = next(c for kind, c in _EXIT_CODES if isinstance(exc, kind))
+        code = _fail(exc)
     if code != EXIT_CONFIG:
-        run.finish()
+        try:
+            run.finish()
+        except ConfigError as exc:  # the manifest could not be written
+            code = _fail(exc)
     return code
+
+
+def _fail(exc: DegenlabError) -> int:
+    """Print the one ``error:`` line of a typed error; its exit code."""
+    print(f"error: {exc}", file=sys.stderr)
+    return next(c for kind, c in _EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ needs and rejects unknown keys everywhere; null stands for the default):
       "grid":    {"d": 2, "n": 65},
       "scheme":  {"tol_solve": 1e-6, "max_iter": 1000, "eps_deg": 1e-4,
                   "scheme": "auto",     # or the name of the one it picks
-                  "levels": 0},         # coarsenings below grid.n
+                  "levels": 3},         # or the ladder depth of grid.n
       "modulus": {"C": 1.0, "alpha0": 0.5, "delta": 0.125, "K": 256},
       "lab":     {"centers": [[0.0, 0.0]], "r": 0.5, "N": 6},
       "out":     "runs/demo",
@@ -29,7 +29,8 @@ needs and rejects unknown keys everywhere; null stands for the default):
 The benchmark form also fixes grid-independent defaults (exact boundary
 data, forcing, recommended gradient clamp); explicit fields f and g must
 be numbers in a config file (callables are API-only).  The problem fixes
-its discretization (``solver.scheme_name``); "scheme" only checks it.
+its discretization (``solver.scheme_name``) and n its coarsening ladder
+(``solver.cascade_sizes``); "scheme" and "levels" only check them.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .errors import ConfigError
 from .grids import Grid
 from .laws import law_from_config
 from .problem import ProblemInstance
-from .solver import SchemeConfig, scheme_name
+from .solver import SchemeConfig, cascade_sizes, scheme_name
 
 # Every value is converted once, by validate_config: each key of a block
 # names its conversion, and a malformed value is a one-line ConfigError.
@@ -227,6 +228,10 @@ class RunConfig:
         if s.get("scheme", "auto") not in ("auto", fixed):
             raise ConfigError(f"config.scheme.scheme is {s['scheme']!r}, but this "
                               f"problem gets {fixed!r}; use 'auto' or {fixed!r}")
+        depth = len(cascade_sizes(grid.n)) - 1
+        if s.get("levels", depth) != depth:
+            raise ConfigError(f"config.scheme.levels is {s['levels']}, but the n={grid.n} "
+                              f"grid gets {depth}; omit it or use {depth}")
         kwargs = {arg: s[key] for key, arg in (
             ("tol_solve", "tol"), ("max_iter", "max_iter"), ("eps_deg", "eps_deg"),
         ) if key in s}
@@ -238,11 +243,6 @@ class RunConfig:
         """The C / alpha0 / delta / K keyword arguments of build_modulus."""
         self.require("modulus")
         return {"C": 1.0, "alpha0": 0.5, "delta": 0.125, "K": 256, **self.modulus}
-
-    @property
-    def levels(self) -> int:
-        """Number of coarsenings of the solve cascade (0: fine grid only)."""
-        return self.scheme.get("levels", 0)
 
 
 def validate_config(data: dict) -> RunConfig:

@@ -161,7 +161,9 @@ class DegeneracyLaw:
 
         This is the flux potential of the one-dimensional equation:
         d/dx P(u') = sigma(u') u''.  Families without a closed form use a
-        dense cached trapezoid table, accurate to ~(t_max/2^14)^2.
+        dense cached trapezoid table on 2^14 cells, whose error is about
+        (t_max/2^14)^2 in absolute terms.  Below t_max/2^14, in the first
+        cell, the table is linear in t, so relative accuracy is lost there.
         """
         table = getattr(self, "_prim_table", None)
         if table is None:

@@ -1,4 +1,4 @@
-"""Monotone wide-stencil discretization and pseudo-transient Newton solver.
+"""Wide-stencil and flux-form discretizations and a pseudo-transient Newton solver.
 
 Discretization
 --------------
@@ -18,7 +18,8 @@ uniform grid: the axis frame {(1,0), (0,1)} and the diagonal frame
 
 Each is a min (or max) of linear branches sum_e c_e Delta_e with c_e >= 0
 (phi(t) = phi'(t) t, so a pucci branch takes c_e = phi'(Delta_e)), hence
-non-decreasing in every neighbour value.  The residual is
+non-decreasing in every neighbour value, and so is sigma F_h for frozen
+sigma.  The residual is
 
     R(u) = sigma_{sgn(u)}(max(|grad_h u + q|, eps_deg)) F_h(u) - f
 
@@ -628,33 +629,29 @@ def solve(prob: ProblemInstance, grid: Grid, cfg: SchemeConfig = SchemeConfig())
     return DiscreteField(grid=grid, values=u), diag(False)
 
 
-def solve_cascade(prob: ProblemInstance, grid: Grid, cfg: SchemeConfig, levels: int = 0):
-    """Solve on a coarsened-grid ladder, refining the solution as the start.
+def cascade_sizes(n: int) -> list:
+    """Grid sizes of ``solve_cascade``, coarsest first: n halves, as (n + 1) / 2,
+    while n - 1 is even and the coarse grid keeps MIN_NODES nodes per axis."""
+    sizes = [n]
+    while (n - 1) % 2 == 0 and (n + 1) // 2 >= MIN_NODES:
+        n = (n + 1) // 2
+        sizes.insert(0, n)
+    return sizes
 
-    ``levels`` counts coarsenings below ``grid``; each coarse level must
-    still have at least MIN_NODES nodes (n coarsens as (n+1)/2), else a
-    ConfigError is raised before any solve.  The coarsest level starts
-    cold; every finer one is one call of ``solve`` with the refined
-    solution below as ``initial``, so it starts warm and takes a few
-    Newton-like steps.  Returns the fine solution and the diagnostics of
-    the final (fine) solve, whose ``levels`` holds n, iterations, linear
-    solves, rejected steps, start residual (the sup residual of the
-    level's first iterate, which shows the refinement jump) and final
-    residual of every level, coarsest first.
+
+def solve_cascade(prob: ProblemInstance, grid: Grid, cfg: SchemeConfig):
+    """Solve on each grid of ``cascade_sizes``, refining each solution as the next start.
+
+    The coarsest level starts cold; every finer one is one call of
+    ``solve`` with the refined solution below as ``initial``, so it starts
+    warm and takes a few Newton-like steps.  Returns the fine solution and
+    the diagnostics of the final (fine) solve, whose ``levels`` holds n,
+    iterations, linear solves, rejected steps, start residual (the sup
+    residual of the level's first iterate, which shows the refinement
+    jump) and final residual of every level, coarsest first.
     """
-    ns = [grid.n]
-    for _ in range(levels):
-        n_c = (ns[-1] + 1) // 2
-        if (n_c - 1) * 2 != ns[-1] - 1:
-            raise ConfigError("solve_cascade: n - 1 must halve at every level")
-        if n_c < MIN_NODES:
-            raise ConfigError(f"solve_cascade: levels={levels} coarsens the n={grid.n} "
-                              f"grid below {MIN_NODES} nodes per axis")
-        ns.append(n_c)
-    ns.reverse()
-
+    ns = cascade_sizes(grid.n)
     u_prev = None
-    out_field, out_diag = None, None
     records = []
     for n in ns:
         level_grid = Grid(d=grid.d, n=n)

@@ -87,13 +87,13 @@ def test_criterion_2_solver_fidelity(capsys):
     for theta in (0.5, 1.0, 2.0):
         bench = exact_benchmark("radial-power", {"theta": theta, "d": 2})
         errs = {}
-        for n, levels in ((65, 1), (129, 2)):
+        for n in (65, 129):
             grid = Grid(d=2, n=n)
             cfg = SchemeConfig(
                 max_iter=400_000, tol=1e-7, eps_deg=bench.recommended_eps_deg(grid)
             )
             t0 = time.perf_counter()
-            u, diag = solve_cascade(bench.problem, grid, cfg, levels=levels)
+            u, diag = solve_cascade(bench.problem, grid, cfg)
             wall = time.perf_counter() - t0
             exact = bench.exact_on(grid)
             errs[n] = float(np.max(np.abs(u.values - exact)) / np.max(np.abs(exact)))
@@ -108,7 +108,7 @@ def test_criterion_2_solver_fidelity(capsys):
         max_iter=400_000, tol=1e-9, eps_deg=bench.recommended_eps_deg(grid)
     )
     t0 = time.perf_counter()
-    u, diag = solve_cascade(bench.problem, grid, cfg, levels=2)
+    u, diag = solve_cascade(bench.problem, grid, cfg)
     wall = time.perf_counter() - t0
     exact = bench.exact_on(grid)
     err = float(np.max(np.abs(u.values - exact)) / np.max(np.abs(exact)))
@@ -252,7 +252,7 @@ def test_criterion_7_end_to_end_envelope(capsys):
         tol=1e-6,
         eps_deg=bench.recommended_eps_deg(grid),
     )
-    u, diag = solve_cascade(bench.problem, grid, cfg, levels=4)
+    u, diag = solve_cascade(bench.problem, grid, cfg)
     profile = decay_scan(u, (0.0,), 0.5, 6)
 
     lo, hi = 2.0**-6, 2.0**-2
@@ -298,7 +298,7 @@ def test_criterion_8_determinism(capsys, tmp_path):
     cfg = {
         "problem": {"benchmark": "radial-power", "params": {"theta": 1.0, "d": 1}},
         "grid": {"d": 1, "n": 97},
-        "scheme": {"tol_solve": 1e-6, "scheme": "flux-1d", "levels": 2},
+        "scheme": {"tol_solve": 1e-6, "scheme": "flux-1d"},
         "modulus": {"C": 1.0, "alpha0": 0.5, "delta": 0.125, "K": 128},
         "lab": {"centers": [[0.0]], "r": 0.5, "N": 4},
         "seed": 11,

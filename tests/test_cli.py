@@ -87,16 +87,11 @@ class TestSolve:
         diag = json.loads((tmp_path / "stall" / "solve_diagnostics.json").read_text())
         assert diag["converged"] is False
 
-    def test_diagnostics_report_levels_and_linear_solves(self, run_config, tmp_path):
-        path, _ = run_config
-        cfg = json.loads(path.read_text())
-        cfg["scheme"]["levels"] = 1
-        cfg["out"] = str(tmp_path / "levels")
-        p2 = tmp_path / "levels.json"
-        p2.write_text(json.dumps(cfg))
-        assert main(["solve", "--config", str(p2)]) == EXIT_OK
-        diag = json.loads((tmp_path / "levels" / "solve_diagnostics.json").read_text())
-        assert [lv["n"] for lv in diag["levels"]] == [25, 49]
+    def test_diagnostics_report_levels_and_linear_solves(self, run_config):
+        path, out = run_config
+        assert main(["solve", "--config", str(path)]) == EXIT_OK
+        diag = json.loads((out / "solve_diagnostics.json").read_text())
+        assert [lv["n"] for lv in diag["levels"]] == [13, 25, 49]
         finest = diag["levels"][-1]
         assert finest["linear_solves"] == diag["linear_solves"] >= 1
         assert finest["iterations"] == diag["iterations"]
@@ -143,9 +138,8 @@ class TestSolve:
             assert err.startswith("error: residual became non-finite")
             assert files == {"solve_diagnostics.json"}
 
-    @pytest.mark.parametrize("levels, sizes", [(None, [33]), (0, [33]), (1, [17, 33])])
-    def test_levels_counts_coarsenings(self, run_config, tmp_path, monkeypatch,
-                                       levels, sizes):
+    @pytest.mark.parametrize("levels", [None, 2])
+    def test_solve_climbs_the_ladder_of_n(self, run_config, tmp_path, monkeypatch, levels):
         path, _ = run_config
         cfg = json.loads(path.read_text())
         cfg["grid"]["n"] = 33
@@ -162,7 +156,7 @@ class TestSolve:
 
         monkeypatch.setattr(solver, "solve", spy)
         assert main(["solve", "--config", str(p2)]) == EXIT_OK
-        assert seen == sizes
+        assert seen == [9, 17, 33]
 
 
 class TestCertify:
@@ -510,6 +504,21 @@ class TestReport:
             == EXIT_CONFIG
         )
 
+    @pytest.mark.parametrize("artifact", ["a directory", "not UTF-8", "not JSON"])
+    def test_unreadable_artifact_is_one_line_config_error(self, run_config, capsys,
+                                                          artifact):
+        path, out = run_config
+        bad = out / "bad.json"
+        if artifact == "a directory":
+            bad.mkdir(parents=True)
+        else:
+            out.mkdir()
+            bad.write_bytes(b"\xff\xfe{" if artifact == "not UTF-8" else b"{oops")
+        assert main(["report", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: report: cannot read {bad} as JSON")
+        assert err.count("\n") == 1
+
 
 class TestManifest:
     def test_one_entry_per_command(self, run_config):
@@ -769,8 +778,8 @@ class TestNoOutputOnConfigError:
             "grid": {"d": 1, "n": 17},
             "scheme": {"levels": 2},
         })
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "levels=2" in err and err.count("\n") == 1
+        assert capsys.readouterr().err == ("error: config.scheme.levels is 2, but the n=17 "
+                                           "grid gets 1; omit it or use 1\n")
 
     def test_solve_on_a_grid_past_an_array_index(self, tmp_path, capsys):
         self._run(tmp_path, "solve", {
@@ -809,6 +818,29 @@ class TestNoOutputOnConfigError:
             "problem": self.BAD_LAW, "grid": {"d": 1, "n": 17}, "modulus": self.MODULUS,
             "lab": {"centers": [[0.0]], "r": 0.5, "N": 2},
         }, field=self._field_1d(tmp_path, 17))
+
+
+class TestUnusableOutputDirectory:
+    """A write into --out that fails is one error line and exit 1."""
+
+    @pytest.mark.parametrize("out", ["taken", "taken/sub"])
+    def test_out_under_or_at_a_file(self, run_config, tmp_path, capsys, out):
+        path, _ = run_config
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        argv = ["build-modulus", "--config", str(path), "--out", str(tmp_path / out)]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: out: cannot write sequence_table.csv")
+        assert err.count("\n") == 1
+        assert taken.read_text() == "kept\n"
+
+    def test_manifest_that_cannot_be_written(self, run_config, capsys):
+        path, out = run_config
+        (out / "manifest.json").mkdir(parents=True)
+        assert main(["build-modulus", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: out: cannot write manifest.json") and err.count("\n") == 1
 
 
 class TestImports:

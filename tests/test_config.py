@@ -130,11 +130,30 @@ class TestSchemeBuild:
         prob, bench = cfg.build_problem()
         assert cfg.build_scheme(prob, grid, bench).eps_deg == 0.01
 
-    def test_levels_default_and_override(self):
-        assert validate_config(_base()).levels == 0
+    @pytest.mark.parametrize("n, levels", [(49, None), (49, 2), (65, 3), (129, 4), (64, 0)])
+    def test_levels_equal_to_the_ladder_depth_is_accepted(self, n, levels):
         data = _base()
-        data["scheme"]["levels"] = 3
-        assert validate_config(data).levels == 3
+        data["grid"]["n"] = n
+        data["scheme"]["levels"] = levels
+        cfg = validate_config(data)
+        grid = cfg.build_grid()
+        prob, bench = cfg.build_problem()
+        assert cfg.build_scheme(prob, grid, bench) == SchemeConfig(
+            tol=1e-6, eps_deg=bench.recommended_eps_deg(grid))
+
+    @pytest.mark.parametrize("n, levels, depth", [(17, 2, 1), (49, 0, 2), (97, 2, 3),
+                                                 (385, 4, 5), (64, 1, 0)])
+    def test_levels_other_than_the_ladder_depth_is_rejected(self, n, levels, depth):
+        data = _base()
+        data["grid"]["n"] = n
+        data["scheme"]["levels"] = levels
+        cfg = validate_config(data)
+        prob, bench = cfg.build_problem()
+        message = (f"config.scheme.levels is {levels}, but the n={n} grid gets {depth}; "
+                   f"omit it or use {depth}")
+        with pytest.raises(ConfigError) as info:
+            cfg.build_scheme(prob, cfg.build_grid(), bench)
+        assert str(info.value) == message
 
 
 class TestLoad:

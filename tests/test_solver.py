@@ -1,4 +1,4 @@
-"""Monotone grid solver: convergence against closed-form benchmarks."""
+"""Grid solver: convergence against closed-form benchmarks."""
 
 import dataclasses
 
@@ -9,7 +9,14 @@ from degenlab import solver
 from degenlab.benchmarks import exact_benchmark
 from degenlab.errors import ConfigError
 from degenlab.grids import DiscreteField, Grid
-from degenlab.solver import MAX_ITER, SchemeConfig, residual, solve, solve_cascade
+from degenlab.solver import (
+    MAX_ITER,
+    SchemeConfig,
+    cascade_sizes,
+    residual,
+    solve,
+    solve_cascade,
+)
 
 
 def _rel_sup_error(u, exact):
@@ -17,14 +24,11 @@ def _rel_sup_error(u, exact):
     return float(np.max(np.abs(u.values - exact))) / scale
 
 
-def _solve_benchmark(name, params, n, tol=1e-6, levels=0):
+def _solve_benchmark(name, params, n, tol=1e-6, cascade=False):
     bench = exact_benchmark(name, params)
     grid = Grid(d=bench.d, n=n)
     cfg = SchemeConfig(tol=tol, eps_deg=bench.recommended_eps_deg(grid))
-    if levels:
-        u, diag = solve_cascade(bench.problem, grid, cfg, levels=levels)
-    else:
-        u, diag = solve(bench.problem, grid, cfg)
+    u, diag = (solve_cascade if cascade else solve)(bench.problem, grid, cfg)
     return u, diag, bench.exact_on(grid)
 
 
@@ -47,7 +51,7 @@ class TestAffine:
 class TestRadial:
     def test_radial_1d_flux_scheme(self):
         u, diag, exact = _solve_benchmark(
-            "radial-power", {"theta": 1.0, "d": 1}, n=97, levels=2
+            "radial-power", {"theta": 1.0, "d": 1}, n=97, cascade=True
         )
         assert diag.converged
         assert diag.scheme == "flux-1d"
@@ -129,7 +133,7 @@ class TestDiagnostics:
         grid = Grid(d=1, n=97)
         cfg = SchemeConfig(tol=1e-7, eps_deg=bench.recommended_eps_deg(grid))
         u_direct, _ = solve(bench.problem, grid, cfg)
-        u_casc, diag = solve_cascade(bench.problem, grid, cfg, levels=2)
+        u_casc, diag = solve_cascade(bench.problem, grid, cfg)
         assert diag.converged
         assert np.max(np.abs(u_direct.values - u_casc.values)) < 1e-4
 
@@ -159,7 +163,7 @@ class TestPseudoTransient:
         bench = exact_benchmark("transmission-1d", {"theta1": 1.0, "theta2": 2.0, "c": 1.0})
         grid = Grid(d=1, n=129)
         cfg = SchemeConfig(tol=1e-6, eps_deg=bench.recommended_eps_deg(grid))
-        _, diag = solve_cascade(bench.problem, grid, cfg, levels=4)
+        _, diag = solve_cascade(bench.problem, grid, cfg)
         assert [lv["n"] for lv in diag.levels] == [9, 17, 33, 65, 129]
         assert all(lv["final_residual"] <= cfg.tol for lv in diag.levels)
         # a handful of Newton steps per level, not thousands of explicit ones;
@@ -175,14 +179,28 @@ class TestPseudoTransient:
         # every residual is kept by default
         assert [it for it, _ in diag.residual_history] == list(range(1, diag.iterations + 1))
 
-    @pytest.mark.parametrize("n, levels", [(17, 2), (9, 1), (33, 3)])
-    def test_cascade_below_the_minimum_grid_is_config_error(self, monkeypatch, n, levels):
+    @pytest.mark.parametrize("n, sizes", [
+        (65, [9, 17, 33, 65]),
+        (129, [9, 17, 33, 65, 129]),
+        (385, [13, 25, 49, 97, 193, 385]),
+        (17, [9, 17]),
+        (9, [9]),  # 5 nodes would fall below MIN_NODES
+        (10, [10]),  # n - 1 odd
+        (11, [11]),  # 6 nodes would fall below MIN_NODES
+        (64, [64]),
+    ])
+    def test_ladder_halves_while_it_can(self, n, sizes):
+        assert cascade_sizes(n) == sizes
+
+    @pytest.mark.parametrize("n", [10, 64])
+    def test_a_grid_that_cannot_coarsen_is_one_cold_solve(self, n):
         bench = exact_benchmark("radial-power", {"theta": 1.0, "d": 1})
-        calls = []
-        monkeypatch.setattr(solver, "solve", lambda *a: calls.append(a))
-        with pytest.raises(ConfigError, match=f"levels={levels} .* n={n} "):
-            solve_cascade(bench.problem, Grid(d=1, n=n), SchemeConfig(), levels=levels)
-        assert calls == []  # raised before any solve
+        grid = Grid(d=1, n=n)
+        cfg = SchemeConfig(tol=1e-6, eps_deg=bench.recommended_eps_deg(grid))
+        u_casc, diag = solve_cascade(bench.problem, grid, cfg)
+        u, _ = solve(bench.problem, grid, cfg)
+        assert [lv["n"] for lv in diag.levels] == [n]
+        assert np.array_equal(u_casc.values, u.values)
 
     @pytest.mark.parametrize("kind", ["pucci-minus", "pucci-plus", "bellman-min-of-traces"])
     def test_one_dimensional_wide_stencil_kinds_solve(self, kind):
@@ -205,13 +223,13 @@ class TestPseudoTransient:
 class TestWarmStart:
     """A given start begins pseudo-time far above the explicit cap."""
 
-    @pytest.mark.parametrize("name, params, n, tol, levels", [
-        ("radial-power", {"theta": 1.0, "d": 2}, 65, 1e-4, 3),
-        ("transmission-1d", {"theta1": 1.0, "theta2": 2.0, "c": 1.0}, 129, 1e-6, 4),
+    @pytest.mark.parametrize("name, params, n, tol", [
+        ("radial-power", {"theta": 1.0, "d": 2}, 65, 1e-4),
+        ("transmission-1d", {"theta1": 1.0, "theta2": 2.0, "c": 1.0}, 129, 1e-6),
     ], ids=["radial-2d", "transmission-1d"])
-    def test_refined_levels_take_a_few_factorizations(self, name, params, n, tol, levels):
-        _, diag, _ = _solve_benchmark(name, params, n=n, tol=tol, levels=levels)
-        assert diag.converged and len(diag.levels) == levels + 1
+    def test_refined_levels_take_a_few_factorizations(self, name, params, n, tol):
+        _, diag, _ = _solve_benchmark(name, params, n=n, tol=tol, cascade=True)
+        assert diag.converged and [lv["n"] for lv in diag.levels] == cascade_sizes(n)
         for lv in diag.levels[1:]:
             assert lv["linear_solves"] <= 5, lv
             assert lv["rejected_steps"] == 0, lv
@@ -241,7 +259,7 @@ class TestWarmStart:
 
         monkeypatch.setattr(solver, "solve", spy)
         cfg = SchemeConfig(tol=1e-6, eps_deg=bench.recommended_eps_deg(grid))
-        _, diag = solve_cascade(bench.problem, grid, cfg, levels=3)
+        _, diag = solve_cascade(bench.problem, grid, cfg)
         assert [n for n, _ in calls] == [lv["n"] for lv in diag.levels] == [9, 17, 33, 65]
         assert calls[0][1] is None
         for n, initial in calls[1:]:
