@@ -29,7 +29,8 @@ manifest.json cannot be written, the command's other files stay).
 
 manifest.json keeps one entry per command that ran into the directory:
 config digest, seed, wall times per stage, counters (build-modulus:
-hold/root/cap steps per law, also on exit 4; measure: minimax fits, the
+hold/root/cap steps per law and the root search's calls of each law,
+also on exit 4; measure: minimax fits, the
 fits whose duality gap is too wide to certify, the exchange steps of
 all fits and whether the modulus was read back) and a sha256 inventory
 of the files the command emitted; rerunning a command replaces its entry.
@@ -340,6 +341,11 @@ def cmd_certify(cfg: RunConfig, args, run: _Run) -> int:
     return EXIT_OK
 
 
+def _count_recursion(run: _Run, table) -> None:
+    run.counters["modulus.branches"] = table.branch_counts()
+    run.counters["modulus.root_evaluations"] = table.root_evaluations
+
+
 def cmd_build_modulus(cfg: RunConfig, args, run: _Run) -> int:
     prob, _ = cfg.build_problem()
     try:
@@ -349,9 +355,9 @@ def cmd_build_modulus(cfg: RunConfig, args, run: _Run) -> int:
             )
     except UncertifiableTailError as exc:
         if exc.table is not None:  # the recursion ran: its caps explain the exit
-            run.counters["modulus.branches"] = exc.table.branch_counts()
+            _count_recursion(run, exc.table)
         raise
-    run.counters["modulus.branches"] = table.branch_counts()
+    _count_recursion(run, table)
     if args.eval is not None:  # a T outside [0, 1] is an exit 1: before any write
         print(f"{omega(float(args.eval)):.17g}")
     run.emit_csv(

@@ -39,10 +39,12 @@ relative slack of 1e-12; anything else, NaN included, raises DomainError.
 Scalars come back as floats, arrays keep their shape.  A family supplies
 only ``_raw`` (sigma on checked arrays) and the closed forms it has,
 wrapped by ``_inverse`` / ``_primitive`` so that every class still defines
-its own ``inverse``.  Without a closed form the inverse is the generic bisection,
-which is accurate to one unit in the last place of t wherever the inverse
-is a normal double and returns 0 where the exact inverse underflows, so
-sigma(sigma^{-1}(s)) / s - 1 stays at rounding level down to s = 1e-300.
+its own ``inverse``.  Without a closed form the inverse is the generic root
+search (``flip_doubles``, a handful of calls of sigma for all targets at
+once), which is accurate to one unit in the last place of t wherever the
+inverse is a normal double and returns 0 where the exact inverse
+underflows, so sigma(sigma^{-1}(s)) / s - 1 stays at rounding level down to
+s = 1e-300.
 """
 
 from __future__ import annotations
@@ -75,26 +77,174 @@ def _checked(law, x, top: float, what: str):
     return arr, arr.ndim == 0
 
 
-def bisect_doubles(below, top):
-    """Adjacent doubles t_lo < t_hi in [0, top] where ``below`` turns false.
+# Root search on bit patterns (``flip_doubles``).  Non-negative doubles are
+# ordered like their int64 bit patterns, so a bracket is a pair of patterns.
+# After round r every bracket spans at most 2^(64 - r) patterns (the
+# projection of the ITP method, Oliveira & Takahashi, ACM TOMS 47(1), 2021):
+# at most 65 rounds, bisection's 63 plus a slack that interpolation spends.
+_BUDGET_BITS = 64
 
-    ``below`` maps an array of t (shaped like ``top``) to booleans that
-    are true on an initial segment of each entry's interval [0, top].
-    Non-negative doubles are ordered like their bit patterns, so halving
-    the integer interval between two patterns bisects the bracket in
-    (piecewise-linear) log t.  The loop stops when every bracket's ends
-    are adjacent doubles, at most 64 steps.  ``below`` is only ever
-    evaluated strictly inside (0, top): t_lo is 0 or a point where it
-    holds, t_hi is ``top`` or a point where it fails.
+
+def flip_doubles(funcs, target, top):
+    """Adjacent doubles t_lo < t_hi in [0, top] where f(t) < target turns false.
+
+    Row i of ``target`` (shape (m, n)) thresholds one increasing function
+    ``funcs[i]``, which maps a 1-d array of t to values; the entries of a
+    row differ only in their target and their ``top`` (broadcast to the
+    shape of ``target``).  ``f(t) < target`` must hold on an initial
+    segment of each entry's [0, top]: t_lo is 0 or a point where it holds,
+    t_hi is ``top`` or a point where it fails, and f is only ever
+    evaluated strictly inside (0, top), at the entries still open.  Where
+    the predicate is monotone its flip is unique, so the result is the one
+    bisection of the bit patterns would give, bit for bit.
+
+    Probes are placed in rounds, each calling every row's function once:
+
+    * the first round spreads one probe per entry evenly over the bit
+      patterns of the row's range; since the row shares one function,
+      each entry takes the row's nearest samples around its target as its
+      bracket, and the next one down as a third point;
+    * later probes interpolate in log t: inverse quadratic through the
+      bracket ends and the last end replaced, else the secant, on
+      f - target, or on log(f / target) where the target is positive
+      (power laws are straight lines there);
+    * the probe is then pushed toward the middle of the bracket by the
+      width over which the rounding of f leaves the flip undecided (one
+      unit in the last place of the target over the slope), so that
+      consecutive probes straddle the flip instead of creeping up on it;
+    * the bracket is halved instead where an end value is not finite (a
+      log of sigma = 0), where the ends' values differ by two units in the
+      last place of the target or less (interpolation carries no
+      information there, and never will again), and where a probe would
+      break the round's budget above; an end never evaluated (0 or
+      ``top``) is first probed at its neighbouring double, which settles
+      a flip at either end in one round.
+
+    Returns (t_lo, t_hi, rounds), where each round called every row's
+    function at most once.
     """
-    lo = np.zeros(np.shape(top), dtype=np.int64)
-    hi = np.array(top, dtype=np.float64).view(np.int64)
-    while np.any(hi - lo > 1):
+    target = np.asarray(target, dtype=np.float64)
+    top_bits = np.array(np.broadcast_to(top, target.shape), dtype=np.float64).view(np.int64)
+    open_ = top_bits > 1
+    if not open_.any():
+        return np.zeros(target.shape), top_bits.view(np.float64), 0
+    # f's warnings (a log of sigma = 0) and those of the interpolation are
+    # silenced: the search reads non-finite values as they are
+    with np.errstate(all="ignore"):
+        probe = _spread(top_bits)
+        brackets = _Brackets(target, top_bits, probe, _evaluate(funcs, probe, open_))
+        rounds = 1
+        while True:
+            open_ = brackets.hi - brackets.lo > 1
+            if not open_.any():
+                return brackets.lo.view(np.float64), brackets.hi.view(np.float64), rounds
+            budget = np.int64(1) << np.int64(min(_BUDGET_BITS - rounds, 62))
+            probe = brackets.next_probe(open_, budget)
+            brackets.update(probe, _evaluate(funcs, probe, open_), open_)
+            rounds += 1
+
+
+def _evaluate(funcs, probe, open_):
+    """f at the probes of the open entries, NaN elsewhere."""
+    f = np.full(probe.shape, np.nan)
+    for i, func in enumerate(funcs):
+        if open_[i].all():
+            f[i] = func(probe[i].view(np.float64))
+        elif open_[i].any():
+            j = np.flatnonzero(open_[i])
+            f[i, j] = func(probe[i, j].view(np.float64))
+    return f
+
+
+def _spread(top_bits):
+    """First-round probes: a grid over each row's largest range, smallest
+    grid points to the entries with the smallest tops."""
+    rank = np.argsort(np.argsort(top_bits, axis=1, kind="stable"), axis=1)
+    grid = top_bits.max(axis=1, keepdims=True) * ((rank + 0.5) / top_bits.shape[1])
+    return np.clip(grid.astype(np.int64), 1, np.maximum(top_bits - 1, 1))
+
+
+def _excess(f, target):
+    """f - target, or log(f / target) where the target is positive."""
+    positive = target > 0.0
+    if positive.any():
+        return np.where(positive, np.log(f / target), f - target)
+    return f - target
+
+
+class _Brackets:
+    """The brackets of ``flip_doubles``: lo, hi and a third point as bit
+    patterns, and f at each (-inf at lo = 0 and at third = 0, which stands
+    for none; inf at hi = top)."""
+
+    def __init__(self, target, top, probe, f):
+        """Brackets from all first-round samples of each row, which share
+        one function."""
+        self.target, self.top, self.ulp = target, top, np.spacing(np.abs(target))
+        self.lo, self.hi, self.third = np.zeros_like(top), top.copy(), np.zeros_like(top)
+        self.f_lo, self.f_hi, self.f_3 = (np.full(f.shape, v) for v in (-np.inf, np.inf, -np.inf))
+        self.interpolating = True
+        for i in range(top.shape[0]):
+            j = np.flatnonzero(top[i] > 1)  # the entries with an inside
+            order = j[np.argsort(probe[i, j], kind="stable")]
+            # the samples in increasing t (and f), after two never-evaluated zeros
+            ts = np.concatenate(([0, 0], probe[i, order], [0]))
+            fs = np.concatenate(([-np.inf, -np.inf], f[i, order], [np.inf]))
+            inside = np.searchsorted(ts[2:-1], top[i, j])  # samples below each top
+            k = np.minimum(np.searchsorted(fs[2:-1], target[i, j]), inside)  # ... each target
+            self.lo[i, j], self.f_lo[i, j] = ts[k + 1], fs[k + 1]
+            self.third[i, j], self.f_3[i, j] = ts[k], fs[k]
+            has_hi = k < inside
+            self.hi[i, j] = np.where(has_hi, ts[k + 2], top[i, j])
+            self.f_hi[i, j] = np.where(has_hi, fs[k + 2], np.inf)
+
+    def update(self, probe, f, open_):
+        """Move each open entry's end on the probe's side to the probe; the
+        end it replaces becomes the third point while interpolation lasts."""
+        below = f < self.target  # NaN at the closed entries
+        above = open_ & ~below
+        if self.interpolating:
+            self.third = np.where(below, self.lo, np.where(above, self.hi, self.third))
+            self.f_3 = np.where(below, self.f_lo, np.where(above, self.f_hi, self.f_3))
+            self.f_lo = np.where(below, f, self.f_lo)
+            self.f_hi = np.where(above, f, self.f_hi)
+        self.lo = np.where(below, probe, self.lo)
+        self.hi = np.where(above, probe, self.hi)
+
+    def next_probe(self, open_, budget):
+        """Bisection where the ends' values differ by two units in the last
+        place of the target or less, from then on for good; interpolation
+        elsewhere."""
+        lo, hi = self.lo, self.hi
         mid = lo + (hi - lo) // 2
-        is_below = below(mid.view(np.float64))
-        lo = np.where(is_below, mid, lo)
-        hi = np.where(is_below, hi, mid)
-    return lo.view(np.float64), hi.view(np.float64)
+        if not self.interpolating:
+            return mid
+        f_lo, f_hi = self.f_lo, self.f_hi
+        df = f_hi - f_lo
+        live = open_ & ~(df <= 2.0 * self.ulp)  # inf at an end never evaluated; NaN too
+        if not live.any():
+            self.interpolating = False
+            return mid
+        y_lo, y_hi, y_3 = _excess(np.stack((f_lo, f_hi, self.f_3)), self.target)
+        w = (hi - lo).astype(np.float64)
+        t_lo = lo.view(np.float64)
+        # coordinate u = log(t / t_lo) of hi and the third point
+        u_hi, u_3 = np.log(np.stack((hi, self.third)).view(np.float64) / t_lo)
+        # inverse quadratic through (0, y_lo), (u_hi, y_hi), (u_3, y_3), else the secant
+        slope = u_hi / (y_hi - y_lo)
+        u_quad = y_lo / (y_hi - y_3) * (y_3 * slope - u_3 * y_hi / (y_3 - y_lo))
+        u = np.where((u_quad > 0.0) & (u_quad < u_hi), u_quad, -y_lo * slope)
+        off = ((t_lo * np.exp(u)).view(np.int64) - lo).astype(np.float64)
+        # push toward the middle by the width the rounding of f leaves open
+        to_mid = 0.5 * w - off
+        off += np.copysign(np.minimum(np.maximum(self.ulp * w / df, 1.0), np.abs(to_mid)), to_mid)
+        probe = np.where(live & np.isfinite(u), lo + off.astype(np.int64), mid)
+        # an end never evaluated is probed at its neighbour first
+        probe = np.where(lo == 0, 1, np.where(hi == self.top, hi - 1, probe))
+        if budget >= (hi - lo).max():  # the budget leaves every bracket free
+            return np.clip(probe, lo + 1, hi - 1)
+        budget = np.minimum(budget, hi - lo)  # lo + budget stays an int64
+        return np.clip(probe, np.maximum(lo + 1, hi - budget), np.minimum(hi - 1, lo + budget))
 
 
 def _on_range(what: str, top):
@@ -134,15 +284,13 @@ class DegeneracyLaw:
     def inverse(self, s):
         """Solve sigma(t) = s on [0, t_max] for every target at once.
 
-        ``bisect_doubles`` brackets each root between adjacent doubles;
+        ``flip_doubles`` brackets each root between adjacent doubles;
         the end whose sigma is nearer the target is returned: a relative
         precision of one ulp in t down to the smallest normal double, and
         0 where the exact inverse underflows.
         """
-        flat = s.reshape(-1)
-        t_lo, t_hi = bisect_doubles(
-            lambda t: self._raw(t) < flat, np.full(flat.shape, float(self.t_max))
-        )
+        flat = s.reshape(1, -1)
+        t_lo, t_hi, _ = flip_doubles((self._raw,), flat, float(self.t_max))
         nearer_lo = flat - self._raw(t_lo) <= self._raw(t_hi) - flat
         return np.where(nearer_lo, t_lo, t_hi).reshape(s.shape)
 
@@ -454,5 +602,7 @@ def a_sequence(law1: DegeneracyLaw, law2: DegeneracyLaw, theta: float, K: int):
         return []
     powers = theta ** np.arange(1, K + 1, dtype=float)
     b1 = np.asarray(law1.inverse(powers), dtype=float)
+    if law2 == law1:  # equal laws (frozen dataclasses compare by value): invert once
+        return b1.tolist()
     b2 = np.asarray(law2.inverse(powers), dtype=float)
     return np.maximum(b1, b2).tolist()

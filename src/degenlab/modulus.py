@@ -31,16 +31,19 @@ four steps, each exposed as one operation:
 
         h_i(t) = t sigma_i(min(t, t_max)) >= c_k r^k,
 
-    which does not involve the recursion.  So one vectorized bisection
-    per law (``laws.bisect_doubles``) gives every t*_k, the smallest
-    double with h_i(t) >= c_k r^k, comparing log t + log sigma_i(t) with
-    log c_k + k log r: c_k r^k itself underflows near k = 230 at
-    r = 1/16.  The recursion is then a scalar pass without law calls:
-    mu = t*_k / (tau_{k-1} c_k) is held at mu*_{k-1} when mu <= mu*_{k-1},
-    capped at 1 when mu > 1, and otherwise taken as the root.  Each
-    label comes from that one comparison, so a root is strictly above
-    mu*_{k-1} and mu* is nondecreasing even at near-ties, not only up to
-    rounding.
+    which does not involve the recursion.  So one root search
+    (``laws.flip_doubles``) gives every t*_k of both laws at once, the
+    smallest double with h_i(t) >= c_k r^k, comparing log t +
+    log sigma_i(t) with log c_k + k log r: c_k r^k itself underflows near
+    k = 230 at r = 1/16.  The search shares each law's samples among all
+    k, interpolates in log t and calls each distinct law a handful of
+    times (``SequenceTable.root_evaluations``: 13 to 15 on the benchmark's
+    law pairs at K = 256); equal laws are searched once.  The recursion
+    is then a scalar pass without law calls: mu = t*_k / (tau_{k-1} c_k)
+    is held at mu*_{k-1} when mu <= mu*_{k-1}, capped at 1 when mu > 1,
+    and otherwise taken as the root.  Each label comes from that one
+    comparison, so a root is strictly above mu*_{k-1} and mu* is
+    nondecreasing even at near-ties, not only up to rounding.
 4.  ``assemble_omega``:  omega(t) sums the amplitude products tau_n from
     the scale index of t up to the truncation K, plus a certified bound
     on the dropped tail.
@@ -67,13 +70,14 @@ test raise UncertifiableTailError: enlarge K or fix the law.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, NumericError, UncertifiableTailError
-from .laws import DegeneracyLaw, a_sequence, bisect_doubles
+from .laws import DegeneracyLaw, a_sequence, flip_doubles
 
 REL_TOL = 1e-12
 RESCALE_BISECT_TOL = 1e-15
@@ -135,7 +139,8 @@ class SequenceTable:
     amplitude was held at the previous value ("hold"), solved from
     g_i(mu) = 1 ("root"), or pinned at 1 because g_i(1) < 1 ("cap"; the
     product tau then stalls for that step).  Step 1 is the seed
-    mu*_1 = mu_1 ("seed").
+    mu*_1 = mu_1 ("seed").  root_evaluations counts the calls of each
+    law the root search made (0 for a table not built by the recursion).
     """
 
     schedule: ScaleSchedule
@@ -148,6 +153,7 @@ class SequenceTable:
     tau: tuple
     branch1: tuple
     branch2: tuple
+    root_evaluations: int = 0
 
     def __post_init__(self):
         K = self.K
@@ -155,18 +161,17 @@ class SequenceTable:
                 self.branch1, self.branch2)
         if K < 1 or any(len(s) != K for s in seqs):
             raise DomainError("SequenceTable: all sequences must have length K >= 1")
-        for name, s in (("a", self.a), ("c", self.c), ("mu1", self.mu1),
-                        ("mu2", self.mu2), ("mu_star", self.mu_star),
-                        ("tau", self.tau)):
-            if not all(v > 0.0 and math.isfinite(v) for v in s):
-                raise DomainError(f"SequenceTable: {name} must be positive and finite")
-        for k in range(K):
-            if self.mu_star[k] != max(self.mu1[k], self.mu2[k]):
-                raise DomainError("SequenceTable: mu_star != max(mu1, mu2)")
-            prev = 1.0 if k == 0 else self.tau[k - 1]
-            prod = prev * self.mu_star[k]
-            if abs(self.tau[k] - prod) > REL_TOL * prod:
-                raise DomainError("SequenceTable: tau is not the running product")
+        names = ("a", "c", "mu1", "mu2", "mu_star", "tau")
+        seqs = np.array([getattr(self, name) for name in names], dtype=float)
+        bad = ~np.all((seqs > 0.0) & (seqs < math.inf), axis=1)  # NaN is bad too
+        if bad.any():
+            raise DomainError(f"SequenceTable: {names[bad.argmax()]} must be positive and finite")
+        _, _, mu1, mu2, mu_star, tau = seqs
+        if np.any(mu_star != np.maximum(mu1, mu2)):
+            raise DomainError("SequenceTable: mu_star != max(mu1, mu2)")
+        prod = np.concatenate(([1.0], tau[:-1])) * mu_star
+        if np.any(np.abs(tau - prod) > REL_TOL * prod):
+            raise DomainError("SequenceTable: tau is not the running product")
 
     def branch_counts(self) -> dict:
         """Per law, the number of steps labelled hold, root and cap."""
@@ -226,7 +231,9 @@ def choose_scale(C: float, alpha0: float) -> ScaleSchedule:
     """Solve 2 C r^(1+alpha0) = mu_1 r with r capped at 1/16.
 
     C below 1/2 is clamped up to 1/2 (with a warning): smaller constants
-    would push mu_1 below r and break r < mu_1 < 1.
+    would push mu_1 below r and break r < mu_1 < 1.  Large C or small
+    alpha0 underflow r; a schedule whose balance cannot be checked in
+    normal doubles is a DomainError.
     """
     if not (C > 0.0) or not math.isfinite(C):
         raise DomainError("choose_scale: C must be positive and finite")
@@ -240,6 +247,11 @@ def choose_scale(C: float, alpha0: float) -> ScaleSchedule:
         C = C_FLOOR
     r = min((4.0 * C) ** (-1.0 / alpha0), R_CAP)
     mu1 = 2.0 * C * r**alpha0
+    if not min(r, mu1 * r, 2.0 * C * r ** (1.0 + alpha0)) >= sys.float_info.min:
+        raise DomainError(
+            f"choose_scale: C={C:g} with alpha0={alpha0:g} gives r = (4C)^(-1/alpha0) = {r:g}, "
+            f"too small for both sides of 2 C r^(1+alpha0) = mu1 r to be normal doubles"
+        )
     theta = r / mu1
     return ScaleSchedule(C=C, alpha0=alpha0, r=r, mu1=mu1, theta=theta)
 
@@ -300,21 +312,26 @@ def rescale_sequence(a, params: RescaleParams):
     return c.tolist()
 
 
-def _root_scales(law, c, log_targets):
-    """Every t*_k at once: the smallest double t with h(t) >= c_k r^k.
+def _root_scales(laws, c, log_targets):
+    """Every t*_k of each law: the smallest double t with h(t) >= c_k r^k.
 
     h(t) = t sigma(min(t, t_max)) is compared in logs (log sigma = -inf
     where sigma underflows reads as "below").  Where h stays below the
     target on (0, c_k), t*_k = c_k, which the recursion reads as a cap:
-    mu = c_k / (tau_{k-1} c_k) > 1 because tau_{k-1} <= mu_1 < 1.
+    mu = c_k / (tau_{k-1} c_k) > 1 because tau_{k-1} <= mu_1 < 1.  Equal
+    laws are searched once, and the distinct ones in one stacked call.
+    Returns (one list of t*_k per law, the same list for equal laws; the
+    calls of each law).
     """
 
-    def below(t):
-        with np.errstate(divide="ignore"):
-            sigma = law(np.minimum(t, law.t_max))
-            return np.log(t) + np.log(sigma) < log_targets
+    def log_h(law):
+        return lambda t: np.log(t) + np.log(law._raw(np.minimum(t, law.t_max)))
 
-    return bisect_doubles(below, c)[1].tolist()
+    distinct = [law for i, law in enumerate(laws) if law not in laws[:i]]
+    targets = np.broadcast_to(log_targets, (len(distinct), len(c)))
+    _, t_star, rounds = flip_doubles([log_h(law) for law in distinct], targets, c)
+    rows = t_star.tolist()
+    return [rows[distinct.index(law)] for law in laws], rounds
 
 
 def _amplitude(mu_root, mu_prev):
@@ -342,27 +359,28 @@ def mu_recursion(schedule: ScaleSchedule, laws, a, c) -> SequenceTable:
     c = [float(v) for v in c]
     if len(c) < K:
         raise ConfigError(f"mu_recursion: need {K} dividers, got {len(c)}")
-    if any(not (v > 0.0 and math.isfinite(v)) for v in c):
+    c_arr = np.asarray(c)
+    if not np.all((c_arr > 0.0) & (c_arr < math.inf)):  # NaN fails too
         raise DomainError("mu_recursion: dividers must be positive and finite")
 
-    c_arr = np.asarray(c[:K])
+    c_arr = c_arr[:K]
     log_targets = np.log(c_arr) + np.arange(1, K + 1) * math.log(schedule.r)
-    roots = [_root_scales(law, c_arr, log_targets) for law in (law1, law2)]
+    roots, root_evaluations = _root_scales((law1, law2), c_arr, log_targets)
 
-    mu_a = [schedule.mu1]
-    mu_b = [schedule.mu1]
-    mu_star = [schedule.mu1]
-    tau = [schedule.mu1]
-    br1 = ["seed"]
-    br2 = ["seed"]
+    t1, t2 = roots
+    ms = tau_k = schedule.mu1
+    mu_a, mu_b, mu_star, tau = [ms], [ms], [ms], [ms]
+    br1, br2 = ["seed"], ["seed"]
     for k in range(1, K):
-        scale = tau[-1] * c[k]
-        (m1, b1), (m2, b2) = (_amplitude(t[k] / scale, mu_star[-1]) for t in roots)
+        scale = tau_k * c[k]
+        m1, b1 = _amplitude(t1[k] / scale, ms)
+        m2, b2 = (m1, b1) if t2 is t1 else _amplitude(t2[k] / scale, ms)
         ms = max(m1, m2)
+        tau_k = tau_k * ms
         mu_a.append(m1)
         mu_b.append(m2)
         mu_star.append(ms)
-        tau.append(tau[-1] * ms)
+        tau.append(tau_k)
         br1.append(b1)
         br2.append(b2)
 
@@ -377,6 +395,7 @@ def mu_recursion(schedule: ScaleSchedule, laws, a, c) -> SequenceTable:
         tau=tuple(tau),
         branch1=tuple(br1),
         branch2=tuple(br2),
+        root_evaluations=root_evaluations,
     )
 
 

@@ -130,6 +130,28 @@ def power_recursion_reference(mu1, r, c, p1, p2):
     return np.array(mu_star), np.array(tau)
 
 
+def reference_bisect_doubles(below, top):
+    """Adjacent doubles t_lo < t_hi in [0, top] where ``below`` turns false.
+
+    ``below`` maps an array of t (shaped like ``top``) to booleans that
+    are true on an initial segment of each entry's interval [0, top].
+    Non-negative doubles are ordered like their bit patterns, so halving
+    the integer interval between two patterns bisects the bracket in
+    (piecewise-linear) log t.  The loop stops when every bracket's ends
+    are adjacent doubles, at most 64 steps.  ``below`` is only ever
+    evaluated strictly inside (0, top): t_lo is 0 or a point where it
+    holds, t_hi is ``top`` or a point where it fails.
+    """
+    lo = np.zeros(np.shape(top), dtype=np.int64)
+    hi = np.array(top, dtype=np.float64).view(np.int64)
+    while np.any(hi - lo > 1):
+        mid = lo + (hi - lo) // 2
+        is_below = below(mid.view(np.float64))
+        lo = np.where(is_below, mid, lo)
+        hi = np.where(is_below, hi, mid)
+    return lo.view(np.float64), hi.view(np.float64)
+
+
 def refine_linear_reference(u):
     """Values on the 2n - 1 grid by the explicit averaging formulas of d = 1, 2."""
     u = np.asarray(u, dtype=float)

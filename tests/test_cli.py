@@ -302,6 +302,25 @@ class TestBuildModulus:
         for counts in branches.values():
             assert set(counts) == {"hold", "root", "cap"}
             assert sum(counts.values()) == 64 - 1  # every step but the seed
+        # radial-power has one phase: both laws are power(1), searched once
+        assert 0 < entry["counters"]["modulus.root_evaluations"] <= 16
+
+    @pytest.mark.parametrize("modulus", [
+        {"C": 1e300, "alpha0": 0.5},   # r = (4C)^(-1/alpha0) underflows to 0
+        {"C": 1.0, "alpha0": 1e-300},
+        {"C": 1e153, "alpha0": 0.5},   # r normal, 2 C r^(1+alpha0) is not
+    ])
+    def test_underflowing_scale_is_a_one_line_domain_error(self, run_config, capsys,
+                                                            modulus):
+        path, out = run_config
+        cfg = json.loads(path.read_text())
+        cfg["modulus"].update(modulus)
+        path.write_text(json.dumps(cfg))
+        assert main(["build-modulus", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: choose_scale: C=") and err.count("\n") == 1
+        assert f"alpha0={modulus['alpha0']:g}" in err
+        assert not out.exists()
 
     def test_flat_law_tail_exit(self, tmp_path, capsys):
         cfg = {
@@ -327,6 +346,8 @@ class TestBuildModulus:
         assert set(branches) == {"sigma_plus", "sigma_minus"}
         for counts in branches.values():
             assert counts["cap"] > 0 and sum(counts.values()) == 64 - 1
+        counters = manifest["commands"]["build-modulus"]["counters"]
+        assert 0 < counters["modulus.root_evaluations"] <= 64 + 1
 
 
 class TestMeasure:

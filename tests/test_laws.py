@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from degenlab.errors import ConfigError, DomainError
 from degenlab.laws import (
+    DegeneracyLaw,
     DiniReport,
     ExponentialFlatLaw,
     PowerLaw,
@@ -17,8 +18,13 @@ from degenlab.laws import (
     TabulatedLaw,
     a_sequence,
     dini_sum,
+    flip_doubles,
     law_from_config,
 )
+
+from oracles import reference_bisect_doubles
+
+TINY = 5e-324  # the smallest positive double
 
 
 class TestEvaluation:
@@ -172,6 +178,102 @@ class TestDini:
         for k in range(1, 6):
             want = max(l1.inverse(0.25**k), l2.inverse(0.25**k))
             assert a[k - 1] == pytest.approx(want, rel=1e-14)
+
+
+class TestFlipDoubles:
+    """The root search against the 62-step bisection it replaced."""
+
+    @staticmethod
+    def _check(funcs, target, top):
+        """flip_doubles equals the reference bit for bit; returns its rounds.
+
+        Where the two differ, f must fail to be monotone between their
+        brackets, so that the predicate flips more than once and either
+        bracket is an answer.  The reference keeps probing closed brackets
+        at their lower end, so an entry whose flip is at 0 can end as
+        (0, 0) instead of (0, 5e-324), the bracket it had found; that end
+        is compared as found.
+        """
+        target = np.atleast_2d(np.asarray(target, dtype=float))
+        t_lo, t_hi, rounds = flip_doubles(funcs, target, top)
+        tops = np.broadcast_to(np.asarray(top, dtype=float), target.shape)
+        for i, f in enumerate(funcs):
+            with np.errstate(all="ignore"):
+                ref_lo, ref_hi = reference_bisect_doubles(lambda t: f(t) < target[i], tops[i])
+            ref_hi = np.where(ref_hi == 0.0, np.minimum(tops[i], TINY), ref_hi)
+            assert np.all(t_hi[i].view(np.int64) - t_lo[i].view(np.int64) == (tops[i] > 0))
+            for j in np.flatnonzero(t_hi[i] != ref_hi):
+                ends = np.array([t_lo[i, j], t_hi[i, j], ref_lo[j], ref_hi[j]]).view(np.int64)
+                span = np.arange(ends.min(), ends.max() + 1).view(np.float64)
+                assert np.any(np.diff(f(span)) < 0.0), (i, j)
+            assert rounds <= 64 + 1
+        return rounds
+
+    @pytest.mark.parametrize(
+        "law",
+        [
+            PowerLogLaw(p=1.0, q=1.0),
+            PowerLogLaw(p=0.5, q=-0.3),
+            PowerLogLaw(p=3.0, q=2.0),
+            ScaledLaw(base=PowerLogLaw(p=1.0, q=1.0), prefactor=3.0, argscale=0.5),
+            ScaledLaw(base=PowerLaw(p=2.0), prefactor=1e-3, argscale=4.0),
+        ],
+        ids=["power-log-1-1", "power-log-0.5-neg0.3", "power-log-3-2", "scaled-power-log",
+             "scaled-power"],
+    )
+    def test_inverse_targets_down_to_1e_300(self, law):
+        s = np.geomspace(1e-300, law(law.t_max), 401)
+        s[::7] = law(np.geomspace(1e-3, law.t_max, s[::7].size))  # exact hits
+        assert self._check((law._raw,), s, law.t_max) <= 16
+        # the generic inverse returns the nearer end of that bracket
+        t_lo, t_hi, _ = flip_doubles((law._raw,), s[None], law.t_max)
+        nearer = np.where(s - law._raw(t_lo) <= law._raw(t_hi) - s, t_lo, t_hi)[0]
+        assert np.array_equal(DegeneracyLaw.inverse(law, s), nearer)
+
+    def test_targets_that_never_flip_end_at_top(self):
+        top = np.geomspace(1e-300, 10.0, 50)
+        rounds = self._check((np.log,), np.log(top) + 1.0, top)
+        assert rounds <= 2  # the spread round, then each top's neighbour
+
+    def test_flip_at_zero(self):
+        top = np.array([1e-300, 1.0, 10.0])
+        assert self._check((np.sqrt,), [0.0, 1e-200, 1e-170], top) <= 3
+
+    @pytest.mark.parametrize("top", [TINY, 2 * TINY, 1e-323, 3e-320, 1e-310,
+                                     np.finfo(float).tiny, 1e-300])
+    def test_subnormal_and_tiny_tops(self, top):
+        frac = np.array([0.0, 0.1, 0.3, 0.5, 0.9, 1.0, 2.0])
+        for f in (lambda t: t, lambda t: t * t, np.sqrt):
+            rounds = self._check((f,), top * frac, top)
+            if top == TINY:
+                assert rounds == 0  # no double lies inside (0, 5e-324)
+
+    def test_step_function_needs_bisection_only(self):
+        # interpolation between -1e300 and 1 points at the low end every
+        # time; the budget still ends the search by round 65
+        def step(t):
+            return np.where(t >= 1e-200, 1.0, -1e300)
+
+        self._check((step,), np.zeros(8), np.geomspace(1e-150, 10.0, 8))
+        self._check((lambda t: (t >= 0.3).astype(float),), np.full(5, 0.5), 1.0)
+        self._check((lambda t: np.floor(np.log2(t)),), np.arange(-1000.5, 3.0, 50.0), 8.0)
+
+    def test_rows_are_searched_with_their_own_function(self):
+        t = np.geomspace(1e-200, 1.0, 64)
+        funcs = (lambda t: t, lambda t: t ** 3)
+        self._check(funcs, np.stack((t, t ** 3)) * 0.75, 1.0)
+
+    def test_empty(self):
+        t_lo, t_hi, rounds = flip_doubles((np.sqrt,), np.zeros((1, 0)), 1.0)
+        assert t_lo.shape == t_hi.shape == (1, 0) and rounds == 0
+
+    @given(st.floats(0.05, 20.0), st.integers(1, 40), st.integers(0, 2**31 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_power_targets_property(self, p, n, seed):
+        rng = np.random.default_rng(seed)
+        target = 10.0 ** rng.uniform(-300.0, 1.0, size=n)
+        top = 10.0 ** rng.uniform(-5.0, 1.0, size=n)
+        self._check((lambda t: np.power(t, p),), target, top)
 
 
 class TestConfig:

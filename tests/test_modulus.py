@@ -6,6 +6,7 @@ modulus omega.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,9 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degenlab.errors import ConfigError, DomainError, UncertifiableTailError
-from degenlab.laws import ExponentialFlatLaw, PowerLaw, PowerLogLaw, a_sequence
+from degenlab.laws import DegeneracyLaw, ExponentialFlatLaw, PowerLaw, PowerLogLaw, a_sequence
 from degenlab.modulus import (
     Modulus,
+    _root_scales,
     RescaleParams,
     ScaleSchedule,
     build_modulus,
@@ -25,7 +27,23 @@ from degenlab.modulus import (
     rescale_sequence,
     truncated,
 )
-from oracles import geometric_tailed_sequence, power_recursion_reference
+from oracles import (
+    geometric_tailed_sequence,
+    power_recursion_reference,
+    reference_bisect_doubles,
+)
+
+# The law pairs of the benchmark: analyze-fields builds power (1, 1) twice,
+# (1, 2), (0.5, 3), exponential-flat twice and power-log(1, 1) with power(1);
+# transmission-1d builds power (1, 2) and radial-2d power (1, 1).
+BENCHMARK_PAIRS = [
+    (PowerLaw(p=1.0), PowerLaw(p=1.0)),
+    (PowerLaw(p=1.0), PowerLaw(p=2.0)),
+    (PowerLaw(p=0.5), PowerLaw(p=3.0)),
+    (ExponentialFlatLaw(), ExponentialFlatLaw()),
+    (PowerLogLaw(p=1.0, q=1.0), PowerLaw(p=1.0)),
+]
+PAIR_IDS = [f"{a.family}-{b.family}-{i}" for i, (a, b) in enumerate(BENCHMARK_PAIRS)]
 
 
 class TestChooseScale:
@@ -60,6 +78,13 @@ class TestChooseScale:
             choose_scale(1.0, 0.0)
         with pytest.raises(DomainError):
             choose_scale(1.0, 1.5)
+
+    @pytest.mark.parametrize("C,alpha0", [(1e300, 0.5), (1.0, 1e-300), (1e153, 0.5)])
+    def test_underflowing_radius_is_a_domain_error(self, C, alpha0):
+        # r = (4C)^(-1/alpha0) underflows to 0 (a ZeroDivisionError once),
+        # or is normal while 2 C r^(1+alpha0) is not (C = 1e153)
+        with pytest.raises(DomainError, match=re.escape(f"C={C:g} with alpha0={alpha0:g}")):
+            choose_scale(C, alpha0)
 
     def test_schedule_validates_identity(self):
         with pytest.raises(DomainError):
@@ -225,6 +250,63 @@ class TestRecursion:
         a = a_sequence(*laws, sched.theta, 8)
         with pytest.raises(ConfigError):
             mu_recursion(sched, laws, a, np.ones(3))
+
+
+class TestRootSearch:
+    """The recursion's root search against the 62-step bisection it replaced."""
+
+    @staticmethod
+    def _inputs(law1, law2, K):
+        """Schedule, driving sequence, dividers and log targets as build_modulus makes them."""
+        sched = choose_scale(1.0, 0.5)
+        a = [v for v in a_sequence(law1, law2, sched.theta, K) if v > 0.0]
+        c = np.asarray(rescale_sequence(a, RescaleParams(delta=0.125)))
+        log_targets = np.log(c) + np.arange(1, len(a) + 1) * math.log(sched.r)
+        return sched, a, c, log_targets
+
+    @pytest.mark.parametrize("K", [256, 400])  # at 400 the driving sequence underflows
+    @pytest.mark.parametrize("laws", BENCHMARK_PAIRS, ids=PAIR_IDS)
+    def test_matches_bisection_bit_for_bit(self, laws, K):
+        _, a, c, log_targets = self._inputs(*laws, K)
+        roots, _ = _root_scales(laws, c, log_targets)
+        for law, t_star in zip(laws, roots):
+            def below(t):
+                with np.errstate(divide="ignore"):
+                    return np.log(t) + np.log(law(np.minimum(t, law.t_max))) < log_targets
+
+            ref = reference_bisect_doubles(below, c)[1]
+            assert np.array_equal(np.asarray(t_star).view(np.int64), ref.view(np.int64))
+
+    @pytest.mark.parametrize("laws", BENCHMARK_PAIRS, ids=PAIR_IDS)
+    def test_evaluation_budget(self, laws):
+        sched, a, c, _ = self._inputs(*laws, 256)
+        assert mu_recursion(sched, laws, a, c).root_evaluations <= 16  # bisection: 62
+
+    @pytest.mark.parametrize("second", [PowerLogLaw(p=1.0, q=1.0), PowerLogLaw(p=1.0, q=2.0)])
+    def test_equal_laws_are_evaluated_once(self, monkeypatch, second):
+        calls = []
+        raw = PowerLogLaw._raw
+        monkeypatch.setattr(PowerLogLaw, "_raw", lambda self, t: calls.append(self) or raw(self, t))
+        first = PowerLogLaw(p=1.0, q=1.0)
+        sched, a, c, _ = self._inputs(first, PowerLaw(p=1.0), 64)
+        calls.clear()
+        table = mu_recursion(sched, (first, second), a, c)
+        # at most one call per round and distinct law: a law whose brackets
+        # all closed sits the last rounds out
+        distinct = [first] if second == first else [first, second]
+        assert len(set(calls)) == len(distinct)
+        assert max(calls.count(law) for law in distinct) == table.root_evaluations
+        assert len(calls) <= len(distinct) * table.root_evaluations
+
+    def test_a_sequence_inverts_equal_laws_once(self, monkeypatch):
+        calls = []
+        inverse = DegeneracyLaw.inverse
+        monkeypatch.setattr(DegeneracyLaw, "inverse",
+                            lambda self, s: calls.append(self) or inverse(self, s))
+        law = PowerLogLaw(p=1.0, q=1.0)
+        a = a_sequence(law, PowerLogLaw(p=1.0, q=1.0), 0.125, 32)
+        assert calls == [law]
+        assert a == inverse(law, 0.125 ** np.arange(1, 33, dtype=float)).tolist()
 
 
 class TestTailAndOmega:
