@@ -34,10 +34,12 @@ nodes untouched at n = 65).  The report counts those nodes
 (``untouched_nodes``) and the failing ones (``violation_count``), and
 names one test function, the worst failure's, as ``witness``.
 
-Defaults eta_cert = 10 h, eta_touch = h^2, eta_grad = h^2 / 2 and
-eta_hess = h / 2 match the accuracy at which a C^2 function's gradient
-and Hessian are recoverable from exact grid samples, so exact solutions
-pass while O(1) equation violations fail by a margin.
+The window radius is ``RHO_TEST`` = 3 cells and the tolerances are fixed
+functions of h, set in one place (``_State.masked``): eta_cert = 10 h,
+eta_touch = h^2, eta_grad = h^2 / 2 and eta_hess = h / 2.  They match the
+accuracy at which a C^2 function's gradient and Hessian are recoverable
+from exact grid samples, so exact solutions pass while O(1) equation
+violations fail by a margin.
 
 Every candidate at a node is the base paraboloid plus a nudge that is the
 same at every node, so a paraboloid is built over the interior block once
@@ -71,8 +73,9 @@ Both sides of one field share one state when the field is given to
 builds the Taylor data and R once, packs the touching masks of both signs
 from that one R and frees it before any law is evaluated, so the peak
 holds one copy of R; the second call reuses the masks and every sigma and
-F value the first one made.  A field given bare is certified on the
-called side only.
+F value the first one made.  A field given bare is certified through a
+``BothSides`` of its own, so it gets the same report at the cost of the
+other side's masks.
 
 The report's ``window_scans`` counts the (node, candidate) pairs of its
 side that the bounds left open; it measures work and takes no part in
@@ -89,31 +92,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .elliptic import SymMatrix
-from .errors import DomainError
 from .grids import DiscreteField
 from .problem import ProblemInstance, gradient_norm
 
-_DEFAULT_RHO_TEST = 3
-
-
-@dataclass(frozen=True)
-class CertifierConfig:
-    """Tolerances of the discrete certificate; None means the h-default."""
-
-    rho_test: int = _DEFAULT_RHO_TEST
-    eta_cert: float | None = None
-    eta_touch: float | None = None
-    eta_grad: float | None = None
-    eta_hess: float | None = None
-
-    def resolved(self, h: float):
-        return (
-            self.rho_test,
-            self.eta_cert if self.eta_cert is not None else 10.0 * h,
-            self.eta_touch if self.eta_touch is not None else h * h,
-            self.eta_grad if self.eta_grad is not None else 0.5 * h * h,
-            self.eta_hess if self.eta_hess is not None else 0.5 * h,
-        )
+RHO_TEST = 3  # radius of the test window, in cells
 
 
 @dataclass(frozen=True)
@@ -147,41 +129,37 @@ class BothSides:
     """A field to certify on both sides from one state.
 
     Give it for the field to ``certify_min`` and ``certify_max`` with the
-    same problem and config: the first call builds the state with both
-    sides' touching masks, the other reuses it.  A call with another
-    problem or config builds the state afresh.
+    same problem: the first call builds the state with both sides'
+    touching masks, the other reuses it.  A call with another problem
+    builds the state afresh.
     """
 
     def __init__(self, u: DiscreteField):
         self.u = u
         self.state = None
 
-    def state_for(self, prob, cfg):
-        """The masked state of both signs for prob and cfg, built once."""
-        if self.state is None or self.state.prob is not prob or self.state.cfg != cfg:
-            self.state = _State.masked(self.u, prob, cfg, signs=(1.0, -1.0))
+    def state_for(self, prob):
+        """The masked state of both signs for prob, built once."""
+        if self.state is None or self.state.prob is not prob:
+            self.state = _State.masked(self.u, prob)
         return self.state
 
 
-def certify_min(u: DiscreteField | BothSides, prob: ProblemInstance,
-                cfg: CertifierConfig = CertifierConfig()) -> CertificateReport:
+def certify_min(u: DiscreteField | BothSides, prob: ProblemInstance) -> CertificateReport:
     """Check min_i sigma_i(|p + q|) F(M) <= C0 + eta_cert from above."""
-    return _certify(u, prob, cfg, side="above")
+    return _certify(u, prob, side="above")
 
 
-def certify_max(u: DiscreteField | BothSides, prob: ProblemInstance,
-                cfg: CertifierConfig = CertifierConfig()) -> CertificateReport:
+def certify_max(u: DiscreteField | BothSides, prob: ProblemInstance) -> CertificateReport:
     """Check max_i sigma_i(|p + q|) F(M) >= -C0 - eta_cert from below."""
-    return _certify(u, prob, cfg, side="below")
+    return _certify(u, prob, side="below")
 
 
-def _certify(u: DiscreteField | BothSides, prob: ProblemInstance, cfg: CertifierConfig,
+def _certify(u: DiscreteField | BothSides, prob: ProblemInstance,
              side: str) -> CertificateReport:
     sign = 1.0 if side == "above" else -1.0
-    if isinstance(u, BothSides):
-        state = u.state_for(prob, cfg)
-    else:
-        state = _State.masked(u, prob, cfg, signs=(sign,))
+    both = u if isinstance(u, BothSides) else BothSides(u)
+    state = both.state_for(prob)
     grads, hessians = state.grads, state.hessians
     eta_cert, eta_touch = state.eta_cert, state.eta_touch
     touching = state.masks[sign]
@@ -247,29 +225,24 @@ class _State:
     """
 
     @classmethod
-    def masked(cls, u: DiscreteField, prob, cfg, signs):
-        """The state of u with every candidate's touching mask for each sign.
+    def masked(cls, u: DiscreteField, prob):
+        """The state of u with every candidate's touching mask for both signs.
 
-        R is freed before it returns, so no law is evaluated while it lives.
+        The one place that sets the certificate's tolerances from h.  R is
+        freed before it returns, so no law is evaluated while it lives.
         """
-        grid = u.grid
-        rho, eta_cert, eta_touch, eta_grad, eta_hess = cfg.resolved(grid.h)
-        if rho < 1:
-            raise DomainError("certifier: rho_test must be at least one cell")
-        if 2 * rho + 1 > grid.n:
-            raise DomainError("certifier: test window does not fit on the grid")
+        h = u.grid.h
         u.assert_finite()
-
-        state = cls(u.values, grid, prob, rho)
-        state.cfg, state.eta_cert, state.eta_touch = cfg, eta_cert, eta_touch
-        state.grads, state.hessians = state.nudges(eta_grad, eta_hess)
+        state = cls(u.values, u.grid, prob, RHO_TEST)
+        state.eta_cert, state.eta_touch = 10.0 * h, h * h
+        state.grads, state.hessians = state.nudges(0.5 * h * h, 0.5 * h)
         shifts = state.shift_table(state.grads, state.hessians)
         # touching filter: u - phi <= eta_touch on the window (sign +1, from
         # above), phi anchored at u(x0); mirrored for sign -1 (below).
         state.masks, state.scans = {}, {}
-        for sign in signs:
+        for sign in (1.0, -1.0):
             before = state.window_scans
-            state.masks[sign] = [[np.packbits(state.touching(shift, sign, eta_touch))
+            state.masks[sign] = [[np.packbits(state.touching(shift, sign, state.eta_touch))
                                   for shift in row] for row in shifts]
             state.scans[sign] = state.window_scans - before
             del state._top[sign]  # one sign's window maxima at a time

@@ -4,12 +4,13 @@ Subcommands
 -----------
 solve          solve the configured problem; writes field.csv and
                solve_diagnostics.json
-certify        check both viscosity inequalities on a stored field, both
-               sides from one certifier state; writes certificates.json
+certify        check both viscosity inequalities on the field stored at
+               --field, both sides from one certifier state; writes
+               certificates.json
 build-modulus  run the modulus pipeline; writes sequence_table.csv and
                modulus.json (--eval T also prints omega(T))
-measure        affine-excess decay of a stored field around each center
-               (+ comparison with the configured modulus); writes
+measure        affine-excess decay of the field stored at --field around
+               each center (+ comparison with the configured modulus); writes
                decay_profile.csv, comparison.json and gradient_pairs.csv,
                the field's one gradient-increment cloud.  The modulus is
                read back from modulus.json when the manifest's
@@ -17,6 +18,9 @@ measure        affine-excess decay of a stored field around each center
                file's current digest; otherwise it is built
 report         bundle every JSON artifact in the output directory into
                summary.json
+
+Every subcommand takes --config and --out (which overrides the config's
+"out") and only the flags it reads; any other flag is a usage error.
 
 Exit codes: 0 success, 1 configuration/IO or usage error, 2 solver
 non-convergence, 3 certificate failure, 4 modulus tail uncertifiable.
@@ -28,7 +32,7 @@ so does a failed write into the output directory (exit 1; when only
 manifest.json cannot be written, the command's other files stay).
 
 manifest.json keeps one entry per command that ran into the directory:
-config digest, seed, wall times per stage, counters (build-modulus:
+config digest, wall times per stage, counters (build-modulus:
 hold/root/cap steps per law and the root search's calls of each law,
 also on exit 4; measure: minimax fits, the
 fits whose duality gap is too wide to certify, the exchange steps of
@@ -37,7 +41,7 @@ of the files the command emitted; rerunning a command replaces its entry.
 A manifest of another schema or package version, or one that is not
 JSON or whose ``commands`` is not an object, is not ours: the next
 command starts it afresh, and measure does not trust it.
-All other outputs are byte-deterministic for a fixed config and seed;
+All other outputs are byte-deterministic for fixed config and input files;
 floats are written with 17 significant digits (JSON encodes non-finite
 values as the strings "inf", "-inf", "nan").  Field and CSV files move
 between disk and arrays a whole column at a time.
@@ -129,7 +133,7 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-_MANIFEST_SCHEMA = "degenlab-manifest-v2"
+_MANIFEST_SCHEMA = "degenlab-manifest-v3"
 
 
 class _Run:
@@ -144,7 +148,6 @@ class _Run:
             raise ConfigError("config: no output directory ('out' key or --out)")
         self.dir = Path(out)
         self.command = args.command
-        self.seed = cfg.seed
         self.config_digest = hashlib.sha256(Path(args.config).read_bytes()).hexdigest()
         self.times: dict = {}
         self.counters: dict = {}
@@ -195,7 +198,6 @@ class _Run:
         commands = self.commands()
         commands[self.command] = {
             "config_sha256": self.config_digest,
-            "seed": self.seed,
             "wall_times_s": self.times,
             "counters": self.counters,
             "files": {name: _sha256(self.dir / name) for name in sorted(self.files)},
@@ -313,8 +315,6 @@ def cmd_solve(cfg: RunConfig, args, run: _Run) -> int:
 
 
 def cmd_certify(cfg: RunConfig, args, run: _Run) -> int:
-    if not args.field:
-        raise ConfigError("certify: --field PATH is required")
     grid = cfg.build_grid()
     prob, _ = cfg.build_problem()
     u = read_field(args.field, grid)
@@ -384,8 +384,6 @@ def cmd_build_modulus(cfg: RunConfig, args, run: _Run) -> int:
 
 def cmd_measure(cfg: RunConfig, args, run: _Run) -> int:
     cfg.require("lab")
-    if not args.field:
-        raise ConfigError("measure: --field PATH is required")
     grid = cfg.build_grid()
     u = read_field(args.field, grid)
     lab = cfg.lab
@@ -509,9 +507,9 @@ def _parser() -> argparse.ArgumentParser:
         name = fn.__name__.removeprefix("cmd_").replace("_", "-")
         q = sub.add_parser(name)
         q.add_argument("--config", required=True, help="path to the JSON run config")
-        q.add_argument("--field", help="path to a stored field.csv")
         q.add_argument("--out", help="output directory (overrides config)")
-        q.add_argument("--seed", type=int, help="seed recorded in the manifest")
+        if name in ("certify", "measure"):
+            q.add_argument("--field", required=True, help="path to a stored field.csv")
         if name == "build-modulus":
             q.add_argument("--eval", type=float, help="also print omega(T)")
         q.set_defaults(fn=fn)
@@ -530,8 +528,6 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg = dataclasses.replace(cfg, seed=args.seed)
         run = _Run(cfg, args)
         code = args.fn(cfg, args, run)
     except DegenlabError as exc:

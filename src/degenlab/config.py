@@ -22,8 +22,7 @@ needs and rejects unknown keys everywhere; null stands for the default):
                   "levels": 3},         # or the ladder depth of grid.n
       "modulus": {"C": 1.0, "alpha0": 0.5, "delta": 0.125, "K": 256},
       "lab":     {"centers": [[0.0, 0.0]], "r": 0.5, "N": 6},
-      "out":     "runs/demo",
-      "seed":    0
+      "out":     "runs/demo"
     }
 
 The benchmark form also fixes grid-independent defaults (exact boundary
@@ -75,7 +74,7 @@ def _number(value, where: str, integer: bool = False, least: float = 0.0):
         raise ConfigError(f"{where} must be an integer, got {value!r}")
     if not (integer or abs(value) <= sys.float_info.max):  # NaN, an infinity or too large
         raise ConfigError(f"{where} must be finite, got {value!r}")
-    if integer and not -(2**63) <= value < 2**63:
+    if integer and not value < 2**63:
         raise ConfigError(f"{where} must fit in a 64-bit integer, got {value!r}")
     if not value >= least:
         raise ConfigError(f"{where} must be at least {least:g}, got {value!r}")
@@ -163,7 +162,6 @@ _TOP_KEYS = {
     "modulus": partial(_block, schema=_MODULUS_KEYS),
     "lab": partial(_block, schema=_LAB_KEYS),
     "out": _text,
-    "seed": partial(_number, integer=True, least=-math.inf),
 }
 
 
@@ -177,7 +175,6 @@ class RunConfig:
     modulus: dict | None = None
     lab: dict | None = None
     out: str | None = None
-    seed: int = 0
 
     def require(self, *blocks: str) -> None:
         for b in blocks:

@@ -336,8 +336,8 @@ class PowerLaw(DegeneracyLaw):
     def __post_init__(self):
         if not (self.p > 0.0 and math.isfinite(self.p)):
             raise DomainError("power: exponent p must be positive and finite")
-        if self.t_max <= 0.0:
-            raise DomainError("power: t_max must be positive")
+        if not 0.0 < self.t_max < math.inf:  # NaN fails too
+            raise DomainError("power: t_max must be positive and finite")
 
     def _raw(self, t):
         return np.power(t, self.p)
@@ -371,8 +371,8 @@ class PowerLogLaw(DegeneracyLaw):
             raise DomainError("power-log: exponent p must be positive and finite")
         if not math.isfinite(self.q):
             raise DomainError("power-log: exponent q must be finite")
-        if self.t_max <= 0.0:
-            raise DomainError("power-log: t_max must be positive")
+        if not 0.0 < self.t_max < math.inf:  # NaN fails too
+            raise DomainError("power-log: t_max must be positive and finite")
         self._check_monotone()
 
     def _raw(self, t):
@@ -396,8 +396,8 @@ class ExponentialFlatLaw(DegeneracyLaw):
     family = "exponential-flat"
 
     def __post_init__(self):
-        if self.t_max <= 0.0:
-            raise DomainError("exponential-flat: t_max must be positive")
+        if not 0.0 < self.t_max < math.inf:  # NaN fails too
+            raise DomainError("exponential-flat: t_max must be positive and finite")
 
     def _raw(self, t):
         t = np.asarray(t, dtype=float)
@@ -432,6 +432,8 @@ class TabulatedLaw(DegeneracyLaw):
             raise DomainError("tabulated: need at least one breakpoint")
         ts = np.array([p[0] for p in pts])
         ss = np.array([p[1] for p in pts])
+        if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(ss))):
+            raise DomainError("tabulated: breakpoints must be finite")
         if np.any(ts <= 0.0) or np.any(ss <= 0.0):
             raise DomainError("tabulated: breakpoints must be strictly positive")
         if np.any(np.diff(ts) <= 0.0) or np.any(np.diff(ss) <= 0.0):

@@ -230,28 +230,37 @@ class Modulus:
 def choose_scale(C: float, alpha0: float) -> ScaleSchedule:
     """Solve 2 C r^(1+alpha0) = mu_1 r with r capped at 1/16.
 
-    C below 1/2 is clamped up to 1/2 (with a warning): smaller constants
-    would push mu_1 below r and break r < mu_1 < 1.  Large C or small
-    alpha0 underflow r; a schedule whose balance cannot be checked in
-    normal doubles is a DomainError.
+    r < mu_1 needs C > r^(1 - alpha0) / 2, a bound that binds only at the
+    cap r = 1/16, where it is below 1/2 for alpha0 < 1 and equal to 1/2
+    at alpha0 = 1.  So C below 1/2 is clamped up to 1/2 (with a warning)
+    where that keeps r < mu_1, and a C that the clamp cannot save is a
+    DomainError, raised before any warning.  Large C or small alpha0
+    underflow r; a schedule whose balance cannot be checked in normal
+    doubles is a DomainError too.
     """
     if not (C > 0.0) or not math.isfinite(C):
         raise DomainError("choose_scale: C must be positive and finite")
     if not (0.0 < alpha0 <= 1.0):
         raise DomainError("choose_scale: alpha0 must lie in (0, 1]")
+    clamped = max(C, C_FLOOR)
+    r = min((4.0 * clamped) ** (-1.0 / alpha0), R_CAP)
+    mu1 = 2.0 * clamped * r**alpha0
+    if not min(r, mu1 * r, 2.0 * clamped * r ** (1.0 + alpha0)) >= sys.float_info.min:
+        raise DomainError(
+            f"choose_scale: C={C:g} with alpha0={alpha0:g} gives r = (4C)^(-1/alpha0) = {r:g}, "
+            f"too small for both sides of 2 C r^(1+alpha0) = mu1 r to be normal doubles"
+        )
+    if not r < mu1:
+        raise DomainError(
+            f"choose_scale: C={C:g} with alpha0={alpha0:g} leaves mu1 <= r; r < mu1 needs "
+            f"C > r^(1 - alpha0) / 2 = {r ** (1.0 - alpha0) / 2.0:g} at r = {r:g}"
+        )
     if C < C_FLOOR:
         warnings.warn(
             f"choose_scale: C={C} below {C_FLOOR}; clamped up to keep r < mu1",
             stacklevel=2,
         )
-        C = C_FLOOR
-    r = min((4.0 * C) ** (-1.0 / alpha0), R_CAP)
-    mu1 = 2.0 * C * r**alpha0
-    if not min(r, mu1 * r, 2.0 * C * r ** (1.0 + alpha0)) >= sys.float_info.min:
-        raise DomainError(
-            f"choose_scale: C={C:g} with alpha0={alpha0:g} gives r = (4C)^(-1/alpha0) = {r:g}, "
-            f"too small for both sides of 2 C r^(1+alpha0) = mu1 r to be normal doubles"
-        )
+        C = clamped
     theta = r / mu1
     return ScaleSchedule(C=C, alpha0=alpha0, r=r, mu1=mu1, theta=theta)
 

@@ -366,7 +366,10 @@ class _FluxDiscretization1D:
 
     With F = trace the equation sigma_{sgn(u)}(|u' + q|) u'' = f is exactly
     (G_{sgn(u)}(u'))' = f for the flux G(s) = Psi(s + q) - Psi(q), where
-    Psi(w) = sgn(w) * P(|w|) and P is the primitive of sigma.  The scheme
+    Psi(w) = sgn(w) * P(|w|) and P is the primitive of sigma.  Past t_max,
+    where law_pair freezes sigma at sigma(t_max), P continues with that
+    slope, P(t) = P(t_max) + sigma(t_max) (t - t_max), so the flux keeps
+    slope sigma(t_max) there and its derivative is the J below.  The scheme
 
         R_i = (G(D+ u_i) - G(D- u_i)) / h - f_i
 
@@ -396,13 +399,17 @@ class _FluxDiscretization1D:
         self.q = float(prob.q_vector(1)[0])
         self.center_bound = 2.0 / grid.h**2
         self.pattern = _StencilPattern(self.f_int.shape, self.offsets)
+        # each phase law with sigma(t_max), the flux's slope past t_max, and Psi(q)
+        self.laws = []
+        for law in (prob.sigma_plus, prob.sigma_minus):
+            cap = law(law.t_max)
+            self.laws.append((law, cap, self._psi(law, cap, self.q)))
 
-    def _psi(self, law, w):
-        w_cl = np.clip(np.abs(w), 0.0, law.t_max)
-        return np.sign(w) * law.primitive(w_cl)
-
-    def _edge_flux(self, law, slopes):
-        return self._psi(law, slopes + self.q) - self._psi(law, self.q)
+    @staticmethod
+    def _psi(law, cap, w):
+        a = np.abs(w)
+        t = np.minimum(a, law.t_max)
+        return np.sign(w) * (law.primitive(t) + cap * (a - t))
 
     def _edges(self, u: np.ndarray):
         """Edge fluxes, the sigma of the branch each edge uses, and the clamp flag.
@@ -411,8 +418,7 @@ class _FluxDiscretization1D:
         """
         slopes = (u[1:] - u[:-1]) / self.h
         pair_sign = np.sign(u[1:] + u[:-1])
-        gp = self._edge_flux(self.prob.sigma_plus, slopes)
-        gm = self._edge_flux(self.prob.sigma_minus, slopes)
+        gp, gm = (self._psi(law, cap, slopes + self.q) - psi_q for law, cap, psi_q in self.laws)
         plus_smaller = np.abs(gp) <= np.abs(gm)
         flux = select_phase(pair_sign, gp, gm, np.where(plus_smaller, gp, gm))
         sp, sm, clamped = self.prob.law_pair(np.maximum(np.abs(slopes + self.q), self.eps_deg))
@@ -423,8 +429,8 @@ class _FluxDiscretization1D:
         """(R, per-node sigma for the dt cap, clamped, J) on the interior.
 
         J, the frozen-phase derivative of R, is tridiagonal: edge e couples
-        its two nodes with weight sigma_e / h^2, kept at sigma(t_max) past
-        t_max (where the flux is frozen) so that J stays non-singular.
+        its two nodes with weight sigma_e / h^2, which is sigma(t_max) past
+        t_max, where the flux keeps that slope.
         """
         flux, sig_edge, clamped = self._edges(u)
         r = (flux[1:] - flux[:-1]) / self.h - self.f_int
@@ -642,21 +648,22 @@ def cascade_sizes(n: int) -> list:
 def solve_cascade(prob: ProblemInstance, grid: Grid, cfg: SchemeConfig):
     """Solve on each grid of ``cascade_sizes``, refining each solution as the next start.
 
-    The coarsest level starts cold; every finer one is one call of
-    ``solve`` with the refined solution below as ``initial``, so it starts
-    warm and takes a few Newton-like steps.  Returns the fine solution and
-    the diagnostics of the final (fine) solve, whose ``levels`` holds n,
-    iterations, linear solves, rejected steps, start residual (the sup
-    residual of the level's first iterate, which shows the refinement
-    jump) and final residual of every level, coarsest first.
+    The coarsest level starts from cfg.initial, a field given on ``grid``
+    taken at the coarse grid's nodes (``_coarsest_start``); every finer
+    level is one call of ``solve`` with the refined solution below as
+    ``initial``, so it starts warm and takes a few Newton-like steps.
+    Returns the fine solution and the diagnostics of the final (fine)
+    solve, whose ``levels`` holds n, iterations, linear solves, rejected
+    steps, start residual (the sup residual of the level's first iterate,
+    which shows the refinement jump) and final residual of every level,
+    coarsest first.
     """
     ns = cascade_sizes(grid.n)
-    u_prev = None
+    u_prev = _coarsest_start(cfg.initial, grid, ns[0])
     records = []
     for n in ns:
         level_grid = Grid(d=grid.d, n=n)
-        level_cfg = cfg if u_prev is None else dataclasses.replace(cfg, initial=u_prev)
-        out_field, out_diag = solve(prob, level_grid, level_cfg)
+        out_field, out_diag = solve(prob, level_grid, dataclasses.replace(cfg, initial=u_prev))
         records.append({
             "n": n,
             "iterations": out_diag.iterations,
@@ -667,3 +674,18 @@ def solve_cascade(prob: ProblemInstance, grid: Grid, cfg: SchemeConfig):
         })
         u_prev = refine_linear(out_field) if n != ns[-1] else out_field
     return out_field, dataclasses.replace(out_diag, levels=tuple(records))
+
+
+def _coarsest_start(initial, grid: Grid, n0: int):
+    """cfg.initial for the n0-node level of a cascade on ``grid``.
+
+    The ladder's grids nest, so a field given on ``grid`` is taken at every
+    ((n - 1) / (n0 - 1))-th node per axis; None or a number is kept.
+    """
+    values = initial.values if isinstance(initial, DiscreteField) else initial
+    if values is None or np.ndim(values) == 0:
+        return values
+    if np.shape(values) != grid.shape:
+        raise ConfigError("initial field shape does not match the grid")
+    step = (grid.n - 1) // (n0 - 1)
+    return np.asarray(values, dtype=float)[(slice(None, None, step),) * grid.d]

@@ -193,11 +193,12 @@ def reference_full_scan(R, shift, sign):
     return worst if sign > 0 else -worst
 
 
-def certify_reference(u, prob, cfg, side):
+def certify_reference(u, prob, side, rho=3):
     """One side's CertificateReport with every candidate paraboloid built in full.
 
-    At every node x0 the base gradient p and Hessian M are the central
-    differences of u.  A candidate is (p + dp, M + dM) with dp in {0,
+    The window has radius rho cells and the tolerances are eta_cert = 10 h,
+    eta_touch = h^2, eta_grad = h^2 / 2 and eta_hess = h / 2.  At every node
+    x0 the base gradient p and Hessian M are the central differences of u.  A candidate is (p + dp, M + dM) with dp in {0,
     +-eta_grad e_i} and dM in {0, +-eta_hess v v'} (v the axes, then the
     normalized diagonals), gradient nudge outermost.  The candidate
     phi(x) = p.x + x'Mx/2 is evaluated at every window offset x and
@@ -213,7 +214,7 @@ def certify_reference(u, prob, cfg, side):
 
     grid = u.grid
     d, n, h = grid.d, grid.n, grid.h
-    rho, eta_cert, eta_touch, eta_grad, eta_hess = cfg.resolved(h)
+    eta_cert, eta_touch, eta_grad, eta_hess = 10.0 * h, h * h, 0.5 * h * h, 0.5 * h
     v = u.values
     inner = (slice(rho, n - rho),) * d
 

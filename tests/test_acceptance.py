@@ -294,20 +294,19 @@ def test_criterion_7_end_to_end_envelope(capsys):
 
 
 def test_criterion_8_determinism(capsys, tmp_path):
-    """Identical config + seed => byte-identical artifacts."""
+    """Identical config and inputs => byte-identical artifacts."""
     cfg = {
         "problem": {"benchmark": "radial-power", "params": {"theta": 1.0, "d": 1}},
         "grid": {"d": 1, "n": 97},
         "scheme": {"tol_solve": 1e-6, "scheme": "flux-1d"},
         "modulus": {"C": 1.0, "alpha0": 0.5, "delta": 0.125, "K": 128},
         "lab": {"centers": [[0.0]], "r": 0.5, "N": 4},
-        "seed": 11,
     }
     path = tmp_path / "run.json"
     path.write_text(json.dumps(cfg))
     for name in ("a", "b"):
         out = str(tmp_path / name)
-        base = ["--config", str(path), "--out", out, "--seed", "11"]
+        base = ["--config", str(path), "--out", out]
         assert cli_main(["solve", *base]) == 0
         field = [*base, "--field", str(tmp_path / name / "field.csv")]
         assert cli_main(["certify", *field]) == 0

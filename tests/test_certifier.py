@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from degenlab.benchmarks import exact_benchmark
+from degenlab import certifier
 from degenlab.certifier import (
     BothSides,
-    CertifierConfig,
     _State,
     certify_max,
     certify_min,
@@ -129,29 +129,16 @@ class TestPlantedViolations:
         assert certify_max(u, prob).passed
 
 
-class TestConfigKnobs:
+class TestTolerances:
     def test_eta_defaults_scale_with_h(self):
-        cfg = CertifierConfig()
-        rho, eta_cert, eta_touch, eta_g, eta_h = cfg.resolved(0.1)
-        assert rho == 3
-        assert eta_cert == pytest.approx(1.0)
-        assert eta_touch == pytest.approx(0.01)
-        assert eta_g == pytest.approx(0.005)
-        assert eta_h == pytest.approx(0.05)
-
-    def test_explicit_overrides_win(self):
-        cfg = CertifierConfig(eta_cert=0.5, rho_test=2)
-        rho, eta_cert, *_ = cfg.resolved(0.1)
-        assert rho == 2 and eta_cert == 0.5
-
-    def test_loose_eta_cert_turns_failure_into_pass(self):
-        grid = Grid(d=1, n=65)
-        prob = _planted_problem(grid)
-        u = DiscreteField.from_function(grid, lambda x: 10.0 * x**2)
-        strict = certify_min(u, prob)
-        assert not strict.passed
-        loose = certify_min(u, prob, CertifierConfig(eta_cert=1e4))
-        assert loose.passed
+        grid = Grid(d=2, n=21)  # h = 0.1
+        u = DiscreteField(grid=grid, values=_oracle_field("random", grid))
+        state = _State.masked(u, _mixed_problem(2))
+        assert state.rho == 3
+        assert state.eta_cert == pytest.approx(1.0)
+        assert state.eta_touch == pytest.approx(0.01)
+        assert np.abs(state.grads).max() == pytest.approx(0.005)
+        assert np.abs(state.hessians).max() == pytest.approx(0.05)
 
     def test_saturation_flag_on_steep_field(self):
         grid = Grid(d=1, n=65)
@@ -222,16 +209,16 @@ class TestMatchesReference:
     @pytest.mark.parametrize("rho", [1, 2, 3])
     @pytest.mark.parametrize("d, n", [(1, 65), (2, 21)])
     @pytest.mark.parametrize("kind", ["exact", "planted", "kinked", "random"])
-    def test_fields(self, kind, d, n, rho):
+    def test_fields(self, kind, d, n, rho, monkeypatch):
         grid = Grid(d=d, n=n)
         if kind == "exact":
             u, prob = _bench_setup("radial-power", {"theta": 1.0, "d": d}, n)
         else:
             u = DiscreteField(grid=grid, values=_oracle_field(kind, grid))
             prob = _mixed_problem(d)
-        cfg = CertifierConfig(rho_test=rho)
-        reports = [certify_min(u, prob, cfg), certify_max(u, prob, cfg)]
-        assert reports == [certify_reference(u, prob, cfg, side)
+        monkeypatch.setattr(certifier, "RHO_TEST", rho)
+        reports = [certify_min(u, prob), certify_max(u, prob)]
+        assert reports == [certify_reference(u, prob, side, rho)
                            for side in ("above", "below")]
         if kind == "exact":
             assert all(rep.passed for rep in reports)
@@ -245,11 +232,10 @@ class TestMatchesReference:
         grid = Grid(d=d, n=n)
         u = DiscreteField(grid=grid, values=_oracle_field("steep", grid))
         prob = _mixed_problem(d, t_max=5.0)
-        cfg = CertifierConfig()
         for certify, side in ((certify_min, "above"), (certify_max, "below")):
-            rep = certify(u, prob, cfg)
+            rep = certify(u, prob)
             assert rep.sigma_saturated
-            assert rep == certify_reference(u, prob, cfg, side)
+            assert rep == certify_reference(u, prob, side)
 
 
 def _scan_field(kind, grid):
@@ -350,14 +336,15 @@ class TestBothSides:
             assert shared == alone
             assert shared.window_scans == alone.window_scans
 
-    def test_another_config_builds_afresh(self):
+    def test_another_problem_builds_afresh(self):
         grid = Grid(d=2, n=21)
         u = DiscreteField(grid=grid, values=_oracle_field("random", grid))
-        prob = _mixed_problem(2)
         both = BothSides(u)
-        certify_min(both, prob)
-        cfg = CertifierConfig(rho_test=2, eta_touch=1e-3)
+        certify_min(both, _mixed_problem(2))
+        first = both.state
+        prob = _mixed_problem(2, t_max=5.0)
         for certify in (certify_min, certify_max):
-            shared, alone = certify(both, prob, cfg), certify(u, prob, cfg)
+            shared, alone = certify(both, prob), certify(u, prob)
             assert shared == alone
             assert shared.window_scans == alone.window_scans
+        assert both.state is not first and both.state.prob is prob

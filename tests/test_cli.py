@@ -14,13 +14,14 @@ import numpy as np
 import pytest
 
 from degenlab import __version__, certifier, lab, solver
-from degenlab.certifier import CertifierConfig, certify_max, certify_min
+from degenlab.certifier import certify_max, certify_min
 from degenlab.cli import (
     EXIT_CERTIFICATE,
     EXIT_CONFIG,
     EXIT_DIVERGED,
     EXIT_OK,
     EXIT_TAIL,
+    _parser,
     _write_csv,
     main,
     read_field,
@@ -41,7 +42,6 @@ def run_config(tmp_path):
         "modulus": {"C": 1.0, "alpha0": 0.5, "delta": 0.125, "K": 64},
         "lab": {"centers": [[0.0]], "r": 0.5, "N": 3},
         "out": str(tmp_path / "out"),
-        "seed": 7,
     }
     path = tmp_path / "run.json"
     path.write_text(json.dumps(cfg))
@@ -197,8 +197,7 @@ class TestCertify:
         side = cert["min_inequality"]
         cfg = load_config(str(path))
         prob, _ = cfg.build_problem()
-        ref = certify_reference(read_field(str(bad), cfg.build_grid()), prob,
-                                CertifierConfig(), "above")
+        ref = certify_reference(read_field(str(bad), cfg.build_grid()), prob, "above")
         assert side["max_violation"] == ref.max_violation
         assert side["violation_count"] == ref.violation_count > 0
         w = side["witness"]
@@ -304,6 +303,19 @@ class TestBuildModulus:
             assert sum(counts.values()) == 64 - 1  # every step but the seed
         # radial-power has one phase: both laws are power(1), searched once
         assert 0 < entry["counters"]["modulus.root_evaluations"] <= 16
+
+    @pytest.mark.parametrize("C", [0.5, 0.3])
+    def test_constant_the_clamp_cannot_save_is_one_error_line(self, run_config, capsys,
+                                                              recwarn, C):
+        path, out = run_config
+        cfg = json.loads(path.read_text())
+        cfg["modulus"].update(C=C, alpha0=1.0)
+        path.write_text(json.dumps(cfg))
+        assert main(["build-modulus", "--config", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: choose_scale: C={C:g} with alpha0=1 leaves mu1 <= r; r < mu1 needs "
+            "C > r^(1 - alpha0) / 2 = 0.5 at r = 0.0625\n")
+        assert not recwarn.list and not out.exists()
 
     @pytest.mark.parametrize("modulus", [
         {"C": 1e300, "alpha0": 0.5},   # r = (4C)^(-1/alpha0) underflows to 0
@@ -544,7 +556,7 @@ class TestReport:
 class TestManifest:
     def test_one_entry_per_command(self, run_config):
         path, out = run_config
-        base = ["--config", str(path), "--seed", "7"]
+        base = ["--config", str(path)]
         field = [*base, "--field", str(out / "field.csv")]
         assert main(["solve", *base]) == EXIT_OK
         assert main(["certify", *field]) == EXIT_OK
@@ -555,7 +567,7 @@ class TestManifest:
         assert set(commands) == {"solve", "certify", "build-modulus", "measure", "report"}
         digests = {}
         for entry in commands.values():
-            assert entry["seed"] == 7
+            assert set(entry) == {"config_sha256", "wall_times_s", "counters", "files"}
             digests.update(entry["files"])
         others = {p.name for p in out.iterdir()} - {"manifest.json"}
         assert set(digests) == others
@@ -563,22 +575,25 @@ class TestManifest:
             assert digest == hashlib.sha256((out / name).read_bytes()).hexdigest()
 
     def test_cached_parser_keeps_no_state_between_calls(self, run_config, capsys):
-        path, out = run_config  # the config's seed is 7
+        path, out = run_config
         argv = ["build-modulus", "--config", str(path)]
-        assert main([*argv, "--seed", "5", "--eval", "0.5"]) == EXIT_OK
+        assert main([*argv, "--out", str(out / "first"), "--eval", "0.5"]) == EXIT_OK
         assert float(capsys.readouterr().out) > 0.0
         assert main(argv) == EXIT_OK
         assert capsys.readouterr().out == ""
-        entry = json.loads((out / "manifest.json").read_text())["commands"]["build-modulus"]
-        assert entry["seed"] == 7
+        assert (out / "manifest.json").exists()  # the config's out, not the first --out
 
     def test_rerun_replaces_its_entry(self, run_config):
         path, out = run_config
-        main(["build-modulus", "--config", str(path), "--seed", "1"])
-        main(["build-modulus", "--config", str(path), "--seed", "2"])
+        main(["build-modulus", "--config", str(path)])
+        cfg = json.loads(path.read_text())
+        cfg["modulus"]["K"] = 32
+        path.write_text(json.dumps(cfg))
+        main(["build-modulus", "--config", str(path)])
         commands = json.loads((out / "manifest.json").read_text())["commands"]
         assert list(commands) == ["build-modulus"]
-        assert commands["build-modulus"]["seed"] == 2
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert commands["build-modulus"]["config_sha256"] == digest
 
 
 class TestFieldFiles:
@@ -817,6 +832,14 @@ class TestNoOutputOnConfigError:
         self._run(tmp_path, "certify", {"problem": self.BAD_LAW, "grid": {"d": 1, "n": 17}},
                   field=self._field_1d(tmp_path, 17))
 
+    @pytest.mark.parametrize("t_max", [math.inf, math.nan])  # JSON 1e400 and NaN
+    def test_solve_with_a_non_finite_t_max(self, tmp_path, capsys, t_max):
+        law = {"family": "power", "p": 1.0, "t_max": t_max}
+        self._run(tmp_path, "solve", {
+            "problem": {**self.BAD_LAW, "sigma_plus": law}, "grid": {"d": 1, "n": 17},
+        })
+        assert capsys.readouterr().err == "error: power: t_max must be positive and finite\n"
+
     def test_build_modulus_with_a_malformed_law(self, tmp_path):
         self._run(tmp_path, "build-modulus", {"problem": self.BAD_LAW, "modulus": self.MODULUS})
 
@@ -876,7 +899,9 @@ class TestImports:
             "def scipy(): return sorted(m for m in sys.modules if m.startswith('scipy'))",
             "print(scipy())",
             "for cmd in ('certify', 'build-modulus', 'measure', 'report'):",
-            f"    print(cmd, cli.main([cmd, '--config', {str(path)!r}, '--field', {str(field)!r}]))",
+            f"    argv = [cmd, '--config', {str(path)!r}]",
+            f"    extra = ['--field', {str(field)!r}] if cmd in ('certify', 'measure') else []",
+            "    print(cmd, cli.main(argv + extra))",
             "print(scipy())",
             f"print('solve', cli.main(['solve', '--config', {str(path)!r}]))",
             "print('scipy.sparse' in scipy())",
@@ -900,14 +925,63 @@ class TestErrorsAndDeterminism:
 
     @pytest.mark.parametrize("argv, message", [
         (["solve"], "the following arguments are required: --config"),
-        (["solve", "--config", "c.json", "--seed", "x"], "invalid int value: 'x'"),
+        (["build-modulus", "--config", "c.json", "--eval", "x"],
+         "invalid float value: 'x'"),
     ])
     def test_usage_error_is_one_line_config_error(self, capsys, argv, message):
         assert main(argv) == EXIT_CONFIG
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: degenlab solve: ")
+        assert captured.err.startswith(f"error: degenlab {argv[0]}: ")
         assert message in captured.err and captured.err.count("\n") == 1
         assert captured.out == ""
+
+    FLAGS = {
+        "solve": {"--config", "--out"},
+        "certify": {"--config", "--out", "--field"},
+        "build-modulus": {"--config", "--out", "--eval"},
+        "measure": {"--config", "--out", "--field"},
+        "report": {"--config", "--out"},
+    }
+
+    def test_each_command_takes_only_the_flags_it_reads(self):
+        commands = next(a for a in _parser()._actions if a.dest == "command").choices
+        assert set(commands) == set(self.FLAGS)
+        for name, sub in commands.items():
+            flags = {f for a in sub._actions for f in a.option_strings} - {"-h", "--help"}
+            assert flags == self.FLAGS[name], name
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command, flags in FLAGS.items()
+        for flag in sorted({"--field", "--eval", "--seed"} - flags)
+    ])
+    def test_a_flag_the_command_does_not_read_is_a_usage_error(self, run_config, capsys,
+                                                                command, flag):
+        path, out = run_config
+        argv = [command, "--config", str(path), flag, "1"]
+        if "--field" in self.FLAGS[command]:
+            argv += ["--field", str(out / "field.csv")]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"error: degenlab: unrecognized arguments: {flag} 1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["certify", "measure"])
+    def test_field_is_required(self, run_config, capsys, command):
+        path, out = run_config
+        assert main([command, "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == (f"error: degenlab {command}: the following arguments are "
+                       "required: --field\n")
+        assert not out.exists()
+
+    def test_a_seed_in_the_config_is_one_error_line(self, run_config, capsys):
+        path, out = run_config
+        cfg = json.loads(path.read_text())
+        cfg["seed"] = 7
+        path.write_text(json.dumps(cfg))
+        assert main(["build-modulus", "--config", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: config: unknown keys ['seed']\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("block, key, value", [
         ("scheme", "tol_solve", "abc"),
@@ -947,7 +1021,9 @@ class TestErrorsAndDeterminism:
         cfg = json.loads(path.read_text())
         cfg[block][key] = value
         path.write_text(json.dumps(cfg))
-        argv = [command, "--config", str(path), "--field", str(out / "field.csv")]
+        argv = [command, "--config", str(path)]
+        if command == "measure":
+            argv += ["--field", str(out / "field.csv")]
         assert main(argv) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error: config") and err.count("\n") == 1
@@ -992,23 +1068,10 @@ class TestErrorsAndDeterminism:
         outs = []
         for name in ("a", "b"):
             out = tmp_path / name
-            main(["solve", "--config", str(path), "--out", str(out), "--seed", "7"])
-            main(
-                [
-                    "certify",
-                    "--config",
-                    str(path),
-                    "--field",
-                    str(out / "field.csv"),
-                    "--out",
-                    str(out),
-                    "--seed",
-                    "7",
-                ]
-            )
-            main(
-                ["build-modulus", "--config", str(path), "--out", str(out), "--seed", "7"]
-            )
+            main(["solve", "--config", str(path), "--out", str(out)])
+            main(["certify", "--config", str(path), "--field", str(out / "field.csv"),
+                  "--out", str(out)])
+            main(["build-modulus", "--config", str(path), "--out", str(out)])
             outs.append(out)
         a, b = outs
         names = sorted(p.name for p in a.iterdir())

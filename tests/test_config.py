@@ -54,12 +54,12 @@ class TestValidation:
             lambda d: d["grid"].update(spacing=0.1),
             lambda d: d["scheme"].update(solver="x"),
             lambda d: d["problem"].update(benchmark="mystery"),
-            lambda d: d.update(seed="not-an-int"),
+            lambda d: d.update(seed=0),  # no key draws or records a seed
             lambda d: d.update(modulus={"K": 0}),
             lambda d: d["grid"].update(n=10**51),
             lambda d: d["grid"].update(n=1e30),
             lambda d: d["scheme"].update(max_iter=2**63),
-            lambda d: d.update(seed=-(2**63) - 1),
+            lambda d: d.update(lab={"N": -1}),
             lambda d: d.update(grid={"d": 2, "n": 2**32}),
             lambda d: d.update(grid={"d": 2**62, "n": 9}),
         ],
@@ -70,12 +70,11 @@ class TestValidation:
         with pytest.raises(ConfigError):
             validate_config(data)
 
-    def test_largest_int64_values_pass(self):
+    def test_largest_int64_value_passes(self):
         data = _base()
-        data["seed"] = -(2**63)
         data["scheme"]["max_iter"] = 2**63 - 1
         cfg = validate_config(data)
-        assert cfg.seed == -(2**63) and cfg.scheme["max_iter"] == 2**63 - 1
+        assert cfg.scheme["max_iter"] == 2**63 - 1
 
     def test_problem_requires_full_explicit_block(self):
         data = _base()

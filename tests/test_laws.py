@@ -139,6 +139,26 @@ class TestEvaluation:
         with pytest.raises(DomainError):
             PowerLaw(p=1.0, t_max=0.0)
 
+    # JSON reads 1e400 as inf and NaN as nan: a law is sigma on a finite [0, t_max]
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("cfg", [
+        {"family": "power", "p": 1.0},
+        {"family": "power-log", "p": 1.0, "q": 1.0},
+        {"family": "exponential-flat"},
+    ], ids=lambda c: c["family"])
+    def test_non_finite_t_max_is_a_domain_error(self, cfg, bad):
+        with pytest.raises(DomainError, match=f"{cfg['family']}: t_max must be positive "
+                                              "and finite"):
+            law_from_config({**cfg, "t_max": bad})
+
+    @pytest.mark.parametrize("points", [
+        [[0.5, math.nan]], [[math.nan, 0.5]], [[0.5, 0.25], [math.inf, 1.0]],
+        [[0.5, 0.25], [1.0, math.inf]],
+    ])
+    def test_non_finite_breakpoint_is_a_domain_error(self, points):
+        with pytest.raises(DomainError, match="tabulated: breakpoints must be finite"):
+            law_from_config({"family": "tabulated", "points": points})
+
 
 class TestDini:
     def test_power1_partial_sums_frozen(self):

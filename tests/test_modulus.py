@@ -7,6 +7,7 @@ modulus omega.
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -72,6 +73,16 @@ class TestChooseScale:
             pytest.approx(0.25),
             pytest.approx(0.25),
         )
+
+    @pytest.mark.parametrize("C", [0.5, 0.3])
+    def test_constant_the_clamp_cannot_save_is_a_domain_error(self, C):
+        # at alpha0 = 1 and r = 1/16, r < mu1 needs C > 1/2: no clamp to 1/2 helps
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # raised before any clamp warning
+            with pytest.raises(DomainError) as exc:
+                choose_scale(C, 1.0)
+        assert str(exc.value) == (f"choose_scale: C={C:g} with alpha0=1 leaves mu1 <= r; "
+                                  "r < mu1 needs C > r^(1 - alpha0) / 2 = 0.5 at r = 0.0625")
 
     def test_rejects_bad_exponent(self):
         with pytest.raises(DomainError):

@@ -137,10 +137,14 @@ def _check_jacobian(disc, seed):
     scale = max(1.0, float(np.max(np.abs(fwd))))
     # a policy or phase switch within one step puts a kink between them
     assume(np.max(np.abs(fwd - bwd)) <= 1e-4 * scale)
+    assert np.max(np.abs(_dense_jacobian(disc, u) - 0.5 * (fwd + bwd))) <= 1e-5 * scale
+
+
+def _dense_jacobian(disc, u):
+    """The J that residual_interior returns at u, as a dense matrix."""
     # with 1/dt = 0 the step matrix diag(1/dt) - J is -J
     coeffs = disc.residual_interior(u)[3]
-    J = -disc.pattern.matrix(coeffs, np.full(disc.f_int.shape, np.inf)).toarray()
-    assert np.max(np.abs(J - 0.5 * (fwd + bwd))) <= 1e-5 * scale
+    return -disc.pattern.matrix(coeffs, np.full(disc.f_int.shape, np.inf)).toarray()
 
 
 @PROPERTY
@@ -155,6 +159,24 @@ def test_wide_jacobian_matches_finite_differences(kind, d, q, seed):
 @given(seed=st.integers(0, 2**32 - 1))
 def test_flux_jacobian_matches_finite_differences(seed):
     _check_jacobian(_FluxDiscretization1D(_transmission(), Grid(d=1, n=9), 1e-9), seed)
+
+
+@pytest.mark.parametrize("q", [0.0, 0.3])
+def test_flux_jacobian_matches_finite_differences_past_t_max(q):
+    """Every slope near 5, past t_max = 0.5: sigma is frozen at sigma(t_max)
+    and the flux keeps that slope, so J is still the derivative of R."""
+    prob = ProblemInstance(
+        operator=EllipticOperator(kind="trace", pair=EllipticityPair(1.0, 1.0)),
+        sigma_plus=PowerLaw(1.0, t_max=0.5), sigma_minus=PowerLaw(2.0, t_max=0.5),
+        f=0.0, g=0.0, C0=1.0, q=(q,),
+    )
+    disc = _FluxDiscretization1D(prob, Grid(d=1, n=9), 1e-9)
+    x = disc.grid.axis
+    u = 5.0 * x + 0.2 * np.sin(3.0 * x)  # both phases, no edge sum near 0
+    fwd, bwd = _one_sided_jacobians(disc, u)
+    scale = float(np.max(np.abs(fwd)))
+    assert scale > 1.0 and np.max(np.abs(fwd - bwd)) <= 1e-4 * scale
+    assert np.max(np.abs(_dense_jacobian(disc, u) - 0.5 * (fwd + bwd))) <= 1e-5 * scale
 
 
 # -- discrete comparison ----------------------------------------------------

@@ -7,8 +7,11 @@ import pytest
 
 from degenlab import solver
 from degenlab.benchmarks import exact_benchmark
+from degenlab.elliptic import EllipticityPair, EllipticOperator
 from degenlab.errors import ConfigError
 from degenlab.grids import DiscreteField, Grid
+from degenlab.laws import PowerLaw
+from degenlab.problem import ProblemInstance
 from degenlab.solver import (
     MAX_ITER,
     SchemeConfig,
@@ -94,6 +97,31 @@ class TestTransmission:
         assert res.sup_norm() == diag.final_residual
 
 
+class TestPastTMax:
+    """sigma(t) = t frozen at t_max = 0.5: slopes past it keep the flux slope 0.5."""
+
+    @staticmethod
+    def _problem(f, g):
+        law = PowerLaw(1.0, t_max=0.5)
+        return ProblemInstance(
+            operator=EllipticOperator(kind="trace", pair=EllipticityPair(1.0, 1.0)),
+            sigma_plus=law, sigma_minus=law, f=f, g=g, C0=abs(f),
+        )
+
+    def test_steep_forcing(self):
+        # u' = -4 sqrt(-x) down to x = -1/64, then u'' = 16 (sigma = 0.5); symmetric
+        u, diag = solve_cascade(self._problem(8.0, 0.0), Grid(d=1, n=65), SchemeConfig())
+        assert diag.converged
+        exact = -((8.0 / 3.0) / 64**1.5 + 0.5 * 63 / 64 + 8.0 * (63 / 64) ** 2)
+        assert abs(u.values[32] - exact) < 2e-3
+
+    def test_steep_affine_data_are_recovered(self):
+        grid = Grid(d=1, n=33)
+        u, diag = solve(self._problem(0.0, lambda x: 5.0 * x + 5.0), grid, SchemeConfig())
+        assert diag.converged
+        assert np.max(np.abs(u.values - (5.0 * grid.axis + 5.0))) < 1e-9
+
+
 class TestDiagnostics:
     def test_iteration_cap_reports_nonconvergence(self):
         bench = exact_benchmark("radial-power", {"theta": 1.0, "d": 1})
@@ -127,6 +155,27 @@ class TestDiagnostics:
         _, diag_warm = solve(bench.problem, grid, cfg_warm)
         _, diag_cold = solve(bench.problem, grid, cfg_cold)
         assert diag_warm.iterations < diag_cold.iterations
+
+    @pytest.mark.parametrize("as_field", [False, True])
+    def test_cascade_starts_from_a_fine_grid_field(self, as_field):
+        bench = exact_benchmark("radial-power", {"theta": 1.0, "d": 1})
+        grid = Grid(d=1, n=33)
+        exact = bench.exact_on(grid)
+        cfg = SchemeConfig(tol=1e-6, eps_deg=bench.recommended_eps_deg(grid))
+        start = DiscreteField(grid=grid, values=exact) if as_field else exact
+        _, cold = solve_cascade(bench.problem, grid, cfg)
+        _, warm = solve_cascade(bench.problem, grid, dataclasses.replace(cfg, initial=start))
+        assert warm.converged and warm.levels[0]["n"] == 9
+        # the coarsest level starts from the exact field at its own nodes
+        want = residual(DiscreteField(grid=Grid(d=1, n=9), values=exact[::4]),
+                        bench.problem, cfg.eps_deg).sup_norm()
+        assert warm.levels[0]["start_residual"] == want < cold.levels[0]["start_residual"]
+        assert warm.levels[0]["iterations"] < cold.levels[0]["iterations"]
+
+    def test_cascade_start_of_another_shape_is_config_error(self):
+        bench = exact_benchmark("radial-power", {"theta": 1.0, "d": 1})
+        with pytest.raises(ConfigError, match="shape"):
+            solve_cascade(bench.problem, Grid(d=1, n=33), SchemeConfig(initial=np.zeros(35)))
 
     def test_cascade_matches_direct_solve(self):
         bench = exact_benchmark("radial-power", {"theta": 1.0, "d": 1})
