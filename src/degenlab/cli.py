@@ -32,9 +32,11 @@ so does a failed write into the output directory (exit 1; when only
 manifest.json cannot be written, the command's other files stay).
 
 manifest.json keeps one entry per command that ran into the directory:
-config digest, wall times per stage, counters (build-modulus:
-hold/root/cap steps per law and the root search's calls of each law,
-also on exit 4; measure: minimax fits, the
+config digest, wall times per stage, counters (solve: iterations,
+linear solves and rejected steps summed over the cascade levels, when
+the cascade returns; certify: the window scans of both sides;
+build-modulus: hold/root/cap steps per law and the root search's calls
+of each law, also on exit 4; measure: minimax fits, the
 fits whose duality gap is too wide to certify, the exchange steps of
 all fits and whether the modulus was read back) and a sha256 inventory
 of the files the command emitted; rerunning a command replaces its entry.
@@ -295,6 +297,8 @@ def cmd_solve(cfg: RunConfig, args, run: _Run) -> int:
         if exc.diagnostics is not None:
             run.emit_json("solve_diagnostics.json", _diag_json(exc.diagnostics))
         raise
+    for key in ("iterations", "linear_solves", "rejected_steps"):
+        run.counters[f"solver.{key}"] = sum(level[key] for level in diag.levels)
     bench_error = None
     if bench is not None:
         exact = bench.exact_on(grid)

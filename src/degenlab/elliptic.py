@@ -18,7 +18,7 @@ An operator F is uniformly (lam, Lam)-elliptic iff
 
     P_minus(M - N) <= F(M) - F(N) <= P_plus(M - N)   for all symmetric M, N,
 
-which is the property ``check_ellipticity`` samples.  All operators here are
+which is the property the test suite samples.  All operators here are
 normalized with F(0) = 0 so the sign conventions of the transmission problem
 are unambiguous.
 """
@@ -201,44 +201,3 @@ def _trace_product(A: SymMatrix, mat):
         for i, j, a in zip(*np.triu_indices(A.d), A.upper)
     ]
     return sum(terms[1:], terms[0])
-
-
-@dataclass(frozen=True)
-class EllipticityReport:
-    passed: bool
-    samples: int
-    worst_low_slack: float
-    worst_high_slack: float
-    counterexample: tuple | None
-
-
-def check_ellipticity(
-    op: EllipticOperator, d: int, samples: int = 2000, seed: int = 0
-) -> EllipticityReport:
-    """Sample the two-sided Pucci envelope property on random matrix pairs.
-
-    Draws symmetric M, N with entries uniform in [-1, 1] and verifies
-
-        P_minus(M - N) - tol <= F(M) - F(N) <= P_plus(M - N) + tol.
-
-    Slacks are reported so a failure shows how badly the envelope broke.
-    """
-    if d not in (1, 2, 3):
-        raise DomainError("check_ellipticity: d must be 1, 2 or 3")
-    rng = np.random.default_rng(seed)
-    B = rng.uniform(-1.0, 1.0, size=(samples, 2, d, d))
-    S = (B + np.swapaxes(B, -1, -2)) / 2.0
-    M, N = S[:, 0], S[:, 1]
-    diff = op.apply(M) - op.apply(N)
-    low = diff - pucci_minus(M - N, op.pair)
-    high = pucci_plus(M - N, op.pair) - diff
-    failed = np.flatnonzero((low < -ELLIPTICITY_TOL) | (high < -ELLIPTICITY_TOL))
-    # report as of the first failing sample, like a draw-by-draw loop would
-    stop = int(failed[0]) + 1 if failed.size else samples
-    return EllipticityReport(
-        passed=not failed.size,
-        samples=stop,
-        worst_low_slack=float(np.min(low[:stop], initial=np.inf)),
-        worst_high_slack=float(np.min(high[:stop], initial=np.inf)),
-        counterexample=(M[stop - 1].tolist(), N[stop - 1].tolist()) if failed.size else None,
-    )

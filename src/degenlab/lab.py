@@ -11,9 +11,6 @@ constructed modulus:
                        a log-log slope fit;
 * ``gradient_pairs``   the gradient-increment cloud of the whole field, one
                        (m, 2) array; it does not depend on any center;
-* ``rescale_field``    the normalization (u(x0 + r y) - affine) / (mu r)
-                       used by the scale iteration, resampled onto the
-                       standard grid;
 * ``compare_modulus``  smallest C* with  E(rho) <= C* rho omega(rho)
                        across the measured scales, and the spread of the
                        per-scale ratios (how uniformly omega envelopes
@@ -35,9 +32,7 @@ NumericError.
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
 import warnings
 from dataclasses import dataclass
 
@@ -342,47 +337,6 @@ def gradient_pairs(u: DiscreteField) -> np.ndarray:
             pairs.append(np.column_stack([np.full(diff.size, gap * h), diff]))
         gap *= 2
     return np.concatenate(pairs)
-
-
-def rescale_field(u: DiscreteField, fit: AffineFit, r: float, mu: float) -> DiscreteField:
-    """(u(x0 + r y) - a - b.(r y)) / (mu r), resampled on the unit grid.
-
-    This is the normalization of the scale iteration: if the affine
-    approximates u to mu * r on B_r(x0), the rescaled field has sup-norm
-    at most 1 on the unit ball.  Values between nodes are obtained by
-    (bi)linear interpolation.
-    """
-    if mu <= 0.0 or not (0.0 < r <= 1.0):
-        raise DomainError("rescale_field: need mu > 0 and r in (0, 1]")
-    grid = u.grid
-    if max(abs(v) for v in fit.x0) + r > 1.0 + 1e-12:
-        raise DomainError("rescale_field: B_r(x0) leaves the grid")
-    ys = grid.meshgrid()
-    sampled = _interp(u, tuple(fit.x0[j] + r * ys[j] for j in range(grid.d)))
-    affine = fit.a
-    for j in range(grid.d):
-        affine = affine + fit.b[j] * (r * ys[j])
-    return DiscreteField(grid=grid, values=(sampled - affine) / (mu * r))
-
-
-def _interp(u: DiscreteField, coords):
-    """Multilinear interpolation of a grid field at coordinate arrays."""
-    grid = u.grid
-    h = grid.h
-    idx_frac = []
-    for c in coords:
-        c = np.asarray(c, dtype=float)
-        if np.any(c < -1.0 - 1e-12) or np.any(c > 1.0 + 1e-12):
-            raise DomainError("interpolation outside the grid")
-        t = np.clip((c + 1.0) / h, 0.0, grid.n - 1.0)
-        i0 = np.minimum(t.astype(int), grid.n - 2)
-        idx_frac.append((i0, t - i0))
-    terms = []
-    for corner in corners(grid.d):
-        weights = [f if c else 1 - f for (_, f), c in zip(idx_frac, corner)]
-        node = tuple(i0 + c for (i0, _), c in zip(idx_frac, corner))
-        terms.append(functools.reduce(operator.mul, weights) * u.values[node])
-    return sum(terms[1:], terms[0])
 
 
 def compare_modulus(profile: DecayProfile, omega: Modulus) -> ModulusComparison:

@@ -467,9 +467,13 @@ class ScaledLaw(DegeneracyLaw):
     t_max: float = field(init=False)
 
     def __post_init__(self):
-        if self.prefactor <= 0.0 or self.argscale <= 0.0:
-            raise DomainError("scaled: prefactor and argscale must be positive")
-        object.__setattr__(self, "t_max", self.base.t_max / self.argscale)
+        for value in (self.prefactor, self.argscale):
+            if not (value > 0.0 and math.isfinite(value)):
+                raise DomainError("scaled: prefactor and argscale must be positive and finite")
+        t_max = self.base.t_max / self.argscale
+        if not math.isfinite(t_max):
+            raise DomainError("scaled: t_max = base t_max / argscale must be finite")
+        object.__setattr__(self, "t_max", t_max)
 
     def _raw(self, t):
         return self.prefactor * self.base._raw(np.asarray(t) * self.argscale)

@@ -42,10 +42,14 @@ built from the same arrays, so each iterate is evaluated once.  The
 wide-stencil J also carries F_h sigma'(|grad_h u|) d|grad_h u|/du through
 the central gradient, with sigma' one relative central difference of the
 law itself (``_law_slope``).  In the flux form, J is tridiagonal with edge
-weight sigma_phase(max(|s + q|, eps_deg)) / h^2.  ``_StencilPattern``
-builds diag(1/dt) - J as one CSC matrix, factored by SuperLU with the MMD
-ordering of A^T + A.  scipy is imported where the matrix is built and
-factored, so the commands that solve nothing never load it.
+weight sigma_phase(max(|s + q|, eps_deg)) / h^2.  Each discretization
+picks the pattern that solves diag(1/dt) - J once, from the dimension.  In
+1-d every stencil is tridiagonal, and ``_TridiagonalPattern`` hands the
+three bands to LAPACK's dgtsv (partial pivoting).  In 2-d
+``_StencilPattern`` builds one CSC matrix, factored by SuperLU with the MMD
+ordering of A^T + A.  scipy is imported where the step is solved, so the
+commands that solve nothing never load it, and a 1-d solve never loads
+scipy.sparse.
 
 dt is a per-node array, a multiple of the explicit stability cap: the
 center weight of F_h is at most 2 d Lam_F / h^2, and 0.9 of the cap with
@@ -105,7 +109,7 @@ from .grids import MIN_NODES, DiscreteField, Grid, refine_linear
 from .problem import ProblemInstance, gradient_norm, select_phase
 
 # Default step cap of SchemeConfig and of the config key "max_iter": a step
-# costs one sparse factorization or more, and converging solves take tens.
+# costs one linear solve or more, and converging solves take tens.
 MAX_ITER = 1000
 
 _EXPLODE_FACTOR = 1e8
@@ -184,13 +188,15 @@ class SolveDiagnostics:
 
 
 class _StencilPattern:
-    """Sparse CSC pattern of a fixed stencil on the interior nodes.
+    """Sparse CSC pattern of a fixed stencil on the interior nodes (2-d steps).
 
     ``matrix(J, dt)`` takes a stencil coefficient stack J of shape
     (len(offsets), *shape), where J[k] at a node multiplies the value at
     node + offsets[k], and returns diag(1/dt) - J in one build.  Neighbours
     outside the interior carry Dirichlet data and are dropped.  Exact zeros
     are not stored, as SuperLU's ordering depends on the stored entries.
+    ``solve(J, dt, r)`` factors that matrix with SuperLU and returns the
+    delta with (diag(1/dt) - J) delta = r, or None if it is exactly singular.
     """
 
     def __init__(self, shape: tuple, offsets: list):
@@ -221,6 +227,41 @@ class _StencilPattern:
                               shape=(self.size,) * 2)
         A.eliminate_zeros()
         return A
+
+    def solve(self, coeffs: np.ndarray, dt: np.ndarray, r: np.ndarray):
+        from scipy.sparse.linalg import splu
+
+        try:
+            lu = splu(self.matrix(coeffs, dt), permc_spec="MMD_AT_PLUS_A")
+        except RuntimeError:  # exactly singular
+            return None
+        return lu.solve(r.ravel()).reshape(r.shape)
+
+
+class _TridiagonalPattern:
+    """The 1-d step: diag(1/dt) - J straight from the stencil stack's bands.
+
+    A 1-d stencil couples each interior node to itself and its two
+    neighbours, so ``bands(J, dt)`` gives the matrix as its sub-, main and
+    super-diagonal, and ``solve(J, dt, r)`` solves it by LAPACK's dgtsv
+    (Gaussian elimination with partial pivoting), or returns None if it is
+    exactly singular.  The same interface as ``_StencilPattern``, with no
+    sparse matrix built.
+    """
+
+    def __init__(self, offsets: list):
+        self.rows = [offsets.index((o,)) for o in (-1, 0, 1)]
+
+    def bands(self, coeffs: np.ndarray, dt: np.ndarray):
+        lower, center, upper = (coeffs[k] for k in self.rows)
+        return -lower[1:], 1.0 / dt - center, -upper[:-1]
+
+    def solve(self, coeffs: np.ndarray, dt: np.ndarray, r: np.ndarray):
+        from scipy.linalg.lapack import dgtsv
+
+        *_, delta, info = dgtsv(*self.bands(coeffs, dt), r,
+                                overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+        return None if info else delta
 
 
 def _law_slope(law, t):
@@ -283,7 +324,8 @@ class _Discretization:
             e = _DIRECTIONS[d][k]
             self.offsets += [e, _neg(e)]
         self.offset_index = {off: i for i, off in enumerate(self.offsets)}
-        self.pattern = _StencilPattern(self.f_int.shape, self.offsets)
+        self.pattern = (_TridiagonalPattern(self.offsets) if d == 1
+                        else _StencilPattern(self.f_int.shape, self.offsets))
 
     # -- interior differential quantities ---------------------------------
 
@@ -398,7 +440,7 @@ class _FluxDiscretization1D:
         self.f_int = prob.f_on(grid)[grid.interior]
         self.q = float(prob.q_vector(1)[0])
         self.center_bound = 2.0 / grid.h**2
-        self.pattern = _StencilPattern(self.f_int.shape, self.offsets)
+        self.pattern = _TridiagonalPattern(self.offsets)
         # each phase law with sigma(t_max), the flux's slope past t_max, and Psi(q)
         self.laws = []
         for law in (prob.sigma_plus, prob.sigma_minus):
@@ -533,16 +575,14 @@ def _rms(r: np.ndarray) -> float:
     return top * float(np.sqrt(np.mean((r / top) ** 2)))
 
 
-def _implicit_trial(A, u: np.ndarray, r: np.ndarray, interior: tuple):
-    """u + delta with A delta = r, or None if that is not finite."""
-    from scipy.sparse.linalg import splu
-
-    try:
-        delta = splu(A, permc_spec="MMD_AT_PLUS_A").solve(r.ravel())
-    except RuntimeError:  # exactly singular
+def _implicit_trial(pattern, J, dt, u: np.ndarray, r: np.ndarray, interior: tuple):
+    """u + delta with (diag(1/dt) - J) delta = r, or None if that is singular
+    or not finite."""
+    delta = pattern.solve(J, dt, r)
+    if delta is None:
         return None
     trial = u.copy()
-    trial[interior] += delta.reshape(r.shape)
+    trial[interior] += delta
     return trial if np.all(np.isfinite(trial)) else None
 
 
@@ -598,7 +638,7 @@ def solve(prob: ProblemInstance, grid: Grid, cfg: SchemeConfig = SchemeConfig())
         first_try = True
         while True:
             step = growth * dt
-            trial = _implicit_trial(disc.pattern.matrix(J, step), u, r, interior)
+            trial = _implicit_trial(disc.pattern, J, step, u, r, interior)
             solves += 1
             if trial is not None:
                 r_t, sig_t, clamped, J_t = disc.residual_interior(trial)

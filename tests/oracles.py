@@ -7,6 +7,7 @@ implementations must agree with.
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
@@ -38,6 +39,47 @@ def sample_class_traces(M, lam, Lam, n, rng):
     # tr(Q diag(s) Q^T M) = sum_k s_k * (Q^T M Q)_kk
     QtMQ_diag = np.einsum("nik,ij,njk->nk", Q, M, Q)
     return np.einsum("nk,nk->n", spec, QtMQ_diag)
+
+
+@dataclass(frozen=True)
+class EllipticityReport:
+    passed: bool
+    samples: int
+    worst_low_slack: float
+    worst_high_slack: float
+    counterexample: tuple | None
+
+
+def check_ellipticity(op, d, samples=2000, seed=0):
+    """Sample the two-sided Pucci envelope property on random matrix pairs.
+
+    Draws symmetric M, N with entries uniform in [-1, 1] and verifies
+
+        P_minus(M - N) - tol <= F(M) - F(N) <= P_plus(M - N) + tol
+
+    with tol = ELLIPTICITY_TOL, all pairs at once.  Slacks are reported as
+    of the first failing pair, so a failure shows how badly the envelope
+    broke.
+    """
+    from degenlab.elliptic import ELLIPTICITY_TOL, pucci_minus, pucci_plus
+
+    rng = np.random.default_rng(seed)
+    B = rng.uniform(-1.0, 1.0, size=(samples, 2, d, d))
+    S = (B + np.swapaxes(B, -1, -2)) / 2.0
+    M, N = S[:, 0], S[:, 1]
+    diff = op.apply(M) - op.apply(N)
+    low = diff - pucci_minus(M - N, op.pair)
+    high = pucci_plus(M - N, op.pair) - diff
+    failed = np.flatnonzero((low < -ELLIPTICITY_TOL) | (high < -ELLIPTICITY_TOL))
+    # report as of the first failing sample, like a draw-by-draw loop would
+    stop = int(failed[0]) + 1 if failed.size else samples
+    return EllipticityReport(
+        passed=not failed.size,
+        samples=stop,
+        worst_low_slack=float(np.min(low[:stop], initial=np.inf)),
+        worst_high_slack=float(np.min(high[:stop], initial=np.inf)),
+        counterexample=(M[stop - 1].tolist(), N[stop - 1].tolist()) if failed.size else None,
+    )
 
 
 def brute_affine_1d(u, x0, rho, n_nodes, n_slopes=2001):
@@ -165,18 +207,6 @@ def refine_linear_reference(u):
     v[0::2, 1::2] = 0.5 * (u[:, :-1] + u[:, 1:])
     v[1::2, 1::2] = 0.25 * (u[:-1, :-1] + u[1:, :-1] + u[:-1, 1:] + u[1:, 1:])
     return v
-
-
-def bilinear_reference(u, h, x, y):
-    """Bilinear interpolation of u[i, j] at (-1 + i h, -1 + j h), point by point."""
-    out = np.empty(np.shape(x))
-    for k, (xk, yk) in enumerate(zip(np.ravel(x), np.ravel(y))):
-        i = min(int((xk + 1.0) / h), u.shape[0] - 2)
-        j = min(int((yk + 1.0) / h), u.shape[1] - 2)
-        fx, fy = (xk + 1.0) / h - i, (yk + 1.0) / h - j
-        out.flat[k] = ((1 - fx) * (1 - fy) * u[i, j] + fx * (1 - fy) * u[i + 1, j]
-                       + (1 - fx) * fy * u[i, j + 1] + fx * fy * u[i + 1, j + 1])
-    return out
 
 
 def reference_full_scan(R, shift, sign):

@@ -87,6 +87,19 @@ class TestSolve:
         diag = json.loads((tmp_path / "stall" / "solve_diagnostics.json").read_text())
         assert diag["converged"] is False
 
+    @pytest.mark.parametrize("max_iter, code", [(1000, EXIT_OK), (4, EXIT_DIVERGED)])
+    def test_manifest_counts_the_solver_steps_of_every_level(self, run_config, max_iter, code):
+        path, out = run_config
+        cfg = json.loads(path.read_text())
+        cfg["scheme"]["max_iter"] = max_iter
+        path.write_text(json.dumps(cfg))
+        assert main(["solve", "--config", str(path)]) == code
+        levels = json.loads((out / "solve_diagnostics.json").read_text())["levels"]
+        counters = json.loads((out / "manifest.json").read_text())["commands"]["solve"]["counters"]
+        assert counters == {f"solver.{key}": sum(lv[key] for lv in levels)
+                            for key in ("iterations", "linear_solves", "rejected_steps")}
+        assert len(levels) == 3 and counters["solver.linear_solves"] > levels[-1]["linear_solves"]
+
     def test_diagnostics_report_levels_and_linear_solves(self, run_config):
         path, out = run_config
         assert main(["solve", "--config", str(path)]) == EXIT_OK
@@ -891,6 +904,12 @@ class TestImports:
     def test_only_solve_loads_scipy(self, run_config, tmp_path):
         # a fresh interpreter: the test process has scipy loaded already
         path, _ = run_config
+        plane = tmp_path / "plane.json"
+        plane.write_text(json.dumps({
+            "problem": {"benchmark": "affine", "params": {"d": 2}},
+            "grid": {"d": 2, "n": 9},
+            "out": str(tmp_path / "plane"),
+        }))
         field = tmp_path / "field.csv"
         field.write_text("x,u\n" + "".join(
             f"{x:.17g},{abs(x) ** 1.5:.17g}\n" for x in np.linspace(-1.0, 1.0, 49)))
@@ -905,6 +924,8 @@ class TestImports:
             "print(scipy())",
             f"print('solve', cli.main(['solve', '--config', {str(path)!r}]))",
             "print('scipy.sparse' in scipy())",
+            f"print('solve', cli.main(['solve', '--config', {str(plane)!r}]))",
+            "print('scipy.sparse' in scipy())",
         ])
         src = str(Path(lab.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -913,7 +934,8 @@ class TestImports:
                               text=True, env=env, timeout=300, check=True)
         assert done.stdout.splitlines() == [
             "[]", "certify 0", "build-modulus 0", "measure 0", "report 0", "[]",
-            "solve 0", "True",  # the check can fail: solve factorizes
+            "solve 0", "False",  # a 1-d step is tridiagonal: no sparse matrix
+            "solve 0", "True",  # the check can fail: a 2-d solve factorizes with SuperLU
         ]
 
 

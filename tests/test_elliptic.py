@@ -5,15 +5,19 @@ import pytest
 
 from degenlab.elliptic import (
     EllipticityPair,
-    EllipticityReport,
     EllipticOperator,
     SymMatrix,
-    check_ellipticity,
     pucci_minus,
     pucci_plus,
 )
 from degenlab.errors import DomainError
-from oracles import eigenspace_minimizer, pucci_reference, sample_class_traces
+from oracles import (
+    EllipticityReport,
+    check_ellipticity,
+    eigenspace_minimizer,
+    pucci_reference,
+    sample_class_traces,
+)
 
 
 class TestSymMatrix:

@@ -1,7 +1,5 @@
 """Empirical regularity lab: minimax affine fits and excess decay."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,16 +10,14 @@ from degenlab.errors import DomainError, NumericError
 from degenlab.grids import DiscreteField, Grid
 from degenlab.lab import (
     _ball_nodes,
-    _interp,
     best_affine,
     compare_modulus,
     decay_scan,
     gradient_pairs,
-    rescale_field,
 )
 from degenlab.modulus import build_modulus
 from degenlab.laws import PowerLaw
-from oracles import bilinear_reference, brute_affine_1d, minimax_reference
+from oracles import brute_affine_1d, minimax_reference
 
 
 class TestBestAffine:
@@ -244,43 +240,6 @@ class TestDecayScan:
             assert (scale, excess, rate) == (s, e, r)
 
 
-class TestRescaleField:
-    def test_affine_part_removed(self):
-        g = Grid(d=1, n=513)
-        u = DiscreteField.from_function(g, lambda x: 0.4 + 0.2 * x)
-        fit = best_affine(u, (0.0,), 0.25)
-        v = rescale_field(u, fit, r=0.25, mu=0.5)
-        assert v.sup_norm() <= 1e-12
-
-    def test_normalization_contracts_to_unit(self):
-        g = Grid(d=1, n=1025)
-        u = DiscreteField.from_function(g, lambda x: np.abs(x) ** 1.5)
-        fit = best_affine(u, (0.0,), 0.25)
-        # normalized by mu * r = excess scale: sup over the unit ball ~ 1
-        v = rescale_field(u, fit, r=0.25, mu=fit.excess / 0.25)
-        assert v.sup_norm() <= 1.0 + 1e-3
-
-    def test_composition_matches_single_step(self):
-        g = Grid(d=1, n=2049)
-        u = DiscreteField.from_function(g, lambda x: np.abs(x) ** 1.5)
-        r, mu = 0.25, 0.5
-        f1 = best_affine(u, (0.0,), r)
-        v1 = rescale_field(u, f1, r=r, mu=mu)
-        f2 = best_affine(v1, (0.0,), r)
-        v2 = rescale_field(v1, f2, r=r, mu=mu)
-        # compose: same zoom r^2, affine a1 + r*mu*a2? handled via direct fit
-        composed = dataclasses.replace(
-            f1,
-            a=f1.a + mu * r * f2.a,
-            b=tuple(np.asarray(f1.b) + mu * np.asarray(f2.b)),
-        )
-        direct = rescale_field(u, composed, r=r**2, mu=mu**2)
-        xs = np.linspace(-0.9, 0.9, 41)
-        interp = lambda w, x: np.interp(x, w.grid.axis, w.values)
-        dev = max(abs(interp(v2, x) - interp(direct, x)) for x in xs)
-        assert dev < 1e-10
-
-
 class TestCompareModulus:
     def _omega(self):
         _, _, omega = build_modulus(
@@ -307,7 +266,7 @@ class TestCompareModulus:
 
 
 class TestGridSampling:
-    """The d-generic ball, gradient-pair and interpolation kernels."""
+    """The d-generic ball and gradient-pair kernels."""
 
     @pytest.mark.parametrize("d, x0, rho, count", [
         (1, (0.0,), 0.25, 5),
@@ -366,18 +325,3 @@ class TestGridSampling:
         got = gradient_pairs(DiscreteField(grid, scale * v))
         assert got.shape == want.shape  # no increment overflows and is dropped
         assert np.allclose(got, want * [1.0, scale], rtol=1e-13, atol=0.0)
-
-    def test_interp_1d_matches_numpy(self):
-        grid = Grid(d=1, n=17)
-        v = np.random.default_rng(5).normal(size=17)
-        x = np.concatenate([np.random.default_rng(6).uniform(-1.0, 1.0, 50), grid.axis])
-        got = _interp(DiscreteField(grid, v), (x,))
-        assert np.allclose(got, np.interp(x, grid.axis, v), rtol=0.0, atol=1e-14)
-
-    def test_interp_2d_matches_the_bilinear_formula(self):
-        grid = Grid(d=2, n=17)
-        rng = np.random.default_rng(7)
-        v = rng.normal(size=(17, 17))
-        x, y = rng.uniform(-1.0, 1.0, size=(2, 6, 5))
-        got = _interp(DiscreteField(grid, v), (x, y))
-        assert np.array_equal(got, bilinear_reference(v, grid.h, x, y))

@@ -159,6 +159,20 @@ class TestEvaluation:
         with pytest.raises(DomainError, match="tabulated: breakpoints must be finite"):
             law_from_config({"family": "tabulated", "points": points})
 
+    @pytest.mark.parametrize("prefactor, argscale", [
+        (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf),
+        (0.0, 1.0), (1.0, -1.0),
+    ])
+    def test_scaled_parameters_must_be_positive_and_finite(self, prefactor, argscale):
+        with pytest.raises(DomainError, match="scaled: prefactor and argscale must be "
+                                              "positive and finite"):
+            ScaledLaw(base=PowerLaw(p=1.0), prefactor=prefactor, argscale=argscale)
+
+    def test_scaled_t_max_must_be_finite(self):
+        # t_max = 10 / 1e-320 overflows
+        with pytest.raises(DomainError, match="scaled: t_max"):
+            ScaledLaw(base=ExponentialFlatLaw(), prefactor=1.0, argscale=1e-320)
+
 
 class TestDini:
     def test_power1_partial_sums_frozen(self):

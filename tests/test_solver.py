@@ -344,8 +344,32 @@ def _discretizations():
 EACH_DISCRETIZATION = pytest.mark.parametrize("disc", _discretizations())
 
 
+def _dense_step(disc, coeffs, dt):
+    """diag(1/dt) - J as a dense matrix, entry by entry from the stencil stack."""
+    shape = disc.f_int.shape
+    index = np.arange(int(np.prod(shape))).reshape(shape)
+    A = np.diag(1.0 / dt.ravel())
+    for k, off in enumerate(disc.offsets):
+        for node in np.ndindex(shape):
+            nbr = tuple(i + o for i, o in zip(node, off))
+            if all(0 <= i < n for i, n in zip(nbr, shape)):
+                A[index[node], index[nbr]] -= coeffs[k][node]
+    return A
+
+
+def _step_inputs(disc, seed=7):
+    """A stencil stack at a random iterate, with random dt and right-hand side."""
+    rng = np.random.default_rng(seed)
+    coeffs = disc.residual_interior(rng.uniform(-1.0, 1.0, disc.grid.shape))[3]
+    return coeffs, rng.uniform(0.01, 1.0, disc.f_int.shape), rng.uniform(-1.0, 1.0, disc.f_int.shape)
+
+
+ONE_D = [case for case in _discretizations() if case.values[0].grid.d == 1]
+
+
 class TestStepMatrix:
-    """The step matrix is built from the stencil stack in one CSC build."""
+    """2-d: the step matrix is built from the stencil stack in one CSC build.
+    1-d: its three bands are read straight from the stack."""
 
     @staticmethod
     def _reference(pattern, coeffs, dt):
@@ -360,14 +384,17 @@ class TestStepMatrix:
     @EACH_DISCRETIZATION
     def test_matches_diag_minus_jacobian(self, disc, zeros):
         rng = np.random.default_rng(7)
-        u = rng.uniform(-1.0, 1.0, disc.grid.shape)
-        coeffs = disc.residual_interior(u)[3]
-        dt = rng.uniform(0.01, 1.0, disc.f_int.shape)
+        coeffs, dt, _ = _step_inputs(disc)
         if zeros:
             coeffs = coeffs.copy()
             coeffs[:, rng.uniform(size=disc.f_int.shape) < 0.3] = 0.0
             cancel = rng.uniform(size=disc.f_int.shape) < 0.3  # 1/dt - J_ii = 0
-            coeffs[0][cancel] = 1.0 / dt[cancel]
+            coeffs[disc.offsets.index((0,) * disc.grid.d)][cancel] = 1.0 / dt[cancel]
+        if disc.grid.d == 1:
+            want = _dense_step(disc, coeffs, dt)
+            for band, k in zip(disc.pattern.bands(coeffs, dt), (-1, 0, 1)):
+                assert np.array_equal(band, np.diag(want, k)), k
+            return
         got = disc.pattern.matrix(coeffs, dt)
         want = self._reference(disc.pattern, coeffs, dt)
         if zeros:
@@ -379,13 +406,83 @@ class TestStepMatrix:
     @EACH_DISCRETIZATION
     def test_builds_leave_the_pattern_unchanged(self, disc):
         pattern = disc.pattern
-        indices, indptr = pattern.indices.copy(), pattern.indptr.copy()
+        kept = {name: np.copy(value) for name, value in vars(pattern).items()}
         coeffs = np.zeros((len(disc.offsets),) + disc.f_int.shape)
-        coeffs[0] = 1.0  # every off-diagonal entry and, with dt = 1, every diagonal one vanishes
+        coeffs[disc.offsets.index((0,) * disc.grid.d)] = 1.0
+        # with dt = 1 every entry vanishes; with dt = 0.5 the matrix is the identity
+        r = np.ones(disc.f_int.shape)
+        inputs = coeffs.copy(), r.copy()
         for dt in (np.ones(disc.f_int.shape), np.full(disc.f_int.shape, 0.5)):
-            pattern.matrix(coeffs, dt)
-        assert np.array_equal(pattern.indices, indices)
-        assert np.array_equal(pattern.indptr, indptr)
+            pattern.solve(coeffs, dt, r)
+        for name, value in kept.items():
+            assert np.array_equal(np.asarray(getattr(pattern, name)), value), name
+        assert np.array_equal(coeffs, inputs[0]) and np.array_equal(r, inputs[1])
+
+
+class TestTridiagonalStep:
+    """1-d steps are solved from the three bands by LAPACK, not by SuperLU."""
+
+    @pytest.mark.parametrize("disc", ONE_D)
+    def test_delta_matches_a_dense_solve(self, disc):
+        coeffs, dt, r = _step_inputs(disc)
+        want = np.linalg.solve(_dense_step(disc, coeffs, dt), r)
+        got = disc.pattern.solve(coeffs, dt, r)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("disc", ONE_D)
+    def test_zero_pivot_is_pivoted_past(self, disc):
+        coeffs, dt, r = _step_inputs(disc)
+        coeffs = coeffs.copy()
+        center = coeffs[disc.offsets.index((0,))]
+        center[0] = 1.0 / dt[0]  # A[0, 0] = 0: elimination without pivoting divides by it
+        center[3] = 1.0 / dt[3]
+        A = _dense_step(disc, coeffs, dt)
+        assert A[0, 0] == 0.0 and A[3, 3] == 0.0 and A[1, 0] != 0.0
+        want = np.linalg.solve(A, r)
+        got = disc.pattern.solve(coeffs, dt, r)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("disc", ONE_D)
+    def test_singular_system_gives_no_trial(self, disc):
+        coeffs, dt, r = _step_inputs(disc)
+        coeffs = np.zeros_like(coeffs)
+        coeffs[disc.offsets.index((0,))][2] = 1.0 / dt[2]  # row 2 and column 2 vanish
+        assert disc.pattern.solve(coeffs, dt, r) is None
+        u = np.zeros(disc.grid.shape)
+        assert solver._implicit_trial(disc.pattern, coeffs, dt, u, r, disc.grid.interior) is None
+
+    @pytest.mark.parametrize("disc", ONE_D)
+    def test_nan_coefficients_give_no_trial(self, disc):
+        coeffs, dt, r = _step_inputs(disc)
+        coeffs = coeffs.copy()
+        coeffs[disc.offsets.index((1,))][3] = np.nan
+        u = np.zeros(disc.grid.shape)
+        assert solver._implicit_trial(disc.pattern, coeffs, dt, u, r, disc.grid.interior) is None
+
+    def test_singular_step_is_rejected(self, monkeypatch):
+        bench = exact_benchmark("transmission-1d", {"theta1": 1.0, "theta2": 2.0, "c": 1.0})
+        grid = Grid(d=1, n=9)
+        cfg = SchemeConfig(tol=1e-6, eps_deg=bench.recommended_eps_deg(grid))
+        bands, trials = solver._TridiagonalPattern.bands, []
+
+        def first_singular(self, coeffs, dt):
+            out = bands(self, coeffs, dt)
+            if not trials:
+                for band in out:
+                    band[:] = 0.0
+            return out
+
+        def recorded(*args):
+            trials.append(trial(*args))
+            return trials[-1]
+
+        trial = solver._implicit_trial
+        monkeypatch.setattr(solver._TridiagonalPattern, "bands", first_singular)
+        monkeypatch.setattr(solver, "_implicit_trial", recorded)
+        u, diag = solve(bench.problem, grid, cfg)
+        assert trials[0] is None  # rejected, and the solve goes on
+        assert diag.converged and diag.rejected_steps >= 1
+        assert diag.linear_solves == len(trials)
 
 
 class TestOneEvaluationPerIterate:
