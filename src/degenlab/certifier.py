@@ -111,17 +111,19 @@ class TouchingTest:
 
 @dataclass(frozen=True)
 class CertificateReport:
+    """One side's verdict; the fields are in the key order of ``certificates.json``."""
+
     side: str
+    passed: bool
     checked_nodes: int
     tested_candidates: int
-    violation_count: int
-    untouched_nodes: int
     max_violation: float
     eta_cert: float
     eta_touch: float
-    passed: bool
-    witness: TouchingTest | None
     sigma_saturated: bool
+    witness: TouchingTest | None
+    violation_count: int
+    untouched_nodes: int
     window_scans: int = field(default=0, compare=False)
 
 

@@ -260,26 +260,11 @@ def _diag_json(diag) -> dict:
 
 
 def _cert_json(rep) -> dict:
-    w = rep.witness
-    return {
-        "side": rep.side,
-        "passed": rep.passed,
-        "checked_nodes": rep.checked_nodes,
-        "tested_candidates": rep.tested_candidates,
-        "max_violation": rep.max_violation,
-        "eta_cert": rep.eta_cert,
-        "eta_touch": rep.eta_touch,
-        "sigma_saturated": rep.sigma_saturated,
-        "witness": None if w is None else {
-            "center": list(w.center),
-            "rho_test": w.rho_test,
-            "p": list(w.p),
-            "M": list(w.M.upper),
-            "side": w.side,
-        },
-        "violation_count": rep.violation_count,
-        "untouched_nodes": rep.untouched_nodes,
-    }
+    out = dataclasses.asdict(rep)
+    del out["window_scans"]  # a work counter; it goes to the manifest
+    if rep.witness is not None:
+        out["witness"]["M"] = list(rep.witness.M.upper)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -79,8 +79,8 @@ class SymMatrix:
         return a
 
     def eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues; exact to LAPACK precision for d <= 3."""
-        return np.linalg.eigvalsh(self.matrix)
+        """Ascending eigenvalues (closed form for d <= 2, LAPACK in 3-d)."""
+        return _eigs(self)
 
 
 @dataclass(frozen=True)
@@ -114,22 +114,21 @@ def _eigs(M) -> np.ndarray:
     return np.linalg.eigvalsh(a)
 
 
+def _pucci(M, up: float, down: float):
+    """up * sum(e^+) + down * sum(e^-) over the eigenvalues e of M."""
+    e = _eigs(M)
+    val = up * np.sum(np.maximum(e, 0.0), axis=-1) + down * np.sum(np.minimum(e, 0.0), axis=-1)
+    return float(val) if np.ndim(val) == 0 else val
+
+
 def pucci_minus(M, pair: EllipticityPair):
     """P_minus(M) = lam * sum(e^+) + Lam * sum(e^-).  Batched arrays allowed."""
-    e = _eigs(M)
-    val = pair.lam * np.sum(np.maximum(e, 0.0), axis=-1) + pair.Lam * np.sum(
-        np.minimum(e, 0.0), axis=-1
-    )
-    return float(val) if np.ndim(val) == 0 else val
+    return _pucci(M, pair.lam, pair.Lam)
 
 
 def pucci_plus(M, pair: EllipticityPair):
     """P_plus(M) = Lam * sum(e^+) + lam * sum(e^-) = -P_minus(-M)."""
-    e = _eigs(M)
-    val = pair.Lam * np.sum(np.maximum(e, 0.0), axis=-1) + pair.lam * np.sum(
-        np.minimum(e, 0.0), axis=-1
-    )
-    return float(val) if np.ndim(val) == 0 else val
+    return _pucci(M, pair.Lam, pair.lam)
 
 
 @dataclass(frozen=True)

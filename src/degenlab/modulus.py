@@ -8,10 +8,13 @@ four steps, each exposed as one operation:
     balance 2 C r^{1+alpha_0} = mu_1 r, then set theta = r / mu_1 < 1.
 2.  ``rescale_sequence``:  given the driving sequence a_k (how large a
     gradient the k-th modulus level theta^k tolerates; see
-    ``laws.a_sequence``), build dividers c_k -> 0 with max c_k <= 1/eps
-    such that the divided sequence keeps, up to a (1 +- delta) factor,
-    the ell^1 norm of the original:
+    ``laws.a_sequence``), build dividers c_k -> 0 with max c_k <= 1/eps,
+    eps = 1/(1+delta), such that the divided sequence keeps, up to a
+    (1 +- delta) factor, the ell^1 norm of the original:
         eps (1 - delta/2) ||a|| <= || a/c || <= eps (1 + delta) ||a||.
+    The dividers are a decreasing profile times one scale factor, clamped
+    at 1/eps; the factor that puts ||a/c|| at eps (1 + delta/2) ||a|| has
+    a closed form, so this step searches nothing.
 3.  ``mu_recursion``:  run the amplitude recursion.  With tau_{k-1} the
     product of all previous amplitudes, the k-th amplitude for phase law
     sigma_i is the smallest mu >= mu*_{k-1} with
@@ -80,8 +83,6 @@ from .errors import ConfigError, DomainError, NumericError, UncertifiableTailErr
 from .laws import DegeneracyLaw, a_sequence, flip_doubles
 
 REL_TOL = 1e-12
-RESCALE_BISECT_TOL = 1e-15
-BISECT_MAX_ITER = 200
 TAIL_MARGIN = 1e-3
 TAIL_TREND_SLACK = 1e-4
 TAIL_PROBE = 8
@@ -114,21 +115,6 @@ class ScaleSchedule:
             raise DomainError("ScaleSchedule: theta != r / mu1")
         if not (0.0 < self.theta < 1.0):
             raise DomainError("ScaleSchedule: theta must lie in (0, 1)")
-
-
-@dataclass(frozen=True)
-class RescaleParams:
-    """Slack delta of the ell^1-rescaling; eps = 1/(1+delta)."""
-
-    delta: float
-
-    def __post_init__(self):
-        if not (0.0 < self.delta < 0.25):
-            raise DomainError("RescaleParams: delta must lie in (0, 1/4)")
-
-    @property
-    def eps(self) -> float:
-        return 1.0 / (1.0 + self.delta)
 
 
 @dataclass(frozen=True)
@@ -265,55 +251,42 @@ def choose_scale(C: float, alpha0: float) -> ScaleSchedule:
     return ScaleSchedule(C=C, alpha0=alpha0, r=r, mu1=mu1, theta=theta)
 
 
-def rescale_sequence(a, params: RescaleParams):
+def rescale_sequence(a, delta: float):
     """Dividers c_k -> 0 keeping the ell^1 norm of a/c within the window.
 
-    c is built from square-rooted suffix sums, c_k ~ sqrt(R_k / R_1) with
-    R_k = sum_{i>=k} a_i (division by sqrt of the tail preserves
-    summability), then scaled by the single factor, found by bisection,
-    that places ||a/c|| at eps (1 + delta/2) ||a||; every entry is
-    clamped at 1/eps.
+    c is built from square-rooted suffix sums, base_k = sqrt(R_k / R_1)
+    with R_k = sum_{i>=k} a_i (division by sqrt of the tail preserves
+    summability), then c_k = min(s base_k, 1/eps) with eps = 1/(1+delta)
+    and the one factor s that places ||a/c|| at eps (1 + delta/2) ||a||.
+    base decreases, so the clamped entries are a prefix k < m, and there
+    ||a/c|| = eps A_m + B_m / s with A_m = sum_{k<m} a_k and
+    B_m = sum_{k>=m} a_k / base_k.  At s = 1 / (eps base_m), where entry
+    m reaches the clamp, ||a/c|| = eps (A_m + base_m B_m), which falls as
+    m grows; so m counts the k where that exceeds the target, and s solves
+    the linear equation of that m.
     """
     a = np.asarray(list(a), dtype=float)
     if a.size == 0:
         raise DomainError("rescale_sequence: sequence must be non-empty")
     if not np.all(np.isfinite(a)) or np.any(a <= 0.0):
         raise DomainError("rescale_sequence: entries must be positive and finite")
-    eps = params.eps
-    cap = 1.0 / eps
+    if not (0.0 < delta < 0.25):
+        raise DomainError("rescale_sequence: delta must lie in (0, 1/4)")
+    eps = 1.0 / (1.0 + delta)
     norm = float(a.sum())
+    goal = (1.0 + 0.5 * delta) * norm  # the target ||a/c|| / eps
     suffix = np.cumsum(a[::-1])[::-1]
     base = np.sqrt(suffix / suffix[0])
-
-    target = eps * (1.0 + 0.5 * params.delta) * norm
-
-    def divided_norm(s):
-        return float(np.sum(a / np.minimum(s * base, cap)))
-
-    # divided_norm decreases in s from +inf to eps*||a|| (all entries
-    # clamped); the target sits strictly above that plateau, so a root
-    # exists.  The bracket spans many orders of magnitude (base decays
-    # like the sqrt of the tail), so bisect on log s.
-    lo = cap / float(base.max())  # below: nothing clamped yet at entry 1
-    while divided_norm(lo) < target:
-        lo *= 0.5
-        if lo < 1e-300:
-            raise NumericError("rescale_sequence: failed to bracket from below")
-    hi = cap / float(base.min())  # above: every entry clamped
-    for _ in range(BISECT_MAX_ITER):
-        mid = math.sqrt(lo * hi)
-        if divided_norm(mid) >= target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= RESCALE_BISECT_TOL * hi:
-            break
-    s = lo
-    c = np.minimum(s * base, cap)
+    A = np.concatenate(([0.0], np.cumsum(a)[:-1]))
+    B = np.cumsum((a / base)[::-1])[::-1]
+    # the last entry counts only by rounding: A + base B = ||a|| there
+    m = min(int(np.count_nonzero(A + base * B > goal)), a.size - 1)
+    s = B[m] / (eps * (goal - A[m]))
+    c = np.minimum(s * base, 1.0 / eps)
 
     got = float(np.sum(a / c))
-    lo_bound = eps * (1.0 - 0.5 * params.delta) * norm
-    hi_bound = eps * (1.0 + params.delta) * norm
+    lo_bound = eps * (1.0 - 0.5 * delta) * norm
+    hi_bound = eps * (1.0 + delta) * norm
     if not (lo_bound <= got <= hi_bound):
         raise NumericError(
             f"rescale_sequence: ||a/c||={got} missed window [{lo_bound}, {hi_bound}]"
@@ -492,7 +465,7 @@ def build_modulus(law1, law2, C: float, alpha0: float, delta: float,
                 "build_modulus: driving sequence underflows immediately"
             )
         a = positive
-    c = rescale_sequence(a, RescaleParams(delta=delta))
+    c = rescale_sequence(a, delta)
     table = mu_recursion(schedule, (law1, law2), a, c)
     modulus = assemble_omega(table)
     return schedule, table, modulus

@@ -488,7 +488,12 @@ def _frame_weights(A: np.ndarray, d: int):
     diagonal either in the axis frame (off-diagonal zero) or in the diagonal
     frame (equal diagonal entries); otherwise its trace form cannot be
     written with grid second differences and the configuration is rejected.
+    A coefficient whose size is not the grid's dimension is rejected too.
     """
+    if A.shape != (d, d):
+        raise ConfigError(
+            f"bellman coefficients are {A.shape[0]}x{A.shape[1]}, the grid is {d}-d"
+        )
     if d == 1:
         return ("axis", (float(A[0, 0]),))
     scale = max(1.0, float(np.abs(A).max()))

@@ -19,7 +19,6 @@ from degenlab.grids import DiscreteField, Grid
 from degenlab.lab import compare_modulus, decay_scan
 from degenlab.laws import ExponentialFlatLaw, PowerLaw, dini_sum
 from degenlab.modulus import (
-    RescaleParams,
     build_modulus,
     certified_tail,
     rescale_sequence,
@@ -188,9 +187,8 @@ def test_criterion_5_rescaling_bounds(capsys):
     for _ in range(100):
         a = geometric_tailed_sequence(rng)
         delta = float(rng.uniform(1e-3, 0.25 - 1e-3))
-        params = RescaleParams(delta=delta)
-        c = np.asarray(rescale_sequence(a, params))
-        eps = params.eps
+        c = np.asarray(rescale_sequence(a, delta))
+        eps = 1.0 / (1.0 + delta)
         norm_a, norm_b = a.sum(), (a / c).sum()
         gaps = (
             c.max() - 1.0 / eps,

@@ -838,6 +838,18 @@ class TestNoOutputOnConfigError:
         err = capsys.readouterr().err
         assert err.startswith("error: config.grid") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("d, A", [(2, [[1.0]]), (2, np.eye(3).tolist()),
+                                      (1, np.eye(2).tolist())],
+                             ids=["1x1-on-2d", "3x3-on-2d", "2x2-on-1d"])
+    def test_solve_with_a_bellman_coefficient_of_another_dimension(self, tmp_path, capsys, d, A):
+        op = {"kind": "bellman-min-of-traces", "lam": 0.5, "Lam": 2.0, "coefficients": [A]}
+        self._run(tmp_path, "solve", {
+            "problem": {**self.BAD_LAW, "operator": op, "sigma_plus": {"family": "power", "p": 1.0}},
+            "grid": {"d": d, "n": 9},
+        })
+        assert capsys.readouterr().err == (
+            f"error: bellman coefficients are {len(A)}x{len(A)}, the grid is {d}-d\n")
+
     def test_report_into_a_missing_directory(self, tmp_path):
         self._run(tmp_path, "report", {})
 

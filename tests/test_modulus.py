@@ -19,7 +19,6 @@ from degenlab.laws import DegeneracyLaw, ExponentialFlatLaw, PowerLaw, PowerLogL
 from degenlab.modulus import (
     Modulus,
     _root_scales,
-    RescaleParams,
     ScaleSchedule,
     build_modulus,
     certified_tail,
@@ -103,48 +102,85 @@ class TestChooseScale:
 
 
 class TestRescale:
-    def test_singleton_frozen(self):
-        c = rescale_sequence(np.array([1.0]), RescaleParams(delta=0.2))
-        assert c[0] == pytest.approx(12.0 / 11.0, rel=1e-14)
-
     @staticmethod
     def _as_arr(c):
         return np.asarray(c, dtype=float)
+
+    @staticmethod
+    def _benchmark_sequence(laws):
+        """The driving sequence build_modulus rescales for a law pair (K = 256)."""
+        sched = choose_scale(1.0, 0.5)
+        return np.array([v for v in a_sequence(*laws, sched.theta, 256) if v > 0.0])
+
+    # a singleton clamps nothing: c_1 = 1 / (eps (1 + delta/2)) < 1/eps;
+    # (1, 1) has base (1, 1/sqrt 2), clamps its first entry at 1/eps = 1.2,
+    # and s = sqrt 2 puts ||a/c|| = 1/1.2 + 1 at eps (1 + delta/2) ||a||
+    @pytest.mark.parametrize("a, c", [([1.0], [12.0 / 11.0]), ([1.0, 1.0], [1.2, 1.0])],
+                             ids=["nothing-clamped", "first-clamped"])
+    def test_frozen_dividers(self, a, c):
+        assert rescale_sequence(np.array(a), 0.2) == pytest.approx(c, rel=1e-14)
 
     def test_bounds_on_random_sequences(self):
         rng = np.random.default_rng(42)
         for _ in range(10):
             a = geometric_tailed_sequence(rng)
-            params = RescaleParams(delta=float(rng.uniform(0.01, 0.24)))
-            c = self._as_arr(rescale_sequence(a, params))
-            eps = params.eps
+            delta = float(rng.uniform(0.01, 0.24))
+            c = self._as_arr(rescale_sequence(a, delta))
+            eps = 1.0 / (1.0 + delta)
             norm_a = a.sum()
             norm_b = (a / c).sum()
             assert np.all(c > 0.0)
             assert c.max() <= 1.0 / eps + 1e-10
-            assert norm_b >= eps * (1.0 - params.delta / 2.0) * norm_a - 1e-10
-            assert norm_b <= eps * (1.0 + params.delta) * norm_a + 1e-10
+            assert norm_b >= eps * (1.0 - delta / 2.0) * norm_a - 1e-10
+            assert norm_b <= eps * (1.0 + delta) * norm_a + 1e-10
 
     def test_huge_dynamic_range(self):
-        # steep geometric decay: the search bracket spans many decades
+        # steep geometric decay: the profile base spans many decades
         a = 0.5 ** np.arange(1, 257)
-        c = self._as_arr(rescale_sequence(a, RescaleParams(delta=0.125)))
+        c = self._as_arr(rescale_sequence(a, 0.125))
         assert np.all(np.isfinite(c)) and np.all(c > 0.0)
-        assert c.max() <= 1.0 / RescaleParams(delta=0.125).eps + 1e-10
+        assert c.max() <= 1.125 + 1e-10
 
-    def test_rejects_bad_delta(self):
-        with pytest.raises(DomainError):
-            RescaleParams(delta=0.3)
-        with pytest.raises(DomainError):
-            RescaleParams(delta=0.0)
+    @pytest.mark.parametrize("delta", [0.3, 0.25, 0.0, -0.1, math.nan])
+    def test_rejects_bad_delta(self, delta):
+        with pytest.raises(DomainError, match="delta"):
+            rescale_sequence(np.array([1.0, 0.5]), delta)
+
+    @pytest.mark.parametrize(
+        "laws,clamped",
+        list(zip(BENCHMARK_PAIRS, [1, 3, 4, 171, 2])),
+        ids=PAIR_IDS,
+    )
+    def test_benchmark_sequences_hit_the_target(self, laws, clamped):
+        # the closed form puts ||a/c|| at eps (1 + delta/2) ||a|| to within
+        # rounding, and exactly the first `clamped` entries sit at 1/eps;
+        # exponential-flat clamps all but a tail
+        a = self._benchmark_sequence(laws)
+        c = self._as_arr(rescale_sequence(a, 0.125))
+        target = (1.0 + 0.0625) / 1.125 * a.sum()
+        assert abs((a / c).sum() - target) <= 4 * np.spacing(target)
+        at_cap = c == 1.125
+        assert at_cap.tolist() == [True] * clamped + [False] * (a.size - clamped)
+
+    @given(st.floats(0.01, 0.24), st.integers(1, 60), st.floats(0.05, 0.95),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    def test_norm_is_the_target_and_clamps_a_prefix(self, delta, m, q, seed):
+        a = np.random.default_rng(seed).uniform(0.5, 1.5, size=m) * q ** np.arange(1, m + 1)
+        eps = 1.0 / (1.0 + delta)
+        c = self._as_arr(rescale_sequence(a, delta))
+        target = eps * (1.0 + delta / 2.0) * a.sum()
+        assert abs((a / c).sum() - target) <= 4 * np.spacing(target)
+        at_cap = c == 1.0 / eps
+        k = int(at_cap.sum())
+        assert at_cap[:k].all() and np.all(c[k:] < 1.0 / eps)
 
     @given(st.floats(0.01, 0.24), st.integers(1, 40))
     @settings(max_examples=25, deadline=None)
     def test_bounds_property(self, delta, m):
         a = 0.7 ** np.arange(1, m + 1)
-        params = RescaleParams(delta=delta)
-        c = self._as_arr(rescale_sequence(a, params))
-        eps = params.eps
+        c = self._as_arr(rescale_sequence(a, delta))
+        eps = 1.0 / (1.0 + delta)
         assert c.max() <= 1.0 / eps + 1e-10
         ratio = (a / c).sum() / a.sum()
         assert eps * (1.0 - delta / 2.0) - 1e-10 <= ratio <= eps * (1.0 + delta) + 1e-10
@@ -176,7 +212,7 @@ class TestRecursion:
         sched = choose_scale(1.0, 0.5)
         laws = (PowerLaw(p=1.0), PowerLaw(p=2.0))
         a = np.array(a_sequence(laws[0], laws[1], sched.theta, 32))
-        c = rescale_sequence(a, RescaleParams(delta=0.125))
+        c = rescale_sequence(a, 0.125)
         table = mu_recursion(sched, laws, a, c)
         mu = np.asarray(table.mu_star)
         assert np.all(np.diff(mu) >= 0.0)
@@ -208,7 +244,7 @@ class TestRecursion:
         # up to a relative slack of 1e-9 in g, evaluated in logs
         sched = choose_scale(1.0, 0.5)
         a = a_sequence(*laws, sched.theta, 256)
-        c = rescale_sequence(a, RescaleParams(delta=0.125))
+        c = rescale_sequence(a, 0.125)
         table = mu_recursion(sched, laws, a, c)
         slack = 1e-9
 
@@ -271,7 +307,7 @@ class TestRootSearch:
         """Schedule, driving sequence, dividers and log targets as build_modulus makes them."""
         sched = choose_scale(1.0, 0.5)
         a = [v for v in a_sequence(law1, law2, sched.theta, K) if v > 0.0]
-        c = np.asarray(rescale_sequence(a, RescaleParams(delta=0.125)))
+        c = np.asarray(rescale_sequence(a, 0.125))
         log_targets = np.log(c) + np.arange(1, len(a) + 1) * math.log(sched.r)
         return sched, a, c, log_targets
 

@@ -219,3 +219,22 @@ def test_ordered_boundary_data_give_ordered_solutions(case, a, b, lift, tilt):
     u_low = _solve_with_boundary(bench, grid, low, scheme)
     u_high = _solve_with_boundary(bench, grid, high, scheme)
     assert np.all(u_low <= u_high + 1e-7)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 5: the cold 1-d solve stalls on a moving free boundary")
+def test_far_boundary_data_converge_on_the_1d_transmission_problem():
+    """transmission-1d at n = 17 with boundary data u_exact + 1/16 - 13/16 x.
+
+    The comparison test above once drew this case.  Each one-node move of
+    the free boundary switches an edge's phase flux, the frozen-phase step
+    raises the residual and is cut back to the explicit cap, and the solve
+    stops at max_iter unconverged.  Once the stall is mended this test
+    passes, and strict xfail turns that into a failure to be cleared.
+    """
+    bench = exact_benchmark("transmission-1d", {"theta1": 1.0, "theta2": 2.0, "c": 1.0})
+    grid = Grid(d=1, n=17)
+    cfg = SchemeConfig(tol=1e-10, eps_deg=bench.recommended_eps_deg(grid))
+    prob = dataclasses.replace(bench.problem, g=lambda x: bench.u_exact(x) + 0.0625 - 0.8125 * x)
+    _, diag = solve(prob, grid, cfg)
+    assert diag.converged

@@ -268,6 +268,19 @@ class TestPseudoTransient:
         assert diag.converged and diag.scheme == "wide"
         assert residual(u, prob, eps_deg=0.05).sup_norm() <= 1e-8
 
+    # a 1x1 coefficient on a 2-d grid, 3x3 on 2-d and 2x2 on 1-d: the
+    # parent raised an IndexError, solved with the upper-left 2x2 block and
+    # solved with A[0, 0], in that order
+    @pytest.mark.parametrize("d, A", [(2, np.eye(1)), (2, np.eye(3)), (1, np.eye(2))],
+                             ids=["1x1-on-2d", "3x3-on-2d", "2x2-on-1d"])
+    def test_bellman_coefficient_of_another_dimension_is_config_error(self, d, A):
+        prob = ProblemInstance(
+            operator=EllipticOperator("bellman-min-of-traces", EllipticityPair(0.5, 2.0), (A,)),
+            sigma_plus=PowerLaw(1.0), sigma_minus=PowerLaw(1.0), f=0.5, g=0.0, C0=1.0,
+        )
+        with pytest.raises(ConfigError, match=f"coefficients are {len(A)}x{len(A)}, the grid is {d}-d"):
+            solve(prob, Grid(d=d, n=9), SchemeConfig(eps_deg=0.05))
+
 
 class TestWarmStart:
     """A given start begins pseudo-time far above the explicit cap."""
