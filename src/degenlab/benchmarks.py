@@ -46,9 +46,6 @@ from .grids import Grid
 from .laws import PowerLaw
 from .problem import ProblemInstance
 
-BENCHMARK_NAMES = ("affine", "radial-power", "transmission-1d")
-
-
 @dataclass(frozen=True)
 class Benchmark:
     """A ProblemInstance plus the exact solution it was manufactured from."""
@@ -58,6 +55,7 @@ class Benchmark:
     d: int
     problem: ProblemInstance
     u_exact: object
+    degenerate: tuple | None = None  # (f, theta) where Du = 0 inside, if anywhere
 
     def exact_on(self, grid: Grid) -> np.ndarray:
         if grid.d != self.d:
@@ -76,47 +74,32 @@ class Benchmark:
         sigma(eps) = f h^(2-gamma) / 4 for eps achieves that.  Benchmarks
         without a degenerate interior point just return a small floor.
         """
-        h = grid.h
-        if self.name == "radial-power":
-            theta = self.params["theta"]
-            gamma = (2.0 + theta) / (1.0 + theta)
-            f = self.params["_f_value"]
-            return float((f * h ** (2.0 - gamma) / 4.0) ** (1.0 / theta))
-        if self.name == "transmission-1d":
-            c = self.params["c"]
-            theta = min(self.params["theta1"], self.params["theta2"])
-            gamma = (2.0 + theta) / (1.0 + theta)
-            return float((c * h ** (2.0 - gamma) / 4.0) ** (1.0 / theta))
-        return 1e-8
+        if self.degenerate is None:
+            return 1e-8
+        f, theta = self.degenerate
+        gamma = (2.0 + theta) / (1.0 + theta)
+        return float((f * grid.h ** (2.0 - gamma) / 4.0) ** (1.0 / theta))
 
 
 def exact_benchmark(name: str, params: dict) -> Benchmark:
-    """Instantiate a named benchmark; see module docstring for the math."""
-    params = dict(params)
-    if name == "affine":
-        return _affine(params)
-    if name == "radial-power":
-        return _radial_power(params)
-    if name == "transmission-1d":
-        return _transmission_1d(params)
-    raise DomainError(f"unknown benchmark {name!r}; choose from {BENCHMARK_NAMES}")
+    """Instantiate a named benchmark; ``params`` are its builder's keyword
+    arguments, and the module docstring has the math."""
+    if name not in BENCHMARK_NAMES:
+        raise DomainError(f"unknown benchmark {name!r}; choose from {BENCHMARK_NAMES}")
+    return _BUILDERS[name](**params)
 
 
-def _dimension(params: dict, name: str) -> int:
-    """Pop the benchmark's dimension "d" (default 2): exactly 1 or 2."""
-    d = params.pop("d", 2)
+def _dimension(d, name: str) -> int:
+    """The benchmark's dimension d: exactly 1 or 2."""
     if d not in (1, 2):
         raise DomainError(f"{name} benchmark: d must be 1 or 2, got {d!r}")
     return int(d)
 
 
-def _affine(params: dict) -> Benchmark:
-    d = _dimension(params, "affine")
-    b = params.pop("b", (0.75,) * d)
-    a = float(params.pop("a", 0.0))
-    if params:
-        raise DomainError(f"affine benchmark: unknown params {sorted(params)}")
-    b = tuple(float(v) for v in b)
+def _affine(d=2, b=None, a=0.0) -> Benchmark:
+    d = _dimension(d, "affine")
+    b = (0.75,) * d if b is None else tuple(float(v) for v in b)
+    a = float(a)
     if len(b) != d:
         raise DomainError("affine benchmark: slope b must have length d")
 
@@ -141,11 +124,9 @@ def _affine(params: dict) -> Benchmark:
     )
 
 
-def _radial_power(params: dict) -> Benchmark:
-    theta = float(params.pop("theta"))
-    d = _dimension(params, "radial-power")
-    if params:
-        raise DomainError(f"radial-power benchmark: unknown params {sorted(params)}")
+def _radial_power(theta, d=2) -> Benchmark:
+    theta = float(theta)
+    d = _dimension(d, "radial-power")
     if theta <= 0.0:
         raise DomainError("radial-power benchmark: theta must be positive")
     gamma = (2.0 + theta) / (1.0 + theta)
@@ -163,19 +144,13 @@ def _radial_power(params: dict) -> Benchmark:
     )
     return Benchmark(
         name="radial-power",
-        params={"theta": theta, "d": d, "gamma": gamma, "_f_value": f_value},
-        d=d, problem=prob, u_exact=u_exact,
+        params={"theta": theta, "d": d, "gamma": gamma},
+        d=d, problem=prob, u_exact=u_exact, degenerate=(f_value, theta),
     )
 
 
-def _transmission_1d(params: dict) -> Benchmark:
-    theta1 = float(params.pop("theta1"))
-    theta2 = float(params.pop("theta2"))
-    c = float(params.pop("c", 1.0))
-    if params:
-        raise DomainError(
-            f"transmission-1d benchmark: unknown params {sorted(params)}"
-        )
+def _transmission_1d(theta1, theta2, c=1.0) -> Benchmark:
+    theta1, theta2, c = float(theta1), float(theta2), float(c)
     if theta1 <= 0.0 or theta2 <= 0.0 or c <= 0.0:
         raise DomainError("transmission-1d benchmark: theta1, theta2, c must be > 0")
     g1 = (2.0 + theta1) / (1.0 + theta1)
@@ -206,5 +181,13 @@ def _transmission_1d(params: dict) -> Benchmark:
             "theta1": theta1, "theta2": theta2, "c": c,
             "gamma1": g1, "gamma2": g2, "kappa1": k1, "kappa2": k2,
         },
-        d=1, problem=prob, u_exact=u_exact,
+        d=1, problem=prob, u_exact=u_exact, degenerate=(c, min(theta1, theta2)),
     )
+
+
+_BUILDERS = {
+    "affine": _affine,
+    "radial-power": _radial_power,
+    "transmission-1d": _transmission_1d,
+}
+BENCHMARK_NAMES = tuple(_BUILDERS)

@@ -25,6 +25,13 @@ needs and rejects unknown keys everywhere; null stands for the default):
       "out":     "runs/demo"
     }
 
+Benchmark params, required ones before any ";": affine (d = 2, b = [0.75]
+* d, a = 0), radial-power (theta; d = 2), transmission-1d (theta1,
+theta2; c = 1).  Law blocks by "family": power (p; t_max = 10), power-log
+(p, q; t_max = 10), exponential-flat (t_max = 10), tabulated (points, a
+list of [t, sigma(t)] pairs).  Bellman "coefficients" are a list of square
+matrices, each a list of rows.
+
 The benchmark form also fixes grid-independent defaults (exact boundary
 data, forcing, recommended gradient clamp); explicit fields f and g must
 be numbers in a config file (callables are API-only).  The problem fixes
@@ -45,7 +52,7 @@ from .benchmarks import BENCHMARK_NAMES, Benchmark, exact_benchmark
 from .elliptic import EllipticOperator, EllipticityPair
 from .errors import ConfigError
 from .grids import Grid
-from .laws import law_from_config
+from .laws import ExponentialFlatLaw, PowerLaw, PowerLogLaw, TabulatedLaw
 from .problem import ProblemInstance
 from .solver import SchemeConfig, cascade_sizes, scheme_name
 
@@ -86,31 +93,31 @@ _real = partial(_number, least=-math.inf)
 
 
 def _reals(value, where):
-    """A list of numbers or of such lists (checked, not converted)."""
+    """A flat list of numbers."""
     if not isinstance(value, list):
         raise ConfigError(f"{where} must be a list of numbers, got {value!r}")
-    for v in value:
-        (_reals if isinstance(v, list) else _real)(v, where)
-    return value
+    return [_real(v, where) for v in value]
 
 
-def _points(value, where):
-    if not (isinstance(value, list) and all(isinstance(p, list) for p in value)):
-        raise ConfigError(f"{where} must be a list of coordinate lists, got {value!r}")
-    return [tuple(_real(v, where) for v in p) for p in value]
+def _rows(value, where, width=None):
+    """A list of lists of numbers, each ``width`` long when given."""
+    if not (isinstance(value, list) and all(
+            isinstance(row, list) and width in (None, len(row)) for row in value)):
+        rows = "coordinate lists" if width is None else f"lists of {width} numbers"
+        raise ConfigError(f"{where} must be a list of {rows}, got {value!r}")
+    return [tuple(_real(v, where) for v in row) for row in value]
 
 
-def _params(value, where):
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where} must be an object, got {value!r}")
-    _reals(list(value.values()), where)  # each benchmark converts its own
-    return value
+def _matrices(value, where):
+    """A list of square matrices, each a list of rows."""
+    if not (isinstance(value, list) and all(isinstance(m, list) for m in value)):
+        raise ConfigError(f"{where} must be a list of square matrices, got {value!r}")
+    return [_rows(m, where, len(m)) for m in value]
 
 
-def _benchmark(value, where):
-    if value not in BENCHMARK_NAMES:
-        raise ConfigError(f"{where}: unknown benchmark {value!r}; "
-                          f"available: {sorted(BENCHMARK_NAMES)}")
+def _name(value, where, names):
+    if not (isinstance(value, str) and value in names):
+        raise ConfigError(f"{where} must be one of {sorted(names)}, got {value!r}")
     return value
 
 
@@ -134,19 +141,46 @@ def _grid(value, where):
     return out
 
 
+def _law(value, where):
+    """The law a block names by its "family", built from its other keys."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be an object, got {value!r}")
+    law, schema, required = _LAWS[_name(value.get("family"), f"{where}.family", _LAWS)]
+    params = {k: v for k, v in value.items() if k != "family"}
+    return law(**_block(params, where, schema, required))
+
+
 def _problem(value, where):
-    if isinstance(value, dict) and "benchmark" in value:
-        return _block(value, where, _PROBLEM_BENCH_KEYS, ("benchmark",))
-    required = ("operator", "sigma_plus", "sigma_minus")
-    return _block(value, where, _PROBLEM_EXPLICIT_KEYS, required)
+    if not (isinstance(value, dict) and "benchmark" in value):
+        required = ("operator", "sigma_plus", "sigma_minus")
+        return _block(value, where, _PROBLEM_EXPLICIT_KEYS, required)
+    name = _name(value["benchmark"], f"{where}.benchmark", BENCHMARK_NAMES)
+    schema, required = _BENCHMARK_PARAMS[name]
+    keys = {"benchmark": _text, "C0": _number,
+            "params": partial(_block, schema=schema, required=required)}
+    params = value.get("params")
+    return _block({**value, "params": {} if params is None else params}, where, keys)
 
 
 # _number takes a finite non-negative number, _count a non-negative 64-bit integer.
-_OPERATOR_KEYS = {"kind": _keep, "lam": _number, "Lam": _number, "coefficients": _reals}
-_PROBLEM_BENCH_KEYS = {"benchmark": _benchmark, "params": _params, "C0": _number}
+# family -> (law class, schema of its keys, required keys)
+_LAWS = {
+    "power": (PowerLaw, {"p": _number, "t_max": _number}, ("p",)),
+    "power-log": (PowerLogLaw, {"p": _number, "q": _real, "t_max": _number}, ("p", "q")),
+    "exponential-flat": (ExponentialFlatLaw, {"t_max": _number}, ()),
+    "tabulated": (TabulatedLaw, {"points": partial(_rows, width=2)}, ("points",)),
+}
+# benchmark -> (schema of its params, required params): the builder's parameters
+_BENCHMARK_PARAMS = {
+    "affine": ({"d": _count, "b": _reals, "a": _real}, ()),
+    "radial-power": ({"theta": _number, "d": _count}, ("theta",)),
+    "transmission-1d": ({"theta1": _number, "theta2": _number, "c": _number},
+                        ("theta1", "theta2")),
+}
+_OPERATOR_KEYS = {"kind": _keep, "lam": _number, "Lam": _number, "coefficients": _matrices}
 _PROBLEM_EXPLICIT_KEYS = {
     "operator": partial(_block, schema=_OPERATOR_KEYS, required=("kind", "lam", "Lam")),
-    "sigma_plus": _keep, "sigma_minus": _keep,
+    "sigma_plus": _law, "sigma_minus": _law,
     "f": _real, "g": _real, "C0": _number, "q": _reals,
 }
 _GRID_KEYS = {"d": _count, "n": _count}
@@ -154,7 +188,7 @@ _SCHEME_KEYS = {"tol_solve": _number, "max_iter": _count, "eps_deg": _number,
                 "scheme": _keep, "levels": _count}
 _MODULUS_KEYS = {"C": _number, "alpha0": _number, "delta": _number,
                  "K": partial(_number, integer=True, least=1)}
-_LAB_KEYS = {"centers": _points, "r": _number, "N": _count}
+_LAB_KEYS = {"centers": _rows, "r": _number, "N": _count}
 _TOP_KEYS = {
     "problem": _problem,
     "grid": _grid,
@@ -192,10 +226,7 @@ class RunConfig:
         self.require("problem")
         spec = self.problem
         if "benchmark" in spec:
-            try:
-                bench = exact_benchmark(spec["benchmark"], spec.get("params", {}))
-            except KeyError as exc:
-                raise ConfigError(f"config.problem.params needs {exc}") from None
+            bench = exact_benchmark(spec["benchmark"], spec["params"])
             prob = bench.problem
             if "C0" in spec:
                 prob = dataclasses.replace(prob, C0=spec["C0"])
@@ -208,8 +239,8 @@ class RunConfig:
         )
         prob = ProblemInstance(
             operator=operator,
-            sigma_plus=law_from_config(spec["sigma_plus"]),
-            sigma_minus=law_from_config(spec["sigma_minus"]),
+            sigma_plus=spec["sigma_plus"],
+            sigma_minus=spec["sigma_minus"],
             f=spec.get("f", 0.0),
             g=spec.get("g", 0.0),
             C0=spec.get("C0", 0.0),

@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import DomainError
 
 _MONOTONE_SAMPLES = 64
 
@@ -485,42 +485,6 @@ class ScaledLaw(DegeneracyLaw):
     @_primitive
     def primitive(self, t):
         return (self.prefactor / self.argscale) * self.base.primitive(t * self.argscale)
-
-
-def _pairs(v):
-    return tuple((float(a), float(b)) for a, b in v)
-
-
-# family -> (class, required keys, optional keys); each key maps to the
-# conversion of its config value.
-_FAMILIES = {
-    "power": (PowerLaw, {"p": float}, {"t_max": float}),
-    "power-log": (PowerLogLaw, {"p": float, "q": float}, {"t_max": float}),
-    "exponential-flat": (ExponentialFlatLaw, {}, {"t_max": float}),
-    "tabulated": (TabulatedLaw, {"points": _pairs}, {}),
-}
-
-
-def law_from_config(cfg: dict) -> DegeneracyLaw:
-    """Build a law from a plain dict, e.g. {"family": "power", "p": 2.0}."""
-    if not isinstance(cfg, dict) or "family" not in cfg:
-        raise ConfigError("degeneracy law config must be a dict with a 'family' key")
-    fam = cfg["family"]
-    if not isinstance(fam, str) or fam not in _FAMILIES:
-        raise ConfigError(f"unknown degeneracy law family {fam!r}")
-    cls, required, optional = _FAMILIES[fam]
-    convert = {**required, **optional}
-    unknown = set(cfg) - {"family"} - set(convert)
-    if unknown:
-        raise ConfigError(f"{fam} law: unknown keys {sorted(unknown)}")
-    for key in required:
-        if key not in cfg:
-            raise ConfigError(f"{fam} law: missing parameter {key!r}")
-    try:
-        params = {k: convert[k](v) for k, v in cfg.items() if k != "family"}
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{fam} law: malformed parameter: {exc}") from None
-    return cls(**params)
 
 
 @dataclass(frozen=True)

@@ -153,6 +153,29 @@ class TestDispatch:
     def test_integral_float_dimension_accepted(self, name, params):
         assert exact_benchmark(name, {**params, "d": 1.0}).d == 1
 
+    def test_unknown_param_is_the_builders_type_error(self):
+        with pytest.raises(TypeError, match="zz"):
+            exact_benchmark("radial-power", {"theta": 1.0, "zz": 2})
+
+    # the values of the per-benchmark formulas this one rule replaced, bit for bit
+    @pytest.mark.parametrize("name, params, eps", [
+        ("radial-power", {"theta": 1.0, "d": 2},
+         [0.421875, 0.14915533665653738, 0.10546875, 0.07457766832826869]),
+        ("radial-power", {"theta": 0.5, "d": 1},
+         [0.05103527044650852, 0.012758817611627137, 0.008037551440329228,
+          0.005063340124641827]),
+        ("transmission-1d", {"theta1": 1.0, "theta2": 2.0, "c": 1.0},
+         [0.125, 0.04419417382415922, 0.03125, 0.02209708691207961]),
+        ("transmission-1d", {"theta1": 3.0, "theta2": 0.5, "c": 2.0},
+         [0.09921256574801247, 0.024803141437003125, 0.015625000000000007,
+          0.009843133202303704]),
+        ("affine", {"d": 2}, [1e-8] * 4),
+    ])
+    def test_recommended_eps_deg_is_pinned(self, name, params, eps):
+        bench = exact_benchmark(name, params)
+        got = [bench.recommended_eps_deg(Grid(d=bench.d, n=n)) for n in (9, 65, 129, 257)]
+        assert got == eps
+
     def test_recommended_eps_deg_positive(self):
         bench = exact_benchmark("radial-power", {"theta": 1.0, "d": 2})
         assert bench.recommended_eps_deg(Grid(d=2, n=33)) > 0.0

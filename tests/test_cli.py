@@ -863,7 +863,42 @@ class TestNoOutputOnConfigError:
         self._run(tmp_path, "solve", {
             "problem": {**self.BAD_LAW, "sigma_plus": law}, "grid": {"d": 1, "n": 17},
         })
-        assert capsys.readouterr().err == "error: power: t_max must be positive and finite\n"
+        assert capsys.readouterr().err == (
+            f"error: config.problem.sigma_plus.t_max must be finite, got {t_max!r}\n")
+
+    LAWS_1D = {**BAD_LAW, "sigma_plus": {"family": "power", "p": 1.0},
+               "sigma_minus": {"family": "power", "p": 2.0}}
+    BELLMAN = {"kind": "bellman-min-of-traces", "lam": 0.5, "Lam": 2.0}
+    MALFORMED = {
+        "bellman-entry": {**LAWS_1D, "operator": {**BELLMAN, "coefficients": [[1, [2]]]}},
+        "bellman-ragged": {**LAWS_1D, "operator": {**BELLMAN,
+                                                   "coefficients": [[[1.0, 0.0], [0.0]]]}},
+        "q-nested": {**LAWS_1D, "q": [[1.0]]},
+        "theta2-list": {"benchmark": "transmission-1d",
+                        "params": {"theta1": 1.0, "theta2": [2, 3]}},
+        "theta-list": {"benchmark": "radial-power", "params": {"theta": [1.0], "d": 1}},
+        "b-number": {"benchmark": "affine", "params": {"d": 1, "b": 1.0}},
+        "b-nested": {"benchmark": "affine", "params": {"d": 1, "b": [[1.0]]}},
+        "params-unknown-key": {"benchmark": "radial-power",
+                               "params": {"theta": 1.0, "d": 1, "zz": 2}},
+        "p-string": {**LAWS_1D, "sigma_plus": {"family": "power", "p": "2"}},
+        "p-bool": {**LAWS_1D, "sigma_plus": {"family": "power", "p": True}},
+        "t_max-string": {**LAWS_1D, "sigma_plus": {"family": "power", "p": 1.0, "t_max": "10"}},
+        "law-unknown-key": {**LAWS_1D, "sigma_plus": {"family": "power", "p": 1.0, "zz": 2}},
+        "law-missing-key": {**LAWS_1D, "sigma_minus": {"family": "power-log", "p": 1.0}},
+        "law-not-an-object": {**LAWS_1D, "sigma_plus": "power"},
+    }
+
+    @pytest.mark.parametrize("problem", MALFORMED.values(), ids=MALFORMED.keys())
+    @pytest.mark.parametrize("command", ["solve", "build-modulus"])
+    def test_malformed_problem_is_one_config_error_line(self, tmp_path, capsys, command,
+                                                        problem):
+        # an exception other than a typed error escapes main and fails the test
+        self._run(tmp_path, command, {
+            "problem": problem, "grid": {"d": 1, "n": 17}, "modulus": self.MODULUS,
+        })
+        err = capsys.readouterr().err
+        assert err.startswith("error: config.") and err.count("\n") == 1, err
 
     def test_build_modulus_with_a_malformed_law(self, tmp_path):
         self._run(tmp_path, "build-modulus", {"problem": self.BAD_LAW, "modulus": self.MODULUS})

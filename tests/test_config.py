@@ -1,11 +1,16 @@
 """Run-configuration schema: validation, builders, defaults."""
 
+import dataclasses
+import inspect
 import json
+import math
 
 import pytest
 
+from degenlab import benchmarks, config
 from degenlab.config import load_config, validate_config
 from degenlab.errors import ConfigError
+from degenlab.laws import ExponentialFlatLaw, PowerLaw, PowerLogLaw, TabulatedLaw
 from degenlab.solver import SchemeConfig
 
 
@@ -82,11 +87,12 @@ class TestValidation:
         with pytest.raises(ConfigError):
             validate_config(data)
 
-    def test_missing_benchmark_parameter_is_config_error(self):
+    @pytest.mark.parametrize("params", [{"d": 1}, None])
+    def test_missing_benchmark_parameter_is_config_error(self, params):
         data = _base()
-        del data["problem"]["params"]["theta"]
-        with pytest.raises(ConfigError, match="theta"):
-            validate_config(data).build_problem()
+        data["problem"]["params"] = params
+        with pytest.raises(ConfigError, match="config.problem.params needs 'theta'"):
+            validate_config(data)
 
     def test_values_are_converted_once(self):
         data = _base()
@@ -104,6 +110,79 @@ class TestValidation:
         cfg = validate_config(data)
         prob, _ = cfg.build_problem()
         assert prob.C0 == 9.5
+
+
+def _law_config(sigma_plus):
+    return {"problem": {
+        "operator": {"kind": "trace", "lam": 1.0, "Lam": 1.0},
+        "sigma_plus": sigma_plus, "sigma_minus": {"family": "power", "p": 1.0},
+    }}
+
+
+class TestLawBlocks:
+    FAMILIES = [
+        ({"family": "power", "p": 1.5}, PowerLaw(p=1.5), ("p",)),
+        ({"family": "power-log", "p": 1.0, "q": 2.0}, PowerLogLaw(p=1.0, q=2.0), ("p", "q")),
+        ({"family": "exponential-flat", "t_max": 5.0}, ExponentialFlatLaw(t_max=5.0), ()),
+        ({"family": "tabulated", "points": [[0.5, 0.25], [1.0, 1.0]]},
+         TabulatedLaw(((0.5, 0.25), (1.0, 1.0))), ("points",)),
+    ]
+
+    @pytest.mark.parametrize("block, law, required", FAMILIES)
+    def test_each_family_is_built_once(self, block, law, required):
+        cfg = validate_config(_law_config(block))
+        assert cfg.problem["sigma_plus"] == law
+        assert cfg.build_problem()[0].sigma_plus is cfg.problem["sigma_plus"]
+
+    @pytest.mark.parametrize("block, message", [
+        ({"family": "mystery"}, "sigma_plus.family must be one of"),
+        ({"p": 1.0}, "sigma_plus.family must be one of"),
+        ([1.0], "sigma_plus must be an object"),
+        ({"family": "power", "p": "abc"}, "sigma_plus.p must be a number"),
+        ({"family": "power", "p": True}, "sigma_plus.p must be a number"),
+        ({"family": "power", "p": 10**400}, "sigma_plus.p must be finite"),  # past a double
+        ({"family": "tabulated", "points": [[0.5]]}, "must be a list of lists of 2 numbers"),
+    ])
+    def test_rejects_a_malformed_block(self, block, message):
+        with pytest.raises(ConfigError, match=message):
+            validate_config(_law_config(block))
+
+    @pytest.mark.parametrize("block, law, required", FAMILIES)
+    def test_rejects_an_unknown_or_a_missing_key(self, block, law, required):
+        with pytest.raises(ConfigError, match=r"sigma_plus: unknown keys \['zz'\]"):
+            validate_config(_law_config({**block, "zz": 2}))
+        for key in required:
+            partial = {k: v for k, v in block.items() if k != key}
+            with pytest.raises(ConfigError, match=f"sigma_plus needs '{key}'"):
+                validate_config(_law_config(partial))
+
+    # JSON reads 1e400 as inf and NaN as nan: a law is sigma on a finite [0, t_max]
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("block, key", [
+        pytest.param(lambda x: {"family": "power", "p": 1.0, "t_max": x}, "t_max", id="power"),
+        pytest.param(lambda x: {"family": "power-log", "p": 1.0, "q": 1.0, "t_max": x},
+                     "t_max", id="power-log"),
+        pytest.param(lambda x: {"family": "exponential-flat", "t_max": x}, "t_max",
+                     id="exponential-flat"),
+        pytest.param(lambda x: {"family": "tabulated", "points": [[0.5, 0.25], [1.0, x]]},
+                     "points", id="tabulated-sigma"),
+        pytest.param(lambda x: {"family": "tabulated", "points": [[x, 0.25]]}, "points",
+                     id="tabulated-t"),
+    ])
+    def test_non_finite_value_is_a_config_error(self, block, key, bad):
+        with pytest.raises(ConfigError, match=f"sigma_plus.{key} must be finite, got {bad}"):
+            validate_config(_law_config(block(bad)))
+
+    def test_schemas_name_the_parameters_of_what_they_build(self):
+        for law, schema, required in config._LAWS.values():
+            init = [f for f in dataclasses.fields(law) if f.init]
+            assert set(schema) == {f.name for f in init}
+            assert set(required) == {f.name for f in init
+                                     if f.default is dataclasses.MISSING}
+        for name, (schema, required) in config._BENCHMARK_PARAMS.items():
+            signature = inspect.signature(benchmarks._BUILDERS[name]).parameters.values()
+            assert set(schema) == {p.name for p in signature}
+            assert set(required) == {p.name for p in signature if p.default is p.empty}
 
 
 class TestSchemeBuild:

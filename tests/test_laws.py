@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degenlab.errors import ConfigError, DomainError
+from degenlab.errors import DomainError
 from degenlab.laws import (
     DegeneracyLaw,
     DiniReport,
@@ -19,7 +19,6 @@ from degenlab.laws import (
     a_sequence,
     dini_sum,
     flip_doubles,
-    law_from_config,
 )
 
 from oracles import reference_bisect_doubles
@@ -139,17 +138,17 @@ class TestEvaluation:
         with pytest.raises(DomainError):
             PowerLaw(p=1.0, t_max=0.0)
 
-    # JSON reads 1e400 as inf and NaN as nan: a law is sigma on a finite [0, t_max]
+    # a law is sigma on a finite [0, t_max]; a config file's are checked in test_config
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
-    @pytest.mark.parametrize("cfg", [
-        {"family": "power", "p": 1.0},
-        {"family": "power-log", "p": 1.0, "q": 1.0},
-        {"family": "exponential-flat"},
-    ], ids=lambda c: c["family"])
-    def test_non_finite_t_max_is_a_domain_error(self, cfg, bad):
-        with pytest.raises(DomainError, match=f"{cfg['family']}: t_max must be positive "
+    @pytest.mark.parametrize("law, params", [
+        pytest.param(PowerLaw, {"p": 1.0}, id="power"),
+        pytest.param(PowerLogLaw, {"p": 1.0, "q": 1.0}, id="power-log"),
+        pytest.param(ExponentialFlatLaw, {}, id="exponential-flat"),
+    ])
+    def test_non_finite_t_max_is_a_domain_error(self, law, params, bad):
+        with pytest.raises(DomainError, match=f"{law.family}: t_max must be positive "
                                               "and finite"):
-            law_from_config({**cfg, "t_max": bad})
+            law(**params, t_max=bad)
 
     @pytest.mark.parametrize("points", [
         [[0.5, math.nan]], [[math.nan, 0.5]], [[0.5, 0.25], [math.inf, 1.0]],
@@ -157,7 +156,7 @@ class TestEvaluation:
     ])
     def test_non_finite_breakpoint_is_a_domain_error(self, points):
         with pytest.raises(DomainError, match="tabulated: breakpoints must be finite"):
-            law_from_config({"family": "tabulated", "points": points})
+            TabulatedLaw(points)
 
     @pytest.mark.parametrize("prefactor, argscale", [
         (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf),
@@ -308,43 +307,3 @@ class TestFlipDoubles:
         target = 10.0 ** rng.uniform(-300.0, 1.0, size=n)
         top = 10.0 ** rng.uniform(-5.0, 1.0, size=n)
         self._check((lambda t: np.power(t, p),), target, top)
-
-
-class TestConfig:
-    def test_each_family_roundtrips(self):
-        cases = [
-            {"family": "power", "p": 1.5},
-            {"family": "power-log", "p": 1.0, "q": 2.0},
-            {"family": "exponential-flat", "t_max": 5.0},
-            {"family": "tabulated", "points": [[0.5, 0.25], [1.0, 1.0]]},
-        ]
-        for cfg in cases:
-            law = law_from_config(cfg)
-            assert law(0.5) > 0.0
-
-    def test_rejects_unknown_family_and_keys(self):
-        with pytest.raises(ConfigError):
-            law_from_config({"family": "mystery"})
-        with pytest.raises(ConfigError):
-            law_from_config({"family": "power", "p": 1.0, "zz": 2})
-        with pytest.raises(ConfigError):
-            law_from_config({"p": 1.0})
-        with pytest.raises(ConfigError, match="malformed"):
-            law_from_config({"family": "power", "p": "abc"})
-        with pytest.raises(ConfigError, match="malformed"):
-            law_from_config({"family": "tabulated", "points": [[0.5]]})
-        with pytest.raises(ConfigError, match="malformed"):
-            law_from_config({"family": "power", "p": 10**400})  # past a double's range
-        # every family: an unknown key, and each required parameter missing
-        for cfg, required in (
-            ({"family": "power", "p": 1.5}, ("p",)),
-            ({"family": "power-log", "p": 1.0, "q": 2.0}, ("p", "q")),
-            ({"family": "exponential-flat", "t_max": 5.0}, ()),
-            ({"family": "tabulated", "points": [[0.5, 0.25], [1.0, 1.0]]}, ("points",)),
-        ):
-            with pytest.raises(ConfigError, match="unknown keys"):
-                law_from_config({**cfg, "zz": 2})
-            for key in required:
-                partial = {k: v for k, v in cfg.items() if k != key}
-                with pytest.raises(ConfigError, match="missing parameter"):
-                    law_from_config(partial)

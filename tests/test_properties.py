@@ -10,6 +10,7 @@ operator F_h is non-decreasing in every neighbour value, so sigma F_h is
 too for any frozen sigma >= 0; the full pointwise residual is not, since
 sigma reads |grad_h u| from central differences.  The flux form is
 non-decreasing in every neighbour value as long as no edge changes phase.
+Both whole residuals are pinned as strict xfails over fixed seeds.
 """
 
 import dataclasses
@@ -21,13 +22,14 @@ from hypothesis import strategies as st
 
 from degenlab.benchmarks import exact_benchmark
 from degenlab.elliptic import EllipticityPair, EllipticOperator
-from degenlab.grids import Grid
+from degenlab.grids import DiscreteField, Grid
 from degenlab.laws import PowerLaw, PowerLogLaw
 from degenlab.problem import ProblemInstance
 from degenlab.solver import (
     SchemeConfig,
     _Discretization,
     _FluxDiscretization1D,
+    residual,
     solve,
 )
 
@@ -109,6 +111,43 @@ def test_flux_residual_is_monotone_in_neighbours_within_a_phase(same_law, data):
         assume(np.array_equal(np.sign(v[1:] + v[:-1]), np.sign(u[1:] + u[:-1])))
     rise = disc.residual_interior(v)[0] - disc.residual_interior(u)[0]
     assert np.all(rise[_others(grid.shape, node)] >= -1e-9)
+
+
+def _falls(prob, grid, seeds=200):
+    """For each fixed seed (not hypothesis, whose examples move when the
+    test source is edited): the largest fall of another node's residual
+    when one interior node of a random field rises by 0.5."""
+    falls = np.zeros(seeds)
+    for seed in range(seeds):
+        rng = np.random.default_rng(seed)
+        u = rng.uniform(-1.0, 1.0, grid.shape)
+        node = tuple(rng.integers(1, grid.n - 1, size=grid.d))
+        v = u.copy()
+        v[node] += 0.5
+        rise = residual(DiscreteField(grid, v), prob, 1e-4).values - residual(
+            DiscreteField(grid, u), prob, 1e-4).values
+        rise[node] = 0.0
+        falls[seed] = rise.min()
+    return falls
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 5: sigma reads |grad_h u| from central differences "
+                          "(at n = 9: 120 of 200 seeds fall)")
+def test_wide_residual_is_monotone_in_neighbours():
+    law = PowerLaw(1.0)
+    prob = ProblemInstance(operator=EllipticOperator("trace", EllipticityPair(1.0, 1.0)),
+                           sigma_plus=law, sigma_minus=law, f=0.0, g=0.0, C0=0.0)
+    falls = _falls(prob, Grid(d=2, n=9))
+    assert falls.min() >= -1e-9, f"seed {falls.argmin()}: a residual falls by {falls.min()}"
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 5: an edge whose phase switches switches its flux "
+                          "(at n = 9: 12 of 200 seeds fall)")
+def test_flux_residual_is_monotone_in_neighbours_across_a_phase_switch():
+    falls = _falls(_transmission(), Grid(d=1, n=9))
+    assert falls.min() >= -1e-9, f"seed {falls.argmin()}: a residual falls by {falls.min()}"
 
 
 # -- the frozen-policy Jacobian ---------------------------------------------
