@@ -33,8 +33,9 @@ manifest.json cannot be written, the command's other files stay).
 
 manifest.json keeps one entry per command that ran into the directory:
 config digest, wall times per stage, counters (solve: iterations,
-linear solves and rejected steps summed over the cascade levels, when
-the cascade returns; certify: the window scans of both sides;
+linear solves (factorizations), rejected steps, steps taken with a kept
+factorization and residual evaluations, summed over the cascade levels,
+when the cascade returns; certify: the window scans of both sides;
 build-modulus: hold/root/cap steps per law and the root search's calls
 of each law, also on exit 4; measure: minimax fits, the
 fits whose duality gap is too wide to certify, the exchange steps of
@@ -256,7 +257,10 @@ def read_field(path: str, grid: Grid) -> DiscreteField:
 
 
 def _diag_json(diag) -> dict:
-    return {"schema": "degenlab-solve-diagnostics-v2", **dataclasses.asdict(diag)}
+    out = dataclasses.asdict(diag)
+    for key in ("reused_steps", "residual_evaluations"):  # work counters; they go to the manifest
+        del out[key]
+    return {"schema": "degenlab-solve-diagnostics-v2", **out}
 
 
 def _cert_json(rep) -> dict:
@@ -284,6 +288,8 @@ def cmd_solve(cfg: RunConfig, args, run: _Run) -> int:
         raise
     for key in ("iterations", "linear_solves", "rejected_steps"):
         run.counters[f"solver.{key}"] = sum(level[key] for level in diag.levels)
+    run.counters["solver.reused_steps"] = diag.reused_steps
+    run.counters["solver.residual_evaluations"] = diag.residual_evaluations
     bench_error = None
     if bench is not None:
         exact = bench.exact_on(grid)

@@ -30,7 +30,9 @@ Benchmark params, required ones before any ";": affine (d = 2, b = [0.75]
 theta2; c = 1).  Law blocks by "family": power (p; t_max = 10), power-log
 (p, q; t_max = 10), exponential-flat (t_max = 10), tabulated (points, a
 list of [t, sigma(t)] pairs).  Bellman "coefficients" are a list of square
-matrices, each a list of rows.
+matrices, each a list of rows.  A value that a law, a benchmark builder or
+the operator rejects (a DomainError) is raised again with its block's key
+path in front, such as "config.problem.sigma_minus: power: ...".
 
 The benchmark form also fixes grid-independent defaults (exact boundary
 data, forcing, recommended gradient clamp); explicit fields f and g must
@@ -45,12 +47,13 @@ import dataclasses
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 
 from .benchmarks import BENCHMARK_NAMES, Benchmark, exact_benchmark
 from .elliptic import EllipticOperator, EllipticityPair
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .grids import Grid
 from .laws import ExponentialFlatLaw, PowerLaw, PowerLogLaw, TabulatedLaw
 from .problem import ProblemInstance
@@ -147,7 +150,17 @@ def _law(value, where):
         raise ConfigError(f"{where} must be an object, got {value!r}")
     law, schema, required = _LAWS[_name(value.get("family"), f"{where}.family", _LAWS)]
     params = {k: v for k, v in value.items() if k != "family"}
-    return law(**_block(params, where, schema, required))
+    with _named(where):
+        return law(**_block(params, where, schema, required))
+
+
+@contextmanager
+def _named(where):
+    """Prefix ``where`` to a range error raised on the block's values."""
+    try:
+        yield
+    except DomainError as exc:
+        raise DomainError(f"{where}: {exc}") from exc
 
 
 def _problem(value, where):
@@ -226,17 +239,19 @@ class RunConfig:
         self.require("problem")
         spec = self.problem
         if "benchmark" in spec:
-            bench = exact_benchmark(spec["benchmark"], spec["params"])
+            with _named("config.problem.params"):
+                bench = exact_benchmark(spec["benchmark"], spec["params"])
             prob = bench.problem
             if "C0" in spec:
                 prob = dataclasses.replace(prob, C0=spec["C0"])
             return prob, bench
         op = spec["operator"]
-        operator = EllipticOperator(
-            kind=op["kind"],
-            pair=EllipticityPair(lam=op["lam"], Lam=op["Lam"]),
-            coefficients=tuple(op.get("coefficients", ())),
-        )
+        with _named("config.problem.operator"):
+            operator = EllipticOperator(
+                kind=op["kind"],
+                pair=EllipticityPair(lam=op["lam"], Lam=op["Lam"]),
+                coefficients=tuple(op.get("coefficients", ())),
+            )
         prob = ProblemInstance(
             operator=operator,
             sigma_plus=spec["sigma_plus"],

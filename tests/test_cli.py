@@ -94,11 +94,20 @@ class TestSolve:
         cfg["scheme"]["max_iter"] = max_iter
         path.write_text(json.dumps(cfg))
         assert main(["solve", "--config", str(path)]) == code
-        levels = json.loads((out / "solve_diagnostics.json").read_text())["levels"]
+        diag = json.loads((out / "solve_diagnostics.json").read_text())
+        levels = diag["levels"]
         counters = json.loads((out / "manifest.json").read_text())["commands"]["solve"]["counters"]
-        assert counters == {f"solver.{key}": sum(lv[key] for lv in levels)
-                            for key in ("iterations", "linear_solves", "rejected_steps")}
+        evaluations = counters.pop("solver.residual_evaluations")
+        assert counters == {"solver.reused_steps": 0,  # 1-d keeps no factorization
+                            **{f"solver.{key}": sum(lv[key] for lv in levels)
+                               for key in ("iterations", "linear_solves", "rejected_steps")}}
+        # each level evaluates its start and every trial; a level stopped by
+        # max_iter also evaluates the step after its last counted iterate
+        slack = evaluations - sum(lv["iterations"] + lv["rejected_steps"] for lv in levels)
+        assert slack == 0 if code == EXIT_OK else 0 < slack <= len(levels)
         assert len(levels) == 3 and counters["solver.linear_solves"] > levels[-1]["linear_solves"]
+        # work counters go to the manifest only
+        assert not {"reused_steps", "residual_evaluations"} & set(diag)
 
     def test_diagnostics_report_levels_and_linear_solves(self, run_config):
         path, out = run_config
@@ -868,6 +877,19 @@ class TestNoOutputOnConfigError:
 
     LAWS_1D = {**BAD_LAW, "sigma_plus": {"family": "power", "p": 1.0},
                "sigma_minus": {"family": "power", "p": 2.0}}
+
+    # a range error of a law, a benchmark builder or the operator names its key
+    @pytest.mark.parametrize("command, problem, message", [
+        ("report", {**LAWS_1D, "sigma_minus": {"family": "power", "p": 0}},
+         "config.problem.sigma_minus: power: exponent p must be positive and finite"),
+        ("solve", {"benchmark": "radial-power", "params": {"theta": 1.0, "d": 3}},
+         "config.problem.params: radial-power benchmark: d must be 1 or 2, got 3"),
+        ("solve", {**LAWS_1D, "operator": {"kind": "trace", "lam": 2.0, "Lam": 1.0}},
+         "config.problem.operator: EllipticityPair: need 0 < lam <= Lam < inf"),
+    ], ids=["law", "benchmark", "operator"])
+    def test_a_range_error_names_its_key(self, tmp_path, capsys, command, problem, message):
+        self._run(tmp_path, command, {"problem": problem, "grid": {"d": 1, "n": 17}})
+        assert capsys.readouterr().err == f"error: {message}\n"
     BELLMAN = {"kind": "bellman-min-of-traces", "lam": 0.5, "Lam": 2.0}
     MALFORMED = {
         "bellman-entry": {**LAWS_1D, "operator": {**BELLMAN, "coefficients": [[1, [2]]]}},

@@ -9,7 +9,7 @@ import pytest
 
 from degenlab import benchmarks, config
 from degenlab.config import load_config, validate_config
-from degenlab.errors import ConfigError
+from degenlab.errors import ConfigError, DomainError
 from degenlab.laws import ExponentialFlatLaw, PowerLaw, PowerLogLaw, TabulatedLaw
 from degenlab.solver import SchemeConfig
 
@@ -94,6 +94,14 @@ class TestValidation:
         with pytest.raises(ConfigError, match="config.problem.params needs 'theta'"):
             validate_config(data)
 
+    def test_builder_range_error_names_the_params(self):
+        data = _base()
+        data["problem"]["params"] = {"theta": 1.0, "d": 3}
+        cfg = validate_config(data)
+        with pytest.raises(DomainError, match=r"^config\.problem\.params: radial-power "
+                                              r"benchmark: d must be 1 or 2, got 3$"):
+            cfg.build_problem()
+
     def test_values_are_converted_once(self):
         data = _base()
         data["grid"]["n"] = 49.0
@@ -172,6 +180,14 @@ class TestLawBlocks:
     def test_non_finite_value_is_a_config_error(self, block, key, bad):
         with pytest.raises(ConfigError, match=f"sigma_plus.{key} must be finite, got {bad}"):
             validate_config(_law_config(block(bad)))
+
+    @pytest.mark.parametrize("side", ["sigma_plus", "sigma_minus"])
+    def test_law_range_error_names_its_block(self, side):
+        data = _law_config({"family": "power", "p": 1.0})
+        data["problem"][side] = {"family": "power", "p": 0}
+        with pytest.raises(DomainError, match=rf"^config\.problem\.{side}: power: exponent p "
+                                              r"must be positive and finite$"):
+            validate_config(data)
 
     def test_schemas_name_the_parameters_of_what_they_build(self):
         for law, schema, required in config._LAWS.values():

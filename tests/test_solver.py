@@ -328,6 +328,118 @@ class TestWarmStart:
             assert isinstance(initial, DiscreteField) and initial.grid.n == n
 
 
+def _noisy_start(bench, grid):
+    noise = np.random.default_rng(0).standard_normal(grid.shape)
+    return bench.exact_on(grid) + 0.05 * noise
+
+
+class TestFactorizationReuse:
+    """2-d steps reuse a kept SuperLU factorization while it halves the residual;
+    1-d steps are always factored afresh."""
+
+    def test_one_dimensional_steps_never_reuse(self):
+        _, diag, _ = _solve_benchmark("transmission-1d", {"theta1": 1.0, "theta2": 2.0, "c": 1.0},
+                                      n=129, cascade=True)
+        assert {lv["n"]: (lv["iterations"], lv["linear_solves"], lv["rejected_steps"])
+                for lv in diag.levels} == {9: (11, 10, 0), 17: (4, 3, 0), 33: (5, 4, 0),
+                                           65: (5, 4, 0), 129: (5, 4, 0)}
+        assert diag.reused_steps == 0
+        # every trial is a factorization, and each level evaluates its start too
+        assert diag.residual_evaluations == sum(lv["iterations"] for lv in diag.levels)
+
+    def test_radial_cascade_reuses(self):
+        bench = exact_benchmark("radial-power", {"theta": 1.0, "d": 2})
+        grid = Grid(d=2, n=65)
+        cfg = SchemeConfig(tol=1e-4, eps_deg=bench.recommended_eps_deg(grid))
+        u, diag = solve_cascade(bench.problem, grid, cfg)
+        assert diag.converged and diag.final_residual <= cfg.tol
+        # 21 factorizations and 1 rejected step when every step was factored
+        assert sum(lv["linear_solves"] for lv in diag.levels) <= 14
+        assert sum(lv["rejected_steps"] for lv in diag.levels) <= 1
+        assert diag.reused_steps > 0
+        assert diag.residual_evaluations == sum(
+            lv["iterations"] + lv["rejected_steps"] for lv in diag.levels)
+        assert _rel_sup_error(u, bench.exact_on(grid)) < 1e-3
+
+    # bounds: the factorizations and rejected steps of the same solves when
+    # every step was factored
+    @pytest.mark.parametrize("n, start, solves, rejected", [
+        (33, "cold", 12, 0), (65, "cold", 19, 2), (33, "noisy", 9, 1), (65, "noisy", 15, 3),
+    ])
+    def test_reuse_costs_no_factorization_or_rejection(self, n, start, solves, rejected):
+        bench = exact_benchmark("radial-power", {"theta": 1.0, "d": 2})
+        grid = Grid(d=2, n=n)
+        cfg = SchemeConfig(tol=1e-6, eps_deg=bench.recommended_eps_deg(grid),
+                           initial=_noisy_start(bench, grid) if start == "noisy" else None)
+        _, diag = solve(bench.problem, grid, cfg)
+        assert diag.converged
+        assert diag.linear_solves <= solves and diag.rejected_steps <= rejected
+
+    def test_a_factorization_is_kept_only_while_it_halves_the_residual(self, monkeypatch):
+        events = []  # "factor", "reuse" and every rms the solve computes, in order
+        factor, back_solve, rms = (solver._StencilPattern.solve,
+                                   solver._StencilPattern.back_solve, solver._rms)
+        monkeypatch.setattr(solver._StencilPattern, "solve",
+                            lambda self, *a: events.append("factor") or factor(self, *a))
+        monkeypatch.setattr(solver._StencilPattern, "back_solve",
+                            lambda self, r: events.append("reuse") or back_solve(self, r))
+        monkeypatch.setattr(solver, "_rms", lambda r: events.append(rms(r)) or events[-1])
+        bench = exact_benchmark("radial-power", {"theta": 1.0, "d": 2})
+        grid = Grid(d=2, n=65)
+        cfg = SchemeConfig(tol=1e-6, eps_deg=bench.recommended_eps_deg(grid),
+                           initial=_noisy_start(bench, grid))
+        _, diag = solve(bench.problem, grid, cfg)
+        assert diag.converged and diag.reused_steps > 0
+
+        # (kind, rms ratio) of the last accepted step; kind None: the explicit step
+        current, kind, last, dropped = events[0], None, (None, 1.0), 0
+        for event in events[1:]:
+            if isinstance(event, str):
+                if event == "reuse":  # only after a solved step that halved the rms
+                    assert last[0] is not None and last[1] <= 0.5, events
+                # a reused step that cut the rms by less than half is factored afresh
+                dropped += event == "factor" and last[0] == "reuse" and last[1] > 0.5
+                kind = event
+                continue
+            if event <= current:
+                last, current = (kind, event / current), event
+            kind = None
+        assert dropped > 0
+
+    def test_rejected_reuse_is_factored_afresh(self, monkeypatch):
+        bench = exact_benchmark("radial-power", {"theta": 1.0, "d": 2})
+        grid = Grid(d=2, n=17)
+        cfg = SchemeConfig(tol=1e-6, eps_deg=bench.recommended_eps_deg(grid),
+                           initial=bench.exact_on(grid))
+        _, plain = solve(bench.problem, grid, cfg)
+        assert plain.reused_steps > 0 and plain.rejected_steps == 0
+
+        factor, back_solve = solver._StencilPattern.solve, solver._StencilPattern.back_solve
+        events = []
+
+        def factored(self, coeffs, dt, r):
+            events.append(("factor", dt))
+            return factor(self, coeffs, dt, r)
+
+        def poisoned_once(self, r):
+            events.append(("reuse", self.kept[1]))
+            if len([e for e in events if e[0] == "reuse"]) == 1:
+                return np.full(r.shape, np.nan)
+            return back_solve(self, r)
+
+        monkeypatch.setattr(solver._StencilPattern, "solve", factored)
+        monkeypatch.setattr(solver._StencilPattern, "back_solve", poisoned_once)
+        _, diag = solve(bench.problem, grid, cfg)
+        assert diag.converged
+        assert diag.rejected_steps == plain.rejected_steps + 1
+        assert diag.linear_solves == plain.linear_solves + 1
+        assert diag.linear_solves == len([e for e in events if e[0] == "factor"])
+        # the poisoned reuse is followed by one fresh factorization at a dt not cut
+        first = [kind for kind, _ in events].index("reuse")
+        (_, kept_dt), (kind, dt) = events[first], events[first + 1]
+        assert kind == "factor" and np.all(dt >= kept_dt)
+
+
 def _wide_problem(kind, d):
     from degenlab.elliptic import EllipticityPair, EllipticOperator
     from degenlab.laws import PowerLaw, PowerLogLaw
