@@ -34,8 +34,10 @@ manifest.json cannot be written, the command's other files stay).
 manifest.json keeps one entry per command that ran into the directory:
 config digest, wall times per stage, counters (solve: iterations,
 linear solves (factorizations), rejected steps, steps taken with a kept
-factorization and residual evaluations, summed over the cascade levels,
-when the cascade returns; certify: the window scans of both sides;
+factorization (solver.reused_steps), residual evaluations and warm
+starts that missed and restarted a level on the cold path
+(solver.cold_restarts), summed over the cascade levels, when the cascade
+returns; certify: the window scans of both sides;
 build-modulus: hold/root/cap steps per law and the root search's calls
 of each law, also on exit 4; measure: minimax fits, the
 fits whose duality gap is too wide to certify, the exchange steps of
@@ -79,7 +81,7 @@ from .lab import compare_modulus, decay_scan, gradient_pairs
 from .modulus import Modulus, build_modulus
 # ``solve`` is bound here although the commands call only ``solve_cascade``:
 # bench/spans.py times the solver by wrapping degenlab.cli.solve.
-from .solver import solve, solve_cascade  # noqa: F401
+from .solver import WORK_COUNTERS, solve, solve_cascade  # noqa: F401
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -258,7 +260,7 @@ def read_field(path: str, grid: Grid) -> DiscreteField:
 
 def _diag_json(diag) -> dict:
     out = dataclasses.asdict(diag)
-    for key in ("reused_steps", "residual_evaluations"):  # work counters; they go to the manifest
+    for key in WORK_COUNTERS:  # they go to the manifest
         del out[key]
     return {"schema": "degenlab-solve-diagnostics-v2", **out}
 
@@ -288,8 +290,8 @@ def cmd_solve(cfg: RunConfig, args, run: _Run) -> int:
         raise
     for key in ("iterations", "linear_solves", "rejected_steps"):
         run.counters[f"solver.{key}"] = sum(level[key] for level in diag.levels)
-    run.counters["solver.reused_steps"] = diag.reused_steps
-    run.counters["solver.residual_evaluations"] = diag.residual_evaluations
+    for key in WORK_COUNTERS:
+        run.counters[f"solver.{key}"] = getattr(diag, key)
     bench_error = None
     if bench is not None:
         exact = bench.exact_on(grid)

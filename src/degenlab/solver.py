@@ -37,11 +37,17 @@ where J is the frozen-policy Jacobian of R: the active pucci frame or
 bellman branch, the slope phi'(Delta_e) and the phase of every node are
 held fixed, which makes the step one semismooth Newton / Howard
 policy-iteration step (Bokanowski, Maroso & Zidani 2009) damped by 1/dt.
-``residual_interior`` returns J with R, as a stencil coefficient stack
-built from the same arrays, so each iterate is evaluated once.  The
-wide-stencil J also carries F_h sigma'(|grad_h u|) d|grad_h u|/du through
-the central gradient, with sigma' one relative central difference of the
-law itself (``_law_slope``).  In the flux form, J is tridiagonal with edge
+``residual_interior`` evaluates R and returns with it an assembler of J,
+a stencil coefficient stack built from the same arrays (gradient, law
+values, branch values and F), so each iterate is evaluated once.  J is
+assembled only for a step that factors, at most once per iterate: a
+back-solve with a kept factorization, the explicit step and the iterate
+of a rejected trial never pay for it.  The second differences are taken
+only in the directions some branch reads (2 of the 4 in 2-d for trace
+and axis-frame bellman operators).  The wide-stencil J also carries
+F_h sigma'(|grad_h u|) d|grad_h u|/du through the central gradient, with
+sigma' one relative central difference of the law itself
+(``_law_slope``).  In the flux form, J is tridiagonal with edge
 weight sigma_phase(max(|s + q|, eps_deg)) / h^2.  Each discretization
 picks the pattern that solves diag(1/dt) - J once, from the dimension.  In
 1-d every stencil is tridiagonal, and ``_TridiagonalPattern`` hands the
@@ -121,6 +127,7 @@ the residual reported is the one the solver drives to zero.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,10 +188,10 @@ class SchemeConfig:
     def __post_init__(self):
         if self.max_iter < 1:
             raise ConfigError("SchemeConfig: max_iter must be positive")
-        if not (self.tol > 0.0):
-            raise ConfigError("SchemeConfig: tol must be positive")
-        if self.eps_deg < 0.0:
-            raise ConfigError("SchemeConfig: eps_deg must be non-negative")
+        if not (0.0 < self.tol < np.inf):
+            raise ConfigError("SchemeConfig: tol must be positive and finite")
+        if not (0.0 <= self.eps_deg < np.inf):
+            raise ConfigError("SchemeConfig: eps_deg must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -198,10 +205,12 @@ class SolveDiagnostics:
     ``solve_cascade`` fills ``levels`` with one record per grid, coarsest
     first.  The fields are declared in the key order of
     solve_diagnostics.json.  ``reused_steps`` (accepted steps taken with a
-    kept factorization) and ``residual_evaluations`` (the start and every
-    trial) are work counters for the manifest, not results: they are left
-    out of comparisons and of solve_diagnostics.json, and in the
-    diagnostics ``solve_cascade`` returns they are summed over the levels.
+    kept factorization), ``residual_evaluations`` (the start and every
+    trial) and ``cold_restarts`` (warm first steps rejected, each of which
+    restarts the solve on the cold path) are work counters for the
+    manifest, not results: they are left out of comparisons and of
+    solve_diagnostics.json, and in the diagnostics ``solve_cascade``
+    returns they are summed over the levels.
     """
 
     scheme: str
@@ -218,6 +227,11 @@ class SolveDiagnostics:
     levels: tuple = ()
     reused_steps: int = dataclasses.field(default=0, compare=False)
     residual_evaluations: int = dataclasses.field(default=0, compare=False)
+    cold_restarts: int = dataclasses.field(default=0, compare=False)
+
+
+# The fields of SolveDiagnostics that count work: those left out of comparisons.
+WORK_COUNTERS = tuple(f.name for f in dataclasses.fields(SolveDiagnostics) if not f.compare)
 
 
 class _StencilPattern:
@@ -367,9 +381,10 @@ class _Discretization:
             self.slopes = (lam, Lam) if op.kind == "pucci-minus" else (Lam, lam)
         self.pick_max = op.kind == "pucci-plus"
 
-        dirs = sorted({k for ks, _ in self.branches for k in ks} | set(axis))
+        # the directions the branches read; J also couples along the axes
+        self.directions = sorted({k for ks, _ in self.branches for k in ks})
         self.offsets = [(0,) * d]
-        for k in dirs:
+        for k in sorted(set(self.directions) | set(axis)):
             e = _DIRECTIONS[d][k]
             self.offsets += [e, _neg(e)]
         self.offset_index = {off: i for i, off in enumerate(self.offsets)}
@@ -386,13 +401,15 @@ class _Discretization:
             for e, qa in zip(axes, self.q)
         ]
 
-    def second_differences(self, u: np.ndarray):
+    def second_differences(self, u: np.ndarray) -> dict:
+        """Delta_e u on the interior for each direction index k a branch reads."""
         c = u[self.grid.interior]
         h2 = self.h**2
-        return tuple(
-            (_shift(u, e) - 2.0 * c + _shift(u, _neg(e))) / (h2 * float(np.dot(e, e)))
-            for e in _DIRECTIONS[self.grid.d]
-        )
+        out = {}
+        for k in self.directions:
+            e = _DIRECTIONS[self.grid.d][k]
+            out[k] = (_shift(u, e) - 2.0 * c + _shift(u, _neg(e))) / (h2 * float(np.dot(e, e)))
+        return out
 
     def _branch_values(self, u: np.ndarray):
         """[(direction indices, coefficients, value)] of each linear branch."""
@@ -413,25 +430,32 @@ class _Discretization:
         return self._reduce([v for _, _, v in self._branch_values(u)])
 
     def residual_interior(self, u: np.ndarray):
-        """(R, sigma_{sgn(u)}, clamped, J) on the interior.
+        """(R, sigma_{sgn(u)}, clamped, jacobian) on the interior.
 
-        ``clamped`` tells whether law_pair froze a law.  J is the stencil
-        coefficient stack of the frozen-policy derivative of R at u: the
-        active branch, each pucci slope phi'(Delta_e) and the phase of every
-        node are held fixed.
+        ``clamped`` tells whether law_pair froze a law.  ``jacobian()``
+        returns J, the stencil coefficient stack of the frozen-policy
+        derivative of R at u: the active branch, each pucci slope
+        phi'(Delta_e) and the phase of every node are held fixed.  It
+        assembles J from this evaluation's arrays on its first call and
+        returns the same stack after, so only a step that factors pays
+        for J.
         """
-        d, h = self.grid.d, self.h
         g = self._gradient(u)
         norm = gradient_norm(g)
-        live = norm > self.eps_deg
         speed = np.maximum(norm, self.eps_deg)
         sp, sm, clamped = self.prob.law_pair(speed)
         c = u[self.grid.interior]
         sig = select_phase(c, sp, sm)
         branches = self._branch_values(u)
-        values = [v for _, _, v in branches]
-        F = self._reduce(values)
-        active = (np.argmax if self.pick_max else np.argmin)(np.stack(values), axis=0)
+        F = self._reduce([v for _, _, v in branches])
+        jacobian = functools.partial(self._jacobian, g, norm, speed, sp, sm, c, sig, branches, F)
+        return sig * F - self.f_int, sig, clamped, functools.cache(jacobian)
+
+    def _jacobian(self, g, norm, speed, sp, sm, c, sig, branches, F) -> np.ndarray:
+        """J of ``residual_interior`` from the arrays of that evaluation."""
+        d, h = self.grid.d, self.h
+        active = (np.argmax if self.pick_max else np.argmin)(
+            np.stack([v for _, _, v in branches]), axis=0)
         coeffs = np.zeros((len(self.offsets),) + F.shape)
         for j, (ks, w, _) in enumerate(branches):
             on = active == j
@@ -442,6 +466,7 @@ class _Discretization:
                 coeffs[self.offset_index[_neg(e)]] += a
                 coeffs[0] -= 2.0 * a
 
+        live = norm > self.eps_deg
         dp = _law_slope(self.prob.sigma_plus, speed)
         dm = _law_slope(self.prob.sigma_minus, speed)
         slope = select_phase(c, dp, dm, np.where(sp <= sm, dp, dm))
@@ -449,7 +474,7 @@ class _Discretization:
         for e, ga in zip(_DIRECTIONS[d][:d], g):
             coeffs[self.offset_index[e]] += t * ga
             coeffs[self.offset_index[_neg(e)]] -= t * ga
-        return sig * F - self.f_int, sig, clamped, coeffs
+        return coeffs
 
 
 class _FluxDiscretization1D:
@@ -517,17 +542,22 @@ class _FluxDiscretization1D:
         return flux, sig, clamped
 
     def residual_interior(self, u: np.ndarray):
-        """(R, per-node sigma for the dt cap, clamped, J) on the interior.
+        """(R, per-node sigma for the dt cap, clamped, jacobian) on the interior.
 
-        J, the frozen-phase derivative of R, is tridiagonal: edge e couples
-        its two nodes with weight sigma_e / h^2, which is sigma(t_max) past
-        t_max, where the flux keeps that slope.
+        ``jacobian()`` returns J, the frozen-phase derivative of R, as in
+        the wide-stencil class: assembled from this evaluation's edge sigmas
+        on its first call.  J is tridiagonal: edge e couples its two nodes
+        with weight sigma_e / h^2, which is sigma(t_max) past t_max, where
+        the flux keeps that slope.
         """
         flux, sig_edge, clamped = self._edges(u)
         r = (flux[1:] - flux[:-1]) / self.h - self.f_int
+        jacobian = functools.cache(functools.partial(self._jacobian, sig_edge))
+        return r, np.maximum(sig_edge[1:], sig_edge[:-1]), clamped, jacobian
+
+    def _jacobian(self, sig_edge: np.ndarray) -> np.ndarray:
         w = sig_edge / self.h**2
-        J = np.stack((w[:-1], -(w[:-1] + w[1:]), w[1:]))
-        return r, np.maximum(sig_edge[1:], sig_edge[:-1]), clamped, J
+        return np.stack((w[:-1], -(w[:-1] + w[1:]), w[1:]))
 
 
 def _frame_weights(A: np.ndarray, d: int):
@@ -638,10 +668,10 @@ def _advance(u: np.ndarray, delta, interior: tuple):
     return trial if np.all(np.isfinite(trial)) else None
 
 
-def _implicit_trial(pattern, J, dt, u: np.ndarray, r: np.ndarray, interior: tuple):
-    """u + delta with (diag(1/dt) - J) delta = r, or None if that is singular
-    or not finite."""
-    return _advance(u, pattern.solve(J, dt, r), interior)
+def _implicit_trial(pattern, jacobian, dt, u: np.ndarray, r: np.ndarray, interior: tuple):
+    """u + delta with (diag(1/dt) - J) delta = r, J = jacobian(), or None if
+    that is singular or not finite.  The one step that needs J."""
+    return _advance(u, pattern.solve(jacobian(), dt, r), interior)
 
 
 def solve(prob: ProblemInstance, grid: Grid, cfg: SchemeConfig = SchemeConfig()):
@@ -656,7 +686,7 @@ def solve(prob: ProblemInstance, grid: Grid, cfg: SchemeConfig = SchemeConfig())
     u = _initial_values(cfg, grid, prob.g_on(grid))
     interior = grid.interior
 
-    r, sig, sigma_clamped, J = disc.residual_interior(u)
+    r, sig, sigma_clamped, jacobian = disc.residual_interior(u)
     res0 = res_norm = _sup(r)
     rms = _rms(r)
     warm = cfg.initial is not None
@@ -664,7 +694,7 @@ def solve(prob: ProblemInstance, grid: Grid, cfg: SchemeConfig = SchemeConfig())
     pattern = disc.pattern
     history = []
     dt_last, dt_min_seen = grid.h, np.inf
-    solves = rejected = reused = it = 0
+    solves = rejected = reused = restarts = it = 0
     evaluations = 1
 
     def diag(converged: bool) -> SolveDiagnostics:
@@ -682,6 +712,7 @@ def solve(prob: ProblemInstance, grid: Grid, cfg: SchemeConfig = SchemeConfig())
             rejected_steps=rejected,
             reused_steps=reused,
             residual_evaluations=evaluations,
+            cold_restarts=restarts,
         )
 
     for it in range(1, cfg.max_iter + 1):
@@ -706,10 +737,10 @@ def solve(prob: ProblemInstance, grid: Grid, cfg: SchemeConfig = SchemeConfig())
                 trial = _advance(u, pattern.back_solve(r), interior)
             else:
                 step = growth * dt
-                trial = _implicit_trial(pattern, J, step, u, r, interior)
+                trial = _implicit_trial(pattern, jacobian, step, u, r, interior)
                 solves += 1
             if trial is not None:
-                r_t, sig_t, clamped, J_t = disc.residual_interior(trial)
+                r_t, sig_t, clamped, jacobian_t = disc.residual_interior(trial)
                 evaluations += 1
                 rms_t = _rms(r_t)
                 if rms_t <= rms:
@@ -720,6 +751,7 @@ def solve(prob: ProblemInstance, grid: Grid, cfg: SchemeConfig = SchemeConfig())
                 continue
             if warm:  # the warm start missed: restart once on the cold path
                 growth, warm = 1.0, False
+                restarts += 1
                 continue
             first_try = False
             growth /= _DT_CUT
@@ -729,7 +761,7 @@ def solve(prob: ProblemInstance, grid: Grid, cfg: SchemeConfig = SchemeConfig())
                 trial = _advance(u, dt * r, interior)
                 if trial is None:
                     raise SolverDivergenceError("iterate became non-finite", diag(False))
-                r_t, sig_t, clamped, J_t = disc.residual_interior(trial)
+                r_t, sig_t, clamped, jacobian_t = disc.residual_interior(trial)
                 evaluations += 1
                 rms_t = _rms(r_t)
                 break
@@ -745,7 +777,7 @@ def solve(prob: ProblemInstance, grid: Grid, cfg: SchemeConfig = SchemeConfig())
                 growth = min(growth * ratio, _DT_GROWTH_MAX)
         if rms_t > _RSHAM * rms:
             pattern.kept = None
-        u, r, sig, J, rms, res_norm = trial, r_t, sig_t, J_t, rms_t, _sup(r_t)
+        u, r, sig, jacobian, rms, res_norm = trial, r_t, sig_t, jacobian_t, rms_t, _sup(r_t)
         sigma_clamped = sigma_clamped or clamped
         dt_last = float(np.max(step))
         dt_min_seen = min(dt_min_seen, float(np.min(step)))
@@ -774,18 +806,18 @@ def solve_cascade(prob: ProblemInstance, grid: Grid, cfg: SchemeConfig):
     solve, whose ``levels`` holds n, iterations, linear solves, rejected
     steps, start residual (the sup residual of the level's first iterate,
     which shows the refinement jump) and final residual of every level,
-    coarsest first; its ``reused_steps`` and ``residual_evaluations`` are
-    totals over the levels.
+    coarsest first; its work counters (``WORK_COUNTERS``) are totals over
+    the levels.
     """
     ns = cascade_sizes(grid.n)
     u_prev = _coarsest_start(cfg.initial, grid, ns[0])
     records = []
-    reused = evaluations = 0
+    totals = dict.fromkeys(WORK_COUNTERS, 0)
     for n in ns:
         level_grid = Grid(d=grid.d, n=n)
         out_field, out_diag = solve(prob, level_grid, dataclasses.replace(cfg, initial=u_prev))
-        reused += out_diag.reused_steps
-        evaluations += out_diag.residual_evaluations
+        for key in totals:
+            totals[key] += getattr(out_diag, key)
         records.append({
             "n": n,
             "iterations": out_diag.iterations,
@@ -795,8 +827,7 @@ def solve_cascade(prob: ProblemInstance, grid: Grid, cfg: SchemeConfig):
             "final_residual": out_diag.final_residual,
         })
         u_prev = refine_linear(out_field) if n != ns[-1] else out_field
-    return out_field, dataclasses.replace(out_diag, levels=tuple(records), reused_steps=reused,
-                                          residual_evaluations=evaluations)
+    return out_field, dataclasses.replace(out_diag, levels=tuple(records), **totals)
 
 
 def _coarsest_start(initial, grid: Grid, n0: int):

@@ -99,6 +99,9 @@ class TestSolve:
         counters = json.loads((out / "manifest.json").read_text())["commands"]["solve"]["counters"]
         evaluations = counters.pop("solver.residual_evaluations")
         assert counters == {"solver.reused_steps": 0,  # 1-d keeps no factorization
+                            # the level above the coarsest one stopped by max_iter
+                            # starts far off, and its warm first step misses
+                            "solver.cold_restarts": 0 if code == EXIT_OK else 1,
                             **{f"solver.{key}": sum(lv[key] for lv in levels)
                                for key in ("iterations", "linear_solves", "rejected_steps")}}
         # each level evaluates its start and every trial; a level stopped by
@@ -107,7 +110,7 @@ class TestSolve:
         assert slack == 0 if code == EXIT_OK else 0 < slack <= len(levels)
         assert len(levels) == 3 and counters["solver.linear_solves"] > levels[-1]["linear_solves"]
         # work counters go to the manifest only
-        assert not {"reused_steps", "residual_evaluations"} & set(diag)
+        assert not {"reused_steps", "residual_evaluations", "cold_restarts"} & set(diag)
 
     def test_diagnostics_report_levels_and_linear_solves(self, run_config):
         path, out = run_config

@@ -182,7 +182,7 @@ def _check_jacobian(disc, seed):
 def _dense_jacobian(disc, u):
     """The J that residual_interior returns at u, as a dense matrix."""
     # with 1/dt = 0 the step matrix diag(1/dt) - J is -J
-    coeffs = disc.residual_interior(u)[3]
+    coeffs = disc.residual_interior(u)[3]()
     no_dt = np.full(disc.f_int.shape, np.inf)
     if disc.grid.d == 1:  # read from its three bands
         return -sum(np.diag(band, k) for band, k in zip(disc.pattern.bands(coeffs, no_dt), (-1, 0, 1)))

@@ -198,6 +198,13 @@ class TestPseudoTransient:
         with pytest.raises(ConfigError):
             solve(bench.problem, grid, cfg)
 
+    @pytest.mark.parametrize("field", ["eps_deg", "tol"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_nonfinite_tol_or_eps_deg_is_config_error(self, field, value):
+        # eps_deg = inf would freeze sigma at sigma(t_max) on every node
+        with pytest.raises(ConfigError, match=f"{field} must be .* finite"):
+            SchemeConfig(**{field: value})
+
     def test_stalling_solve_stops_at_the_default_cap(self):
         bench = exact_benchmark("radial-power", {"theta": 1.0, "d": 1})
         grid = Grid(d=1, n=17)
@@ -307,6 +314,7 @@ class TestWarmStart:
         _, diag = solve(bench.problem, grid, cfg)
         assert diag.converged
         assert diag.rejected_steps <= 1
+        assert diag.cold_restarts == 1
 
     def test_cascade_calls_solve_once_per_level(self, monkeypatch):
         # bench/spans.py counts solver iterations by wrapping this module-level name
@@ -485,7 +493,7 @@ def _dense_step(disc, coeffs, dt):
 def _step_inputs(disc, seed=7):
     """A stencil stack at a random iterate, with random dt and right-hand side."""
     rng = np.random.default_rng(seed)
-    coeffs = disc.residual_interior(rng.uniform(-1.0, 1.0, disc.grid.shape))[3]
+    coeffs = disc.residual_interior(rng.uniform(-1.0, 1.0, disc.grid.shape))[3]()
     return coeffs, rng.uniform(0.01, 1.0, disc.f_int.shape), rng.uniform(-1.0, 1.0, disc.f_int.shape)
 
 
@@ -574,7 +582,8 @@ class TestTridiagonalStep:
         coeffs[disc.offsets.index((0,))][2] = 1.0 / dt[2]  # row 2 and column 2 vanish
         assert disc.pattern.solve(coeffs, dt, r) is None
         u = np.zeros(disc.grid.shape)
-        assert solver._implicit_trial(disc.pattern, coeffs, dt, u, r, disc.grid.interior) is None
+        trial = solver._implicit_trial(disc.pattern, lambda: coeffs, dt, u, r, disc.grid.interior)
+        assert trial is None
 
     @pytest.mark.parametrize("disc", ONE_D)
     def test_nan_coefficients_give_no_trial(self, disc):
@@ -582,7 +591,8 @@ class TestTridiagonalStep:
         coeffs = coeffs.copy()
         coeffs[disc.offsets.index((1,))][3] = np.nan
         u = np.zeros(disc.grid.shape)
-        assert solver._implicit_trial(disc.pattern, coeffs, dt, u, r, disc.grid.interior) is None
+        trial = solver._implicit_trial(disc.pattern, lambda: coeffs, dt, u, r, disc.grid.interior)
+        assert trial is None
 
     def test_singular_step_is_rejected(self, monkeypatch):
         bench = exact_benchmark("transmission-1d", {"theta1": 1.0, "theta2": 2.0, "c": 1.0})
@@ -610,8 +620,88 @@ class TestTridiagonalStep:
         assert diag.linear_solves == len(trials)
 
 
+class TestJacobianOnDemand:
+    """J is assembled from its evaluation's arrays, once, and only for a step that factors."""
+
+    @staticmethod
+    def _record(monkeypatch, owner, name, events, label):
+        inner = getattr(owner, name)
+
+        def recorded(*args, **kwargs):
+            events.append(label)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, recorded)
+
+    def test_radial_cascade_assembles_only_where_it_factors(self, monkeypatch):
+        events = []
+        for owner, name, label in ((solver._Discretization, "residual_interior", "evaluate"),
+                                   (solver._Discretization, "_jacobian", "assemble"),
+                                   (solver._StencilPattern, "solve", "factor"),
+                                   (solver._StencilPattern, "back_solve", "reuse")):
+            self._record(monkeypatch, owner, name, events, label)
+        bench = exact_benchmark("radial-power", {"theta": 1.0, "d": 2})
+        grid = Grid(d=2, n=65)
+        cfg = SchemeConfig(tol=1e-4, eps_deg=bench.recommended_eps_deg(grid))
+        _, diag = solve_cascade(bench.problem, grid, cfg)
+        assert diag.converged and diag.cold_restarts == 0
+        factorizations = sum(lv["linear_solves"] for lv in diag.levels)
+        assert events.count("factor") == factorizations == 14
+        assert events.count("evaluate") == diag.residual_evaluations == 42
+        assert events.count("reuse") >= diag.reused_steps == 24
+        assert 0 < events.count("assemble") <= factorizations
+        # each assembly feeds the factorization right after it, so a back-solve,
+        # a rejected trial's iterate or the explicit step never assembles J
+        assert all(events[i + 1] == "factor" for i, e in enumerate(events) if e == "assemble")
+
+    @pytest.mark.parametrize("owner", [solver._Discretization, solver._FluxDiscretization1D])
+    def test_one_dimensional_solve_assembles_at_most_once_per_factorization(self, monkeypatch,
+                                                                            owner):
+        events = []
+        self._record(monkeypatch, owner, "_jacobian", events, "assemble")
+        if owner is solver._Discretization:
+            prob, grid = _wide_problem("pucci-minus", 1), Grid(d=1, n=17)
+            _, diag = solve(prob, grid, SchemeConfig(tol=1e-6, eps_deg=0.1))
+            assert diag.scheme == "wide"
+            # a trial rejected at one dt is factored again at a cut dt, from the same J
+            assert diag.rejected_steps > 0 and len(events) < diag.linear_solves
+        else:
+            bench = exact_benchmark("transmission-1d", {"theta1": 1.0, "theta2": 2.0, "c": 1.0})
+            grid = Grid(d=1, n=33)
+            _, diag = solve(bench.problem, grid,
+                            SchemeConfig(tol=1e-6, eps_deg=bench.recommended_eps_deg(grid)))
+            assert diag.scheme == "flux-1d"
+        assert diag.converged
+        assert 0 < len(events) <= diag.linear_solves
+
+    @EACH_DISCRETIZATION
+    def test_jacobian_is_assembled_once_per_evaluation(self, disc, monkeypatch):
+        events = []
+        self._record(monkeypatch, type(disc), "_jacobian", events, "assemble")
+        jacobian = disc.residual_interior(np.random.default_rng(3).uniform(-1.0, 1.0,
+                                                                           disc.grid.shape))[3]
+        assert events == []
+        assert jacobian() is jacobian()
+        assert events == ["assemble"]
+
+    @pytest.mark.parametrize("kind, directions", [
+        ("trace", [0, 1]), ("bellman-min-of-traces", [0, 1, 2, 3]),
+        ("pucci-minus", [0, 1, 2, 3]), ("pucci-plus", [0, 1, 2, 3]),
+    ])
+    def test_second_differences_only_in_the_directions_read(self, kind, directions):
+        disc = solver._Discretization(_wide_problem(kind, 2), Grid(d=2, n=9), 1e-4)
+        assert sorted(disc.second_differences(np.zeros(disc.grid.shape))) == directions
+
+    def test_axis_bellman_reads_two_directions(self):
+        axis_only = EllipticOperator("bellman-min-of-traces", EllipticityPair(0.5, 2.0),
+                                     (np.diag([0.6, 1.8]), np.eye(2)))
+        prob = dataclasses.replace(_wide_problem("bellman-min-of-traces", 2), operator=axis_only)
+        disc = solver._Discretization(prob, Grid(d=2, n=9), 1e-4)
+        assert sorted(disc.second_differences(np.zeros(disc.grid.shape))) == [0, 1]
+
+
 class TestOneEvaluationPerIterate:
-    """A solve evaluates each iterate's arrays once, for R and J together."""
+    """A solve evaluates each iterate's arrays once, for R and for the J built from them."""
 
     @staticmethod
     def _count(monkeypatch, owner, name, calls):
