@@ -50,12 +50,12 @@ sigma' one relative central difference of the law itself
 (``_law_slope``).  In the flux form, J is tridiagonal with edge
 weight sigma_phase(max(|s + q|, eps_deg)) / h^2.  Each discretization
 picks the pattern that solves diag(1/dt) - J once, from the dimension.  In
-1-d every stencil is tridiagonal, and ``_TridiagonalPattern`` hands the
-three bands to LAPACK's dgtsv (partial pivoting).  In 2-d
+1-d every stencil is tridiagonal, and ``_TridiagonalPattern`` solves the
+three bands by LAPACK dgtsv's elimination with partial pivoting, run on
+Python floats (``_gtsv``), so a 1-d solve loads no scipy module.  In 2-d
 ``_StencilPattern`` builds one CSC matrix, factored by SuperLU with the MMD
-ordering of A^T + A.  scipy is imported where the step is solved, so the
-commands that solve nothing never load it, and a 1-d solve never loads
-scipy.sparse.
+ordering of A^T + A; scipy is imported where that step is solved, so the
+commands that solve nothing, and 1-d solves, never load it.
 
 dt is a per-node array, a multiple of the explicit stability cap: the
 center weight of F_h is at most 2 d Lam_F / h^2, and 0.9 of the cap with
@@ -91,7 +91,7 @@ the rms to at most _RSHAM = 0.5 of its value (nsold's rsham).  A rejected
 reuse drops it and the same step is factored afresh at the same dt, with
 no cut.  Every solve builds its own pattern, so no factorization crosses
 the levels of a cascade, and a level's first step is always factored.
-In 1-d nothing is kept: dgtsv factors and solves in one pass.  On
+In 1-d nothing is kept: ``_gtsv`` factors and solves in one pass.  On
 radial-power (d = 2, n = 65, tol 1e-4) the cascade makes 14
 factorizations instead of 21.  Reuse at any growth was measured worse: a
 noisy start at n = 65 took 17 factorizations and 5 rejected steps, not
@@ -301,13 +301,15 @@ class _TridiagonalPattern:
 
     A 1-d stencil couples each interior node to itself and its two
     neighbours, so ``bands(J, dt)`` gives the matrix as its sub-, main and
-    super-diagonal, and ``solve(J, dt, r)`` solves it by LAPACK's dgtsv
+    super-diagonal, and ``solve(J, dt, r)`` solves it by ``_gtsv``
     (Gaussian elimination with partial pivoting), or returns None if it is
     exactly singular.  The same interface as ``_StencilPattern``, with no
     sparse matrix built.  It keeps no factorization (``kept`` stays None):
-    dgtsv factors and solves in one O(n) pass, about a tenth of the
-    residual evaluation that a reused step would still need (n = 129), so
-    every 1-d step is factored afresh.
+    ``_gtsv`` factors and solves in one O(n) pass that costs about four
+    fifths of a residual evaluation (flux form, n = 129, shared 2-core
+    x86-64 host).  A kept factorization would save only the elimination,
+    about two thirds of that pass, and not the evaluation that a reused
+    step still needs, so every 1-d step is factored afresh.
     """
 
     kept = None
@@ -320,11 +322,63 @@ class _TridiagonalPattern:
         return -lower[1:], 1.0 / dt - center, -upper[:-1]
 
     def solve(self, coeffs: np.ndarray, dt: np.ndarray, r: np.ndarray):
-        from scipy.linalg.lapack import dgtsv
+        return _gtsv(*self.bands(coeffs, dt), r)
 
-        *_, delta, info = dgtsv(*self.bands(coeffs, dt), r,
-                                overwrite_dl=1, overwrite_d=1, overwrite_du=1)
-        return None if info else delta
+
+def _gtsv(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray):
+    """x with A x = b for the tridiagonal A with bands dl, d, du, or None.
+
+    LAPACK's dgtsv for one right-hand side (Anderson et al., LAPACK Users'
+    Guide, SIAM 1999; Golub & Van Loan, Matrix Computations, 4.3): Gaussian
+    elimination with partial pivoting, where an interchange fills in a
+    second superdiagonal (kept in dl), then back substitution.  It runs on
+    Python floats with the same operations in the same order, so x is
+    dgtsv's bit for bit, and it returns None where dgtsv reports INFO > 0,
+    an exactly zero pivot.  Python raises on x / 0, where IEEE gives inf
+    or NaN.  That happens only past a NaN pivot (|NaN| >= |0| is false, so
+    the rows swap and the pivot becomes 0), where x is NaN and x / 0 is x.
+    Which NaN a product of two NaNs keeps depends on the order of its
+    factors (CPython on x86-64 keeps the second), so each product is
+    written in the order that keeps the NaN that scipy's dgtsv keeps.
+    """
+    dl, d, du, b = dl.tolist(), d.tolist(), du.tolist(), b.tolist()
+    n = len(d)
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):  # no row interchange
+            if d[i] == 0.0:
+                return None
+            fact = dl[i] / d[i]
+            d[i + 1] -= fact * du[i]
+            b[i + 1] -= fact * b[i]
+            dl[i] = 0.0
+        else:  # interchange rows i and i + 1
+            try:
+                fact = d[i] / dl[i]
+            except ZeroDivisionError:  # d[i] is NaN
+                fact = d[i]
+            d[i] = dl[i]
+            temp = d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            if i < n - 2:  # the fill-in
+                dl[i] = du[i + 1]
+                du[i + 1] = -(fact * dl[i])
+            du[i] = temp
+            temp = b[i]
+            b[i] = b[i + 1]
+            b[i + 1] = temp - fact * b[i + 1]
+    if d[n - 1] == 0.0:
+        return None
+    b[n - 1] /= d[n - 1]
+    for i in range(n - 2, -1, -1):
+        if i == n - 2:
+            x = b[i] - b[i + 1] * du[i]  # this order: see the docstring
+        else:
+            x = b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]
+        try:
+            b[i] = x / d[i]
+        except ZeroDivisionError:  # past a NaN pivot
+            b[i] = x
+    return np.array(b)
 
 
 def _law_slope(law, t):

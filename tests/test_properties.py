@@ -132,7 +132,7 @@ def _falls(prob, grid, seeds=200):
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 5: sigma reads |grad_h u| from central differences "
+                   reason="ROADMAP item 12: sigma reads |grad_h u| from central differences "
                           "(at n = 9: 120 of 200 seeds fall)")
 def test_wide_residual_is_monotone_in_neighbours():
     law = PowerLaw(1.0)
@@ -143,7 +143,7 @@ def test_wide_residual_is_monotone_in_neighbours():
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 5: an edge whose phase switches switches its flux "
+                   reason="ROADMAP item 11: an edge whose phase switches switches its flux "
                           "(at n = 9: 12 of 200 seeds fall)")
 def test_flux_residual_is_monotone_in_neighbours_across_a_phase_switch():
     falls = _falls(_transmission(), Grid(d=1, n=9))
@@ -261,7 +261,8 @@ def test_ordered_boundary_data_give_ordered_solutions(case, a, b, lift, tilt):
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP item 5: the cold 1-d solve stalls on a moving free boundary")
+                   reason="ROADMAP item 11: the cold 1-d solve cycles with period 3 "
+                          "on a moving free boundary")
 def test_far_boundary_data_converge_on_the_1d_transmission_problem():
     """transmission-1d at n = 17 with boundary data u_exact + 1/16 - 13/16 x.
 

@@ -552,8 +552,66 @@ class TestStepMatrix:
         assert np.array_equal(coeffs, inputs[0]) and np.array_equal(r, inputs[1])
 
 
+def _tridiagonal_system(rng, kind):
+    """Bands and right-hand side of a random tridiagonal system of size 2-130.
+
+    "dominant": diagonally dominant, solved without interchanges; "general":
+    entries of one scale, so rows swap; "zero-pivot": d[k] = 0 at a random
+    row, and in every other system also the rest of column k, which leaves
+    the matrix singular; "nan": NaN entries, and in every other system a NaN
+    pivot over a zero subdiagonal entry, the one place a pivot becomes 0.
+    The NaNs take both signs, so that the bits show which NaN propagates.
+    """
+    n = int(rng.integers(2, 131))
+    dl, d, du, b = (rng.uniform(-1.0, 1.0, size) for size in (n - 1, n, n - 1, n))
+    if kind == "dominant":
+        d += np.where(d < 0.0, -2.0, 2.0)
+    elif kind == "zero-pivot":
+        k = int(rng.integers(0, n))
+        d[k] = 0.0
+        if rng.uniform() < 0.5:  # column k vanishes
+            dl[k:k + 1] = 0.0
+            du[max(k - 1, 0):k] = 0.0
+    elif kind == "nan":
+        for band in (dl, d, du, b):
+            at = rng.integers(0, band.size, int(rng.integers(0, 3)))
+            band[at] = rng.choice([np.nan, -np.nan], at.size)
+        if rng.uniform() < 0.5:
+            k = int(rng.integers(0, n - 1))
+            d[k], dl[k] = np.nan, 0.0
+    return dl, d, du, b
+
+
+class TestGtsv:
+    """``_gtsv`` is LAPACK's dgtsv bit for bit, and None exactly where dgtsv reports INFO > 0."""
+
+    KINDS = ["dominant", "general", "zero-pivot", "nan"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_lapack_dgtsv(self, kind):
+        from scipy.linalg.lapack import dgtsv
+
+        rng = np.random.default_rng(self.KINDS.index(kind))
+        singular = 0
+        for _ in range(300):
+            bands = _tridiagonal_system(rng, kind)
+            inputs = [band.copy() for band in bands]
+            *_, want, info = dgtsv(*(band.copy() for band in bands))
+            got = solver._gtsv(*bands)
+            for band, before in zip(bands, inputs):  # the bands are left as they were
+                assert np.array_equal(band, before, equal_nan=True)
+            if info > 0:
+                singular += 1
+                assert got is None
+                continue
+            assert got is not None and got.dtype == np.float64
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert (singular > 0) == (kind == "zero-pivot"), singular
+
+
 class TestTridiagonalStep:
-    """1-d steps are solved from the three bands by LAPACK, not by SuperLU."""
+    """1-d steps are solved from the three bands by dgtsv's elimination on
+    Python floats (``_gtsv``), not by SuperLU."""
 
     @pytest.mark.parametrize("disc", ONE_D)
     def test_delta_matches_a_dense_solve(self, disc):
