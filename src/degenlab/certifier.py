@@ -24,6 +24,9 @@ every interior node x0:
   u(x0)), and symmetrically from below.
 
 Every surviving candidate must satisfy its inequality up to eta_cert.
+A node is touched once any candidate touches it, whatever sigma F is
+there: a product that overflows to the failing side is a violation of
+inf, and a NaN product (inf * 0) is a NumericError naming the node.
 This is a necessary-condition certificate: nodes where no candidate
 survives the touching filter constrain nothing, exactly as points without
 test functions constrain nothing in the continuous definition.  Two
@@ -92,6 +95,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .elliptic import SymMatrix
+from .errors import NumericError
 from .grids import DiscreteField
 from .problem import ProblemInstance, gradient_norm
 
@@ -171,6 +175,7 @@ def _certify(u: DiscreteField | BothSides, prob: ProblemInstance,
     nodes = int(np.prod(state.block_shape))
     best_slack = np.full(state.block_shape, -np.inf)
     best_combo = np.full(state.block_shape, -1, dtype=int)
+    touched = np.zeros(state.block_shape, dtype=bool)
     saturated = False
 
     for g in range(len(grads)):
@@ -183,19 +188,30 @@ def _certify(u: DiscreteField | BothSides, prob: ProblemInstance,
             saturated = saturated or sat
             F = state.operator_value(k)
             # min/max ranges over the two products sigma_i * F, not the laws:
-            # for F < 0 the larger law gives the smaller product.
-            e_val = pick(sigma_plus * F, sigma_minus * F)
+            # for F < 0 the larger law gives the smaller product.  A product
+            # that overflows is a violation (+inf) or a slack of -inf; a NaN
+            # one (inf * 0) decides nothing and is an error.
+            with np.errstate(over="ignore", invalid="ignore"):
+                e_val = pick(sigma_plus * F, sigma_minus * F)
             slack = np.where(ok, sign * e_val - C0, -np.inf)
+            if np.isnan(slack.max()):
+                ij = np.unravel_index(int(np.argmax(np.isnan(slack))), slack.shape)
+                raise NumericError(
+                    f"certify: sigma * F is NaN at node "
+                    f"{tuple(int(i) + state.rho for i in ij)} for a test function "
+                    f"touching from {side}"
+                )
+            touched |= ok  # whatever the slack: a slack of -inf updates nothing
             upd = slack > best_slack
             np.copyto(best_slack, slack, where=upd)
             best_combo[upd] = g * len(hessians) + k
 
-    finite = np.isfinite(best_slack)
-    max_violation = float(best_slack[finite].max()) if np.any(finite) else -np.inf
+    # untouched nodes hold -inf, so they take no part in the maximum; a
+    # slack above eta_cert, +inf too, has set its node's best_combo
+    max_violation = float(best_slack.max(initial=-np.inf))
     witness = None
-    if np.any(finite) and max_violation > eta_cert:
-        flat = np.where(finite, best_slack, -np.inf)
-        ij = tuple(np.unravel_index(int(np.argmax(flat)), flat.shape))
+    if max_violation > eta_cert:
+        ij = tuple(np.unravel_index(int(np.argmax(best_slack)), best_slack.shape))
         g, k = divmod(int(best_combo[ij]), len(hessians))
         witness = state.witness(ij, grads[g], hessians[k], side)
 
@@ -203,8 +219,8 @@ def _certify(u: DiscreteField | BothSides, prob: ProblemInstance,
         side=side,
         checked_nodes=nodes,
         tested_candidates=len(grads) * len(hessians),
-        violation_count=int(np.count_nonzero(finite & (best_slack > eta_cert))),
-        untouched_nodes=int(np.count_nonzero(best_combo < 0)),
+        violation_count=int(np.count_nonzero(best_slack > eta_cert)),
+        untouched_nodes=nodes - int(np.count_nonzero(touched)),
         max_violation=max_violation,
         eta_cert=eta_cert,
         eta_touch=eta_touch,

@@ -49,7 +49,9 @@ command starts it afresh, and measure does not trust it.
 All other outputs are byte-deterministic for fixed config and input files;
 floats are written with 17 significant digits (JSON encodes non-finite
 values as the strings "inf", "-inf", "nan").  Field and CSV files move
-between disk and arrays a whole column at a time.
+between disk and arrays a whole column at a time; a CSV column that
+repeats its values (the grid axes, a symmetric field) has each distinct
+value formatted once, with the bytes of formatting every cell.
 """
 
 from __future__ import annotations
@@ -94,30 +96,59 @@ EXIT_TAIL = 4
 # deterministic serialization
 
 
+_quote = json.encoder.encode_basestring_ascii  # json.dumps of a str
+
+
 def _ser(obj, indent: int = 0) -> str:
-    """JSON text with fixed float formatting (17 significant digits)."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
+    """JSON text with fixed float formatting (17 significant digits).
+
+    One pass that appends every piece to one list.  A list or tuple of
+    plain floats is joined in one go; the other values are written one at
+    a time.
+    """
+    parts: list = []
+    _ser_into(obj, "\n" + "  " * indent, parts)
+    return "".join(parts)
+
+
+def _ser_into(obj, nl: str, parts: list) -> None:
+    """Append obj's JSON text to parts; ``nl`` is a newline and obj's indent."""
+    inner = nl + "  "
     if isinstance(obj, dict):
         if not obj:
-            return "{}"
-        items = [
-            f"{inner}{json.dumps(str(k))}: {_ser(v, indent + 1)}"
-            for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
+            parts.append("{}")
+            return
+        sep = "{" + inner
+        for k, v in obj.items():
+            parts += (sep, _quote(str(k)), ": ")
+            _ser_into(v, inner, parts)
+            sep = "," + inner
+        parts.append(nl + "}")
+    elif isinstance(obj, (list, tuple)):
         if not obj:
-            return "[]"
-        items = [f"{inner}{_ser(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    if isinstance(obj, (bool, str)) or obj is None:
-        return json.dumps(obj)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):  # non-finite: the string "nan", "inf", "-inf"
-        return f"{obj:.17g}" if math.isfinite(obj) else json.dumps(str(float(obj)))
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+            parts.append("[]")
+            return
+        if set(map(type, obj)) == {float}:
+            run = ("," + inner).join(map("%.17g".__mod__, obj))
+            if "n" not in run:  # every float finite: no "inf" or "nan"
+                parts += ("[", inner, run, nl, "]")
+                return
+        sep = "[" + inner
+        for v in obj:
+            parts.append(sep)
+            _ser_into(v, inner, parts)
+            sep = "," + inner
+        parts.append(nl + "]")
+    elif isinstance(obj, str):
+        parts.append(_quote(obj))
+    elif isinstance(obj, bool) or obj is None:
+        parts.append(json.dumps(obj))
+    elif isinstance(obj, (int, np.integer)):
+        parts.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):  # non-finite: the string "nan", "inf", "-inf"
+        parts.append(f"{obj:.17g}" if math.isfinite(obj) else _quote(str(float(obj))))
+    else:
+        raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 def _write_json(path: Path, obj) -> None:
@@ -126,11 +157,33 @@ def _write_json(path: Path, obj) -> None:
 
 def _write_csv(path: Path, header, columns) -> None:
     """Equal-length columns, ``%d`` for an integer column and ``%.17g`` for
-    the rest, formatted by one ``%`` on the row template repeated per row."""
+    the rest, formatted by one ``%`` on the row template repeated per row.
+
+    A column with at most half as many distinct values as rows has each
+    distinct value formatted once and placed by ``np.unique``'s inverse as
+    a ``%s`` cell.  Values are told apart by their bits (a float column is
+    keyed by its int64 view), so -0.0 and 0.0 stay apart and the bytes are
+    those of formatting every cell.
+    """
     columns = [np.asarray(c) for c in columns]
-    row = ",".join("%d" if c.dtype.kind in "iu" else "%.17g" for c in columns) + "\n"
-    cells = np.column_stack(columns).ravel().tolist()
-    body = (row * len(columns[0])) % tuple(cells)
+    rows = len(columns[0])
+    cells = np.empty((rows, len(columns)), dtype=object)
+    slots = []
+    for j, c in enumerate(columns):
+        if c.dtype.kind in "iu":
+            fmt, key = "%d", c
+        else:
+            c = c.astype(np.float64, copy=False)
+            fmt, key = "%.17g", c.view(np.int64)
+        distinct, where = np.unique(key, return_inverse=True)
+        if 2 * distinct.size <= rows:
+            texts = [fmt % v for v in distinct.view(c.dtype).tolist()]
+            cells[:, j] = np.array(texts, dtype=object)[where]
+            fmt = "%s"
+        else:
+            cells[:, j] = c
+        slots.append(fmt)
+    body = ((",".join(slots) + "\n") * rows) % tuple(cells.ravel().tolist())
     path.write_text(",".join(header) + "\n" + body, encoding="utf-8")
 
 

@@ -125,6 +125,14 @@ def _ball_nodes(grid: Grid, x0, rho: float):
     return tuple(c.ravel() for c in coords), np.ix_(*ranges)
 
 
+def _center(caller: str, x0) -> tuple:
+    """x0 as a tuple of floats; a DomainError unless it lies in [-1, 1]^d."""
+    x0 = tuple(float(v) for v in x0)
+    if not all(abs(v) <= 1.0 + 1e-12 for v in x0):  # also rejects a NaN
+        raise DomainError(f"{caller}: center {x0} lies outside [-1, 1]^d")
+    return x0
+
+
 def best_affine(u: DiscreteField, x0, rho: float) -> AffineFit:
     """Minimax affine fit of u on the discrete sup-ball B_rho(x0).
 
@@ -144,10 +152,8 @@ def best_affine(u: DiscreteField, x0, rho: float) -> AffineFit:
     """
     if rho <= 0.0:
         raise DomainError("best_affine: rho must be positive")
-    x0 = tuple(float(v) for v in x0)
-    # also rejects a NaN; inside the cube, every ball of d + 2 nodes spans d dimensions
-    if not all(abs(v) <= 1.0 + 1e-12 for v in x0):
-        raise DomainError(f"best_affine: center {x0} lies outside [-1, 1]^d")
+    # inside the cube, every ball of d + 2 nodes spans d dimensions
+    x0 = _center("best_affine", x0)
     grid = u.grid
     coords, box = _ball_nodes(grid, x0, rho)
     vals = u.values[box].ravel().astype(float)
@@ -243,14 +249,15 @@ def decay_scan(u: DiscreteField, x0, r: float, N: int) -> DecayProfile:
 
     Scales that do not fit in the grid (ball leaving the domain) or that
     the mesh cannot resolve (radius below 3h) are dropped and the
-    profile is flagged truncated.
+    profile is flagged truncated.  A center outside [-1, 1]^d is a
+    DomainError, as in ``best_affine``.
     """
     if not (0.0 < r < 1.0):
         raise DomainError("decay_scan: r must lie in (0, 1)")
     if N < 1:
         raise DomainError("decay_scan: N must be at least 1")
     grid = u.grid
-    x0 = tuple(float(v) for v in x0)
+    x0 = _center("decay_scan", x0)
     margin = 1.0 - max(abs(v) for v in x0) if x0 else 1.0
 
     scales, excesses = [], []

@@ -6,6 +6,7 @@ implementations must agree with.
 """
 
 import itertools
+import json
 import math
 from dataclasses import dataclass
 
@@ -139,6 +140,34 @@ def csv_reference(header, rows):
 
     lines = [",".join(header)] + [",".join(map(cell, row)) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def json_reference(obj, indent=0):
+    """JSON text built value by value, each piece by its own f-string: two
+    spaces per level, floats with 17 significant digits and a non-finite
+    float as the string "nan", "inf" or "-inf"."""
+    pad = "  " * indent
+    inner = "  " * (indent + 1)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [
+            f"{inner}{json.dumps(str(k))}: {json_reference(v, indent + 1)}"
+            for k, v in obj.items()
+        ]
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [f"{inner}{json_reference(v, indent + 1)}" for v in obj]
+        return "[\n" + ",\n".join(items) + f"\n{pad}]"
+    if isinstance(obj, (bool, str)) or obj is None:
+        return json.dumps(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return f"{obj:.17g}" if math.isfinite(obj) else json.dumps(str(float(obj)))
+    raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
 def geometric_tailed_sequence(rng):

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from degenlab import __version__, certifier, lab, solver
+from degenlab import __version__, certifier, cli, lab, solver
 from degenlab.certifier import certify_max, certify_min
 from degenlab.cli import (
     EXIT_CERTIFICATE,
@@ -22,6 +22,7 @@ from degenlab.cli import (
     EXIT_OK,
     EXIT_TAIL,
     _parser,
+    _ser,
     _write_csv,
     main,
     read_field,
@@ -30,7 +31,7 @@ from degenlab.cli import (
 from degenlab.config import RunConfig, load_config
 from degenlab.grids import DiscreteField, Grid
 
-from oracles import certify_reference, csv_reference
+from oracles import certify_reference, csv_reference, json_reference
 
 
 @pytest.fixture
@@ -236,6 +237,46 @@ class TestCertify:
         assert abs(w["p"][0] - 20.0 * xs[i]) <= 0.5 * h * h + 1e-9
         assert abs(w["M"][0] - 20.0) <= 0.5 * h + 1e-9
 
+    @staticmethod
+    def _certify_1d(tmp_path, values):
+        """certify's exit code on radial-power, theta = 1, d = 1, n = 17, with
+        the field of the given node values."""
+        cfg = {"problem": {"benchmark": "radial-power", "params": {"theta": 1.0, "d": 1}},
+               "grid": {"d": 1, "n": 17}, "out": str(tmp_path / "out")}
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(cfg))
+        field = tmp_path / "field.csv"
+        xs = np.linspace(-1.0, 1.0, 17)
+        field.write_text("x,u\n" + "".join(
+            f"{x:.17g},{v:.17g}\n" for x, v in zip(xs, values(xs))))
+        return main(["certify", "--config", str(path), "--field", str(field)])
+
+    def test_an_overflowing_violation_fails(self, tmp_path):
+        # sigma F = |u'| u'' overflows to +-inf wherever a candidate touches
+        code = self._certify_1d(tmp_path, lambda x: 1e307 * (x * np.abs(x)))
+        assert code == EXIT_CERTIFICATE
+        cert = json.loads((tmp_path / "out" / "certificates.json").read_text())
+        assert cert["passed"] is False
+        for key in ("min_inequality", "max_inequality"):
+            side = cert[key]
+            assert side["passed"] is False and side["max_violation"] == "inf"
+            # 4 of 11 nodes touched: 3 with a product of inf on the failing side
+            assert side["untouched_nodes"] == 7 and side["violation_count"] == 3
+            w = side["witness"]
+            assert abs(w["p"][0]) * w["M"][0] == (math.inf if key[:3] == "min" else -math.inf)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_a_nan_product_at_a_touching_node_is_an_error(self, tmp_path, capsys):
+        # at x = 0 the gradient is 0 and the second difference overflows:
+        # sigma(0) * inf is NaN for the base candidate, which touches from above
+        code = self._certify_1d(tmp_path, lambda x: np.where(x == 0.0, 0.0, 1e308))
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: certify: sigma * F is NaN at node (8,) "
+            "for a test function touching from above\n")
+        assert not (tmp_path / "out").exists()
+
     def test_manifest_counts_window_scans(self, run_config):
         path, out = run_config
         main(["solve", "--config", str(path)])
@@ -403,6 +444,19 @@ class TestMeasure:
         assert "comparison" in entry
         assert entry["comparison"]["C_star"] > 0.0
 
+
+    def test_center_outside_the_cube_is_named(self, tmp_path, capsys):
+        cfg = {"grid": {"d": 1, "n": 49}, "lab": {"centers": [[2.0]]},
+               "out": str(tmp_path / "out")}
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(cfg))
+        field = tmp_path / "field.csv"
+        field.write_text("x,u\n" + "".join(
+            f"{x:.17g},{x * x:.17g}\n" for x in np.linspace(-1.0, 1.0, 49)))
+        assert main(["measure", "--config", str(path), "--field", str(field)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: decay_scan: center (2.0,) lies outside [-1, 1]^d\n")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("gap_tol, uncertified", [(None, 0), (-1.0, 4)])
     def test_manifest_counts_fits(self, tmp_path, monkeypatch, gap_tol, uncertified):
@@ -664,6 +718,28 @@ class TestFieldFiles:
         assert not out.exists()
 
 
+def _five_stage_run(tmp_path, d):
+    """The output directory of solve, certify, build-modulus, measure and
+    report on radial-power in d dimensions, n = 33."""
+    cfg = {
+        "problem": {"benchmark": "radial-power", "params": {"theta": 1.0, "d": d}},
+        "grid": {"d": d, "n": 33},
+        "scheme": {"tol_solve": 1e-6},
+        "modulus": {"C": 1.0, "alpha0": 0.5, "delta": 0.125, "K": 32},
+        "lab": {"centers": [[0.0] * d, [0.25] * d], "r": 0.5, "N": 2},
+        "out": str(tmp_path / "out"),
+    }
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    base = ["--config", str(path)]
+    field = [*base, "--field", str(out / "field.csv")]
+    for argv in (["solve", *base], ["certify", *field], ["build-modulus", *base],
+                 ["measure", *field], ["report", *base]):
+        assert main(argv) == EXIT_OK
+    return out
+
+
 class TestCsvBytes:
     """The column writer gives the bytes of the cell-by-cell reference writer."""
 
@@ -683,6 +759,29 @@ class TestCsvBytes:
         _write_csv(path, header, [c[:0] for c in columns])
         assert path.read_text() == "k,a,b,big_k\n"
 
+    def test_repeated_values_are_told_apart_by_their_bits(self, tmp_path):
+        X, Y = np.meshgrid(np.linspace(-1.0, 1.0, 9), np.linspace(-1.0, 1.0, 9),
+                           indexing="ij")
+        rows = X.size
+        nans = (np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                          0xFFF0000000000abc, 0x7FF4000000000000], dtype=np.uint64)
+                .view(np.float64))
+        special = np.resize(np.concatenate([nans, [np.inf, -np.inf, np.inf, 1.5]]), rows)
+        columns = (X.ravel(), Y.ravel(), np.full(rows, 0.1),
+                   np.resize([0.0, -0.0], rows), special,
+                   np.arange(rows) % 7 - 3,
+                   np.random.default_rng(3).normal(size=rows))
+        header = ("x", "y", "c", "zero", "special", "k", "distinct")
+        distinct = [np.unique(c.view(np.int64) if c.dtype == float else c).size
+                    for c in columns]
+        # every column but the last takes the formatted-once branch
+        assert distinct == [9, 9, 1, 2, 8, 7, rows]
+        path = tmp_path / "repeated.csv"
+        _write_csv(path, header, columns)
+        text = path.read_text()
+        assert text == csv_reference(header, zip(*(c.tolist() for c in columns)))
+        assert {ln.split(",")[3] for ln in text.splitlines()[1:]} == {"0", "-0"}
+
     @pytest.mark.parametrize("d", [1, 2])
     def test_round_trip_is_bit_identical(self, tmp_path, d):
         grid = Grid(d=d, n=9)
@@ -700,22 +799,7 @@ class TestCsvBytes:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_every_csv_of_a_five_stage_run(self, tmp_path, d):
-        cfg = {
-            "problem": {"benchmark": "radial-power", "params": {"theta": 1.0, "d": d}},
-            "grid": {"d": d, "n": 33},
-            "scheme": {"tol_solve": 1e-6},
-            "modulus": {"C": 1.0, "alpha0": 0.5, "delta": 0.125, "K": 32},
-            "lab": {"centers": [[0.0] * d, [0.25] * d], "r": 0.5, "N": 2},
-            "out": str(tmp_path / "out"),
-        }
-        path = tmp_path / "run.json"
-        path.write_text(json.dumps(cfg))
-        out = tmp_path / "out"
-        base = ["--config", str(path)]
-        field = [*base, "--field", str(out / "field.csv")]
-        for argv in (["solve", *base], ["certify", *field], ["build-modulus", *base],
-                     ["measure", *field], ["report", *base]):
-            assert main(argv) == EXIT_OK
+        out = _five_stage_run(tmp_path, d)
         names = sorted(p.name for p in out.glob("*.csv"))
         assert names == ["decay_profile.csv", "field.csv", "gradient_pairs.csv",
                          "sequence_table.csv"]
@@ -726,6 +810,62 @@ class TestCsvBytes:
             rows = [[int(c) if col == "k" else float(c) for col, c in zip(header, ln.split(","))]
                     for ln in lines]
             assert (out / name).read_text() == csv_reference(header, rows), name
+
+
+class TestJsonBytes:
+    """The one-pass serializer gives the text of the value-by-value reference."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_every_json_of_a_five_stage_run(self, tmp_path, monkeypatch, d):
+        written = {}
+
+        def spy(path, obj):
+            written[path.name] = obj  # the manifest's last write is the file's
+            write(path, obj)
+
+        write = cli._write_json
+        monkeypatch.setattr(cli, "_write_json", spy)
+        out = _five_stage_run(tmp_path, d)
+        assert sorted(written) == sorted(p.name for p in out.glob("*.json"))
+        assert len(written) == 7
+        for name, obj in written.items():
+            assert (out / name).read_text() == json_reference(obj) + "\n", name
+
+    CRAFTED = {
+        "float_run": [0.1, -2.5, 1e300, 5e-324, -0.0, 2.0**53],
+        "non_finite_run": [1.0, math.inf, 2.0, -math.inf, math.nan],
+        "non_finite_tuple": (math.nan,),
+        "mixed": [1.0, 2, True, None, "s", np.float64(0.5), [], {}, ()],
+        "numpy_scalars": [np.float64(1.0 / 3.0), np.int64(-7), np.float64(math.inf),
+                          np.float32(0.1), np.uint8(255)],
+        "numpy_run": [np.float64(0.25), np.float64(-1.5)],
+        "bool_and_int": [True, 1, False, 0],
+        "nested_empty": {"d": {}, "l": [], "t": (), "deep": [[{}], [[]], {"e": ()}]},
+        "text": ["caf\u00e9", "\u2202u/\u2202x", "tab\there", "nul\x00", "\"q\" \\ /",
+                 "\U0001d70e"],
+        3: "int key",
+        2.5: "float key",
+        None: [1.5],
+        "\u00fc\n": {7: [True]},
+        "scalars": [0, -1, 10**30, math.inf, -math.inf, math.nan],
+    }
+
+    @pytest.mark.parametrize("obj", list(CRAFTED.values()), ids=list(map(repr, CRAFTED)))
+    @pytest.mark.parametrize("indent", [0, 2])
+    def test_crafted_values(self, obj, indent):
+        assert _ser(obj, indent) == json_reference(obj, indent)
+
+    def test_crafted_document(self):
+        assert _ser(self.CRAFTED) == json_reference(self.CRAFTED)
+
+    @pytest.mark.parametrize("bad", [{1, 2}, np.bool_(True), object(), [1.0, {2.0}],
+                                     {"a": np.zeros(2)}, [1.0, 2.0, 1j]])
+    def test_unsupported_type_is_a_type_error(self, bad):
+        with pytest.raises(TypeError, match="cannot serialize") as got:
+            _ser(bad)
+        with pytest.raises(TypeError) as want:
+            json_reference(bad)
+        assert str(got.value) == str(want.value)
 
 
 class TestReadField:

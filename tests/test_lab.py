@@ -213,6 +213,13 @@ class TestDecayScan:
             best_affine(u, (0.0,), rho).exchange_steps for rho in prof.scales)
         assert gradient_pairs(u).shape[0] > 0
 
+    @pytest.mark.parametrize("x0", [(2.0,), (-1.0625,), (np.nan,)])
+    def test_center_outside_the_cube(self, x0):
+        # before any scale is tried: no scale would fit, for another reason
+        u = DiscreteField.from_function(Grid(d=1, n=33), lambda x: x**2)
+        with pytest.raises(DomainError, match=r"^decay_scan: center .* lies outside"):
+            decay_scan(u, x0, 0.5, 3)
+
     def test_scales_descend_geometrically(self):
         g = Grid(d=1, n=513)
         u = DiscreteField.from_function(g, lambda x: x**2)
