@@ -26,7 +26,9 @@ every interior node x0:
 Every surviving candidate must satisfy its inequality up to eta_cert.
 A node is touched once any candidate touches it, whatever sigma F is
 there: a product that overflows to the failing side is a violation of
-inf, and a NaN product (inf * 0) is a NumericError naming the node.
+inf, and a NaN product (inf * 0) is a NumericError naming the node.  So
+is a field whose differences overflow: the first node whose window holds
+a non-finite residual R_s (below) is named, before any law is evaluated.
 This is a necessary-condition certificate: nodes where no candidate
 survives the touching filter constrain nothing, exactly as points without
 test functions constrain nothing in the continuous definition.  Two
@@ -184,15 +186,15 @@ def _certify(u: DiscreteField | BothSides, prob: ProblemInstance,
             if not np.any(ok):
                 continue
             ok = ok.reshape(state.block_shape)
-            sigma_plus, sigma_minus, sat = state.law_values(g)
-            saturated = saturated or sat
-            F = state.operator_value(k)
             # min/max ranges over the two products sigma_i * F, not the laws:
             # for F < 0 the larger law gives the smaller product.  A product
-            # that overflows is a violation (+inf) or a slack of -inf; a NaN
-            # one (inf * 0) decides nothing and is an error.
+            # (or an F) that overflows is a violation (+inf) or a slack of
+            # -inf; a NaN one (inf * 0) decides nothing and is an error.
             with np.errstate(over="ignore", invalid="ignore"):
+                sigma_plus, sigma_minus, sat = state.law_values(g)
+                F = state.operator_value(k)
                 e_val = pick(sigma_plus * F, sigma_minus * F)
+            saturated = saturated or sat
             slack = np.where(ok, sign * e_val - C0, -np.inf)
             if np.isnan(slack.max()):
                 ij = np.unravel_index(int(np.argmax(np.isnan(slack))), slack.shape)
@@ -243,6 +245,7 @@ class _State:
     """
 
     @classmethod
+    @np.errstate(over="ignore", invalid="ignore")  # overflow is named below
     def masked(cls, u: DiscreteField, prob):
         """The state of u with every candidate's touching mask for both signs.
 
@@ -257,14 +260,20 @@ class _State:
         shifts = state.shift_table(state.grads, state.hessians)
         # touching filter: u - phi <= eta_touch on the window (sign +1, from
         # above), phi anchored at u(x0); mirrored for sign -1 (below).
-        state.masks, state.scans = {}, {}
+        state.masks, state.scans, bad = {}, {}, []
         for sign in (1.0, -1.0):
             before = state.window_scans
             state.masks[sign] = [[np.packbits(state.touching(shift, sign, state.eta_touch))
                                   for shift in row] for row in shifts]
             state.scans[sign] = state.window_scans - before
-            del state._top[sign]  # one sign's window maxima at a time
+            # one sign's window maxima at a time: max_s R_s is finite unless
+            # an R_s is NaN or +inf, and max_s -R_s unless one is NaN or -inf
+            bad += np.flatnonzero(~np.isfinite(state._top.pop(sign)))[:1].tolist()
         del state.R
+        if bad:
+            node = np.unravel_index(min(bad), state.block_shape)
+            raise NumericError(f"certify: the differences of u overflow in the window "
+                               f"of node {tuple(int(i) + state.rho for i in node)}")
         return state
 
     def __init__(self, u, grid, prob, rho):

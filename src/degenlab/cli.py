@@ -71,7 +71,7 @@ import numpy as np
 
 from . import __version__
 from .certifier import BothSides, certify_max, certify_min
-from .config import RunConfig, load_config
+from .config import RunConfig, load_config, named
 from .errors import (
     ConfigError,
     DegenlabError,
@@ -399,7 +399,7 @@ def _count_recursion(run: _Run, table) -> None:
 def cmd_build_modulus(cfg: RunConfig, args, run: _Run) -> int:
     prob, _ = cfg.build_problem()
     try:
-        with run.stage("build-modulus"):
+        with run.stage("build-modulus"), named("config.modulus"):
             schedule, table, omega = build_modulus(
                 prob.sigma_plus, prob.sigma_minus, **cfg.modulus_kwargs()
             )
@@ -448,14 +448,16 @@ def cmd_measure(cfg: RunConfig, args, run: _Run) -> int:
     if configured and omega is None:
         prob, _ = cfg.build_problem()
         try:
-            _, _, omega = build_modulus(
-                prob.sigma_plus, prob.sigma_minus, **cfg.modulus_kwargs()
-            )
+            with named("config.modulus"):
+                _, _, omega = build_modulus(
+                    prob.sigma_plus, prob.sigma_minus, **cfg.modulus_kwargs()
+                )
         except UncertifiableTailError as exc:
             omega_error = str(exc)
 
     with run.stage("measure"):
-        profiles = [decay_scan(u, center, r, N) for center in centers]
+        with named("config.lab"):
+            profiles = [decay_scan(u, center, r, N) for center in centers]
         cloud = gradient_pairs(u)  # one cloud: it does not depend on the center
     run.counters["lab.fits"] = sum(len(prof.scales) for prof in profiles)
     run.counters["lab.uncertified_fits"] = sum(prof.uncertified for prof in profiles)

@@ -30,9 +30,11 @@ Benchmark params, required ones before any ";": affine (d = 2, b = [0.75]
 theta2; c = 1).  Law blocks by "family": power (p; t_max = 10), power-log
 (p, q; t_max = 10), exponential-flat (t_max = 10), tabulated (points, a
 list of [t, sigma(t)] pairs).  Bellman "coefficients" are a list of square
-matrices, each a list of rows.  A value that a law, a benchmark builder or
-the operator rejects (a DomainError) is raised again with its block's key
-path in front, such as "config.problem.sigma_minus: power: ...".
+matrices, each a list of rows; modulus "K" is at least 2, the depth
+whose tail can be certified.  A value that a law, a benchmark builder, the
+operator, the modulus pipeline or the decay scan rejects (a DomainError)
+is raised again with its block's key path in front, such as
+"config.problem.sigma_minus: power: ..." or "config.lab: decay_scan: ...".
 
 The benchmark form also fixes grid-independent defaults (exact boundary
 data, forcing, recommended gradient clamp); explicit fields f and g must
@@ -150,13 +152,14 @@ def _law(value, where):
         raise ConfigError(f"{where} must be an object, got {value!r}")
     law, schema, required = _LAWS[_name(value.get("family"), f"{where}.family", _LAWS)]
     params = {k: v for k, v in value.items() if k != "family"}
-    with _named(where):
+    with named(where):
         return law(**_block(params, where, schema, required))
 
 
 @contextmanager
-def _named(where):
-    """Prefix ``where`` to a range error raised on the block's values."""
+def named(where):
+    """Prefix ``where`` to a range error raised on a block's values, here or
+    in the command that uses them."""
     try:
         yield
     except DomainError as exc:
@@ -200,7 +203,7 @@ _GRID_KEYS = {"d": _count, "n": _count}
 _SCHEME_KEYS = {"tol_solve": _number, "max_iter": _count, "eps_deg": _number,
                 "scheme": _keep, "levels": _count}
 _MODULUS_KEYS = {"C": _number, "alpha0": _number, "delta": _number,
-                 "K": partial(_number, integer=True, least=1)}
+                 "K": partial(_number, integer=True, least=2)}
 _LAB_KEYS = {"centers": _rows, "r": _number, "N": _count}
 _TOP_KEYS = {
     "problem": _problem,
@@ -239,14 +242,14 @@ class RunConfig:
         self.require("problem")
         spec = self.problem
         if "benchmark" in spec:
-            with _named("config.problem.params"):
+            with named("config.problem.params"):
                 bench = exact_benchmark(spec["benchmark"], spec["params"])
             prob = bench.problem
             if "C0" in spec:
                 prob = dataclasses.replace(prob, C0=spec["C0"])
             return prob, bench
         op = spec["operator"]
-        with _named("config.problem.operator"):
+        with named("config.problem.operator"):
             operator = EllipticOperator(
                 kind=op["kind"],
                 pair=EllipticityPair(lam=op["lam"], Lam=op["Lam"]),

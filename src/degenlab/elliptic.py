@@ -185,9 +185,6 @@ class EllipticOperator:
             val = np.minimum.reduce([_trace_product(A, mat) for A in self.coefficients])
         return float(val) if np.ndim(val) == 0 else val
 
-    def __call__(self, M):
-        return self.apply(M)
-
 
 def _trace_product(A: SymMatrix, mat):
     """tr(A M) summed over the upper triangle: A00 M00 + 2 A01 M01 + A11 M11 ..."""

@@ -72,7 +72,7 @@ class Grid:
 
 @dataclass
 class DiscreteField:
-    """Scalar field on a Grid.  Mutable: the solver updates it in place."""
+    """Scalar field on a Grid: its values, checked against the grid's shape."""
 
     grid: Grid
     values: np.ndarray
@@ -86,27 +86,12 @@ class DiscreteField:
             )
         self.values = vals
 
-    @classmethod
-    def from_function(cls, grid: Grid, func) -> "DiscreteField":
-        return cls(grid=grid, values=grid.sample(func))
-
-    @classmethod
-    def constant(cls, grid: Grid, value: float) -> "DiscreteField":
-        return cls(grid=grid, values=np.full(grid.shape, float(value)))
-
-    def copy(self) -> "DiscreteField":
-        return DiscreteField(grid=self.grid, values=self.values.copy())
-
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
 
     def assert_finite(self):
         if not np.all(np.isfinite(self.values)):
             raise DomainError("DiscreteField contains non-finite values")
-
-    def interior(self) -> np.ndarray:
-        """View of the interior nodes."""
-        return self.values[self.grid.interior]
 
 
 def corners(k: int) -> list:

@@ -424,29 +424,6 @@ def assemble_omega(table: SequenceTable) -> Modulus:
     return Modulus(r=table.schedule.r, K=table.K, tau=table.tau, tail_bound=tail)
 
 
-def truncated(table: SequenceTable, K: int) -> SequenceTable:
-    """Prefix of a table at a smaller truncation depth.
-
-    Used to check the tail estimate of a short table against the actual
-    continuation of a longer run with the same dividers.
-    """
-    if not (1 <= K <= table.K):
-        raise DomainError("truncated: K must lie in [1, table.K]")
-    cut = lambda s: tuple(s[:K])
-    return SequenceTable(
-        schedule=table.schedule,
-        K=K,
-        a=cut(table.a),
-        c=cut(table.c),
-        mu1=cut(table.mu1),
-        mu2=cut(table.mu2),
-        mu_star=cut(table.mu_star),
-        tau=cut(table.tau),
-        branch1=cut(table.branch1),
-        branch2=cut(table.branch2),
-    )
-
-
 def build_modulus(law1, law2, C: float, alpha0: float, delta: float,
                   K: int = 256):
     """Whole pipeline: schedule, dividers, recursion, modulus.

@@ -120,8 +120,8 @@ single-phase and smooth-interface problems.  Neither form is monotone as a
 whole: sigma F_h is for frozen sigma, but sigma reads the central
 gradient, and the flux form is only while no edge changes phase (see
 tests/test_properties.py).  ``scheme_name`` makes the choice for
-``solve``, for the public ``residual`` and for the run configuration, so
-the residual reported is the one the solver drives to zero.
+``solve`` and for the run configuration, so the scheme a run records is
+the one the solver drives to zero.
 """
 
 from __future__ import annotations
@@ -480,9 +480,6 @@ class _Discretization:
     def _reduce(self, values: list) -> np.ndarray:
         return (np.maximum if self.pick_max else np.minimum).reduce(values)
 
-    def operator_values(self, u: np.ndarray) -> np.ndarray:
-        return self._reduce([v for _, _, v in self._branch_values(u)])
-
     def residual_interior(self, u: np.ndarray):
         """(R, sigma_{sgn(u)}, clamped, jacobian) on the interior.
 
@@ -641,20 +638,6 @@ def _frame_weights(A: np.ndarray, d: int):
     )
 
 
-def residual(u: DiscreteField, prob: ProblemInstance, eps_deg: float) -> DiscreteField:
-    """Interior residual of the scheme ``solve`` uses (see ``scheme_name``).
-
-    That is the flux form on 1-d trace problems and the pointwise
-    sigma_{sgn(u)}(...) F_h(u) - f otherwise.  Boundary entries of the
-    returned field are zero: Dirichlet data is imposed exactly, so it never
-    carries a residual.
-    """
-    r = _make_discretization(prob, u.grid, eps_deg).residual_interior(u.values)[0]
-    out = np.zeros(u.grid.shape)
-    out[u.grid.interior] = r
-    return DiscreteField(grid=u.grid, values=out)
-
-
 def _initial_values(cfg: SchemeConfig, grid: Grid, g_vals: np.ndarray) -> np.ndarray:
     mask = grid.boundary_mask()
     init = cfg.initial
@@ -722,12 +705,6 @@ def _advance(u: np.ndarray, delta, interior: tuple):
     return trial if np.all(np.isfinite(trial)) else None
 
 
-def _implicit_trial(pattern, jacobian, dt, u: np.ndarray, r: np.ndarray, interior: tuple):
-    """u + delta with (diag(1/dt) - J) delta = r, J = jacobian(), or None if
-    that is singular or not finite.  The one step that needs J."""
-    return _advance(u, pattern.solve(jacobian(), dt, r), interior)
-
-
 def solve(prob: ProblemInstance, grid: Grid, cfg: SchemeConfig = SchemeConfig()):
     """Drive the residual to zero by pseudo-transient continuation.
 
@@ -791,7 +768,7 @@ def solve(prob: ProblemInstance, grid: Grid, cfg: SchemeConfig = SchemeConfig())
                 trial = _advance(u, pattern.back_solve(r), interior)
             else:
                 step = growth * dt
-                trial = _implicit_trial(pattern, jacobian, step, u, r, interior)
+                trial = _advance(u, pattern.solve(jacobian(), step, r), interior)
                 solves += 1
             if trial is not None:
                 r_t, sig_t, clamped, jacobian_t = disc.residual_interior(trial)

@@ -5,6 +5,7 @@ formulas, random sampling, and dense grid searches that the fast
 implementations must agree with.
 """
 
+import dataclasses
 import itertools
 import json
 import math
@@ -177,6 +178,16 @@ def geometric_tailed_sequence(rng):
     scale = rng.uniform(0.1, 10.0)
     jitter = rng.uniform(0.5, 1.5, size=m)
     return scale * jitter * q ** np.arange(1, m + 1)
+
+
+def truncated(table, K):
+    """Prefix of a sequence table at a smaller truncation depth K, to check
+    the tail estimate of a short table against the actual continuation of a
+    longer run with the same dividers."""
+    assert 1 <= K <= table.K
+    names = ("a", "c", "mu1", "mu2", "mu_star", "tau", "branch1", "branch2")
+    return dataclasses.replace(table, K=K, **{name: tuple(getattr(table, name)[:K])
+                                              for name in names})
 
 
 def power_recursion_reference(mu1, r, c, p1, p2):

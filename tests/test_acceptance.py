@@ -22,7 +22,6 @@ from degenlab.modulus import (
     build_modulus,
     certified_tail,
     rescale_sequence,
-    truncated,
 )
 from degenlab.problem import ProblemInstance
 from degenlab.solver import SchemeConfig, solve_cascade
@@ -30,6 +29,7 @@ from oracles import (
     eigenspace_minimizer,
     geometric_tailed_sequence,
     sample_class_traces,
+    truncated,
 )
 
 

@@ -124,7 +124,7 @@ class TestPlantedViolations:
     def test_planted_1d(self):
         grid = Grid(d=1, n=129)
         prob = _planted_problem(grid)
-        u = DiscreteField.from_function(grid, lambda x: 10.0 * x**2)
+        u = DiscreteField(grid, grid.sample(lambda x: 10.0 * x**2))
         assert not certify_min(u, prob).passed
         assert certify_max(u, prob).passed
 
@@ -147,7 +147,7 @@ class TestTolerances:
         prob = ProblemInstance(
             operator=op, sigma_plus=law, sigma_minus=law, f=0.0, g=0.0, C0=10.0
         )
-        u = DiscreteField.from_function(grid, lambda x: 5.0 * x)
+        u = DiscreteField(grid, grid.sample(lambda x: 5.0 * x))
         rep = certify_min(u, prob)
         assert rep.sigma_saturated
         assert rep.passed  # affine field: F = 0, nothing to violate

@@ -238,11 +238,11 @@ class TestCertify:
         assert abs(w["M"][0] - 20.0) <= 0.5 * h + 1e-9
 
     @staticmethod
-    def _certify_1d(tmp_path, values):
-        """certify's exit code on radial-power, theta = 1, d = 1, n = 17, with
-        the field of the given node values."""
-        cfg = {"problem": {"benchmark": "radial-power", "params": {"theta": 1.0, "d": 1}},
-               "grid": {"d": 1, "n": 17}, "out": str(tmp_path / "out")}
+    def _certify_1d(tmp_path, values, problem=None):
+        """certify's exit code on d = 1, n = 17 with the field of the given
+        node values, for the problem block given or radial-power, theta = 1."""
+        problem = problem or {"benchmark": "radial-power", "params": {"theta": 1.0, "d": 1}}
+        cfg = {"problem": problem, "grid": {"d": 1, "n": 17}, "out": str(tmp_path / "out")}
         path = tmp_path / "run.json"
         path.write_text(json.dumps(cfg))
         field = tmp_path / "field.csv"
@@ -265,16 +265,35 @@ class TestCertify:
             w = side["witness"]
             assert abs(w["p"][0]) * w["M"][0] == (math.inf if key[:3] == "min" else -math.inf)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_a_nan_product_at_a_touching_node_is_an_error(self, tmp_path, capsys):
-        # at x = 0 the gradient is 0 and the second difference overflows:
-        # sigma(0) * inf is NaN for the base candidate, which touches from above
-        code = self._certify_1d(tmp_path, lambda x: np.where(x == 0.0, 0.0, 1e308))
+        # u = -2^1022 x^2 has exact Taylor data, but F = 2 u'' overflows to
+        # -inf; at x = 0 the gradient is 0, and sigma(0) * F is NaN for the
+        # base candidate, which touches from above
+        pucci = {"operator": {"kind": "pucci-minus", "lam": 0.5, "Lam": 2.0},
+                 "sigma_plus": {"family": "power", "p": 1.0},
+                 "sigma_minus": {"family": "power", "p": 1.0},
+                 "f": 0.0, "g": 0.0, "C0": 1.0}
+        code = self._certify_1d(tmp_path, lambda x: -(2.0**1022) * x**2, pucci)
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err == (
             "error: certify: sigma * F is NaN at node (8,) "
             "for a test function touching from above\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("values, node", [
+        # every difference overflows: the first node of the block is named
+        (lambda x: np.where(np.arange(x.size) % 2, -1e308, 1e308), 3),
+        # u'' overflows at x = 0, so its window and those of its neighbours
+        # hold inf - inf; node 7 is the first of them
+        (lambda x: np.where(x == 0.0, 0.0, 1e308), 7),
+    ], ids=["alternating", "spike"])
+    def test_overflowing_differences_are_an_error(self, tmp_path, capsys, values, node):
+        code = self._certify_1d(tmp_path, values)
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            f"error: certify: the differences of u overflow in the window of node ({node},)\n")
         assert not (tmp_path / "out").exists()
 
     def test_manifest_counts_window_scans(self, run_config):
@@ -379,9 +398,23 @@ class TestBuildModulus:
         path.write_text(json.dumps(cfg))
         assert main(["build-modulus", "--config", str(path)]) == EXIT_CONFIG
         assert capsys.readouterr().err == (
-            f"error: choose_scale: C={C:g} with alpha0=1 leaves mu1 <= r; r < mu1 needs "
-            "C > r^(1 - alpha0) / 2 = 0.5 at r = 0.0625\n")
+            f"error: config.modulus: choose_scale: C={C:g} with alpha0=1 leaves mu1 <= r; "
+            "r < mu1 needs C > r^(1 - alpha0) / 2 = 0.5 at r = 0.0625\n")
         assert not recwarn.list and not out.exists()
+
+    @pytest.mark.parametrize("modulus, message", [
+        ({"alpha0": 2.0}, "choose_scale: alpha0 must lie in (0, 1]"),
+        ({"C": 0.0}, "choose_scale: C must be positive and finite"),
+        ({"delta": 0.5}, "rescale_sequence: delta must lie in (0, 1/4)"),
+    ])
+    def test_range_error_names_the_block(self, run_config, capsys, modulus, message):
+        path, out = run_config
+        cfg = json.loads(path.read_text())
+        cfg["modulus"].update(modulus)
+        path.write_text(json.dumps(cfg))
+        assert main(["build-modulus", "--config", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: config.modulus: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("modulus", [
         {"C": 1e300, "alpha0": 0.5},   # r = (4C)^(-1/alpha0) underflows to 0
@@ -396,7 +429,7 @@ class TestBuildModulus:
         path.write_text(json.dumps(cfg))
         assert main(["build-modulus", "--config", str(path)]) == EXIT_CONFIG
         err = capsys.readouterr().err
-        assert err.startswith("error: choose_scale: C=") and err.count("\n") == 1
+        assert err.startswith("error: config.modulus: choose_scale: C=") and err.count("\n") == 1
         assert f"alpha0={modulus['alpha0']:g}" in err
         assert not out.exists()
 
@@ -445,17 +478,29 @@ class TestMeasure:
         assert entry["comparison"]["C_star"] > 0.0
 
 
-    def test_center_outside_the_cube_is_named(self, tmp_path, capsys):
-        cfg = {"grid": {"d": 1, "n": 49}, "lab": {"centers": [[2.0]]},
-               "out": str(tmp_path / "out")}
+    @staticmethod
+    def _measure_1d(tmp_path, **blocks):
+        """measure's exit code on u = x^2 at n = 49 with the given blocks."""
+        cfg = {"grid": {"d": 1, "n": 49}, "out": str(tmp_path / "out"), **blocks}
         path = tmp_path / "run.json"
         path.write_text(json.dumps(cfg))
         field = tmp_path / "field.csv"
         field.write_text("x,u\n" + "".join(
             f"{x:.17g},{x * x:.17g}\n" for x in np.linspace(-1.0, 1.0, 49)))
-        assert main(["measure", "--config", str(path), "--field", str(field)]) == EXIT_CONFIG
-        assert capsys.readouterr().err == (
-            "error: decay_scan: center (2.0,) lies outside [-1, 1]^d\n")
+        return main(["measure", "--config", str(path), "--field", str(field)])
+
+    @pytest.mark.parametrize("blocks, message", [
+        ({"lab": {"centers": [[2.0]]}},
+         "config.lab: decay_scan: center (2.0,) lies outside [-1, 1]^d"),
+        ({"lab": {"N": 0}}, "config.lab: decay_scan: N must be at least 1"),
+        ({"lab": {"r": 1.5}}, "config.lab: decay_scan: r must lie in (0, 1)"),
+        ({"lab": {}, "modulus": {"alpha0": 2.0},
+          "problem": {"benchmark": "radial-power", "params": {"theta": 1.0, "d": 1}}},
+         "config.modulus: choose_scale: alpha0 must lie in (0, 1]"),
+    ], ids=["center", "N", "r", "modulus"])
+    def test_range_error_names_the_block(self, tmp_path, capsys, blocks, message):
+        assert self._measure_1d(tmp_path, **blocks) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("gap_tol, uncertified", [(None, 0), (-1.0, 4)])

@@ -61,6 +61,7 @@ class TestValidation:
             lambda d: d["problem"].update(benchmark="mystery"),
             lambda d: d.update(seed=0),  # no key draws or records a seed
             lambda d: d.update(modulus={"K": 0}),
+            lambda d: d.update(modulus={"K": 1}),  # no tail to certify: exit 4 at every build
             lambda d: d["grid"].update(n=10**51),
             lambda d: d["grid"].update(n=1e30),
             lambda d: d["scheme"].update(max_iter=2**63),

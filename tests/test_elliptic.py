@@ -116,7 +116,7 @@ class TestOperators:
 
     def test_trace_applies(self):
         op = EllipticOperator(kind="trace", pair=EllipticityPair(1.0, 1.0))
-        assert op(np.diag([2.0, -3.0])) == pytest.approx(-1.0)
+        assert op.apply(np.diag([2.0, -3.0])) == pytest.approx(-1.0)
 
     def test_bellman_min_of_traces(self):
         pair = EllipticityPair(0.5, 2.0)
@@ -126,7 +126,7 @@ class TestOperators:
             kind="bellman-min-of-traces", pair=pair, coefficients=(A1, A2)
         )
         M = np.diag([1.0, -1.0])
-        assert op(M) == pytest.approx(min(0.5 - 2.0, 2.0 - 0.5))
+        assert op.apply(M) == pytest.approx(min(0.5 - 2.0, 2.0 - 0.5))
 
     def test_bellman_rejects_escaping_spectrum(self):
         pair = EllipticityPair(0.5, 2.0)
@@ -174,8 +174,8 @@ class TestOperators:
         for _ in range(25):
             B = rng.uniform(-1, 1, size=(2, 2))
             M = (B + B.T) / 2
-            assert lo(M) <= hi(M) + 1e-14
-            assert lo(M) == pytest.approx(pucci_minus(M, pair))
+            assert lo.apply(M) <= hi.apply(M) + 1e-14
+            assert lo.apply(M) == pytest.approx(pucci_minus(M, pair))
 
 
 def _ellipticity_loop(op, d, samples, seed):

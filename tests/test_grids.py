@@ -61,21 +61,14 @@ class TestGrid:
 
 
 class TestDiscreteField:
-    def test_from_function_matches_manual(self):
+    def test_sampled_field_matches_manual(self):
         g = Grid(d=1, n=9)
-        u = DiscreteField.from_function(g, lambda x: x**2)
+        u = DiscreteField(g, g.sample(lambda x: x**2))
         assert np.allclose(u.values, g.axis**2)
-
-    def test_copy_is_independent(self):
-        g = Grid(d=1, n=9)
-        u = DiscreteField.constant(g, 1.0)
-        v = u.copy()
-        v.values[0] = 99.0
-        assert u.values[0] == 1.0
 
     def test_sup_norm_and_finite_check(self):
         g = Grid(d=1, n=9)
-        u = DiscreteField.from_function(g, lambda x: -2.0 * x)
+        u = DiscreteField(g, g.sample(lambda x: -2.0 * x))
         assert u.sup_norm() == 2.0
         u.values[2] = np.nan
         with pytest.raises(DomainError):
@@ -85,22 +78,11 @@ class TestDiscreteField:
         with pytest.raises(DomainError):
             DiscreteField(grid=Grid(d=1, n=9), values=np.zeros(4))
 
-    def test_interior_view(self):
-        g = Grid(d=2, n=9)
-        u = DiscreteField.constant(g, 0.0)
-        u.interior()[:] = 1.0
-        assert u.values[2, 2] == 1.0 and u.values[0, 0] == 0.0
-
-    def test_interior_view_1d(self):
-        u = DiscreteField.constant(Grid(d=1, n=9), 0.0)
-        u.interior()[:] = 1.0
-        assert u.values.tolist() == [0.0] + [1.0] * 7 + [0.0]
-
 
 class TestRefine:
     def test_linear_refinement_exact_on_affine(self):
         g = Grid(d=2, n=9)
-        u = DiscreteField.from_function(g, lambda x, y: 2.0 * x - y + 0.5)
+        u = DiscreteField(g, g.sample(lambda x, y: 2.0 * x - y + 0.5))
         fine = refine_linear(u)
         assert fine.grid.n == 17
         want = fine.grid.sample(lambda x, y: 2.0 * x - y + 0.5)
@@ -108,7 +90,7 @@ class TestRefine:
 
     def test_coarse_nodes_preserved(self):
         g = Grid(d=1, n=9)
-        u = DiscreteField.from_function(g, lambda x: np.sin(x))
+        u = DiscreteField(g, g.sample(lambda x: np.sin(x)))
         fine = refine_linear(u)
         assert np.allclose(fine.values[0::2], u.values)
 

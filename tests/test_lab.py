@@ -24,7 +24,7 @@ class TestBestAffine:
     def test_cusp_1d_exact(self):
         # u = |x|^{3/2} on [-rho, rho]: best affine is the constant rho^{3/2}/2
         g = Grid(d=1, n=513)
-        u = DiscreteField.from_function(g, lambda x: np.abs(x) ** 1.5)
+        u = DiscreteField(g, g.sample(lambda x: np.abs(x) ** 1.5))
         for rho in (0.25, 0.0625):
             fit = best_affine(u, (0.0,), rho)
             assert fit.excess == pytest.approx(rho**1.5 / 2.0, rel=1e-12)
@@ -34,7 +34,7 @@ class TestBestAffine:
 
     def test_parabola_1d_exact(self):
         g = Grid(d=1, n=513)
-        u = DiscreteField.from_function(g, lambda x: x**2 / 2.0)
+        u = DiscreteField(g, g.sample(lambda x: x**2 / 2.0))
         fit = best_affine(u, (0.0,), 0.25)
         assert fit.excess == pytest.approx(0.25**2 / 4.0, rel=1e-12)
         # off-center the optimal slope is the center derivative
@@ -44,7 +44,7 @@ class TestBestAffine:
 
     def test_affine_recovered_exactly(self):
         g = Grid(d=1, n=129)
-        u = DiscreteField.from_function(g, lambda x: 0.3 + 0.75 * x)
+        u = DiscreteField(g, g.sample(lambda x: 0.3 + 0.75 * x))
         fit = best_affine(u, (0.0,), 0.5)
         assert fit.excess <= 1e-14
         assert fit.a == pytest.approx(0.3, abs=1e-12)
@@ -64,7 +64,7 @@ class TestBestAffine:
 
     def test_matches_brute_force_fit(self):
         g = Grid(d=1, n=257)
-        u = DiscreteField.from_function(g, lambda x: np.sin(2.0 * x))
+        u = DiscreteField(g, g.sample(lambda x: np.sin(2.0 * x)))
         fit = best_affine(u, (0.125,), 0.25)
         brute, _ = brute_affine_1d(lambda x: np.sin(2.0 * x), 0.125, 0.25, 257)
         # the brute slope grid is coarse; it can only overshoot
@@ -73,10 +73,8 @@ class TestBestAffine:
 
     def test_translation_invariance(self):
         g = Grid(d=1, n=257)
-        u1 = DiscreteField.from_function(g, lambda x: np.abs(x) ** 1.5)
-        u2 = DiscreteField.from_function(
-            g, lambda x: np.abs(x) ** 1.5 + 0.7 - 0.3 * x
-        )
+        u1 = DiscreteField(g, g.sample(lambda x: np.abs(x) ** 1.5))
+        u2 = DiscreteField(g, g.sample(lambda x: np.abs(x) ** 1.5 + 0.7 - 0.3 * x))
         f1 = best_affine(u1, (0.0,), 0.25)
         f2 = best_affine(u2, (0.0,), 0.25)
         assert f2.excess == pytest.approx(f1.excess, abs=1e-14)
@@ -84,7 +82,7 @@ class TestBestAffine:
 
     def test_needs_enough_nodes(self):
         g = Grid(d=1, n=9)
-        u = DiscreteField.constant(g, 0.0)
+        u = DiscreteField(g, np.full(g.shape, 0.0))
         with pytest.raises(DomainError):
             best_affine(u, (0.0,), 1e-6)
 
@@ -102,7 +100,7 @@ class TestBestAffine:
     def test_center_outside_the_cube(self, x0):
         # (1.125, 0) would see the collinear 5-node column x = 1
         g = Grid(d=2, n=17)
-        u = DiscreteField.from_function(g, lambda x, y: x**2 + y)
+        u = DiscreteField(g, g.sample(lambda x, y: x**2 + y))
         with pytest.raises(DomainError, match="outside"):
             best_affine(u, x0, 0.25)
 
@@ -201,7 +199,7 @@ class TestExchangeAgainstLP:
 class TestDecayScan:
     def test_cusp_slope_is_half(self):
         g = Grid(d=1, n=513)
-        u = DiscreteField.from_function(g, lambda x: np.abs(x) ** 1.5)
+        u = DiscreteField(g, g.sample(lambda x: np.abs(x) ** 1.5))
         # N=7 pushes the last scale below the 3h resolution floor
         with pytest.warns(UserWarning):
             prof = decay_scan(u, (0.0,), 0.5, 7)
@@ -216,20 +214,21 @@ class TestDecayScan:
     @pytest.mark.parametrize("x0", [(2.0,), (-1.0625,), (np.nan,)])
     def test_center_outside_the_cube(self, x0):
         # before any scale is tried: no scale would fit, for another reason
-        u = DiscreteField.from_function(Grid(d=1, n=33), lambda x: x**2)
+        g = Grid(d=1, n=33)
+        u = DiscreteField(g, g.sample(lambda x: x**2))
         with pytest.raises(DomainError, match=r"^decay_scan: center .* lies outside"):
             decay_scan(u, x0, 0.5, 3)
 
     def test_scales_descend_geometrically(self):
         g = Grid(d=1, n=513)
-        u = DiscreteField.from_function(g, lambda x: x**2)
+        u = DiscreteField(g, g.sample(lambda x: x**2))
         prof = decay_scan(u, (0.0,), 0.5, 4)
         assert np.allclose(prof.scales, [0.5, 0.25, 0.125, 0.0625])
         assert np.all(np.diff(prof.scales) < 0)
 
     def test_affine_flagged_clean(self):
         g = Grid(d=1, n=513)
-        u = DiscreteField.from_function(g, lambda x: 1.0 - 2.0 * x)
+        u = DiscreteField(g, g.sample(lambda x: 1.0 - 2.0 * x))
         prof = decay_scan(u, (0.0,), 0.5, 4)
         assert prof.clean_affine
         assert prof.slope is None
@@ -237,7 +236,7 @@ class TestDecayScan:
 
     def test_rows_align_with_arrays(self):
         g = Grid(d=1, n=513)
-        u = DiscreteField.from_function(g, lambda x: x**2)
+        u = DiscreteField(g, g.sample(lambda x: x**2))
         prof = decay_scan(u, (0.0,), 0.5, 4)
         rows = list(prof.rows())
         assert len(rows) == len(prof.scales)
@@ -256,7 +255,7 @@ class TestCompareModulus:
 
     def test_cusp_ratios_bounded(self):
         g = Grid(d=1, n=513)
-        u = DiscreteField.from_function(g, lambda x: np.abs(x) ** 1.5)
+        u = DiscreteField(g, g.sample(lambda x: np.abs(x) ** 1.5))
         prof = decay_scan(u, (0.0,), 0.5, 5)
         rep = compare_modulus(prof, self._omega())
         assert np.isfinite(rep.C_star) and rep.C_star > 0
@@ -265,7 +264,7 @@ class TestCompareModulus:
 
     def test_affine_profile_has_zero_constant(self):
         g = Grid(d=1, n=513)
-        u = DiscreteField.from_function(g, lambda x: 2.0 * x - 0.1)
+        u = DiscreteField(g, g.sample(lambda x: 2.0 * x - 0.1))
         prof = decay_scan(u, (0.0,), 0.5, 4)
         rep = compare_modulus(prof, self._omega())
         # the fit leaves at most solver-precision dust in the excess

@@ -25,12 +25,12 @@ from degenlab.modulus import (
     choose_scale,
     mu_recursion,
     rescale_sequence,
-    truncated,
 )
 from oracles import (
     geometric_tailed_sequence,
     power_recursion_reference,
     reference_bisect_doubles,
+    truncated,
 )
 
 # The law pairs of the benchmark: analyze-fields builds power (1, 1) twice,
@@ -434,13 +434,6 @@ class TestTailAndOmega:
         )
         assert table.K == 256
         assert math.isfinite(omega.tail_bound) and omega.tail_bound >= 0.0
-
-    def test_truncated_prefix_consistency(self):
-        _, table, _ = self._pipeline(1.0, 2.0)
-        short = truncated(table, 32)
-        assert short.K == 32
-        assert np.allclose(short.tau, table.tau[:32], rtol=0, atol=0)
-        assert short.branch1 == table.branch1[:32]
 
     def test_modulus_rejects_bad_eval_points(self):
         _, _, omega = self._pipeline(1.0, 1.0)

@@ -22,14 +22,14 @@ from hypothesis import strategies as st
 
 from degenlab.benchmarks import exact_benchmark
 from degenlab.elliptic import EllipticityPair, EllipticOperator
-from degenlab.grids import DiscreteField, Grid
+from degenlab.grids import Grid
 from degenlab.laws import PowerLaw, PowerLogLaw
 from degenlab.problem import ProblemInstance
 from degenlab.solver import (
     SchemeConfig,
     _Discretization,
     _FluxDiscretization1D,
-    residual,
+    _make_discretization,
     solve,
 )
 
@@ -86,6 +86,11 @@ def _others(shape, node):
 # -- monotonicity -----------------------------------------------------------
 
 
+def _operator_values(disc, u):
+    """F_h(u) on the interior: the min (or max) of the linear branches."""
+    return disc._reduce([value for *_, value in disc._branch_values(u)])
+
+
 @PROPERTY
 @given(kind=st.sampled_from(KINDS), d=st.sampled_from((1, 2)), data=st.data())
 def test_wide_operator_is_monotone_in_neighbours(kind, d, data):
@@ -93,7 +98,7 @@ def test_wide_operator_is_monotone_in_neighbours(kind, d, data):
     disc = _Discretization(_problem(kind, d), grid, 1e-4)
     u = _field(grid, data)
     v, node = _bump(u, data, 1.0)
-    rise = disc.operator_values(v) - disc.operator_values(u)
+    rise = _operator_values(disc, v) - _operator_values(disc, u)
     assert np.all(rise[_others(grid.shape, node)] >= -1e-9)
 
 
@@ -117,6 +122,7 @@ def _falls(prob, grid, seeds=200):
     """For each fixed seed (not hypothesis, whose examples move when the
     test source is edited): the largest fall of another node's residual
     when one interior node of a random field rises by 0.5."""
+    disc = _make_discretization(prob, grid, 1e-4)
     falls = np.zeros(seeds)
     for seed in range(seeds):
         rng = np.random.default_rng(seed)
@@ -124,9 +130,8 @@ def _falls(prob, grid, seeds=200):
         node = tuple(rng.integers(1, grid.n - 1, size=grid.d))
         v = u.copy()
         v[node] += 0.5
-        rise = residual(DiscreteField(grid, v), prob, 1e-4).values - residual(
-            DiscreteField(grid, u), prob, 1e-4).values
-        rise[node] = 0.0
+        rise = disc.residual_interior(v)[0] - disc.residual_interior(u)[0]
+        rise[tuple(i - 1 for i in node)] = 0.0
         falls[seed] = rise.min()
     return falls
 
@@ -219,6 +224,27 @@ def test_flux_jacobian_matches_finite_differences_past_t_max(q):
     scale = float(np.max(np.abs(fwd)))
     assert scale > 1.0 and np.max(np.abs(fwd - bwd)) <= 1e-4 * scale
     assert np.max(np.abs(_dense_jacobian(disc, u) - 0.5 * (fwd + bwd))) <= 1e-5 * scale
+
+
+@PROPERTY
+@given(data=st.data())
+def test_flux_step_matrix_is_an_m_matrix(data):
+    """diag(1/dt) - J of the flux form, at any field and any dt > 0, has a
+    positive diagonal, non-positive off-diagonals and strict diagonal
+    dominance by rows and by columns.  Column dominance is why ``_gtsv``'s
+    partial pivoting never interchanges rows on the flux form."""
+    grid = Grid(d=1, n=9)
+    disc = _FluxDiscretization1D(_transmission(), grid, 1e-4)
+    coeffs = disc.residual_interior(_field(grid, data))[3]()
+    m = grid.n - 2
+    dt = np.array(data.draw(st.lists(st.floats(1e-8, 1e4), min_size=m, max_size=m)))
+    lower, diag, upper = disc.pattern.bands(coeffs, dt)  # A[i+1, i], A[i, i], A[i, i+1]
+    assert np.all(diag > 0.0)
+    assert np.all(lower <= 0.0) and np.all(upper <= 0.0)
+    lower, upper = np.abs(lower), np.abs(upper)
+    rows = np.append(upper, 0.0) + np.insert(lower, 0, 0.0)
+    cols = np.append(lower, 0.0) + np.insert(upper, 0, 0.0)
+    assert np.all(diag > rows) and np.all(diag > cols)
 
 
 # -- discrete comparison ----------------------------------------------------

@@ -16,7 +16,6 @@ from degenlab.solver import (
     MAX_ITER,
     SchemeConfig,
     cascade_sizes,
-    residual,
     solve,
     solve_cascade,
 )
@@ -25,6 +24,12 @@ from degenlab.solver import (
 def _rel_sup_error(u, exact):
     scale = float(np.max(np.abs(exact)))
     return float(np.max(np.abs(u.values - exact))) / scale
+
+
+def _sup_residual(u, prob, eps_deg):
+    """Sup norm of the interior residual of the scheme ``solve`` uses."""
+    disc = solver._make_discretization(prob, u.grid, eps_deg)
+    return float(np.max(np.abs(disc.residual_interior(u.values)[0])))
 
 
 def _solve_benchmark(name, params, n, tol=1e-6, cascade=False):
@@ -71,8 +76,7 @@ class TestRadial:
         bench = exact_benchmark("affine", {"d": 1, "b": [0.75], "a": 0.3})
         grid = Grid(d=1, n=33)
         u = DiscreteField(grid=grid, values=bench.exact_on(grid))
-        res = residual(u, bench.problem, eps_deg=0.0)
-        assert res.sup_norm() < 1e-13
+        assert _sup_residual(u, bench.problem, eps_deg=0.0) < 1e-13
 
 
 class TestTransmission:
@@ -87,14 +91,13 @@ class TestTransmission:
         # solution changes sign across the interface
         assert u.values[-1] > 0 > u.values[0]
 
-    def test_public_residual_is_the_converged_one(self):
+    def test_scheme_residual_is_the_converged_one(self):
         bench = exact_benchmark("transmission-1d", {"theta1": 1.0, "theta2": 2.0, "c": 1.0})
         grid = Grid(d=1, n=33)
         cfg = SchemeConfig(tol=1e-6, eps_deg=bench.recommended_eps_deg(grid))
         u, diag = solve(bench.problem, grid, cfg)
         assert diag.converged and diag.scheme == "flux-1d"
-        res = residual(u, bench.problem, eps_deg=cfg.eps_deg)
-        assert res.sup_norm() == diag.final_residual
+        assert _sup_residual(u, bench.problem, eps_deg=cfg.eps_deg) == diag.final_residual
 
 
 class TestPastTMax:
@@ -167,8 +170,8 @@ class TestDiagnostics:
         _, warm = solve_cascade(bench.problem, grid, dataclasses.replace(cfg, initial=start))
         assert warm.converged and warm.levels[0]["n"] == 9
         # the coarsest level starts from the exact field at its own nodes
-        want = residual(DiscreteField(grid=Grid(d=1, n=9), values=exact[::4]),
-                        bench.problem, cfg.eps_deg).sup_norm()
+        want = _sup_residual(DiscreteField(grid=Grid(d=1, n=9), values=exact[::4]),
+                             bench.problem, cfg.eps_deg)
         assert warm.levels[0]["start_residual"] == want < cold.levels[0]["start_residual"]
         assert warm.levels[0]["iterations"] < cold.levels[0]["iterations"]
 
@@ -273,7 +276,7 @@ class TestPseudoTransient:
         grid = Grid(d=1, n=33)
         u, diag = solve(prob, grid, SchemeConfig(tol=1e-8, eps_deg=0.05))
         assert diag.converged and diag.scheme == "wide"
-        assert residual(u, prob, eps_deg=0.05).sup_norm() <= 1e-8
+        assert _sup_residual(u, prob, eps_deg=0.05) <= 1e-8
 
     # a 1x1 coefficient on a 2-d grid, 3x3 on 2-d and 2x2 on 1-d: the
     # parent raised an IndexError, solved with the upper-left 2x2 block and
@@ -640,8 +643,7 @@ class TestTridiagonalStep:
         coeffs[disc.offsets.index((0,))][2] = 1.0 / dt[2]  # row 2 and column 2 vanish
         assert disc.pattern.solve(coeffs, dt, r) is None
         u = np.zeros(disc.grid.shape)
-        trial = solver._implicit_trial(disc.pattern, lambda: coeffs, dt, u, r, disc.grid.interior)
-        assert trial is None
+        assert solver._advance(u, disc.pattern.solve(coeffs, dt, r), disc.grid.interior) is None
 
     @pytest.mark.parametrize("disc", ONE_D)
     def test_nan_coefficients_give_no_trial(self, disc):
@@ -649,33 +651,32 @@ class TestTridiagonalStep:
         coeffs = coeffs.copy()
         coeffs[disc.offsets.index((1,))][3] = np.nan
         u = np.zeros(disc.grid.shape)
-        trial = solver._implicit_trial(disc.pattern, lambda: coeffs, dt, u, r, disc.grid.interior)
-        assert trial is None
+        assert solver._advance(u, disc.pattern.solve(coeffs, dt, r), disc.grid.interior) is None
 
     def test_singular_step_is_rejected(self, monkeypatch):
         bench = exact_benchmark("transmission-1d", {"theta1": 1.0, "theta2": 2.0, "c": 1.0})
         grid = Grid(d=1, n=9)
         cfg = SchemeConfig(tol=1e-6, eps_deg=bench.recommended_eps_deg(grid))
-        bands, trials = solver._TridiagonalPattern.bands, []
+        pattern = solver._TridiagonalPattern
+        bands, step_solve, deltas = pattern.bands, pattern.solve, []
 
         def first_singular(self, coeffs, dt):
             out = bands(self, coeffs, dt)
-            if not trials:
+            if not deltas:
                 for band in out:
                     band[:] = 0.0
             return out
 
-        def recorded(*args):
-            trials.append(trial(*args))
-            return trials[-1]
+        def recorded(self, *args):
+            deltas.append(step_solve(self, *args))
+            return deltas[-1]
 
-        trial = solver._implicit_trial
-        monkeypatch.setattr(solver._TridiagonalPattern, "bands", first_singular)
-        monkeypatch.setattr(solver, "_implicit_trial", recorded)
+        monkeypatch.setattr(pattern, "bands", first_singular)
+        monkeypatch.setattr(pattern, "solve", recorded)
         u, diag = solve(bench.problem, grid, cfg)
-        assert trials[0] is None  # rejected, and the solve goes on
+        assert deltas[0] is None  # rejected, and the solve goes on
         assert diag.converged and diag.rejected_steps >= 1
-        assert diag.linear_solves == len(trials)
+        assert diag.linear_solves == len(deltas)
 
 
 class TestJacobianOnDemand:
