@@ -51,7 +51,6 @@ class Benchmark:
     """A ProblemInstance plus the exact solution it was manufactured from."""
 
     name: str
-    params: dict
     d: int
     problem: ProblemInstance
     u_exact: object
@@ -118,10 +117,7 @@ def _affine(d=2, b=None, a=0.0) -> Benchmark:
         g=u_exact,
         C0=0.0,
     )
-    return Benchmark(
-        name="affine", params={"d": d, "b": b, "a": a}, d=d, problem=prob,
-        u_exact=u_exact,
-    )
+    return Benchmark(name="affine", d=d, problem=prob, u_exact=u_exact)
 
 
 def _radial_power(theta, d=2) -> Benchmark:
@@ -143,9 +139,7 @@ def _radial_power(theta, d=2) -> Benchmark:
         f=f_value, g=u_exact, C0=f_value,
     )
     return Benchmark(
-        name="radial-power",
-        params={"theta": theta, "d": d, "gamma": gamma},
-        d=d, problem=prob, u_exact=u_exact, degenerate=(f_value, theta),
+        name="radial-power", d=d, problem=prob, u_exact=u_exact, degenerate=(f_value, theta),
     )
 
 
@@ -176,12 +170,8 @@ def _transmission_1d(theta1, theta2, c=1.0) -> Benchmark:
         C0=c,
     )
     return Benchmark(
-        name="transmission-1d",
-        params={
-            "theta1": theta1, "theta2": theta2, "c": c,
-            "gamma1": g1, "gamma2": g2, "kappa1": k1, "kappa2": k2,
-        },
-        d=1, problem=prob, u_exact=u_exact, degenerate=(c, min(theta1, theta2)),
+        name="transmission-1d", d=1, problem=prob, u_exact=u_exact,
+        degenerate=(c, min(theta1, theta2)),
     )
 
 

@@ -302,7 +302,7 @@ def read_field(path: str, grid: Grid) -> DiscreteField:
     if not np.all(np.isfinite(data)):
         raise ConfigError(f"field: {path} holds a non-finite value")
     nodes = np.stack([c.ravel() for c in grid.meshgrid()], axis=1)
-    if not np.allclose(data[:, :-1], nodes, atol=1e-10):  # every coordinate column
+    if not np.allclose(data[:, :-1], nodes, rtol=0.0, atol=1e-10):  # every coordinate column
         raise ConfigError(f"field: {path} coordinates do not match the config grid")
     return DiscreteField(grid=grid, values=data[:, -1].reshape(grid.shape))
 

@@ -34,7 +34,8 @@ matrices, each a list of rows; modulus "K" is at least 2, the depth
 whose tail can be certified.  A value that a law, a benchmark builder, the
 operator, the modulus pipeline or the decay scan rejects (a DomainError)
 is raised again with its block's key path in front, such as
-"config.problem.sigma_minus: power: ..." or "config.lab: decay_scan: ...".
+"config.problem.sigma_minus: power: ..." or "config.lab: decay_scan: ...";
+so is a "scheme" value that SchemeConfig rejects ("config.scheme: ...").
 
 The benchmark form also fixes grid-independent defaults (exact boundary
 data, forcing, recommended gradient clamp); explicit fields f and g must
@@ -157,13 +158,13 @@ def _law(value, where):
 
 
 @contextmanager
-def named(where):
-    """Prefix ``where`` to a range error raised on a block's values, here or
-    in the command that uses them."""
+def named(where, error=DomainError):
+    """Prefix ``where`` to a range error (``error``) raised on a block's
+    values, here or in the command that uses them."""
     try:
         yield
-    except DomainError as exc:
-        raise DomainError(f"{where}: {exc}") from exc
+    except error as exc:
+        raise error(f"{where}: {exc}") from exc
 
 
 def _problem(value, where):
@@ -283,7 +284,8 @@ class RunConfig:
         ) if key in s}
         if "eps_deg" not in kwargs and bench is not None:
             kwargs["eps_deg"] = float(bench.recommended_eps_deg(grid))
-        return SchemeConfig(**kwargs)
+        with named("config.scheme", ConfigError):
+            return SchemeConfig(**kwargs)
 
     def modulus_kwargs(self) -> dict:
         """The C / alpha0 / delta / K keyword arguments of build_modulus."""

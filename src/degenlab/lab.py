@@ -33,7 +33,6 @@ NumericError.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -277,9 +276,6 @@ def decay_scan(u: DiscreteField, x0, r: float, N: int) -> DecayProfile:
             "decay_scan: no scale between 3h and the boundary margin; "
             "refine the grid or shrink r"
         )
-    if truncated:
-        warnings.warn("decay_scan: some scales unresolvable; profile truncated",
-                      stacklevel=2)
 
     sc = np.asarray(scales)
     ex = np.asarray(excesses)

@@ -62,12 +62,13 @@ center weight of F_h is at most 2 d Lam_F / h^2, and 0.9 of the cap with
 sigma taken as the neighbour max over the stencil keeps an explicit update
 u <- u + dt R(u) monotone (pointwise sigma lets dt and sigma oscillate in
 antiphase around a CFL-lag limit cycle); the cap never exceeds h.  A cold
-solve starts at the cap.  A solve given a start (cfg.initial, as
-``solve_cascade`` gives each refined level) starts warm, at _WARM times
-the cap, where the first step is nearly a Newton step: a refined coarse
-solution is close enough for pseudo-time to take its large steps at once
-(Kelley & Keyes 1998).  If that warm step is rejected, the solve restarts
-once on the cold path, at the cap.  After an accepted step dt grows by
+solve (no start) begins at the mean boundary value and at the cap.  A
+solve given a start, as ``solve_cascade`` gives each refined level the
+refined solution below, starts warm, at _WARM times the cap, where the
+first step is nearly a Newton step: a refined coarse solution is close
+enough for pseudo-time to take its large steps at once (Kelley & Keyes
+1998).  If that warm step is rejected, the solve restarts once on the
+cold path, at the cap.  After an accepted step dt grows by
 switched evolution relaxation, dt <- dt |R_prev| / |R|, so it approaches
 a pure Newton step as the residual falls; a step accepted at its first
 try at least doubles dt.  A step is rejected when delta is not finite or
@@ -145,8 +146,8 @@ _EXPLODE_FACTOR = 1e8
 _SAFETY = 0.9
 _FRAME_ALIGN_TOL = 1e-12
 _DT_CUT = 2.0
-# First dt of a solve given a start (cfg.initial), as a multiple of the
-# explicit cap: a start near the solution takes nearly a Newton step.
+# First dt of a solve given a start (a refined coarse solution), as a multiple
+# of the explicit cap: a start near the solution takes nearly a Newton step.
 _WARM = 1e3
 # Least growth of dt after a step accepted at its first try.
 _DT_GROWTH_MIN = 2.0
@@ -171,19 +172,13 @@ class SchemeConfig:
     ``eps_deg`` clamps the gradient magnitude fed to the degeneracy law from
     below; it regularizes the 0/0 ambiguity of sigma(|Du|) F(D^2 u) = f on
     the degenerate set and should scale with the accuracy target, not with
-    machine precision.  ``initial`` may be None (constant field at the mean
-    boundary value), a number, an array or a DiscreteField; it must be
-    finite.  None starts pseudo-time at the explicit cap; any given start
-    is taken to be near the solution and starts it far above (see the
-    module docstring), which pays when the start is a refined solution
-    and can cost steps when it is far off.  ``max_iter`` caps
-    ``SolveDiagnostics.iterations``.
+    machine precision.  ``max_iter`` caps ``SolveDiagnostics.iterations``.
+    Where a solve starts is ``solve``'s ``start``, set per level by the cascade.
     """
 
     max_iter: int = MAX_ITER
     tol: float = 1e-8
     eps_deg: float = 1e-4
-    initial: object = None
 
     def __post_init__(self):
         if self.max_iter < 1:
@@ -638,20 +633,18 @@ def _frame_weights(A: np.ndarray, d: int):
     )
 
 
-def _initial_values(cfg: SchemeConfig, grid: Grid, g_vals: np.ndarray) -> np.ndarray:
+def _start_values(start, grid: Grid, g_vals: np.ndarray) -> np.ndarray:
+    """The first iterate: ``start`` (None: the mean boundary value) with g on the boundary."""
     mask = grid.boundary_mask()
-    init = cfg.initial
-    if init is None:
-        init = np.mean(g_vals[mask])
-    elif isinstance(init, DiscreteField):
-        init = init.values
-    init = np.asarray(init, dtype=float)
-    if init.ndim and init.shape != grid.shape:
-        raise ConfigError("initial field shape does not match the grid")
-    u = np.broadcast_to(init, grid.shape).copy()
+    if start is None:
+        u = np.full(grid.shape, np.mean(g_vals[mask]))
+    elif isinstance(start, DiscreteField) and start.grid == grid:
+        u = start.values.copy()
+    else:
+        raise ConfigError("start is not a field on the solve's grid")
     u[mask] = g_vals[mask]
     if not np.all(np.isfinite(u)):
-        raise ConfigError("initial field and boundary data must be finite")
+        raise ConfigError("start field and boundary data must be finite")
     return u
 
 
@@ -705,8 +698,14 @@ def _advance(u: np.ndarray, delta, interior: tuple):
     return trial if np.all(np.isfinite(trial)) else None
 
 
-def solve(prob: ProblemInstance, grid: Grid, cfg: SchemeConfig = SchemeConfig()):
+def solve(prob: ProblemInstance, grid: Grid, cfg: SchemeConfig = SchemeConfig(),
+          start: DiscreteField | None = None):
     """Drive the residual to zero by pseudo-transient continuation.
+
+    ``start`` None is a cold start at the mean boundary value; a DiscreteField
+    on ``grid`` starts warm (see the module docstring), which pays when it is
+    a refined solution and can cost steps when it is far off.  A start on
+    another grid, or non-finite start or boundary data, is a ConfigError.
 
     Returns (field, diagnostics).  Convergence is declared when the sup
     norm of the interior residual drops below cfg.tol.  Hitting max_iter
@@ -714,13 +713,13 @@ def solve(prob: ProblemInstance, grid: Grid, cfg: SchemeConfig = SchemeConfig())
     level (or any non-finite value) raises SolverDivergenceError.
     """
     disc = _make_discretization(prob, grid, cfg.eps_deg)
-    u = _initial_values(cfg, grid, prob.g_on(grid))
+    u = _start_values(start, grid, prob.g_on(grid))
     interior = grid.interior
 
     r, sig, sigma_clamped, jacobian = disc.residual_interior(u)
     res0 = res_norm = _sup(r)
     rms = _rms(r)
-    warm = cfg.initial is not None
+    warm = start is not None
     growth = _WARM if warm else 1.0  # dt as a multiple of the explicit cap
     pattern = disc.pattern
     history = []
@@ -759,11 +758,14 @@ def solve(prob: ProblemInstance, grid: Grid, cfg: SchemeConfig = SchemeConfig())
 
         dt = _SAFETY / (disc.center_bound * np.maximum(_neighbor_max(sig), 1e-300))
         dt = np.minimum(dt, grid.h)
-        first_try = True
+        first_try, explicit = True, False
         # in the Newton regime a kept factorization is tried before a new one
         reuse = pattern.kept is not None and growth >= _WARM
         while True:
-            if reuse:
+            if explicit:  # the update at the cap, always taken
+                step = dt
+                trial = _advance(u, dt * r, interior)
+            elif reuse:
                 step = pattern.kept[1]
                 trial = _advance(u, pattern.back_solve(r), interior)
             else:
@@ -774,8 +776,10 @@ def solve(prob: ProblemInstance, grid: Grid, cfg: SchemeConfig = SchemeConfig())
                 r_t, sig_t, clamped, jacobian_t = disc.residual_interior(trial)
                 evaluations += 1
                 rms_t = _rms(r_t)
-                if rms_t <= rms:
+                if explicit or rms_t <= rms:
                     break
+            elif explicit:
+                raise SolverDivergenceError("iterate became non-finite", diag(False))
             rejected += 1
             if reuse:  # the same step again, freshly factored at the same dt
                 reuse = False
@@ -787,15 +791,8 @@ def solve(prob: ProblemInstance, grid: Grid, cfg: SchemeConfig = SchemeConfig())
             first_try = False
             growth /= _DT_CUT
             if growth <= 1.0:
-                growth, step = 1.0, dt
+                growth, explicit = 1.0, True
                 pattern.kept = None
-                trial = _advance(u, dt * r, interior)
-                if trial is None:
-                    raise SolverDivergenceError("iterate became non-finite", diag(False))
-                r_t, sig_t, clamped, jacobian_t = disc.residual_interior(trial)
-                evaluations += 1
-                rms_t = _rms(r_t)
-                break
         warm = False
 
         if reuse:  # its matrix carries the old dt: growth stays
@@ -829,10 +826,9 @@ def cascade_sizes(n: int) -> list:
 def solve_cascade(prob: ProblemInstance, grid: Grid, cfg: SchemeConfig):
     """Solve on each grid of ``cascade_sizes``, refining each solution as the next start.
 
-    The coarsest level starts from cfg.initial, a field given on ``grid``
-    taken at the coarse grid's nodes (``_coarsest_start``); every finer
-    level is one call of ``solve`` with the refined solution below as
-    ``initial``, so it starts warm and takes a few Newton-like steps.
+    Every level is one call of ``solve``.  The coarsest starts cold; every
+    finer one is given ``refine_linear`` of the solution below as its
+    ``start``, so it starts warm and takes a few Newton-like steps.
     Returns the fine solution and the diagnostics of the final (fine)
     solve, whose ``levels`` holds n, iterations, linear solves, rejected
     steps, start residual (the sup residual of the level's first iterate,
@@ -840,13 +836,12 @@ def solve_cascade(prob: ProblemInstance, grid: Grid, cfg: SchemeConfig):
     coarsest first; its work counters (``WORK_COUNTERS``) are totals over
     the levels.
     """
-    ns = cascade_sizes(grid.n)
-    u_prev = _coarsest_start(cfg.initial, grid, ns[0])
+    out_field = None
     records = []
     totals = dict.fromkeys(WORK_COUNTERS, 0)
-    for n in ns:
-        level_grid = Grid(d=grid.d, n=n)
-        out_field, out_diag = solve(prob, level_grid, dataclasses.replace(cfg, initial=u_prev))
+    for n in cascade_sizes(grid.n):
+        start = None if out_field is None else refine_linear(out_field)
+        out_field, out_diag = solve(prob, Grid(d=grid.d, n=n), cfg, start)
         for key in totals:
             totals[key] += getattr(out_diag, key)
         records.append({
@@ -857,20 +852,4 @@ def solve_cascade(prob: ProblemInstance, grid: Grid, cfg: SchemeConfig):
             "start_residual": out_diag.residual_history[0][1],
             "final_residual": out_diag.final_residual,
         })
-        u_prev = refine_linear(out_field) if n != ns[-1] else out_field
     return out_field, dataclasses.replace(out_diag, levels=tuple(records), **totals)
-
-
-def _coarsest_start(initial, grid: Grid, n0: int):
-    """cfg.initial for the n0-node level of a cascade on ``grid``.
-
-    The ladder's grids nest, so a field given on ``grid`` is taken at every
-    ((n - 1) / (n0 - 1))-th node per axis; None or a number is kept.
-    """
-    values = initial.values if isinstance(initial, DiscreteField) else initial
-    if values is None or np.ndim(values) == 0:
-        return values
-    if np.shape(values) != grid.shape:
-        raise ConfigError("initial field shape does not match the grid")
-    step = (grid.n - 1) // (n0 - 1)
-    return np.asarray(values, dtype=float)[(slice(None, None, step),) * grid.d]

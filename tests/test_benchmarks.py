@@ -64,11 +64,12 @@ class TestTransmission1D:
         bench = exact_benchmark(
             "transmission-1d", {"theta1": 1.0, "theta2": 2.0, "c": 1.0}
         )
-        p = bench.params
-        assert p["gamma1"] == pytest.approx(1.5, abs=1e-15)
-        assert p["gamma2"] == pytest.approx(4.0 / 3.0, abs=1e-15)
-        assert p["kappa1"] == pytest.approx(0.9428090415820635, rel=1e-14)
-        assert p["kappa2"] == pytest.approx(1.0816871777305561, rel=1e-14)
+        u = bench.u_exact
+        # u = kappa1 x^gamma1 for x >= 0 and -kappa2 |x|^gamma2 below
+        assert u(1.0) == pytest.approx(0.9428090415820635, rel=1e-14)
+        assert u(-1.0) == pytest.approx(-1.0816871777305561, rel=1e-14)
+        assert np.log2(u(1.0) / u(0.5)) == pytest.approx(1.5, abs=1e-14)
+        assert np.log2(u(-1.0) / u(-0.5)) == pytest.approx(4.0 / 3.0, abs=1e-14)
 
     def test_field_is_c1_at_interface(self):
         bench = exact_benchmark(
@@ -89,11 +90,9 @@ class TestTransmission1D:
         bench = exact_benchmark(
             "transmission-1d", {"theta1": 1.0, "theta2": 2.0, "c": 1.0}
         )
-        k1, k2 = bench.params["kappa1"], bench.params["kappa2"]
-        g1, g2 = bench.params["gamma1"], bench.params["gamma2"]
 
         def u(x):
-            return k1 * x**g1 if x >= 0 else -k2 * (-x) ** g2
+            return float(bench.u_exact(x))
 
         plus = _fd_checks_1d(
             u, bench.problem.sigma_plus, lambda x: 1.0, np.linspace(0.1, 0.9, 9)

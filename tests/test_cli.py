@@ -176,9 +176,9 @@ class TestSolve:
         seen = []
         real_solve = solver.solve
 
-        def spy(prob, grid, scheme_cfg):
+        def spy(prob, grid, scheme_cfg, start):
             seen.append(grid.n)
-            return real_solve(prob, grid, scheme_cfg)
+            return real_solve(prob, grid, scheme_cfg, start)
 
         monkeypatch.setattr(solver, "solve", spy)
         assert main(["solve", "--config", str(p2)]) == EXIT_OK
@@ -932,6 +932,9 @@ class TestReadField:
                        "holds 48 nodes, grid wants 49"),
         "off_grid": ("x,u\n" + "".join(f"{x},0.25\n" for x in XS[1:] + ["1.125"]),
                      "coordinates do not match the config grid"),
+        # every coordinate 5e-6 relative off: within allclose's default rtol
+        "scaled_axis": ("x,u\n" + "".join(f"{float(x) * (1 + 5e-6):.17g},0.25\n" for x in XS),
+                        "coordinates do not match the config grid"),
         "dimension": ("x,y,u\n" + "".join(f"{x},0,0.25\n" for x in XS),
                       "is 2-dimensional, config grid is 1"),
         "empty": ("", "is empty"),
@@ -1066,17 +1069,23 @@ class TestNoOutputOnConfigError:
     LAWS_1D = {**BAD_LAW, "sigma_plus": {"family": "power", "p": 1.0},
                "sigma_minus": {"family": "power", "p": 2.0}}
 
-    # a range error of a law, a benchmark builder or the operator names its key
-    @pytest.mark.parametrize("command, problem, message", [
-        ("report", {**LAWS_1D, "sigma_minus": {"family": "power", "p": 0}},
+    # a range error of a law, a benchmark builder, the operator or the scheme names its key
+    @pytest.mark.parametrize("command, problem, scheme, message", [
+        ("report", {**LAWS_1D, "sigma_minus": {"family": "power", "p": 0}}, {},
          "config.problem.sigma_minus: power: exponent p must be positive and finite"),
-        ("solve", {"benchmark": "radial-power", "params": {"theta": 1.0, "d": 3}},
+        ("solve", {"benchmark": "radial-power", "params": {"theta": 1.0, "d": 3}}, {},
          "config.problem.params: radial-power benchmark: d must be 1 or 2, got 3"),
-        ("solve", {**LAWS_1D, "operator": {"kind": "trace", "lam": 2.0, "Lam": 1.0}},
+        ("solve", {**LAWS_1D, "operator": {"kind": "trace", "lam": 2.0, "Lam": 1.0}}, {},
          "config.problem.operator: EllipticityPair: need 0 < lam <= Lam < inf"),
-    ], ids=["law", "benchmark", "operator"])
-    def test_a_range_error_names_its_key(self, tmp_path, capsys, command, problem, message):
-        self._run(tmp_path, command, {"problem": problem, "grid": {"d": 1, "n": 17}})
+        ("solve", LAWS_1D, {"max_iter": 0},
+         "config.scheme: SchemeConfig: max_iter must be positive"),
+        ("solve", LAWS_1D, {"tol_solve": 0},
+         "config.scheme: SchemeConfig: tol must be positive and finite"),
+    ], ids=["law", "benchmark", "operator", "max_iter", "tol_solve"])
+    def test_a_range_error_names_its_key(self, tmp_path, capsys, command, problem, scheme,
+                                         message):
+        self._run(tmp_path, command, {"problem": problem, "grid": {"d": 1, "n": 17},
+                                      "scheme": scheme})
         assert capsys.readouterr().err == f"error: {message}\n"
     BELLMAN = {"kind": "bellman-min-of-traces", "lam": 0.5, "Lam": 2.0}
     MALFORMED = {

@@ -201,8 +201,7 @@ class TestDecayScan:
         g = Grid(d=1, n=513)
         u = DiscreteField(g, g.sample(lambda x: np.abs(x) ** 1.5))
         # N=7 pushes the last scale below the 3h resolution floor
-        with pytest.warns(UserWarning):
-            prof = decay_scan(u, (0.0,), 0.5, 7)
+        prof = decay_scan(u, (0.0,), 0.5, 7)
         # E(rho)/rho = rho^{1/2}/2: exact log-log slope 1/2
         assert prof.slope == pytest.approx(0.5, abs=1e-10)
         assert prof.truncated

@@ -9,7 +9,7 @@ from degenlab import solver
 from degenlab.benchmarks import exact_benchmark
 from degenlab.elliptic import EllipticityPair, EllipticOperator
 from degenlab.errors import ConfigError
-from degenlab.grids import DiscreteField, Grid
+from degenlab.grids import DiscreteField, Grid, refine_linear
 from degenlab.laws import PowerLaw
 from degenlab.problem import ProblemInstance
 from degenlab.solver import (
@@ -153,32 +153,21 @@ class TestDiagnostics:
         bench = exact_benchmark("radial-power", {"theta": 1.0, "d": 1})
         grid = Grid(d=1, n=49)
         warm = DiscreteField(grid=grid, values=bench.exact_on(grid))
-        cfg_cold = SchemeConfig(tol=1e-6, eps_deg=bench.recommended_eps_deg(grid))
-        cfg_warm = dataclasses.replace(cfg_cold, initial=warm)
-        _, diag_warm = solve(bench.problem, grid, cfg_warm)
-        _, diag_cold = solve(bench.problem, grid, cfg_cold)
-        assert diag_warm.iterations < diag_cold.iterations
-
-    @pytest.mark.parametrize("as_field", [False, True])
-    def test_cascade_starts_from_a_fine_grid_field(self, as_field):
-        bench = exact_benchmark("radial-power", {"theta": 1.0, "d": 1})
-        grid = Grid(d=1, n=33)
-        exact = bench.exact_on(grid)
         cfg = SchemeConfig(tol=1e-6, eps_deg=bench.recommended_eps_deg(grid))
-        start = DiscreteField(grid=grid, values=exact) if as_field else exact
-        _, cold = solve_cascade(bench.problem, grid, cfg)
-        _, warm = solve_cascade(bench.problem, grid, dataclasses.replace(cfg, initial=start))
-        assert warm.converged and warm.levels[0]["n"] == 9
-        # the coarsest level starts from the exact field at its own nodes
-        want = _sup_residual(DiscreteField(grid=Grid(d=1, n=9), values=exact[::4]),
-                             bench.problem, cfg.eps_deg)
-        assert warm.levels[0]["start_residual"] == want < cold.levels[0]["start_residual"]
-        assert warm.levels[0]["iterations"] < cold.levels[0]["iterations"]
+        _, diag_warm = solve(bench.problem, grid, cfg, start=warm)
+        _, diag_cold = solve(bench.problem, grid, cfg)
+        assert diag_warm.iterations < diag_cold.iterations
+        assert diag_warm.residual_history[0][1] == _sup_residual(warm, bench.problem, cfg.eps_deg)
 
-    def test_cascade_start_of_another_shape_is_config_error(self):
+    @pytest.mark.parametrize("start", [
+        DiscreteField(grid=Grid(d=1, n=35), values=np.zeros(35)),
+        DiscreteField(grid=Grid(d=2, n=33), values=np.zeros((33, 33))),
+        np.zeros(33),
+    ], ids=["another-n", "another-d", "an-array"])
+    def test_start_on_another_grid_is_config_error(self, start):
         bench = exact_benchmark("radial-power", {"theta": 1.0, "d": 1})
-        with pytest.raises(ConfigError, match="shape"):
-            solve_cascade(bench.problem, Grid(d=1, n=33), SchemeConfig(initial=np.zeros(35)))
+        with pytest.raises(ConfigError, match="start is not a field on the solve's grid"):
+            solve(bench.problem, Grid(d=1, n=33), SchemeConfig(), start=start)
 
     def test_cascade_matches_direct_solve(self):
         bench = exact_benchmark("radial-power", {"theta": 1.0, "d": 1})
@@ -191,15 +180,18 @@ class TestDiagnostics:
 
 
 class TestPseudoTransient:
-    @pytest.mark.parametrize("bad", ["nan", "inf-inside"])
+    @pytest.mark.parametrize("bad", ["nan", "inf-inside", "boundary"])
     def test_nonfinite_initial_field_is_config_error(self, bad):
         bench = exact_benchmark("radial-power", {"theta": 1.0, "d": 1})
-        grid = Grid(d=1, n=17)
-        init = np.zeros(grid.shape)
-        init[8] = np.inf
-        cfg = SchemeConfig(initial=np.nan if bad == "nan" else init)
-        with pytest.raises(ConfigError):
-            solve(bench.problem, grid, cfg)
+        prob, grid = bench.problem, Grid(d=1, n=17)
+        start = DiscreteField(grid=grid, values=np.full(grid.shape, np.nan))
+        if bad == "inf-inside":
+            start.values[:] = 0.0
+            start.values[8] = np.inf
+        elif bad == "boundary":  # a cold start on non-finite boundary data
+            prob, start = dataclasses.replace(prob, g=lambda x: np.where(x > 0, np.nan, 0.0)), None
+        with pytest.raises(ConfigError, match="start field and boundary data must be finite"):
+            solve(prob, grid, SchemeConfig(), start=start)
 
     @pytest.mark.parametrize("field", ["eps_deg", "tol"])
     @pytest.mark.parametrize("value", [np.inf, np.nan])
@@ -312,9 +304,9 @@ class TestWarmStart:
         bench = exact_benchmark("radial-power", {"theta": 1.0, "d": 2})
         grid = Grid(d=2, n=33)
         noise = np.random.default_rng(0).standard_normal(grid.shape)
-        cfg = SchemeConfig(tol=1e-6, eps_deg=bench.recommended_eps_deg(grid),
-                           initial=bench.exact_on(grid) + 0.05 * noise)
-        _, diag = solve(bench.problem, grid, cfg)
+        cfg = SchemeConfig(tol=1e-6, eps_deg=bench.recommended_eps_deg(grid))
+        start = DiscreteField(grid=grid, values=bench.exact_on(grid) + 0.05 * noise)
+        _, diag = solve(bench.problem, grid, cfg, start=start)
         assert diag.converged
         assert diag.rejected_steps <= 1
         assert diag.cold_restarts == 1
@@ -323,25 +315,28 @@ class TestWarmStart:
         # bench/spans.py counts solver iterations by wrapping this module-level name
         bench = exact_benchmark("transmission-1d", {"theta1": 1.0, "theta2": 2.0, "c": 1.0})
         grid = Grid(d=1, n=65)
-        calls = []
+        calls = []  # (level n, its start, its solution)
         inner = solver.solve
 
-        def spy(prob, level_grid, cfg):
-            calls.append((level_grid.n, cfg.initial))
-            return inner(prob, level_grid, cfg)
+        def spy(prob, level_grid, cfg, start):
+            out = inner(prob, level_grid, cfg, start)
+            calls.append((level_grid.n, start, out[0]))
+            return out
 
         monkeypatch.setattr(solver, "solve", spy)
         cfg = SchemeConfig(tol=1e-6, eps_deg=bench.recommended_eps_deg(grid))
         _, diag = solve_cascade(bench.problem, grid, cfg)
-        assert [n for n, _ in calls] == [lv["n"] for lv in diag.levels] == [9, 17, 33, 65]
+        assert [n for n, _, _ in calls] == [lv["n"] for lv in diag.levels] == [9, 17, 33, 65]
+        # the coarsest level starts cold, every finer one from the refined level below
         assert calls[0][1] is None
-        for n, initial in calls[1:]:
-            assert isinstance(initial, DiscreteField) and initial.grid.n == n
+        for (_, _, below), (n, start, _) in zip(calls, calls[1:]):
+            assert isinstance(start, DiscreteField) and start.grid == Grid(d=1, n=n)
+            assert np.array_equal(start.values, refine_linear(below).values)
 
 
 def _noisy_start(bench, grid):
     noise = np.random.default_rng(0).standard_normal(grid.shape)
-    return bench.exact_on(grid) + 0.05 * noise
+    return DiscreteField(grid=grid, values=bench.exact_on(grid) + 0.05 * noise)
 
 
 class TestFactorizationReuse:
@@ -380,9 +375,9 @@ class TestFactorizationReuse:
     def test_reuse_costs_no_factorization_or_rejection(self, n, start, solves, rejected):
         bench = exact_benchmark("radial-power", {"theta": 1.0, "d": 2})
         grid = Grid(d=2, n=n)
-        cfg = SchemeConfig(tol=1e-6, eps_deg=bench.recommended_eps_deg(grid),
-                           initial=_noisy_start(bench, grid) if start == "noisy" else None)
-        _, diag = solve(bench.problem, grid, cfg)
+        cfg = SchemeConfig(tol=1e-6, eps_deg=bench.recommended_eps_deg(grid))
+        _, diag = solve(bench.problem, grid, cfg,
+                        start=_noisy_start(bench, grid) if start == "noisy" else None)
         assert diag.converged
         assert diag.linear_solves <= solves and diag.rejected_steps <= rejected
 
@@ -397,9 +392,8 @@ class TestFactorizationReuse:
         monkeypatch.setattr(solver, "_rms", lambda r: events.append(rms(r)) or events[-1])
         bench = exact_benchmark("radial-power", {"theta": 1.0, "d": 2})
         grid = Grid(d=2, n=65)
-        cfg = SchemeConfig(tol=1e-6, eps_deg=bench.recommended_eps_deg(grid),
-                           initial=_noisy_start(bench, grid))
-        _, diag = solve(bench.problem, grid, cfg)
+        cfg = SchemeConfig(tol=1e-6, eps_deg=bench.recommended_eps_deg(grid))
+        _, diag = solve(bench.problem, grid, cfg, start=_noisy_start(bench, grid))
         assert diag.converged and diag.reused_steps > 0
 
         # (kind, rms ratio) of the last accepted step; kind None: the explicit step
@@ -420,9 +414,9 @@ class TestFactorizationReuse:
     def test_rejected_reuse_is_factored_afresh(self, monkeypatch):
         bench = exact_benchmark("radial-power", {"theta": 1.0, "d": 2})
         grid = Grid(d=2, n=17)
-        cfg = SchemeConfig(tol=1e-6, eps_deg=bench.recommended_eps_deg(grid),
-                           initial=bench.exact_on(grid))
-        _, plain = solve(bench.problem, grid, cfg)
+        cfg = SchemeConfig(tol=1e-6, eps_deg=bench.recommended_eps_deg(grid))
+        start = DiscreteField(grid=grid, values=bench.exact_on(grid))
+        _, plain = solve(bench.problem, grid, cfg, start=start)
         assert plain.reused_steps > 0 and plain.rejected_steps == 0
 
         factor, back_solve = solver._StencilPattern.solve, solver._StencilPattern.back_solve
@@ -440,7 +434,7 @@ class TestFactorizationReuse:
 
         monkeypatch.setattr(solver._StencilPattern, "solve", factored)
         monkeypatch.setattr(solver._StencilPattern, "back_solve", poisoned_once)
-        _, diag = solve(bench.problem, grid, cfg)
+        _, diag = solve(bench.problem, grid, cfg, start=start)
         assert diag.converged
         assert diag.rejected_steps == plain.rejected_steps + 1
         assert diag.linear_solves == plain.linear_solves + 1
