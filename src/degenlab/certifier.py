@@ -53,7 +53,11 @@ candidate and offset:
 
 * the residual R_s = u(x0 + x_s) - u(x0) - phi_base(x_s), one row of a
   single (offsets, *block) array per offset, written over the differences
-  it is made from;
+  it is made from.  phi_base = L + Q, L its linear and Q its quadratic
+  term; the offsets are symmetric (row -1-r holds -s for row r), and
+  negating x_s negates each term of L and keeps each of Q exactly, so one
+  L and one Q per pair give R_s -= L + Q and R_-s -= Q - L, the direct
+  rows bit for bit (if u holds a -0.0, a zero's sign may differ);
 * the shift table c[g, k, s] = dp_g . x_s + x_s' dM_k x_s / 2 of plain
   floats, so that u - phi = R_s - c[g, k, s];
 * the touching filter max_s sign (R_s - c_s) <= eta_touch is decided from
@@ -71,7 +75,9 @@ candidate and offset:
   and ``EllipticOperator.apply`` once per Hessian nudge, each the first
   time a candidate with that nudge touches at some node.  A nudge whose
   candidates touch nowhere is never evaluated, so ``sigma_saturated``
-  reports the gradients of touching candidates only.
+  reports the gradients of touching candidates only.  A candidate forms
+  both products sigma_i F and picks one, or on a one-phase problem, where
+  ``law_pair`` gives one array for both laws, the one product.
 
 Both sides of one field share one state when the field is given to
 ``certify_min`` and ``certify_max`` as ``BothSides(u)``: the first call
@@ -193,9 +199,11 @@ def _certify(u: DiscreteField | BothSides, prob: ProblemInstance,
             with np.errstate(over="ignore", invalid="ignore"):
                 sigma_plus, sigma_minus, sat = state.law_values(g)
                 F = state.operator_value(k)
-                e_val = pick(sigma_plus * F, sigma_minus * F)
+                e_val = sigma_plus * F
+                if sigma_minus is not sigma_plus:  # two laws: pick a product
+                    e_val = pick(e_val, sigma_minus * F)
             saturated = saturated or sat
-            slack = np.where(ok, sign * e_val - C0, -np.inf)
+            slack = np.where(ok, e_val - C0 if sign > 0 else -C0 - e_val, -np.inf)
             if np.isnan(slack.max()):
                 ij = np.unravel_index(int(np.argmax(np.isnan(slack))), slack.shape)
                 raise NumericError(
@@ -305,20 +313,21 @@ class _State:
             for i, j in self.triu
         }
 
-        # R_s = D_s - phi_base(s h), written over D_s: phi_base is
-        # sum_i p_i x_i + 0.5 sum_{i<=j} (2 - [i=j]) m_ij x_i x_j, summed
-        # left to right.
+        # R_s = D_s - phi_base(s h), written over D_s: phi_base is L + Q,
+        # L = sum_i p_i x_i and Q = 0.5 sum_{i<=j} (2 - [i=j]) m_ij x_i x_j,
+        # each summed left to right.  Row -1-r is the offset -s of row r,
+        # where L changes sign and Q does not (see the module docstring).
         self.x = np.array([[k * h for k in s] for s in offsets])
         w = [self.m_base[(i, j)] if i == j else 2 * self.m_base[(i, j)]
              for i, j in self.triu]
         axes = [(i,) for i in range(d)]
-        phi, quad, tmp = (np.empty(self.block_shape) for _ in range(3))
-        for x, Rs in zip(self.x.tolist(), self.R):
-            _sum_of_products(self.p_base, axes, x, phi, tmp)
+        lin, quad, tmp = (np.empty(self.block_shape) for _ in range(3))
+        for x, Rs, R_neg in zip(self.x[:len(offsets) // 2].tolist(), self.R, self.R[::-1]):
+            _sum_of_products(self.p_base, axes, x, lin, tmp)
             _sum_of_products(w, self.triu, x, quad, tmp)
             quad *= 0.5
-            phi += quad
-            Rs -= phi
+            Rs -= np.add(lin, quad, out=tmp)
+            R_neg -= np.subtract(quad, lin, out=tmp)
         self._top = {}  # max_s sign * R_s by sign, made on first use
         self.window_scans = 0
         self._laws = {}  # law_values by gradient nudge, made on first use

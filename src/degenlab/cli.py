@@ -42,7 +42,8 @@ build-modulus: hold/root/cap steps per law and the root search's calls
 of each law, also on exit 4; measure: minimax fits, the
 fits whose duality gap is too wide to certify, the exchange steps of
 all fits and whether the modulus was read back) and a sha256 inventory
-of the files the command emitted; rerunning a command replaces its entry.
+of the files the command emitted, both of the bytes parsed or written
+(nothing is read back to be digested); rerunning a command replaces its entry.
 A manifest of another schema or package version, or one that is not
 JSON or whose ``commands`` is not an object, is not ours: the next
 command starts it afresh, and measure does not trust it.
@@ -151,11 +152,14 @@ def _ser_into(obj, nl: str, parts: list) -> None:
         raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _write_json(path: Path, obj) -> None:
-    path.write_text(_ser(obj) + "\n", encoding="utf-8")
+def _write_json(path: Path, obj) -> bytes:
+    """Write obj's JSON text; the bytes written."""
+    data = (_ser(obj) + "\n").encode("utf-8")
+    path.write_bytes(data)
+    return data
 
 
-def _write_csv(path: Path, header, columns) -> None:
+def _write_csv(path: Path, header, columns) -> bytes:
     """Equal-length columns, ``%d`` for an integer column and ``%.17g`` for
     the rest, formatted by one ``%`` on the row template repeated per row.
 
@@ -163,7 +167,7 @@ def _write_csv(path: Path, header, columns) -> None:
     distinct value formatted once and placed by ``np.unique``'s inverse as
     a ``%s`` cell.  Values are told apart by their bits (a float column is
     keyed by its int64 view), so -0.0 and 0.0 stay apart and the bytes are
-    those of formatting every cell.
+    those of formatting every cell.  Returns the bytes written.
     """
     columns = [np.asarray(c) for c in columns]
     rows = len(columns[0])
@@ -184,11 +188,9 @@ def _write_csv(path: Path, header, columns) -> None:
             cells[:, j] = c
         slots.append(fmt)
     body = ((",".join(slots) + "\n") * rows) % tuple(cells.ravel().tolist())
-    path.write_text(",".join(header) + "\n" + body, encoding="utf-8")
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    data = (",".join(header) + "\n" + body).encode("utf-8")
+    path.write_bytes(data)
+    return data
 
 
 _MANIFEST_SCHEMA = "degenlab-manifest-v3"
@@ -206,10 +208,10 @@ class _Run:
             raise ConfigError("config: no output directory ('out' key or --out)")
         self.dir = Path(out)
         self.command = args.command
-        self.config_digest = hashlib.sha256(Path(args.config).read_bytes()).hexdigest()
+        self.config_digest = cfg.sha256
         self.times: dict = {}
         self.counters: dict = {}
-        self.files: list = []
+        self.files: dict = {}  # name -> sha256 of the bytes written
 
     @contextlib.contextmanager
     def stage(self, name: str):
@@ -219,21 +221,21 @@ class _Run:
         finally:
             self.times[name] = time.perf_counter() - t0
 
-    def _write(self, name: str, write, *args) -> None:
+    def _write(self, name: str, write, *args) -> bytes:
         """write(path, *args) for the file ``name``; an OSError is a ConfigError."""
         try:
             self.dir.mkdir(parents=True, exist_ok=True)
-            write(self.dir / name, *args)
+            return write(self.dir / name, *args)
         except OSError as exc:
             raise ConfigError(f"out: cannot write {name} into {self.dir}: {exc}") from exc
 
     def emit_json(self, name: str, obj) -> None:
-        self._write(name, _write_json, obj)
-        self.files.append(name)
+        data = self._write(name, _write_json, obj)
+        self.files[name] = hashlib.sha256(data).hexdigest()
 
     def emit_csv(self, name: str, header, columns) -> None:
-        self._write(name, _write_csv, header, columns)
-        self.files.append(name)
+        data = self._write(name, _write_csv, header, columns)
+        self.files[name] = hashlib.sha256(data).hexdigest()
 
     def commands(self) -> dict:
         """The command entries of the directory's manifest.
@@ -258,7 +260,7 @@ class _Run:
             "config_sha256": self.config_digest,
             "wall_times_s": self.times,
             "counters": self.counters,
-            "files": {name: _sha256(self.dir / name) for name in sorted(self.files)},
+            "files": dict(sorted(self.files.items())),
         }
         self._write("manifest.json", _write_json, {
             "schema": _MANIFEST_SCHEMA,

@@ -47,6 +47,8 @@ its discretization (``solver.scheme_name``) and n its coarsening ladder
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import io
 import json
 import math
 import sys
@@ -226,6 +228,8 @@ class RunConfig:
     modulus: dict | None = None
     lab: dict | None = None
     out: str | None = None
+    # sha256 of the bytes load_config parsed; None from validate_config
+    sha256: str | None = field(default=None, init=False, compare=False, repr=False)
 
     def require(self, *blocks: str) -> None:
         for b in blocks:
@@ -299,14 +303,17 @@ def validate_config(data: dict) -> RunConfig:
 
 
 def load_config(path: str) -> RunConfig:
-    """Read and validate a JSON configuration file."""
+    """Read a JSON configuration file once; validate it and digest those bytes."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        data = json.load(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config: cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config: {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config: top level must be a JSON object")
-    return validate_config(data)
+    cfg = validate_config(data)
+    object.__setattr__(cfg, "sha256", hashlib.sha256(raw).hexdigest())
+    return cfg

@@ -12,7 +12,8 @@ laws, matching the minimal inequality that viscosity solutions satisfy
 across the free boundary.  ``ProblemInstance.law_pair`` and
 ``select_phase`` are the one evaluation of the phase laws and the one sign
 selection that the solver and the certifier share; ``gradient_norm`` is
-the gradient magnitude both feed to the laws.
+the gradient magnitude both feed to the laws.  When the two laws are equal
+(``one_law``), ``law_pair`` evaluates one and ``select_phase`` returns it.
 """
 
 from __future__ import annotations
@@ -48,7 +49,11 @@ def select_phase(u, plus, minus, zero=None):
     """``plus`` where u > 0, ``minus`` where u < 0, ``zero`` where u = 0.
 
     ``zero`` defaults to the smaller of the two, np.minimum(plus, minus).
+    The result has the broadcast shape of u, plus and minus; it is plus
+    itself if plus is minus, of u's shape, and zero is not given.
     """
+    if plus is minus and zero is None and np.shape(plus) == np.shape(u):
+        return plus
     if zero is None:
         zero = np.minimum(plus, minus)
     return np.where(u > 0.0, plus, np.where(u < 0.0, minus, zero))
@@ -60,6 +65,8 @@ class ProblemInstance:
 
     ``f`` and ``g`` may be numbers or callables of the coordinate arrays;
     ``q`` is the constant gradient shift (zero vector by default).
+    ``one_law`` tells whether the laws are equal, by value as in
+    ``laws.a_sequence``: two equal law objects count as one.
     """
 
     operator: EllipticOperator
@@ -74,6 +81,7 @@ class ProblemInstance:
         if not (self.C0 >= 0.0 and np.isfinite(self.C0)):
             raise DomainError("ProblemInstance: C0 must be a finite non-negative real")
         object.__setattr__(self, "q", tuple(float(v) for v in self.q))
+        object.__setattr__(self, "one_law", bool(self.sigma_plus == self.sigma_minus))
 
     def q_vector(self, d: int) -> np.ndarray:
         if not self.q:
@@ -88,11 +96,13 @@ class ProblemInstance:
         """(sigma_plus, sigma_minus, clamped) at the gradient magnitudes ``speed``.
 
         Each law is frozen at its domain cap t_max; ``clamped`` reports
-        whether any speed went past either cap.
+        whether any speed went past either cap.  With ``one_law`` one array,
+        evaluated once, is returned for both phases.
         """
         sp, sm = self.sigma_plus, self.sigma_minus
         clamped = bool(np.any(speed > min(sp.t_max, sm.t_max)))
-        return sp(np.minimum(speed, sp.t_max)), sm(np.minimum(speed, sm.t_max)), clamped
+        plus = sp(np.minimum(speed, sp.t_max))
+        return plus, plus if self.one_law else sm(np.minimum(speed, sm.t_max)), clamped
 
     def f_on(self, grid: Grid) -> np.ndarray:
         return grid.sample(_as_node_function(self.f, "f"))

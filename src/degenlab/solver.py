@@ -24,7 +24,8 @@ sigma.  The residual is
     R(u) = sigma_{sgn(u)}(max(|grad_h u + q|, eps_deg)) F_h(u) - f
 
 with central gradients; sigma_{sgn(u)} is ProblemInstance.law_pair followed
-by problem.select_phase, the same evaluation the certifier uses.
+by problem.select_phase, the same evaluation the certifier uses (one law
+evaluation, returned as it is, on a one-phase problem).
 
 Time stepping
 -------------
@@ -513,9 +514,10 @@ class _Discretization:
                 coeffs[0] -= 2.0 * a
 
         live = norm > self.eps_deg
-        dp = _law_slope(self.prob.sigma_plus, speed)
-        dm = _law_slope(self.prob.sigma_minus, speed)
-        slope = select_phase(c, dp, dm, np.where(sp <= sm, dp, dm))
+        slope = _law_slope(self.prob.sigma_plus, speed)
+        if sp is not sm:  # two laws (law_pair): each phase's slope, the smaller law's at u = 0
+            dm = _law_slope(self.prob.sigma_minus, speed)
+            slope = select_phase(c, slope, dm, np.where(sp <= sm, slope, dm))
         t = np.where(live, F * slope / np.where(live, norm, 1.0), 0.0) / (2.0 * h)
         for e, ga in zip(_DIRECTIONS[d][:d], g):
             coeffs[self.offset_index[e]] += t * ga

@@ -263,28 +263,17 @@ def reference_full_scan(R, shift, sign):
     return worst if sign > 0 else -worst
 
 
-def certify_reference(u, prob, side, rho=3):
-    """One side's CertificateReport with every candidate paraboloid built in full.
+def _taylor_base(u, rho):
+    """(diff, p_base, m_base, triu, offsets) of the field u on the block of
+    nodes rho cells inside the boundary.
 
-    The window has radius rho cells and the tolerances are eta_cert = 10 h,
-    eta_touch = h^2, eta_grad = h^2 / 2 and eta_hess = h / 2.  At every node
-    x0 the base gradient p and Hessian M are the central differences of u.  A candidate is (p + dp, M + dM) with dp in {0,
-    +-eta_grad e_i} and dM in {0, +-eta_hess v v'} (v the axes, then the
-    normalized diagonals), gradient nudge outermost.  The candidate
-    phi(x) = p.x + x'Mx/2 is evaluated at every window offset x and
-    subtracted from u(x0 + x) - u(x0); where sign * (u - phi) <= eta_touch
-    over the whole window (sign +1 above, -1 below), the candidate's
-    min (above) or max (below) of sigma_i(|p + q|) F(M) is compared with
-    C0.  Each node keeps the first candidate of largest slack.  The report
-    counts the nodes of slack above eta_cert from a per-node list, and the
-    nodes that no candidate's touching mask ever held.
+    diff(*s) is u(x0 + s h) - u(x0) on the block, p_base and m_base the
+    central-difference gradient and upper-triangle Hessian (keyed by
+    (i, j) in triu), offsets the window {-rho..rho}^d without 0 in
+    itertools.product order.
     """
-    from degenlab.certifier import CertificateReport, TouchingTest
-    from degenlab.elliptic import SymMatrix
-
     grid = u.grid
     d, n, h = grid.d, grid.n, grid.h
-    eta_cert, eta_touch, eta_grad, eta_hess = 10.0 * h, h * h, 0.5 * h * h, 0.5 * h
     v = u.values
     inner = (slice(rho, n - rho),) * d
 
@@ -309,6 +298,71 @@ def certify_reference(u, prob, side, rho=3):
                 diff(*plus(unit(i), unit(j))) + diff(*plus(unit(i, -1), unit(j, -1)))
                 - diff(*plus(unit(i), unit(j, -1))) - diff(*plus(unit(i, -1), unit(j)))
             ) / (4 * h * h)
+    offsets = [s for s in itertools.product(range(-rho, rho + 1), repeat=d) if any(s)]
+    return diff, p_base, m_base, triu, offsets
+
+
+def _paraboloid(p, m, triu, x):
+    """p.x + x'Mx/2 summed term by term, left to right: the linear terms,
+    then the quadratic ones, each (2 - [i = j]) m_ij x_i x_j."""
+    phi = p[0] * x[0]
+    for i in range(1, len(p)):
+        phi = phi + p[i] * x[i]
+    quad = None
+    for i, j in triu:
+        term = (m[i, j] if i == j else 2 * m[i, j]) * x[i] * x[j]
+        quad = term if quad is None else quad + term
+    return phi + 0.5 * quad
+
+
+def window_residuals(u, rho):
+    """u(x0 + s h) - u(x0) - phi_base(s h), one row per window offset s.
+
+    Each offset's paraboloid phi_base (the central-difference Taylor
+    polynomial at x0) is evaluated on its own, in the offset order of
+    ``_taylor_base``.
+    """
+    diff, p_base, m_base, triu, offsets = _taylor_base(u, rho)
+    h = u.grid.h
+    return np.array([diff(*s) - _paraboloid(p_base, m_base, triu, [k * h for k in s])
+                     for s in offsets])
+
+
+def two_law_pair(prob, speed):
+    """``ProblemInstance.law_pair`` with each law evaluated on its own.
+
+    Two arrays even where both laws are one object, so the solver and the
+    certifier take their two-law paths: a phase selection by sign, both
+    law slopes, both products sigma_i F.
+    """
+    sp, sm = prob.sigma_plus, prob.sigma_minus
+    clamped = bool(np.any(speed > min(sp.t_max, sm.t_max)))
+    return sp(np.minimum(speed, sp.t_max)), sm(np.minimum(speed, sm.t_max)), clamped
+
+
+def certify_reference(u, prob, side, rho=3):
+    """One side's CertificateReport with every candidate paraboloid built in full.
+
+    The window has radius rho cells and the tolerances are eta_cert = 10 h,
+    eta_touch = h^2, eta_grad = h^2 / 2 and eta_hess = h / 2.  At every node
+    x0 the base gradient p and Hessian M are the central differences of u.  A candidate is (p + dp, M + dM) with dp in {0,
+    +-eta_grad e_i} and dM in {0, +-eta_hess v v'} (v the axes, then the
+    normalized diagonals), gradient nudge outermost.  The candidate
+    phi(x) = p.x + x'Mx/2 is evaluated at every window offset x and
+    subtracted from u(x0 + x) - u(x0); where sign * (u - phi) <= eta_touch
+    over the whole window (sign +1 above, -1 below), the candidate's
+    min (above) or max (below) of sigma_i(|p + q|) F(M) is compared with
+    C0.  Each node keeps the first candidate of largest slack.  The report
+    counts the nodes of slack above eta_cert from a per-node list, and the
+    nodes that no candidate's touching mask ever held.
+    """
+    from degenlab.certifier import CertificateReport, TouchingTest
+    from degenlab.elliptic import SymMatrix
+
+    grid = u.grid
+    d, h = grid.d, grid.h
+    eta_cert, eta_touch, eta_grad, eta_hess = 10.0 * h, h * h, 0.5 * h * h, 0.5 * h
+    diff, p_base, m_base, triu, offsets = _taylor_base(u, rho)
 
     eye = np.eye(d)
     grads = [np.zeros(d)] + [k * eta_grad * eye[i] for i in range(d) for k in (1, -1)]
@@ -316,7 +370,6 @@ def certify_reference(u, prob, side, rho=3):
                         for i in range(d) for j in range(i + 1, d) for k in (1.0, -1.0)]
     hessians = [np.zeros((d, d))] + [k * eta_hess * np.outer(w, w)
                                      for w in dirs for k in (1, -1)]
-    offsets = [s for s in itertools.product(range(-rho, rho + 1), repeat=d) if any(s)]
     q = prob.q_vector(d)
     sign = 1.0 if side == "above" else -1.0
     shape = p_base[0].shape
@@ -330,15 +383,7 @@ def certify_reference(u, prob, side, rho=3):
             m = {(i, j): m_base[i, j] + dM[i, j] for i, j in triu}
             defect = np.full(shape, -np.inf)
             for s in offsets:
-                x = [k * h for k in s]
-                phi = p[0] * x[0]
-                for i in range(1, d):
-                    phi = phi + p[i] * x[i]
-                quad = None
-                for i, j in triu:
-                    term = (m[i, j] if i == j else 2 * m[i, j]) * x[i] * x[j]
-                    quad = term if quad is None else quad + term
-                phi = phi + 0.5 * quad
+                phi = _paraboloid(p, m, triu, [k * h for k in s])
                 defect = np.maximum(defect, sign * (diff(*s) - phi))
             ok = defect <= eta_touch
             touched |= ok
@@ -346,13 +391,13 @@ def certify_reference(u, prob, side, rho=3):
                 continue
             g = [p[i] + q[i] for i in range(d)]
             speed = np.abs(g[0]) if d == 1 else np.hypot(g[0], g[1])
-            sp, sm = prob.sigma_plus, prob.sigma_minus
-            saturated = saturated or bool(np.any(speed > min(sp.t_max, sm.t_max)))
+            sig_plus, sig_minus, clamped = two_law_pair(prob, speed)
+            saturated = saturated or clamped
             hess = np.empty(shape + (d, d))
             for (i, j), mij in m.items():
                 hess[..., i, j] = hess[..., j, i] = mij
             F = prob.operator.apply(hess)
-            prods = [law(np.minimum(speed, law.t_max)) * F for law in (sp, sm)]
+            prods = [sig_plus * F, sig_minus * F]
             val = np.minimum(*prods) if side == "above" else np.maximum(*prods)
             slack = np.where(ok, sign * val - prob.C0, -np.inf)
             for ij in zip(*np.nonzero(slack > best)):

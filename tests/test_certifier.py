@@ -25,7 +25,7 @@ from degenlab.grids import DiscreteField, Grid
 from degenlab.laws import PowerLaw
 from degenlab.problem import ProblemInstance
 
-from oracles import certify_reference, reference_full_scan
+from oracles import certify_reference, reference_full_scan, two_law_pair, window_residuals
 
 
 def _bench_setup(name, params, n):
@@ -236,6 +236,50 @@ class TestMatchesReference:
             rep = certify(u, prob)
             assert rep.sigma_saturated
             assert rep == certify_reference(u, prob, side)
+
+
+class TestWindowResiduals:
+    """R's rows, built in pairs of offsets s and -s, are the per-offset residuals."""
+
+    @pytest.mark.parametrize("rho", [1, 2, 3])
+    @pytest.mark.parametrize("d, n", [(1, 65), (2, 21)])
+    @pytest.mark.parametrize("kind", ["exact", "planted", "kinked", "random"])
+    def test_rows_match_a_direct_evaluation(self, kind, d, n, rho):
+        grid = Grid(d=d, n=n)
+        if kind == "exact":  # symmetric: its linear terms cancel exactly on the diagonals
+            u = _bench_setup("radial-power", {"theta": 1.0, "d": d}, n)[0]
+        else:
+            u = DiscreteField(grid=grid, values=_oracle_field(kind, grid))
+        R = _State(u.values, grid, _mixed_problem(d), rho).R
+        want = window_residuals(u, rho)
+        assert R.shape == want.shape
+        assert np.array_equal(R.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("rho", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_offsets_pair_row_r_with_row_minus_1_minus_r(self, d, rho):
+        grid = Grid(d=d, n=17)
+        x = _State(np.zeros(grid.shape), grid, _mixed_problem(d), rho).x
+        assert len(x) == (2 * rho + 1) ** d - 1
+        for r in range(len(x)):
+            assert x[-1 - r].tolist() == (-x[r]).tolist()
+
+    @pytest.mark.parametrize("name, params", [
+        ("radial-power", {"theta": 1.0, "d": 2}),  # one law object as both laws
+        ("affine", {"d": 2}),                      # two equal law objects
+        ("radial-power", {"theta": 1.0, "d": 1}),
+    ])
+    def test_one_product_matches_two(self, monkeypatch, name, params):
+        """One-phase reports equal those of two law evaluations and a pick."""
+        u, prob = _bench_setup(name, params, 33 if params["d"] == 1 else 21)
+        assert prob.one_law
+        bump = 10.0 * sum((x - 0.2) ** 2 for x in u.grid.meshgrid()) - 0.3  # sign changes
+        fields = [u, DiscreteField(grid=u.grid, values=u.values + bump)]
+        one = [certify(f, prob) for f in fields for certify in (certify_min, certify_max)]
+        monkeypatch.setattr(ProblemInstance, "law_pair", two_law_pair)
+        two = [certify(f, prob) for f in fields for certify in (certify_min, certify_max)]
+        assert repr(one) == repr(two)  # window_scans and the floats' bits included
+        assert not one[2].passed
 
 
 def _scan_field(kind, grid):

@@ -719,6 +719,34 @@ class TestManifest:
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert commands["build-modulus"]["config_sha256"] == digest
 
+    def test_config_rewritten_after_parsing_is_not_the_digested_one(self, run_config,
+                                                                     monkeypatch):
+        """The manifest digests the config bytes the command parsed: a file
+        edited while build-modulus runs does not vouch for its modulus."""
+        path, out = run_config
+        assert main(["solve", "--config", str(path)]) == EXIT_OK
+        ran = path.read_bytes()
+        cfg = json.loads(ran)
+        cfg["modulus"]["K"] = 128
+        load = cli.load_config
+
+        def load_then_edit(name):
+            parsed = load(name)
+            path.write_text(json.dumps(cfg))
+            return parsed
+
+        monkeypatch.setattr(cli, "load_config", load_then_edit)
+        assert main(["build-modulus", "--config", str(path)]) == EXIT_OK
+        monkeypatch.undo()
+        commands = json.loads((out / "manifest.json").read_text())["commands"]
+        assert commands["build-modulus"]["config_sha256"] == hashlib.sha256(ran).hexdigest()
+        assert json.loads((out / "modulus.json").read_text())["K"] == 64
+        # measure under the edited config (K = 128) builds its own modulus
+        assert main(["measure", "--config", str(path), "--field", str(out / "field.csv")
+                     ]) == EXIT_OK
+        commands = json.loads((out / "manifest.json").read_text())["commands"]
+        assert commands["measure"]["counters"]["modulus.loaded"] == 0
+
 
 class TestFieldFiles:
     @pytest.mark.parametrize("d, header, first_nodes", [
@@ -866,7 +894,7 @@ class TestJsonBytes:
 
         def spy(path, obj):
             written[path.name] = obj  # the manifest's last write is the file's
-            write(path, obj)
+            return write(path, obj)
 
         write = cli._write_json
         monkeypatch.setattr(cli, "_write_json", spy)

@@ -11,7 +11,7 @@ from degenlab.elliptic import EllipticityPair, EllipticOperator
 from degenlab.errors import ConfigError
 from degenlab.grids import DiscreteField, Grid, refine_linear
 from degenlab.laws import PowerLaw
-from degenlab.problem import ProblemInstance
+from degenlab.problem import ProblemInstance, select_phase
 from degenlab.solver import (
     MAX_ITER,
     SchemeConfig,
@@ -19,6 +19,8 @@ from degenlab.solver import (
     solve,
     solve_cascade,
 )
+
+from oracles import two_law_pair
 
 
 def _rel_sup_error(u, exact):
@@ -257,7 +259,7 @@ class TestPseudoTransient:
     def test_one_dimensional_wide_stencil_kinds_solve(self, kind):
         from degenlab.elliptic import EllipticityPair, EllipticOperator
         from degenlab.laws import PowerLaw
-        from degenlab.problem import ProblemInstance
+        from degenlab.problem import ProblemInstance, select_phase
 
         coeffs = (np.array([[0.7]]), np.array([[1.5]])) if kind.startswith("bellman") else ()
         prob = ProblemInstance(
@@ -448,7 +450,7 @@ class TestFactorizationReuse:
 def _wide_problem(kind, d):
     from degenlab.elliptic import EllipticityPair, EllipticOperator
     from degenlab.laws import PowerLaw, PowerLogLaw
-    from degenlab.problem import ProblemInstance
+    from degenlab.problem import ProblemInstance, select_phase
 
     bellman = {1: (np.array([[0.7]]), np.array([[1.5]])),
                2: (np.diag([0.6, 1.8]), np.array([[1.0, 0.4], [0.4, 1.0]]))}
@@ -767,7 +769,7 @@ class TestOneEvaluationPerIterate:
         monkeypatch.setattr(owner, name, counted)
 
     def test_wide(self, monkeypatch):
-        from degenlab.problem import ProblemInstance
+        from degenlab.problem import ProblemInstance, select_phase
 
         calls = {}
         for name in ("residual_interior", "_gradient", "_branch_values"):
@@ -792,3 +794,73 @@ class TestOneEvaluationPerIterate:
         assert diag.converged and diag.scheme == "flux-1d"
         assert calls["residual_interior"] >= diag.iterations > 1
         assert calls["_edges"] == calls["residual_interior"]
+
+
+class TestOneLaw:
+    """One law evaluation on a one-phase problem gives the bits of two."""
+
+    @staticmethod
+    def _run(prob, grid, cfg, u):
+        r, sig, clamped, jacobian = solver._make_discretization(
+            prob, grid, cfg.eps_deg).residual_interior(u)
+        field, diag = solve_cascade(prob, grid, cfg)
+        return [r, sig, jacobian(), field.values], (clamped, repr(dataclasses.asdict(diag)))
+
+    @pytest.mark.parametrize("name, params, n", [
+        ("radial-power", {"theta": 1.0, "d": 2}, 17),   # one law object, wide stencil
+        ("affine", {"d": 2}, 17),                       # two equal law objects
+        ("radial-power", {"theta": 0.5, "d": 1}, 33),   # flux-1d
+        ("transmission-1d", {"theta1": 1.0, "theta2": 2.0, "c": 1.0}, 33),  # two phases
+    ])
+    def test_matches_two_law_evaluation(self, monkeypatch, name, params, n):
+        bench = exact_benchmark(name, params)
+        prob = bench.problem
+        assert prob.one_law == (name != "transmission-1d")
+        grid = Grid(d=bench.d, n=n)
+        cfg = SchemeConfig(tol=1e-6, eps_deg=bench.recommended_eps_deg(grid))
+        noise = np.random.default_rng(4).normal(size=grid.shape)
+        u = bench.exact_on(grid) + 0.2 * noise - 0.1  # both signs and every branch
+        arrays, rest = self._run(prob, grid, cfg, u)
+        monkeypatch.setattr(ProblemInstance, "law_pair", two_law_pair)
+        want_arrays, want_rest = self._run(prob, grid, cfg, u)
+        assert rest == want_rest  # iterates' counters, histories and levels too
+        for got, want in zip(arrays, want_arrays):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_two_phase_wide_stencil_is_unchanged(self, monkeypatch):
+        prob = _wide_problem("pucci-minus", 2)
+        assert not prob.one_law
+        disc = solver._Discretization(prob, Grid(d=2, n=9), 1e-4)
+        u = np.random.default_rng(2).uniform(-1.0, 1.0, disc.grid.shape)
+
+        def evaluate():
+            r, sig, clamped, jacobian = disc.residual_interior(u)
+            return [r, sig, jacobian()], clamped
+
+        arrays, clamped = evaluate()
+        monkeypatch.setattr(ProblemInstance, "law_pair", two_law_pair)
+        want_arrays, want_clamped = evaluate()
+        assert clamped == want_clamped
+        for got, want in zip(arrays, want_arrays):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_equal_laws_are_one_by_value(self):
+        law = PowerLaw(p=1.5)
+        op = EllipticOperator(kind="trace", pair=EllipticityPair(1.0, 1.0))
+
+        def problem(minus):
+            return ProblemInstance(operator=op, sigma_plus=law, sigma_minus=minus,
+                                   f=0.0, g=0.0, C0=0.0)
+
+        assert problem(law).one_law and problem(PowerLaw(p=1.5)).one_law
+        assert not problem(PowerLaw(p=1.5, t_max=5.0)).one_law
+        speed = np.array([0.0, 0.5, 20.0])
+        sp, sm, clamped = problem(PowerLaw(p=1.5)).law_pair(speed)
+        assert sp is sm and clamped
+        u = np.array([1.0, 0.0, -1.0])
+        assert select_phase(u, sp, sm) is sp
+        assert select_phase(np.ones((2, 3)), sp, sm).shape == (2, 3)  # broadcast, as before
+        plus, minus, _ = problem(PowerLaw(p=2.0)).law_pair(speed)
+        assert plus is not minus
+        assert select_phase(u, plus, minus).tolist() == [plus[0], min(plus[1], minus[1]),
+                                                         minus[2]]
