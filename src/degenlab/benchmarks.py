@@ -5,7 +5,9 @@ manufactured from, so solver output can be scored in the sup norm.
 
 affine(b, d)
     u(x) = b . x solves the equation with f = 0 for any operator and any
-    pair of laws: D^2 u = 0 and F(0) = 0.
+    pair of laws: D^2 u = 0 and F(0) = 0.  It builds one law (PowerLaw(1)
+    on both phases), so it never tests two, which the 1-d flux form gets
+    wrong: across a sign change it keeps the flux, not u', continuous.
 
 radial-power(theta, d)
     u(x) = |x|^gamma with gamma = (2 + theta)/(1 + theta) and
@@ -76,8 +78,15 @@ class Benchmark:
         if self.degenerate is None:
             return 1e-8
         f, theta = self.degenerate
-        gamma = (2.0 + theta) / (1.0 + theta)
-        return float((f * grid.h ** (2.0 - gamma) / 4.0) ** (1.0 / theta))
+        return float((f * grid.h ** (2.0 - _gamma(theta)) / 4.0) ** (1.0 / theta))
+
+
+def _gamma(theta: float) -> float:
+    return (2.0 + theta) / (1.0 + theta)
+
+
+def _kappa(theta: float, c: float) -> float:
+    return ((1.0 + theta) * c) ** (1.0 / (1.0 + theta)) * (1.0 + theta) / (2.0 + theta)
 
 
 def exact_benchmark(name: str, params: dict) -> Benchmark:
@@ -125,7 +134,7 @@ def _radial_power(theta, d=2) -> Benchmark:
     d = _dimension(d, "radial-power")
     if theta <= 0.0:
         raise DomainError("radial-power benchmark: theta must be positive")
-    gamma = (2.0 + theta) / (1.0 + theta)
+    gamma = _gamma(theta)
     f_value = gamma ** (1.0 + theta) * (gamma + d - 2.0)
 
     def u_exact(*coords):
@@ -147,10 +156,7 @@ def _transmission_1d(theta1, theta2, c=1.0) -> Benchmark:
     theta1, theta2, c = float(theta1), float(theta2), float(c)
     if theta1 <= 0.0 or theta2 <= 0.0 or c <= 0.0:
         raise DomainError("transmission-1d benchmark: theta1, theta2, c must be > 0")
-    g1 = (2.0 + theta1) / (1.0 + theta1)
-    g2 = (2.0 + theta2) / (1.0 + theta2)
-    k1 = ((1.0 + theta1) * c) ** (1.0 / (1.0 + theta1)) * (1.0 + theta1) / (2.0 + theta1)
-    k2 = ((1.0 + theta2) * c) ** (1.0 / (1.0 + theta2)) * (1.0 + theta2) / (2.0 + theta2)
+    g1, g2, k1, k2 = _gamma(theta1), _gamma(theta2), _kappa(theta1, c), _kappa(theta2, c)
 
     def u_exact(x):
         x = np.asarray(x, dtype=float)

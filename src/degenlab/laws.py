@@ -32,19 +32,19 @@ sigma^{-1}(theta^k) = 1 / (1 + k log(1/theta))).
 
 Contract
 --------
-``DegeneracyLaw`` owns the argument handling of all three maps: sigma
-(``__call__``) takes t in [0, t_max], ``inverse`` takes s in
-[0, sigma(t_max)] and ``primitive`` takes t in [0, t_max], each up to a
-relative slack of 1e-12; anything else, NaN included, raises DomainError.
-Scalars come back as floats, arrays keep their shape.  A family supplies
-only ``_raw`` (sigma on checked arrays) and the closed forms it has,
-wrapped by ``_inverse`` / ``_primitive`` so that every class still defines
-its own ``inverse``.  Without a closed form the inverse is the generic root
-search (``flip_doubles``, a handful of calls of sigma for all targets at
-once), which is accurate to one unit in the last place of t wherever the
-inverse is a normal double and returns 0 where the exact inverse
-underflows, so sigma(sigma^{-1}(s)) / s - 1 stays at rounding level down to
-s = 1e-300.
+``DegeneracyLaw`` owns the argument handling of its maps and, alone, what
+a law does past its cap t_max.  sigma (``__call__``), ``primitive`` P and
+sigma' (``derivative``) take any t >= 0; past t_max sigma stays at
+sigma(t_max), P(t) = P(t_max) + sigma(t_max) (t - t_max) and sigma' = 0.
+``inverse`` takes s in [0, sigma(t_max)] up to a relative slack of 1e-12.
+Anything else, NaN included, raises DomainError.  Scalars come back as
+floats, arrays keep their shape.  A family supplies ``_raw`` (sigma on
+checked arrays) and its closed forms on [0, t_max], wrapped by
+``_inverse`` / ``_primitive``.  Without a closed form the inverse is the
+generic root search (``flip_doubles``, a handful of calls of sigma for all
+targets at once), accurate to one unit in the last place of t wherever the
+inverse is a normal double and 0 where the exact inverse underflows, so
+sigma(sigma^{-1}(s)) / s - 1 stays at rounding level down to s = 1e-300.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ import numpy as np
 from .errors import DomainError
 
 _MONOTONE_SAMPLES = 64
+_DERIVATIVE_STEP = 1e-5  # relative step of the central difference that gives sigma'
 
 # Verdict thresholds for dini_sum.  A convergence certificate requires tail
 # term ratios at most 1 - DINI_MARGIN and a non-increasing ratio trend (up to
@@ -67,14 +68,6 @@ _MONOTONE_SAMPLES = 64
 DINI_MARGIN = 1e-2
 RATIO_TREND_SLACK = 1e-4
 _MIN_PROBE_TERMS = 3
-
-
-def _checked(law, x, top: float, what: str):
-    """x as a float array checked to lie in [0, top], and whether it was a scalar."""
-    arr = np.asarray(x, dtype=float)
-    if not np.all((arr >= 0.0) & (arr <= top * (1.0 + 1e-12))):  # NaN fails too
-        raise DomainError(f"{law.family}: {what} outside [0, {top:g}] or NaN")
-    return arr, arr.ndim == 0
 
 
 # Root search on bit patterns (``flip_doubles``).  Non-negative doubles are
@@ -247,23 +240,35 @@ class _Brackets:
         return np.clip(probe, np.maximum(lo + 1, hi - budget), np.minimum(hi - 1, lo + budget))
 
 
-def _on_range(what: str, top):
-    """Wrap a closed form (checked array in, array out) in the shared contract."""
+def _on_range(what: str, top=None):
+    """Wrap a closed form (checked array in, array out) in the contract: x in [0, top(law)]."""
 
     def wrap(closed_form):
         @functools.wraps(closed_form)
         def checked(self, x):
-            arr, scalar = _checked(self, x, top(self), what)
+            arr = np.asarray(x, dtype=float)
+            cap = math.inf if top is None else top(self)
+            if not np.all((arr >= 0.0) & (arr <= cap * (1.0 + 1e-12))):  # NaN fails too
+                raise DomainError(f"{self.family}: {what} outside [0, {cap:g}] or NaN")
             out = closed_form(self, arr)
-            return float(out) if scalar else out
+            return float(out) if arr.ndim == 0 else out
 
         return checked
 
     return wrap
 
 
-_inverse = _on_range("inverse target", lambda law: law(law.t_max))
-_primitive = _on_range("primitive argument", lambda law: law.t_max)
+_inverse = _on_range("inverse target", lambda law: law._cap)
+
+
+def _primitive(closed_form):
+    """Wrap a primitive on [0, t_max] in the contract, continued at slope sigma(t_max)."""
+
+    def continued(self, t):
+        capped = np.minimum(t, self.t_max)
+        return closed_form(self, capped) + self._cap * (t - capped)
+
+    return _on_range("primitive argument")(functools.wraps(closed_form)(continued))
 
 
 class DegeneracyLaw:
@@ -275,10 +280,22 @@ class DegeneracyLaw:
     def _raw(self, t: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    @_on_range("sigma argument")
     def __call__(self, t):
-        arr, scalar = _checked(self, t, self.t_max, "sigma argument")
-        out = self._raw(np.minimum(arr, self.t_max))
-        return float(out) if scalar else out
+        return self._raw(np.minimum(t, self.t_max))
+
+    @functools.cached_property
+    def _cap(self):  # sigma(t_max): sigma from t_max on, and the slope of P there
+        return self(self.t_max)
+
+    @_on_range("sigma' argument")
+    def derivative(self, t):
+        """sigma'(t) by one relative central difference of sigma itself."""
+        tc = np.minimum(t, self.t_max)
+        lo = tc * (1.0 - _DERIVATIVE_STEP)
+        hi = np.minimum(tc * (1.0 + _DERIVATIVE_STEP), self.t_max)
+        slope = (self(hi) - self(lo)) / np.where(hi > lo, hi - lo, 1.0)
+        return np.where(t < self.t_max, slope, 0.0)
 
     @_inverse
     def inverse(self, s):
@@ -305,7 +322,7 @@ class DegeneracyLaw:
 
     @_primitive
     def primitive(self, t):
-        """P(t) = integral of sigma from 0 to t, for t in [0, t_max].
+        """P(t) = integral of sigma from 0 to t.
 
         This is the flux potential of the one-dimensional equation:
         d/dx P(u') = sigma(u') u''.  Families without a closed form use a
@@ -313,16 +330,13 @@ class DegeneracyLaw:
         (t_max/2^14)^2 in absolute terms.  Below t_max/2^14, in the first
         cell, the table is linear in t, so relative accuracy is lost there.
         """
-        table = getattr(self, "_prim_table", None)
-        if table is None:
-            ts = np.linspace(0.0, self.t_max, 16385)
-            vals = self._raw(ts)
-            ps = np.concatenate(
-                ([0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * np.diff(ts)))
-            )
-            table = (ts, ps)
-            object.__setattr__(self, "_prim_table", table)
-        return np.interp(np.minimum(t, self.t_max), table[0], table[1])
+        return np.interp(t, *self._prim_table)
+
+    @functools.cached_property
+    def _prim_table(self):
+        ts = np.linspace(0.0, self.t_max, 16385)
+        vals = self._raw(ts)
+        return ts, np.concatenate(([0.0], np.cumsum(0.5 * (vals[1:] + vals[:-1]) * np.diff(ts))))
 
 
 @dataclass(frozen=True)

@@ -32,11 +32,11 @@ four steps, each exposed as one operation:
     The roots come in closed form.  With t = mu tau_{k-1} c_k the
     condition g_i(mu) >= 1 reads
 
-        h_i(t) = t sigma_i(min(t, t_max)) >= c_k r^k,
+        h_i(t) = t sigma_i(t) >= c_k r^k
 
-    which does not involve the recursion.  So one root search
-    (``laws.flip_doubles``) gives every t*_k of both laws at once, the
-    smallest double with h_i(t) >= c_k r^k, comparing log t +
+    (sigma_i frozen past t_max, see ``laws``), free of the recursion.  So
+    one root search (``laws.flip_doubles``) gives every t*_k of both laws
+    at once, the smallest double with h_i(t) >= c_k r^k, comparing log t +
     log sigma_i(t) with log c_k + k log r: c_k r^k itself underflows near
     k = 230 at r = 1/16.  The search shares each law's samples among all
     k, interpolates in log t and calls each distinct law a handful of
@@ -297,17 +297,18 @@ def rescale_sequence(a, delta: float):
 def _root_scales(laws, c, log_targets):
     """Every t*_k of each law: the smallest double t with h(t) >= c_k r^k.
 
-    h(t) = t sigma(min(t, t_max)) is compared in logs (log sigma = -inf
-    where sigma underflows reads as "below").  Where h stays below the
-    target on (0, c_k), t*_k = c_k, which the recursion reads as a cap:
-    mu = c_k / (tau_{k-1} c_k) > 1 because tau_{k-1} <= mu_1 < 1.  Equal
-    laws are searched once, and the distinct ones in one stacked call.
+    h(t) = t sigma(t), sigma frozen past t_max as ``laws`` states, is
+    compared in logs (log sigma = -inf where sigma underflows reads as
+    "below").  Where h stays below the target on (0, c_k), t*_k = c_k,
+    which the recursion reads as a cap: mu = c_k / (tau_{k-1} c_k) > 1
+    because tau_{k-1} <= mu_1 < 1.  Equal laws are searched once, and the
+    distinct ones in one stacked call.
     Returns (one list of t*_k per law, the same list for equal laws; the
     calls of each law).
     """
 
     def log_h(law):
-        return lambda t: np.log(t) + np.log(law._raw(np.minimum(t, law.t_max)))
+        return lambda t: np.log(t) + np.log(law(t))
 
     distinct = [law for i, law in enumerate(laws) if law not in laws[:i]]
     targets = np.broadcast_to(log_targets, (len(distinct), len(c)))

@@ -12,8 +12,8 @@ laws, matching the minimal inequality that viscosity solutions satisfy
 across the free boundary.  ``ProblemInstance.law_pair`` and
 ``select_phase`` are the one evaluation of the phase laws and the one sign
 selection that the solver and the certifier share; ``gradient_norm`` is
-the gradient magnitude both feed to the laws.  When the two laws are equal
-(``one_law``), ``law_pair`` evaluates one and ``select_phase`` returns it.
+the gradient magnitude both feed to the laws.  ``per_law`` maps both laws,
+once if they are equal (``one_law``); ``select_phase`` returns that one.
 """
 
 from __future__ import annotations
@@ -92,17 +92,17 @@ class ProblemInstance:
             )
         return np.asarray(self.q, dtype=float)
 
-    def law_pair(self, speed):
-        """(sigma_plus, sigma_minus, clamped) at the gradient magnitudes ``speed``.
+    def per_law(self, func):
+        """(func(sigma_plus), func(sigma_minus)); one call for both with ``one_law``."""
+        plus = func(self.sigma_plus)
+        return plus, plus if self.one_law else func(self.sigma_minus)
 
-        Each law is frozen at its domain cap t_max; ``clamped`` reports
-        whether any speed went past either cap.  With ``one_law`` one array,
-        evaluated once, is returned for both phases.
-        """
-        sp, sm = self.sigma_plus, self.sigma_minus
-        clamped = bool(np.any(speed > min(sp.t_max, sm.t_max)))
-        plus = sp(np.minimum(speed, sp.t_max))
-        return plus, plus if self.one_law else sm(np.minimum(speed, sm.t_max)), clamped
+    def law_pair(self, speed):
+        """(sigma_plus, sigma_minus, clamped) at the gradient magnitudes ``speed``,
+        by ``per_law``; ``clamped`` tells whether a speed passed either law's
+        t_max, past which ``laws`` freezes it."""
+        clamped = bool(np.any(speed > min(self.sigma_plus.t_max, self.sigma_minus.t_max)))
+        return (*self.per_law(lambda law: law(speed)), clamped)
 
     def f_on(self, grid: Grid) -> np.ndarray:
         return grid.sample(_as_node_function(self.f, "f"))

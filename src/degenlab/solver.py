@@ -25,7 +25,7 @@ sigma.  The residual is
 
 with central gradients; sigma_{sgn(u)} is ProblemInstance.law_pair followed
 by problem.select_phase, the same evaluation the certifier uses (one law
-evaluation, returned as it is, on a one-phase problem).
+on a one-phase problem; past t_max each law is frozen, see ``laws``).
 
 Time stepping
 -------------
@@ -48,8 +48,8 @@ only in the directions some branch reads (2 of the 4 in 2-d for trace
 and axis-frame bellman operators).  The wide-stencil J also carries
 F_h sigma'(|grad_h u|) d|grad_h u|/du through the central gradient, with
 sigma' one relative central difference of the law itself
-(``_law_slope``).  In the flux form, J is tridiagonal with edge
-weight sigma_phase(max(|s + q|, eps_deg)) / h^2.  Each discretization
+(``DegeneracyLaw.derivative``).  In the flux form, J is tridiagonal with
+edge weight sigma_phase(max(|s + q|, eps_deg)) / h^2.  Each discretization
 picks the pattern that solves diag(1/dt) - J once, from the dimension.  In
 1-d every stencil is tridiagonal, and ``_TridiagonalPattern`` solves the
 three bands by LAPACK dgtsv's elimination with partial pivoting, run on
@@ -158,8 +158,6 @@ _DT_GROWTH_MAX = 1e12
 # A factorization is kept for the next step while the step it gave cut the
 # rms residual to at most this fraction (Kelley 2003, nsold's rsham).
 _RSHAM = 0.5
-# Relative step of the central difference that gives sigma'.
-_SLOPE_STEP = 1e-5
 
 # Second-difference directions per dimension, and the frames over them.
 _DIRECTIONS = {1: ((1,),), 2: ((1, 0), (0, 1), (1, 1), (1, -1))}
@@ -377,18 +375,6 @@ def _gtsv(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray):
     return np.array(b)
 
 
-def _law_slope(law, t):
-    """sigma'(t) by one relative central difference of sigma itself.
-
-    Zero from t_max on, where law_pair freezes the law.
-    """
-    tc = np.minimum(t, law.t_max)
-    lo = tc * (1.0 - _SLOPE_STEP)
-    hi = np.minimum(tc * (1.0 + _SLOPE_STEP), law.t_max)
-    slope = (law(hi) - law(lo)) / np.where(hi > lo, hi - lo, 1.0)
-    return np.where(t < law.t_max, slope, 0.0)
-
-
 def _shift(u: np.ndarray, off) -> np.ndarray:
     """Values at node + off for every interior node."""
     return u[tuple(slice(1 + o, n - 1 + o) for o, n in zip(off, u.shape))]
@@ -514,9 +500,8 @@ class _Discretization:
                 coeffs[0] -= 2.0 * a
 
         live = norm > self.eps_deg
-        slope = _law_slope(self.prob.sigma_plus, speed)
-        if sp is not sm:  # two laws (law_pair): each phase's slope, the smaller law's at u = 0
-            dm = _law_slope(self.prob.sigma_minus, speed)
+        slope, dm = self.prob.per_law(lambda law: law.derivative(speed))
+        if slope is not dm:  # two laws: each phase's slope, the smaller law's at u = 0
             slope = select_phase(c, slope, dm, np.where(sp <= sm, slope, dm))
         t = np.where(live, F * slope / np.where(live, norm, 1.0), 0.0) / (2.0 * h)
         for e, ga in zip(_DIRECTIONS[d][:d], g):
@@ -530,10 +515,8 @@ class _FluxDiscretization1D:
 
     With F = trace the equation sigma_{sgn(u)}(|u' + q|) u'' = f is exactly
     (G_{sgn(u)}(u'))' = f for the flux G(s) = Psi(s + q) - Psi(q), where
-    Psi(w) = sgn(w) * P(|w|) and P is the primitive of sigma.  Past t_max,
-    where law_pair freezes sigma at sigma(t_max), P continues with that
-    slope, P(t) = P(t_max) + sigma(t_max) (t - t_max), so the flux keeps
-    slope sigma(t_max) there and its derivative is the J below.  The scheme
+    Psi(w) = sgn(w) * P(|w|), P the primitive of sigma (past t_max as in
+    ``laws``), so dG/ds = sigma and J below is R's derivative.  The scheme
 
         R_i = (G(D+ u_i) - G(D- u_i)) / h - f_i
 
@@ -563,29 +546,26 @@ class _FluxDiscretization1D:
         self.q = float(prob.q_vector(1)[0])
         self.center_bound = 2.0 / grid.h**2
         self.pattern = _TridiagonalPattern(self.offsets)
-        # each phase law with sigma(t_max), the flux's slope past t_max, and Psi(q)
-        self.laws = []
-        for law in (prob.sigma_plus, prob.sigma_minus):
-            cap = law(law.t_max)
-            self.laws.append((law, cap, self._psi(law, cap, self.q)))
+        self.psi_q = prob.per_law(lambda law: self._psi(law, self.q))  # each phase's Psi(q)
 
     @staticmethod
-    def _psi(law, cap, w):
-        a = np.abs(w)
-        t = np.minimum(a, law.t_max)
-        return np.sign(w) * (law.primitive(t) + cap * (a - t))
+    def _psi(law, w):
+        return np.sign(w) * law.primitive(np.abs(w))
 
     def _edges(self, u: np.ndarray):
         """Edge fluxes, the sigma of the branch each edge uses, and the clamp flag.
 
         That sigma, at max(|s + q|, eps_deg), is the flux's slope dG/ds.
         """
-        slopes = (u[1:] - u[:-1]) / self.h
+        w = (u[1:] - u[:-1]) / self.h + self.q
+        gp, gm = self.prob.per_law(lambda law: self._psi(law, w))
+        sp, sm, clamped = self.prob.law_pair(np.maximum(np.abs(w), self.eps_deg))
+        if gp is gm:  # one law
+            return gp - self.psi_q[0], sp, clamped
+        gp, gm = gp - self.psi_q[0], gm - self.psi_q[1]
         pair_sign = np.sign(u[1:] + u[:-1])
-        gp, gm = (self._psi(law, cap, slopes + self.q) - psi_q for law, cap, psi_q in self.laws)
         plus_smaller = np.abs(gp) <= np.abs(gm)
         flux = select_phase(pair_sign, gp, gm, np.where(plus_smaller, gp, gm))
-        sp, sm, clamped = self.prob.law_pair(np.maximum(np.abs(slopes + self.q), self.eps_deg))
         sig = select_phase(pair_sign, sp, sm, np.where(plus_smaller, sp, sm))
         return flux, sig, clamped
 
@@ -595,8 +575,7 @@ class _FluxDiscretization1D:
         ``jacobian()`` returns J, the frozen-phase derivative of R, as in
         the wide-stencil class: assembled from this evaluation's edge sigmas
         on its first call.  J is tridiagonal: edge e couples its two nodes
-        with weight sigma_e / h^2, which is sigma(t_max) past t_max, where
-        the flux keeps that slope.
+        with weight sigma_e / h^2, the flux's slope.
         """
         flux, sig_edge, clamped = self._edges(u)
         r = (flux[1:] - flux[:-1]) / self.h - self.f_int

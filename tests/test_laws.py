@@ -36,8 +36,7 @@ class TestEvaluation:
     def test_power_domain_cap(self):
         law = PowerLaw(p=1.0, t_max=2.0)
         assert law(2.0) == 2.0
-        with pytest.raises(DomainError):
-            law(5.0)
+        assert law(5.0) == 2.0  # frozen past t_max
 
     def test_vectorized_eval(self):
         law = PowerLaw(p=2.0)
@@ -117,8 +116,6 @@ class TestEvaluation:
                 law.inverse(-1e-3)
             with pytest.raises(DomainError):
                 law.inverse(2.0 * law(law.t_max))
-            with pytest.raises(DomainError):
-                law.primitive(2.0 * law.t_max)
 
     @pytest.mark.parametrize("law, method", [
         (PowerLaw(p=2.0), "__call__"),
@@ -131,6 +128,27 @@ class TestEvaluation:
             getattr(law, method)(math.nan)
         with pytest.raises(DomainError):
             getattr(law, method)(np.array([0.5, math.nan]))
+
+    @pytest.mark.parametrize("law", [
+        PowerLaw(p=1.5, t_max=2.0),
+        PowerLogLaw(p=1.0, q=1.0, t_max=3.0),
+        ExponentialFlatLaw(t_max=4.0),
+        TabulatedLaw(((0.5, 0.2), (1.0, 1.0), (2.0, 1.5))),
+        ScaledLaw(PowerLaw(p=2.0), prefactor=3.0, argscale=0.5),
+    ], ids=lambda law: law.family)
+    def test_frozen_past_t_max(self, law):
+        # sigma stays at sigma(t_max), P continues at that slope, sigma' = 0
+        t = law.t_max * np.array([1.0, 1.0 + 1e-9, 1.5, 4.0, 1e3])
+        sigma, prim, slope = law(t), law.primitive(t), law.derivative(t)
+        assert np.all(sigma == sigma[0]) and sigma[0] == law(law.t_max) > 0.0
+        assert np.array_equal(prim[1:], prim[0] + sigma[0] * (t[1:] - t[0]))
+        assert prim[0] == law.primitive(law.t_max) > 0.0
+        assert np.all(slope == 0.0) and law.derivative(0.5 * law.t_max) > 0.0
+        assert law(1e300) == sigma[0] and law.derivative(math.inf) == 0.0
+        for method in (law.__call__, law.primitive, law.derivative):
+            for bad in (math.nan, -1e-300, np.array([1.0, math.nan]), np.array([-1.0])):
+                with pytest.raises(DomainError):
+                    method(bad)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(DomainError):

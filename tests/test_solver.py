@@ -827,6 +827,36 @@ class TestOneLaw:
         for got, want in zip(arrays, want_arrays):
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
+    @pytest.mark.parametrize("name, params, n, primitives", [
+        ("radial-power", {"theta": 1.0, "d": 2}, 17, 0),  # wide stencil: sigma' of one law
+        ("radial-power", {"theta": 1.0, "d": 1}, 129, 1),  # flux-1d: one flux potential
+        ("transmission-1d", {"theta1": 1.0, "theta2": 2.0, "c": 1.0}, 129, 2),
+    ])
+    def test_per_law_matches_two_calls(self, monkeypatch, name, params, n, primitives):
+        bench = exact_benchmark(name, params)
+        grid = Grid(d=bench.d, n=n)
+        disc = solver._make_discretization(bench.problem, grid, bench.recommended_eps_deg(grid))
+        noise = np.random.default_rng(5).normal(size=grid.shape)
+        u = bench.exact_on(grid) + 0.2 * noise - 0.1
+
+        def evaluate():
+            r, sig, clamped, jacobian = disc.residual_interior(u)
+            return [r, sig, jacobian()], clamped
+
+        laws = []
+        primitive = PowerLaw.primitive
+        monkeypatch.setattr(PowerLaw, "primitive",
+                            lambda law, t: laws.append(law) or primitive(law, t))
+        arrays, clamped = evaluate()
+        assert len(laws) == primitives  # per flux residual
+        # the bits of both phase laws evaluated on their own, in every per_law use
+        monkeypatch.setattr(ProblemInstance, "per_law",
+                            lambda prob, func: (func(prob.sigma_plus), func(prob.sigma_minus)))
+        want_arrays, want_clamped = evaluate()
+        assert clamped == want_clamped
+        for got, want in zip(arrays, want_arrays):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_two_phase_wide_stencil_is_unchanged(self, monkeypatch):
         prob = _wide_problem("pucci-minus", 2)
         assert not prob.one_law
