@@ -560,8 +560,6 @@ class _FluxDiscretization1D:
         w = (u[1:] - u[:-1]) / self.h + self.q
         gp, gm = self.prob.per_law(lambda law: self._psi(law, w))
         sp, sm, clamped = self.prob.law_pair(np.maximum(np.abs(w), self.eps_deg))
-        if gp is gm:  # one law
-            return gp - self.psi_q[0], sp, clamped
         gp, gm = gp - self.psi_q[0], gm - self.psi_q[1]
         pair_sign = np.sign(u[1:] + u[:-1])
         plus_smaller = np.abs(gp) <= np.abs(gm)

@@ -331,9 +331,9 @@ def window_residuals(u, rho):
 def two_law_pair(prob, speed):
     """``ProblemInstance.law_pair`` with each law evaluated on its own.
 
-    Two arrays even where both laws are one object, so the solver and the
-    certifier take their two-law paths: a phase selection by sign, both
-    law slopes, both products sigma_i F.
+    Two arrays even where both laws are one object, so the certifier takes
+    its two-law path: a phase selection by sign, both products sigma_i F.
+    The solver's sigma' and flux potentials go through ``per_law`` instead.
     """
     sp, sm = prob.sigma_plus, prob.sigma_minus
     clamped = bool(np.any(speed > min(sp.t_max, sm.t_max)))

@@ -800,19 +800,25 @@ class TestOneLaw:
     """One law evaluation on a one-phase problem gives the bits of two."""
 
     @staticmethod
-    def _run(prob, grid, cfg, u):
-        r, sig, clamped, jacobian = solver._make_discretization(
-            prob, grid, cfg.eps_deg).residual_interior(u)
+    def _run(monkeypatch, prob, grid, cfg, u):
+        disc = solver._make_discretization(prob, grid, cfg.eps_deg)
+        laws = []
+        primitive = PowerLaw.primitive
+        with monkeypatch.context() as m:
+            m.setattr(PowerLaw, "primitive",
+                      lambda law, t: laws.append(law) or primitive(law, t))
+            r, sig, clamped, jacobian = disc.residual_interior(u)
         field, diag = solve_cascade(prob, grid, cfg)
-        return [r, sig, jacobian(), field.values], (clamped, repr(dataclasses.asdict(diag)))
+        return ([r, sig, jacobian(), field.values],
+                (clamped, repr(dataclasses.asdict(diag))), len(laws))
 
-    @pytest.mark.parametrize("name, params, n", [
-        ("radial-power", {"theta": 1.0, "d": 2}, 17),   # one law object, wide stencil
-        ("affine", {"d": 2}, 17),                       # two equal law objects
-        ("radial-power", {"theta": 0.5, "d": 1}, 33),   # flux-1d
-        ("transmission-1d", {"theta1": 1.0, "theta2": 2.0, "c": 1.0}, 33),  # two phases
+    @pytest.mark.parametrize("name, params, n, primitives", [
+        ("radial-power", {"theta": 1.0, "d": 2}, 17, 0),  # one law object, wide stencil
+        ("affine", {"d": 2}, 17, 0),                      # two equal law objects
+        ("radial-power", {"theta": 0.5, "d": 1}, 129, 1),  # flux-1d: one flux potential
+        ("transmission-1d", {"theta1": 1.0, "theta2": 2.0, "c": 1.0}, 129, 2),  # two phases
     ])
-    def test_matches_two_law_evaluation(self, monkeypatch, name, params, n):
+    def test_matches_two_law_evaluation(self, monkeypatch, name, params, n, primitives):
         bench = exact_benchmark(name, params)
         prob = bench.problem
         assert prob.one_law == (name != "transmission-1d")
@@ -820,40 +826,13 @@ class TestOneLaw:
         cfg = SchemeConfig(tol=1e-6, eps_deg=bench.recommended_eps_deg(grid))
         noise = np.random.default_rng(4).normal(size=grid.shape)
         u = bench.exact_on(grid) + 0.2 * noise - 0.1  # both signs and every branch
-        arrays, rest = self._run(prob, grid, cfg, u)
-        monkeypatch.setattr(ProblemInstance, "law_pair", two_law_pair)
-        want_arrays, want_rest = self._run(prob, grid, cfg, u)
-        assert rest == want_rest  # iterates' counters, histories and levels too
-        for got, want in zip(arrays, want_arrays):
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-
-    @pytest.mark.parametrize("name, params, n, primitives", [
-        ("radial-power", {"theta": 1.0, "d": 2}, 17, 0),  # wide stencil: sigma' of one law
-        ("radial-power", {"theta": 1.0, "d": 1}, 129, 1),  # flux-1d: one flux potential
-        ("transmission-1d", {"theta1": 1.0, "theta2": 2.0, "c": 1.0}, 129, 2),
-    ])
-    def test_per_law_matches_two_calls(self, monkeypatch, name, params, n, primitives):
-        bench = exact_benchmark(name, params)
-        grid = Grid(d=bench.d, n=n)
-        disc = solver._make_discretization(bench.problem, grid, bench.recommended_eps_deg(grid))
-        noise = np.random.default_rng(5).normal(size=grid.shape)
-        u = bench.exact_on(grid) + 0.2 * noise - 0.1
-
-        def evaluate():
-            r, sig, clamped, jacobian = disc.residual_interior(u)
-            return [r, sig, jacobian()], clamped
-
-        laws = []
-        primitive = PowerLaw.primitive
-        monkeypatch.setattr(PowerLaw, "primitive",
-                            lambda law, t: laws.append(law) or primitive(law, t))
-        arrays, clamped = evaluate()
-        assert len(laws) == primitives  # per flux residual
-        # the bits of both phase laws evaluated on their own, in every per_law use
+        arrays, rest, calls = self._run(monkeypatch, prob, grid, cfg, u)
+        assert calls == primitives  # law primitives per residual
+        # each law evaluated on its own in every per_law use: sigma, sigma', Psi
         monkeypatch.setattr(ProblemInstance, "per_law",
                             lambda prob, func: (func(prob.sigma_plus), func(prob.sigma_minus)))
-        want_arrays, want_clamped = evaluate()
-        assert clamped == want_clamped
+        want_arrays, want_rest, _ = self._run(monkeypatch, prob, grid, cfg, u)
+        assert rest == want_rest  # iterates' counters, histories and levels too
         for got, want in zip(arrays, want_arrays):
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
