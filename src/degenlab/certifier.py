@@ -102,7 +102,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elliptic import SymMatrix
 from .errors import NumericError
 from .grids import DiscreteField
 from .problem import ProblemInstance, gradient_norm
@@ -117,7 +116,7 @@ class TouchingTest:
     center: tuple
     rho_test: int
     p: tuple
-    M: SymMatrix
+    M: tuple  # the Hessian's upper triangle, row by row: (m11,) or (m11, m12, m22)
     side: str
 
 
@@ -413,9 +412,7 @@ class _State:
         return TouchingTest(
             center=tuple(int(k) + self.rho for k in ij), rho_test=self.rho,
             p=tuple(float(self.p_base[i][ij] + dp[i]) for i in range(self.d)),
-            M=SymMatrix(d=self.d, upper=tuple(
-                float(self.m_base[(i, j)][ij] + dM[i, j]) for i, j in self.triu
-            )),
+            M=tuple(float(self.m_base[(i, j)][ij] + dM[i, j]) for i, j in self.triu),
             side=side,
         )
 

@@ -323,8 +323,6 @@ def _diag_json(diag) -> dict:
 def _cert_json(rep) -> dict:
     out = dataclasses.asdict(rep)
     del out["window_scans"]  # a work counter; it goes to the manifest
-    if rep.witness is not None:
-        out["witness"]["M"] = list(rep.witness.M.upper)
     return out
 
 

@@ -249,6 +249,9 @@ class RunConfig:
         if "benchmark" in spec:
             with named("config.problem.params"):
                 bench = exact_benchmark(spec["benchmark"], spec["params"])
+            if self.grid is not None and self.grid["d"] != bench.d:
+                raise ConfigError(f"config.problem: benchmark {bench.name} is {bench.d}-d, "
+                                  f"but config.grid.d is {self.grid['d']}")
             prob = bench.problem
             if "C0" in spec:
                 prob = dataclasses.replace(prob, C0=spec["C0"])

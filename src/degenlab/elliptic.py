@@ -21,6 +21,9 @@ An operator F is uniformly (lam, Lam)-elliptic iff
 which is the property the test suite samples.  All operators here are
 normalized with F(0) = 0 so the sign conventions of the transmission problem
 are unambiguous.
+
+A symmetric matrix is a (d, d) numpy array and a batch of them a (..., d, d)
+one; bellman coefficients are checked once, where ``EllipticOperator`` is built.
 """
 
 from __future__ import annotations
@@ -33,54 +36,6 @@ from .errors import DomainError
 
 ELLIPTICITY_TOL = 1e-9
 OPERATOR_KINDS = ("trace", "pucci-minus", "pucci-plus", "bellman-min-of-traces")
-
-
-@dataclass(frozen=True)
-class SymMatrix:
-    """Symmetric d x d matrix, d in {1, 2, 3}, stored as the upper triangle.
-
-    ``upper`` lists entries row by row: (m11,), (m11, m12, m22), or
-    (m11, m12, m13, m22, m23, m33).
-    """
-
-    d: int
-    upper: tuple
-
-    def __post_init__(self):
-        if self.d not in (1, 2, 3):
-            raise DomainError("SymMatrix: dimension d must be 1, 2 or 3")
-        need = self.d * (self.d + 1) // 2
-        vals = tuple(float(v) for v in self.upper)
-        if len(vals) != need:
-            raise DomainError(
-                f"SymMatrix: expected {need} upper-triangle entries, got {len(vals)}"
-            )
-        if not all(np.isfinite(vals)):
-            raise DomainError("SymMatrix: entries must be finite")
-        object.__setattr__(self, "upper", vals)
-
-    @classmethod
-    def from_array(cls, arr) -> "SymMatrix":
-        a = np.asarray(arr, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DomainError("SymMatrix.from_array: need a square 2-d array")
-        d = a.shape[0]
-        if not np.allclose(a, a.T, atol=1e-12 * max(1.0, float(np.abs(a).max()))):
-            raise DomainError("SymMatrix.from_array: array is not symmetric")
-        iu = np.triu_indices(d)
-        return cls(d=d, upper=tuple(a[iu]))
-
-    @property
-    def matrix(self) -> np.ndarray:
-        a = np.zeros((self.d, self.d))
-        iu = np.triu_indices(self.d)
-        a[iu] = self.upper
-        a.T[iu] = self.upper
-        return a
-
-    def eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues (closed form for d <= 2, LAPACK in 3-d)."""
-        return _eigs(self)
 
 
 @dataclass(frozen=True)
@@ -100,11 +55,11 @@ def _eigs(M) -> np.ndarray:
 
     In 2-d they are mean -+ hypot(half-difference, off-diagonal), ascending.
     """
-    a = M.matrix if isinstance(M, SymMatrix) else np.asarray(M, dtype=float)
+    a = np.asarray(M, dtype=float)
     if a.ndim == 0:
         return a.reshape(1)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise DomainError("expected a SymMatrix or a (batched) square array")
+        raise DomainError("expected a (batched) square array")
     if a.shape[-1] == 1:
         return a[..., 0]
     if a.shape[-1] == 2:
@@ -135,10 +90,11 @@ def pucci_plus(M, pair: EllipticityPair):
 class EllipticOperator:
     """A concrete F(M): trace, a Pucci extremal, or a min of traces.
 
-    ``coefficients`` is only used by the bellman kind: a tuple of symmetric
-    coefficient matrices A_i, each with spectrum inside [lam, Lam], and
-    F(M) = min_i tr(A_i M).  All kinds satisfy F(0) = 0 and are uniformly
-    (lam, Lam)-elliptic.
+    ``coefficients`` is only used by the bellman kind: symmetric A_i, and
+    F(M) = min_i tr(A_i M).  Each A_i is checked here (square, finite,
+    symmetric, spectrum in [lam, Lam]) and kept as a tuple of row tuples, so
+    operators compare and hash by value.  All kinds satisfy F(0) = 0 and are
+    uniformly (lam, Lam)-elliptic.
     """
 
     kind: str
@@ -160,21 +116,28 @@ class EllipticOperator:
                 raise DomainError("bellman operator needs at least one coefficient")
             mats = []
             for A in self.coefficients:
-                sym = A if isinstance(A, SymMatrix) else SymMatrix.from_array(A)
-                e = sym.eigenvalues()
+                a = np.asarray(A, dtype=float)
+                if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+                    raise DomainError(f"bellman coefficient of shape {a.shape} is not square")
+                if not np.isfinite(a).all():
+                    raise DomainError("bellman coefficient entries must be finite")
+                if not np.allclose(a, a.T, atol=1e-12 * max(1.0, float(np.abs(a).max()))):
+                    raise DomainError("bellman coefficient is not symmetric")
+                a = np.triu(a) + np.triu(a, 1).T  # the upper triangle is what F reads
+                e = _eigs(a)
                 if e[0] < self.pair.lam - ELLIPTICITY_TOL or e[-1] > self.pair.Lam + ELLIPTICITY_TOL:
                     raise DomainError(
                         "bellman coefficient spectrum escapes [lam, Lam]: "
                         f"eigenvalues {e.tolist()}"
                     )
-                mats.append(sym)
+                mats.append(tuple(map(tuple, a.tolist())))
             object.__setattr__(self, "coefficients", tuple(mats))
         elif self.coefficients:
             raise DomainError(f"{self.kind} operator takes no coefficients")
 
     def apply(self, M):
         """F(M) for one matrix (a float) or a batch of shape (..., d, d)."""
-        mat = M.matrix if isinstance(M, SymMatrix) else np.asarray(M, dtype=float)
+        mat = np.asarray(M, dtype=float)
         if self.kind == "trace":
             val = sum((mat[..., i, i] for i in range(1, mat.shape[-1])), mat[..., 0, 0])
         elif self.kind == "pucci-minus":
@@ -186,14 +149,15 @@ class EllipticOperator:
         return float(val) if np.ndim(val) == 0 else val
 
 
-def _trace_product(A: SymMatrix, mat):
+def _trace_product(A: tuple, mat):
     """tr(A M) summed over the upper triangle: A00 M00 + 2 A01 M01 + A11 M11 ..."""
-    if mat.shape[-1] != A.d:
+    d = len(A)
+    if mat.shape[-1] != d:
         raise DomainError(
-            f"bellman coefficients are {A.d}x{A.d}, F got {mat.shape[-1]}-d input"
+            f"bellman coefficients are {d}x{d}, F got {mat.shape[-1]}-d input"
         )
     terms = [
-        a * mat[..., i, j] if i == j else 2 * a * mat[..., i, j]
-        for i, j, a in zip(*np.triu_indices(A.d), A.upper)
+        A[i][j] * mat[..., i, j] if i == j else 2 * A[i][j] * mat[..., i, j]
+        for i, j in zip(*np.triu_indices(d))
     ]
     return sum(terms[1:], terms[0])

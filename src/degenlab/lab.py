@@ -57,7 +57,6 @@ GRAD_MAX_NODES_PER_AXIS = 24
 class AffineFit:
     """Best affine a + b.(x - x0) on the discrete ball B_rho(x0)."""
 
-    x0: tuple
     rho: float
     a: float
     b: tuple
@@ -77,7 +76,6 @@ class AffineFit:
 class DecayProfile:
     """Affine-excess decay of one field around one center."""
 
-    x0: tuple
     scales: tuple
     excesses: tuple
     rates: tuple
@@ -185,7 +183,6 @@ def best_affine(u: DiscreteField, x0, rho: float) -> AffineFit:
         and excess - lower <= DUALITY_GAP_TOL * max(1.0, excess)
     )
     return AffineFit(
-        x0=x0,
         rho=float(rho),
         a=float(z[0]),
         b=tuple(float(v) for v in z[1:]),
@@ -288,7 +285,6 @@ def decay_scan(u: DiscreteField, x0, r: float, N: int) -> DecayProfile:
             slope, intercept = float(coef[0]), float(coef[1])
 
     return DecayProfile(
-        x0=x0,
         scales=tuple(sc.tolist()),
         excesses=tuple(ex.tolist()),
         rates=tuple((ex / sc).tolist()),

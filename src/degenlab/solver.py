@@ -409,7 +409,7 @@ class _Discretization:
         elif op.kind == "bellman-min-of-traces":
             self.branches = [
                 (_FRAMES[frame][:d], w)
-                for frame, w in (_frame_weights(A.matrix, d) for A in op.coefficients)
+                for frame, w in (_frame_weights(np.asarray(A), d) for A in op.coefficients)
             ]
         else:
             self.branches = [(_FRAMES[frame][:d], None) for frame in ("axis", "diag")[:d]]

@@ -357,7 +357,6 @@ def certify_reference(u, prob, side, rho=3):
     nodes that no candidate's touching mask ever held.
     """
     from degenlab.certifier import CertificateReport, TouchingTest
-    from degenlab.elliptic import SymMatrix
 
     grid = u.grid
     d, h = grid.d, grid.h
@@ -416,7 +415,7 @@ def certify_reference(u, prob, side, rho=3):
         ij = np.unravel_index(int(np.argmax(np.where(finite, best, -np.inf))), shape)
         wp, wm = best_pm[ij]
         witness = TouchingTest(center=tuple(int(k) + rho for k in ij), rho_test=rho,
-                               p=wp, M=SymMatrix(d=d, upper=wm), side=side)
+                               p=wp, M=wm, side=side)
     return CertificateReport(
         side=side, checked_nodes=best.size, tested_candidates=len(grads) * len(hessians),
         violation_count=len(violations), untouched_nodes=int((~touched).sum()),

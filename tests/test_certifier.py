@@ -100,7 +100,7 @@ class TestPlantedViolations:
         # witness is an explicit touching paraboloid near the corner
         assert rep.witness is not None
         assert rep.witness.side == "above"
-        assert np.allclose(rep.witness.M.matrix, [[20.015625, 0.0], [0.0, 20.0]])
+        assert np.allclose(rep.witness.M, [20.015625, 0.0, 20.0])
 
     def test_convex_bump_passes_max_inequality(self):
         grid = Grid(d=2, n=65)

@@ -433,6 +433,35 @@ class TestBuildModulus:
         assert f"alpha0={modulus['alpha0']:g}" in err
         assert not out.exists()
 
+    @staticmethod
+    def _power_pair(tmp_path, p):
+        """build-modulus's exit code on power(p) twice with K = 256."""
+        law = {"family": "power", "p": p}
+        cfg = {
+            "problem": {"operator": {"kind": "trace", "lam": 1.0, "Lam": 1.0},
+                        "sigma_plus": law, "sigma_minus": law},
+            "modulus": {"C": 1.0, "alpha0": 0.5, "delta": 0.125, "K": 256},
+            "out": str(tmp_path / "out"),
+        }
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(cfg))
+        return main(["build-modulus", "--config", str(path)])
+
+    def test_an_underflowing_driving_sequence_shortens_the_table(self, tmp_path):
+        assert self._power_pair(tmp_path, 0.5) == EXIT_OK
+        assert json.loads((tmp_path / "out" / "modulus.json").read_text())["K"] == 179
+        table = (tmp_path / "out" / "sequence_table.csv").read_text().splitlines()
+        assert len(table) == 1 + 179
+
+    def test_a_driving_sequence_that_underflows_at_once_exits_with_the_tail_code(
+            self, tmp_path, capsys):
+        assert self._power_pair(tmp_path, 0.004) == EXIT_TAIL
+        assert capsys.readouterr().err == (
+            "error: build_modulus: driving sequence underflows immediately\n")
+        entry = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert entry["commands"]["build-modulus"]["counters"] == {}
+        assert _manifest_files(tmp_path / "out", "build-modulus") == set()
+
     def test_flat_law_tail_exit(self, tmp_path, capsys):
         cfg = {
             "problem": {
@@ -1066,6 +1095,22 @@ class TestNoOutputOnConfigError:
         err = capsys.readouterr().err
         assert err.startswith("error: config.grid") and err.count("\n") == 1
 
+    # a benchmark of another dimension than the grid is rejected before any compute
+    @pytest.mark.parametrize("command, params, d, n", [
+        ("solve", {"benchmark": "transmission-1d", "params": {"theta1": 1, "theta2": 2}}, 2, 17),
+        ("solve", {"benchmark": "radial-power", "params": {"theta": 1, "d": 2}}, 1, 33),
+        ("certify", {"benchmark": "radial-power", "params": {"theta": 1, "d": 2}}, 1, 33),
+    ], ids=["solve-1d-on-2d", "solve-2d-on-1d", "certify-2d-on-1d"])
+    def test_a_benchmark_of_another_dimension(self, tmp_path, capsys, monkeypatch,
+                                             command, params, d, n):
+        for stage in ("solve_cascade", "certify_min", "read_field"):
+            monkeypatch.setattr(f"degenlab.cli.{stage}", lambda *a, s=stage: pytest.fail(s))
+        field = self._field_1d(tmp_path, n) if command == "certify" else None
+        self._run(tmp_path, command, {"problem": params, "grid": {"d": d, "n": n}}, field=field)
+        bench = params["benchmark"]
+        assert capsys.readouterr().err == (
+            f"error: config.problem: benchmark {bench} is {3 - d}-d, but config.grid.d is {d}\n")
+
     @pytest.mark.parametrize("d, A", [(2, [[1.0]]), (2, np.eye(3).tolist()),
                                       (1, np.eye(2).tolist())],
                              ids=["1x1-on-2d", "3x3-on-2d", "2x2-on-1d"])
@@ -1105,11 +1150,14 @@ class TestNoOutputOnConfigError:
          "config.problem.params: radial-power benchmark: d must be 1 or 2, got 3"),
         ("solve", {**LAWS_1D, "operator": {"kind": "trace", "lam": 2.0, "Lam": 1.0}}, {},
          "config.problem.operator: EllipticityPair: need 0 < lam <= Lam < inf"),
+        ("solve", {**LAWS_1D, "operator": {"kind": "bellman-min-of-traces", "lam": 0.5,
+                                           "Lam": 2.0, "coefficients": [[[1, 0.5], [0, 1]]]}},
+         {}, "config.problem.operator: bellman coefficient is not symmetric"),
         ("solve", LAWS_1D, {"max_iter": 0},
          "config.scheme: SchemeConfig: max_iter must be positive"),
         ("solve", LAWS_1D, {"tol_solve": 0},
          "config.scheme: SchemeConfig: tol must be positive and finite"),
-    ], ids=["law", "benchmark", "operator", "max_iter", "tol_solve"])
+    ], ids=["law", "benchmark", "operator", "bellman", "max_iter", "tol_solve"])
     def test_a_range_error_names_its_key(self, tmp_path, capsys, command, problem, scheme,
                                          message):
         self._run(tmp_path, command, {"problem": problem, "grid": {"d": 1, "n": 17},

@@ -6,7 +6,6 @@ import pytest
 from degenlab.elliptic import (
     EllipticityPair,
     EllipticOperator,
-    SymMatrix,
     pucci_minus,
     pucci_plus,
 )
@@ -20,25 +19,6 @@ from oracles import (
 )
 
 
-class TestSymMatrix:
-    def test_roundtrip_2d(self):
-        m = SymMatrix(d=2, upper=(2.0, 1.0, -3.0))
-        assert np.allclose(m.matrix, [[2.0, 1.0], [1.0, -3.0]])
-        assert np.allclose(SymMatrix.from_array(m.matrix).upper, m.upper)
-
-    def test_eigenvalues_sorted(self):
-        m = SymMatrix(d=3, upper=(0.0, 1.0, 0.0, 0.0, 0.0, 1.0))
-        assert np.allclose(m.eigenvalues(), [-1.0, 1.0, 1.0])
-
-    def test_rejects_bad_shapes(self):
-        with pytest.raises(DomainError):
-            SymMatrix(d=2, upper=(1.0,))
-        with pytest.raises(DomainError):
-            SymMatrix(d=4, upper=tuple(range(10)))
-        with pytest.raises(DomainError):
-            SymMatrix.from_array([[0.0, 1.0], [0.0, 0.0]])
-
-
 class TestPucci:
     def test_frozen_diag_case(self):
         pair = EllipticityPair(1.0, 2.0)
@@ -49,7 +29,7 @@ class TestPucci:
     def test_frozen_swap_case(self):
         # eigenvalues {-1, 1, 1}, pair (0.5, 3)
         pair = EllipticityPair(0.5, 3.0)
-        M = SymMatrix(d=3, upper=(0.0, 1.0, 0.0, 0.0, 0.0, 1.0))
+        M = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         assert pucci_minus(M, pair) == pytest.approx(-2.0, abs=1e-12)
         assert pucci_plus(M, pair) == pytest.approx(5.5, abs=1e-12)
 
@@ -136,6 +116,22 @@ class TestOperators:
                 pair=pair,
                 coefficients=(np.diag([0.1, 1.0]),),
             )
+
+    @pytest.mark.parametrize("A, message", [
+        ([[0.0, 1.0], [0.0, 0.0]], "bellman coefficient is not symmetric"),
+        ([[1.0, 0.0], [0.0, np.nan]], "bellman coefficient entries must be finite"),
+        ([[1.0, 0.0]], r"bellman coefficient of shape \(1, 2\) is not square"),
+    ], ids=["non-symmetric", "non-finite", "non-square"])
+    def test_bellman_rejects_a_malformed_coefficient(self, A, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            EllipticOperator("bellman-min-of-traces", EllipticityPair(0.5, 2.0), (A,))
+
+    def test_bellman_coefficients_compare_by_value(self):
+        pair = EllipticityPair(0.5, 2.0)
+        a = EllipticOperator("bellman-min-of-traces", pair, (np.eye(2),))
+        b = EllipticOperator("bellman-min-of-traces", pair, ([[1, 0], [0, 1]],))
+        assert a == b and hash(a) == hash(b)
+        assert a.coefficients == (((1.0, 0.0), (0.0, 1.0)),)
 
     @pytest.mark.parametrize(
         "kind", ["trace", "pucci-minus", "pucci-plus", "bellman-min-of-traces"]
@@ -238,5 +234,5 @@ def test_batched_apply_matches_single_matrices(kind, d):
             assert single == pytest.approx(
                 min(np.trace(np.asarray(A) @ batch[idx]) for A in coeffs), abs=1e-14
             )
-    assert op.apply(SymMatrix.from_array(batch[1, 2])) == vals[1, 2]
+    assert op.apply(batch[1, 2].tolist()) == vals[1, 2]
 

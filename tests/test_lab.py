@@ -148,7 +148,7 @@ def _tie_heavy_values(kind, coords, x0, rng):
 class TestExchangeAgainstLP:
     """The exchange fit against HiGHS, on random and tie-heavy fields."""
 
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=60)
     @given(
         d=st.sampled_from((1, 2)),
         n=st.sampled_from((9, 17, 33)),

@@ -77,7 +77,7 @@ class TestEvaluation:
             assert law(law.inverse(s)) == pytest.approx(s, rel=1e-10)
 
     @given(st.floats(0.3, 3.0), st.floats(1e-4, 0.9))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_power_inverse_roundtrip_property(self, p, s):
         law = PowerLaw(p=p)
         assert law(law.inverse(s)) == pytest.approx(s, rel=1e-9)
@@ -319,7 +319,7 @@ class TestFlipDoubles:
         assert t_lo.shape == t_hi.shape == (1, 0) and rounds == 0
 
     @given(st.floats(0.05, 20.0), st.integers(1, 40), st.integers(0, 2**31 - 1))
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30)
     def test_power_targets_property(self, p, n, seed):
         rng = np.random.default_rng(seed)
         target = 10.0 ** rng.uniform(-300.0, 1.0, size=n)

@@ -164,7 +164,7 @@ class TestRescale:
 
     @given(st.floats(0.01, 0.24), st.integers(1, 60), st.floats(0.05, 0.95),
            st.integers(0, 2**32 - 1))
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=60)
     def test_norm_is_the_target_and_clamps_a_prefix(self, delta, m, q, seed):
         a = np.random.default_rng(seed).uniform(0.5, 1.5, size=m) * q ** np.arange(1, m + 1)
         eps = 1.0 / (1.0 + delta)
@@ -176,7 +176,7 @@ class TestRescale:
         assert at_cap[:k].all() and np.all(c[k:] < 1.0 / eps)
 
     @given(st.floats(0.01, 0.24), st.integers(1, 40))
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25)
     def test_bounds_property(self, delta, m):
         a = 0.7 ** np.arange(1, m + 1)
         c = self._as_arr(rescale_sequence(a, delta))
@@ -426,6 +426,19 @@ class TestTailAndOmega:
                 delta=0.125,
                 K=64,
             )
+
+    def test_an_underflowing_driving_sequence_is_cut_to_its_positive_prefix(self):
+        # with sigma(t) = t^0.5 the driving sequence underflows to 0 after 179 levels
+        _, table, omega = self._pipeline(0.5, 0.5)
+        assert omega.K == table.K == len(table.a) == len(table.c) == 179
+        assert min(table.a) > 0.0
+        assert math.isfinite(omega.tail_bound) and omega.tail_bound >= 0.0
+
+    def test_a_driving_sequence_that_underflows_at_once_is_uncertifiable(self):
+        msg = "build_modulus: driving sequence underflows immediately"
+        with pytest.raises(UncertifiableTailError, match=f"^{msg}$") as info:
+            self._pipeline(0.004, 0.004)
+        assert info.value.table is None
 
     def test_power_log_law_has_a_finite_tail(self):
         # summable, so the tail certifies once the inverse is accurate below 1e-10

@@ -39,7 +39,7 @@ BELLMAN = {
     1: (np.array([[0.7]]), np.array([[1.5]])),
     2: (np.diag([0.6, 1.8]), np.array([[1.0, 0.4], [0.4, 1.0]])),
 }
-PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+PROPERTY = settings(max_examples=30)
 
 
 def _problem(kind, d, q=0.0):
