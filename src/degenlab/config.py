@@ -39,8 +39,8 @@ so is a "scheme" value that SchemeConfig rejects ("config.scheme: ...").
 
 The benchmark form also fixes grid-independent defaults (exact boundary
 data, forcing, recommended gradient clamp); explicit fields f and g must
-be numbers in a config file (callables are API-only).  The problem fixes
-its discretization (``solver.scheme_name``) and n its coarsening ladder
+be numbers in a config file (callables are API-only).  The grid's d fixes
+the discretization (``solver.scheme_name``) and n its coarsening ladder
 (``solver.cascade_sizes``); "scheme" and "levels" only check them.
 """
 

@@ -1,12 +1,12 @@
-"""Wide-stencil and flux-form discretizations and a pseudo-transient Newton solver.
+"""The 2-d wide stencil, the 1-d flux form and a pseudo-transient Newton solver.
 
 Discretization
 --------------
-Second derivatives are approximated by directional second differences
+In 2-d second derivatives are approximated by directional second differences
 
     Delta_e u(x) = (u(x + h e) - 2 u(x) + u(x - h e)) / (h |e|)^2
 
-over stencil directions e.  In 2-d two orthogonal frames are available on a
+over stencil directions e.  Two orthogonal frames are available on a
 uniform grid: the axis frame {(1,0), (0,1)} and the diagonal frame
 {(1,1), (1,-1)}.  The discrete operators are
 
@@ -49,14 +49,13 @@ and axis-frame bellman operators).  The wide-stencil J also carries
 F_h sigma'(|grad_h u|) d|grad_h u|/du through the central gradient, with
 sigma' one relative central difference of the law itself
 (``DegeneracyLaw.derivative``).  In the flux form, J is tridiagonal with
-edge weight sigma_phase(max(|s + q|, eps_deg)) / h^2.  Each discretization
-picks the pattern that solves diag(1/dt) - J once, from the dimension.  In
-1-d every stencil is tridiagonal, and ``_TridiagonalPattern`` solves the
-three bands by LAPACK dgtsv's elimination with partial pivoting, run on
-Python floats (``_gtsv``), so a 1-d solve loads no scipy module.  In 2-d
-``_StencilPattern`` builds one CSC matrix, factored by SuperLU with the MMD
-ordering of A^T + A; scipy is imported where that step is solved, so the
-commands that solve nothing, and 1-d solves, never load it.
+edge weight sigma_phase(max(|s + q|, eps_deg)) / h^2, and
+``_TridiagonalPattern`` solves its three bands by LAPACK dgtsv's
+elimination with partial pivoting, run on Python floats (``_gtsv``), so a
+1-d solve loads no scipy module.  In 2-d ``_StencilPattern`` builds one
+CSC matrix, factored by SuperLU with the MMD ordering of A^T + A; scipy is
+imported where that step is solved, so the commands that solve nothing,
+and 1-d solves, never load it.
 
 dt is a per-node array, a multiple of the explicit stability cap: the
 center weight of F_h is at most 2 d Lam_F / h^2, and 0.9 of the cap with
@@ -109,21 +108,22 @@ n = 97: 1261 steps with the ratio alone, 32 with the floor).
 
 Scheme selection
 ----------------
-In one dimension with F = trace the equation is an exact divergence,
-(G(u'))' = f with G the primitive of sigma, and the conservative scheme
-below (_FluxDiscretization1D) is used instead of the pointwise one: its
-discrete flux balance telescopes like the continuum first integral, which
-pins the solution branch at degenerate free boundaries.  The pointwise
-wide-stencil form admits spurious grid-anchored roots there (a dip whose
-central gradient vanishes feeds sigma ~ 0 back into f / sigma).  No such
-divergence structure exists for general F or in 2-d, where the pointwise
-form with central gradients is consistent and empirically stable on
+Every 1-d problem is solved in the conservative flux form
+(_FluxDiscretization1D): f rescaled by F(1) or -F(-1) turns each 1-d
+operator into trace, an exact divergence (G(u'))' = f~ with G the
+primitive of sigma.  Its discrete flux balance telescopes like the
+continuum first integral, which pins the solution branch at degenerate
+free boundaries; a pointwise form admits spurious grid-anchored roots
+there (a dip whose central gradient vanishes feeds sigma ~ 0 back into
+f / sigma).  Across a sign change the flux form keeps Psi continuous, not
+u'.  No such divergence structure exists in 2-d, where the pointwise wide
+stencil with central gradients is consistent and empirically stable on
 single-phase and smooth-interface problems.  Neither form is monotone as a
 whole: sigma F_h is for frozen sigma, but sigma reads the central
 gradient, and the flux form is only while no edge changes phase (see
-tests/test_properties.py).  ``scheme_name`` makes the choice for
-``solve`` and for the run configuration, so the scheme a run records is
-the one the solver drives to zero.
+tests/test_properties.py).  ``scheme_name`` makes the choice, from the
+dimension, for ``solve`` and for the run configuration, so the scheme a
+run records is the one the solver drives to zero.
 """
 
 from __future__ import annotations
@@ -159,8 +159,8 @@ _DT_GROWTH_MAX = 1e12
 # rms residual to at most this fraction (Kelley 2003, nsold's rsham).
 _RSHAM = 0.5
 
-# Second-difference directions per dimension, and the frames over them.
-_DIRECTIONS = {1: ((1,),), 2: ((1, 0), (0, 1), (1, 1), (1, -1))}
+# The 2-d second-difference directions, and the frames over them.
+_DIRECTIONS = ((1, 0), (0, 1), (1, 1), (1, -1))
 _FRAMES = {"axis": (0, 1), "diag": (2, 3)}
 
 
@@ -293,11 +293,10 @@ class _StencilPattern:
 class _TridiagonalPattern:
     """The 1-d step: diag(1/dt) - J straight from the stencil stack's bands.
 
-    A 1-d stencil couples each interior node to itself and its two
-    neighbours, so ``bands(J, dt)`` gives the matrix as its sub-, main and
-    super-diagonal, and ``solve(J, dt, r)`` solves it by ``_gtsv``
-    (Gaussian elimination with partial pivoting), or returns None if it is
-    exactly singular.  The same interface as ``_StencilPattern``, with no
+    The flux form's stack has the rows of the offsets -1, 0 and +1, so
+    ``bands(J, dt)`` gives the matrix as its sub-, main and super-diagonal,
+    and ``solve(J, dt, r)`` solves it by ``_gtsv`` (Gaussian elimination
+    with partial pivoting), or returns None if it is exactly singular.  The same interface as ``_StencilPattern``, with no
     sparse matrix built.  It keeps no factorization (``kept`` stays None):
     ``_gtsv`` factors and solves in one O(n) pass that costs about four
     fifths of a residual evaluation (flux form, n = 129, shared 2-core
@@ -308,11 +307,8 @@ class _TridiagonalPattern:
 
     kept = None
 
-    def __init__(self, offsets: list):
-        self.rows = [offsets.index((o,)) for o in (-1, 0, 1)]
-
     def bands(self, coeffs: np.ndarray, dt: np.ndarray):
-        lower, center, upper = (coeffs[k] for k in self.rows)
+        lower, center, upper = coeffs
         return -lower[1:], 1.0 / dt - center, -upper[:-1]
 
     def solve(self, coeffs: np.ndarray, dt: np.ndarray, r: np.ndarray):
@@ -385,7 +381,7 @@ def _neg(off: tuple) -> tuple:
 
 
 class _Discretization:
-    """Grid-resolved form of one problem: arrays ready for iteration."""
+    """The 2-d wide stencil of one problem: arrays ready for iteration."""
 
     name = "wide"
 
@@ -397,44 +393,41 @@ class _Discretization:
         self.q = prob.q_vector(grid.d)
         self.f_int = prob.f_on(grid)[grid.interior]
         op = prob.operator
-        d = grid.d
         lam_f = 1.0 if op.kind == "trace" else op.pair.Lam
-        self.center_bound = 2.0 * d * lam_f / self.h**2
+        self.center_bound = 4.0 * lam_f / self.h**2
 
         # Linear branches of F_h: (direction indices, coefficients); None
         # marks a pucci branch, whose coefficients are phi'(Delta_e).
-        axis = _FRAMES["axis"][:d]
+        axis = _FRAMES["axis"]
         if op.kind == "trace":
-            self.branches = [(axis, (1.0,) * d)]
+            self.branches = [(axis, (1.0, 1.0))]
         elif op.kind == "bellman-min-of-traces":
             self.branches = [
-                (_FRAMES[frame][:d], w)
-                for frame, w in (_frame_weights(np.asarray(A), d) for A in op.coefficients)
+                (_FRAMES[frame], w)
+                for frame, w in (_frame_weights(np.asarray(A)) for A in op.coefficients)
             ]
         else:
-            self.branches = [(_FRAMES[frame][:d], None) for frame in ("axis", "diag")[:d]]
+            self.branches = [(_FRAMES[frame], None) for frame in ("axis", "diag")]
             lam, Lam = op.pair.lam, op.pair.Lam
             self.slopes = (lam, Lam) if op.kind == "pucci-minus" else (Lam, lam)
         self.pick_max = op.kind == "pucci-plus"
 
         # the directions the branches read; J also couples along the axes
         self.directions = sorted({k for ks, _ in self.branches for k in ks})
-        self.offsets = [(0,) * d]
+        self.offsets = [(0, 0)]
         for k in sorted(set(self.directions) | set(axis)):
-            e = _DIRECTIONS[d][k]
+            e = _DIRECTIONS[k]
             self.offsets += [e, _neg(e)]
         self.offset_index = {off: i for i, off in enumerate(self.offsets)}
-        self.pattern = (_TridiagonalPattern(self.offsets) if d == 1
-                        else _StencilPattern(self.f_int.shape, self.offsets))
+        self.pattern = _StencilPattern(self.f_int.shape, self.offsets)
 
     # -- interior differential quantities ---------------------------------
 
     def _gradient(self, u: np.ndarray) -> list:
         """Central-difference gradient components, shifted by q."""
-        axes = _DIRECTIONS[self.grid.d][: self.grid.d]
         return [
             (_shift(u, e) - _shift(u, _neg(e))) / (2.0 * self.h) + qa
-            for e, qa in zip(axes, self.q)
+            for e, qa in zip(_DIRECTIONS[:2], self.q)
         ]
 
     def second_differences(self, u: np.ndarray) -> dict:
@@ -443,7 +436,7 @@ class _Discretization:
         h2 = self.h**2
         out = {}
         for k in self.directions:
-            e = _DIRECTIONS[self.grid.d][k]
+            e = _DIRECTIONS[k]
             out[k] = (_shift(u, e) - 2.0 * c + _shift(u, _neg(e))) / (h2 * float(np.dot(e, e)))
         return out
 
@@ -486,14 +479,14 @@ class _Discretization:
 
     def _jacobian(self, g, norm, speed, sp, sm, c, sig, branches, F) -> np.ndarray:
         """J of ``residual_interior`` from the arrays of that evaluation."""
-        d, h = self.grid.d, self.h
+        h = self.h
         active = (np.argmax if self.pick_max else np.argmin)(
             np.stack([v for _, _, v in branches]), axis=0)
         coeffs = np.zeros((len(self.offsets),) + F.shape)
         for j, (ks, w, _) in enumerate(branches):
             on = active == j
             for k, wk in zip(ks, w):
-                e = _DIRECTIONS[d][k]
+                e = _DIRECTIONS[k]
                 a = np.where(on, sig * wk, 0.0) / (h**2 * float(np.dot(e, e)))
                 coeffs[self.offset_index[e]] += a
                 coeffs[self.offset_index[_neg(e)]] += a
@@ -504,34 +497,40 @@ class _Discretization:
         if slope is not dm:  # two laws: each phase's slope, the smaller law's at u = 0
             slope = select_phase(c, slope, dm, np.where(sp <= sm, slope, dm))
         t = np.where(live, F * slope / np.where(live, norm, 1.0), 0.0) / (2.0 * h)
-        for e, ga in zip(_DIRECTIONS[d][:d], g):
+        for e, ga in zip(_DIRECTIONS[:2], g):
             coeffs[self.offset_index[e]] += t * ga
             coeffs[self.offset_index[_neg(e)]] -= t * ga
         return coeffs
 
 
 class _FluxDiscretization1D:
-    """Conservative form of the 1-d trace equation.
+    """Conservative form of every 1-d equation, through the trace equation.
 
-    With F = trace the equation sigma_{sgn(u)}(|u' + q|) u'' = f is exactly
-    (G_{sgn(u)}(u'))' = f for the flux G(s) = Psi(s + q) - Psi(q), where
+    In 1-d every operator here is F(X) = a_+ X for X >= 0 and a_- X for
+    X < 0, with a_+ = F(1) and a_- = -F(-1).  Since sigma >= 0, sgn F(u'')
+    = sgn f wherever sigma > 0, so sigma F(u'') = f, and each viscosity
+    inequality (Crandall, Ishii & Lions 1992), is the trace equation
+    sigma u'' = f~ with f~ = f / a_+ where f > 0 and f / a_- elsewhere,
+    built once, here; for trace f~ is f bit for bit.
+
+    The trace equation sigma_{sgn(u)}(|u' + q|) u'' = f~ is exactly
+    (G_{sgn(u)}(u'))' = f~ for the flux G(s) = Psi(s + q) - Psi(q), where
     Psi(w) = sgn(w) * P(|w|), P the primitive of sigma (past t_max as in
     ``laws``), so dG/ds = sigma and J below is R's derivative.  The scheme
 
-        R_i = (G(D+ u_i) - G(D- u_i)) / h - f_i
+        R_i = (G(D+ u_i) - G(D- u_i)) / h - f~_i
 
     with midpoint fluxes telescopes exactly like the continuum first
     integral, so it inherits the continuum's selection of the solution
-    branch at degenerate interfaces (where u' = 0 and both phase fluxes
-    vanish).  The pointwise nonconservative form admits spurious
-    grid-anchored roots there; see the wide-stencil class.
+    branch at degenerate interfaces (where u' = 0 and both fluxes vanish).
 
     Each edge flux takes the law of the phase both endpoint values share;
     across a sign-change edge the smaller flux magnitude is used, the
     discrete counterpart of the minimal-law convention at u = 0.  At a
     nondegenerate sign change this enforces continuity of the phase flux
-    rather than of the gradient; the two coincide exactly in the
-    degenerate-interface regime the equation is designed around.
+    Psi rather than of the gradient u', for every operator kind; the two
+    coincide exactly in the degenerate-interface regime the equation is
+    designed around.
     """
 
     name = "flux-1d"
@@ -542,10 +541,12 @@ class _FluxDiscretization1D:
         self.prob = prob
         self.eps_deg = float(eps_deg)
         self.h = grid.h
-        self.f_int = prob.f_on(grid)[grid.interior]
+        f, op = prob.f_on(grid)[grid.interior], prob.operator
+        a_plus, a_minus = op.apply(np.ones((1, 1))), -op.apply(-np.ones((1, 1)))
+        self.f_int = f / np.where(f > 0.0, a_plus, a_minus)  # f~
         self.q = float(prob.q_vector(1)[0])
         self.center_bound = 2.0 / grid.h**2
-        self.pattern = _TridiagonalPattern(self.offsets)
+        self.pattern = _TridiagonalPattern()
         self.psi_q = prob.per_law(lambda law: self._psi(law, self.q))  # each phase's Psi(q)
 
     @staticmethod
@@ -585,21 +586,14 @@ class _FluxDiscretization1D:
         return np.stack((w[:-1], -(w[:-1] + w[1:]), w[1:]))
 
 
-def _frame_weights(A: np.ndarray, d: int):
-    """Directional weights of tr(A D^2 u) in a grid-aligned frame.
+def _frame_weights(A: np.ndarray):
+    """Directional weights of tr(A D^2 u) in a grid-aligned 2-d frame.
 
-    In 1-d the coefficient is the scalar itself.  In 2-d the matrix must be
-    diagonal either in the axis frame (off-diagonal zero) or in the diagonal
-    frame (equal diagonal entries); otherwise its trace form cannot be
-    written with grid second differences and the configuration is rejected.
-    A coefficient whose size is not the grid's dimension is rejected too.
+    The 2x2 matrix must be diagonal either in the axis frame (off-diagonal
+    zero) or in the diagonal frame (equal diagonal entries); otherwise its
+    trace form cannot be written with grid second differences and the
+    configuration is rejected.
     """
-    if A.shape != (d, d):
-        raise ConfigError(
-            f"bellman coefficients are {A.shape[0]}x{A.shape[1]}, the grid is {d}-d"
-        )
-    if d == 1:
-        return ("axis", (float(A[0, 0]),))
     scale = max(1.0, float(np.abs(A).max()))
     if abs(A[0, 1]) <= _FRAME_ALIGN_TOL * scale:
         return ("axis", (float(A[0, 0]), float(A[1, 1])))
@@ -644,17 +638,22 @@ def _neighbor_max(s: np.ndarray) -> np.ndarray:
     return out
 
 
+_SCHEMES = {1: _FluxDiscretization1D, 2: _Discretization}
+
+
 def scheme_name(prob: ProblemInstance, grid: Grid) -> str:
-    """The discretization ``solve`` uses: "flux-1d" on 1-d trace problems,
-    "wide" otherwise (see the module docstring)."""
-    if grid.d == 1 and prob.operator.kind == "trace":
-        return _FluxDiscretization1D.name
-    return _Discretization.name
+    """The discretization ``solve`` uses: "flux-1d" on every 1-d problem,
+    where f~ reduces each operator to trace, and "wide" in 2-d (see the
+    module docstring).  Its transmission condition is Psi continuous in 1-d."""
+    return _SCHEMES[grid.d].name
 
 
 def _make_discretization(prob: ProblemInstance, grid: Grid, eps_deg: float):
-    flux = scheme_name(prob, grid) == _FluxDiscretization1D.name
-    return (_FluxDiscretization1D if flux else _Discretization)(prob, grid, eps_deg)
+    for A in prob.operator.coefficients:  # bellman: one d x d matrix each
+        if len(A) != grid.d:
+            raise ConfigError(f"bellman coefficients are {len(A)}x{len(A)}, "
+                              f"the grid is {grid.d}-d")
+    return _SCHEMES[grid.d](prob, grid, eps_deg)
 
 
 def _sup(r: np.ndarray) -> float:

@@ -1402,6 +1402,11 @@ class TestErrorsAndDeterminism:
         assert err.startswith("error: config") and err.count("\n") == 1
         assert not out.exists()
 
+    # every 1-d problem gets flux-1d, a pucci one as much as a trace one
+    PUCCI_MINUS = {"operator": {"kind": "pucci-minus", "lam": 0.5, "Lam": 2.0},
+                   "sigma_plus": {"family": "power", "p": 1.0},
+                   "sigma_minus": {"family": "power", "p": 1.0}, "f": 0.5, "C0": 1.0}
+
     @pytest.mark.parametrize("problem, d, scheme, code", [
         ({"benchmark": "radial-power", "params": {"theta": 1.0, "d": 1}}, 1, "wide",
          EXIT_CONFIG),
@@ -1409,14 +1414,12 @@ class TestErrorsAndDeterminism:
          EXIT_CONFIG),
         ({"benchmark": "radial-power", "params": {"theta": 1.0, "d": 1}}, 1, "explicit",
          EXIT_CONFIG),
-        ({"operator": {"kind": "pucci-minus", "lam": 0.5, "Lam": 2.0},
-          "sigma_plus": {"family": "power", "p": 1.0},
-          "sigma_minus": {"family": "power", "p": 1.0}, "f": 0.5, "C0": 1.0},
-         1, "flux-1d", EXIT_CONFIG),
+        (PUCCI_MINUS, 1, "flux-1d", EXIT_OK),
         ({"benchmark": "radial-power", "params": {"theta": 1.0, "d": 1}}, 1, "auto", EXIT_OK),
         ({"benchmark": "radial-power", "params": {"theta": 1.0, "d": 1}}, 1, "flux-1d",
          EXIT_OK),
         ({"benchmark": "radial-power", "params": {"theta": 1.0, "d": 2}}, 2, "wide", EXIT_OK),
+        (PUCCI_MINUS, 1, "wide", EXIT_CONFIG),
     ])
     def test_scheme_key_must_name_the_problems_discretization(self, tmp_path, capsys,
                                                               problem, d, scheme, code):

@@ -67,6 +67,27 @@ class TestRadial:
         assert diag.scheme == "flux-1d"
         assert _rel_sup_error(u, exact) < 0.005
 
+    # F(u'') = a+ u'' for u'' >= 0 and a- u'' below: with f times a+ the
+    # solution is |x|^gamma, and with f times -a- and g = -|x|^gamma its mirror
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["convex", "concave"])
+    @pytest.mark.parametrize("kind, coeffs, a_plus, a_minus", [
+        ("pucci-minus", (), 0.5, 2.0),
+        ("pucci-plus", (), 2.0, 0.5),
+        ("bellman-min-of-traces", (np.array([[0.7]]), np.array([[1.5]])), 0.7, 1.5),
+    ], ids=["pucci-minus", "pucci-plus", "bellman"])
+    def test_radial_1d_every_kind_with_scaled_forcing(self, kind, coeffs, a_plus, a_minus,
+                                                      sign):
+        bench = exact_benchmark("radial-power", {"theta": 1.0, "d": 1})
+        f = bench.problem.f * (a_plus if sign > 0 else -a_minus)
+        prob = dataclasses.replace(
+            bench.problem, operator=EllipticOperator(kind, EllipticityPair(0.5, 2.0), coeffs),
+            f=f, g=lambda x: sign * bench.u_exact(x), C0=abs(f))
+        grid = Grid(d=1, n=129)
+        cfg = SchemeConfig(tol=1e-6, eps_deg=bench.recommended_eps_deg(grid))
+        u, diag = solve_cascade(prob, grid, cfg)
+        assert diag.converged and diag.scheme == "flux-1d"
+        assert _rel_sup_error(u, sign * bench.exact_on(grid)) < 5e-4
+
     def test_radial_2d_coarse(self):
         u, diag, exact = _solve_benchmark(
             "radial-power", {"theta": 1.0, "d": 2}, n=33
@@ -255,22 +276,16 @@ class TestPseudoTransient:
         assert [lv["n"] for lv in diag.levels] == [n]
         assert np.array_equal(u_casc.values, u.values)
 
-    @pytest.mark.parametrize("kind", ["pucci-minus", "pucci-plus", "bellman-min-of-traces"])
-    def test_one_dimensional_wide_stencil_kinds_solve(self, kind):
-        from degenlab.elliptic import EllipticityPair, EllipticOperator
-        from degenlab.laws import PowerLaw
-        from degenlab.problem import ProblemInstance, select_phase
-
-        coeffs = (np.array([[0.7]]), np.array([[1.5]])) if kind.startswith("bellman") else ()
-        prob = ProblemInstance(
-            operator=EllipticOperator(kind, EllipticityPair(0.5, 2.0), coeffs),
-            sigma_plus=PowerLaw(1.0), sigma_minus=PowerLaw(2.0),
-            f=0.5, g=lambda x: x, C0=1.0,
-        )
-        grid = Grid(d=1, n=33)
-        u, diag = solve(prob, grid, SchemeConfig(tol=1e-8, eps_deg=0.05))
-        assert diag.converged and diag.scheme == "wide"
-        assert _sup_residual(u, prob, eps_deg=0.05) <= 1e-8
+    # every operator kind is the trace with a rescaled f, in the flux form
+    @pytest.mark.parametrize("eps_deg", [1e-2, 1e-4])
+    @pytest.mark.parametrize("n", [17, 65, 257])
+    @pytest.mark.parametrize("kind", ["trace", "pucci-minus", "pucci-plus",
+                                      "bellman-min-of-traces"])
+    def test_one_dimensional_kinds_solve_in_flux_form(self, kind, n, eps_deg):
+        prob = _wide_problem(kind, 1)
+        u, diag = solve(prob, Grid(d=1, n=n), SchemeConfig(tol=1e-8, eps_deg=eps_deg))
+        assert diag.converged and diag.scheme == "flux-1d"
+        assert _sup_residual(u, prob, eps_deg=eps_deg) <= 1e-8
 
     # a 1x1 coefficient on a 2-d grid, 3x3 on 2-d and 2x2 on 1-d: the
     # parent raised an IndexError, solved with the upper-left 2x2 block and
@@ -448,6 +463,8 @@ class TestFactorizationReuse:
 
 
 def _wide_problem(kind, d):
+    """A problem of each operator kind, solved by the wide stencil in 2-d and
+    by the flux form in 1-d (f = 0.3 and g = 0, so u <= 0)."""
     from degenlab.elliptic import EllipticityPair, EllipticOperator
     from degenlab.laws import PowerLaw, PowerLogLaw
     from degenlab.problem import ProblemInstance, select_phase
@@ -463,14 +480,16 @@ def _wide_problem(kind, d):
 
 
 def _discretizations():
-    """Every operator kind of the wide stencil in 1-d and 2-d, and the flux form."""
+    """The wide stencil of every operator kind in 2-d, and the flux form of
+    transmission-1d and of a 1-d pucci problem (f rescaled, q = 0.2)."""
     kinds = ("trace", "pucci-minus", "pucci-plus", "bellman-min-of-traces")
-    cases = [pytest.param(solver._Discretization(_wide_problem(kind, d), Grid(d=d, n=9), 1e-4),
-                          id=f"{kind}-{d}d")
-             for d in (1, 2) for kind in kinds]
+    cases = [pytest.param(solver._Discretization(_wide_problem(kind, 2), Grid(d=2, n=9), 1e-4),
+                          id=f"{kind}-2d")
+             for kind in kinds]
     bench = exact_benchmark("transmission-1d", {"theta1": 1.0, "theta2": 2.0, "c": 1.0})
     flux = solver._FluxDiscretization1D(bench.problem, Grid(d=1, n=9), 1e-4)
-    return cases + [pytest.param(flux, id="flux-1d")]
+    pucci = solver._make_discretization(_wide_problem("pucci-minus", 1), Grid(d=1, n=9), 1e-4)
+    return cases + [pytest.param(pucci, id="pucci-minus-1d"), pytest.param(flux, id="flux-1d")]
 
 
 EACH_DISCRETIZATION = pytest.mark.parametrize("disc", _discretizations())
@@ -709,25 +728,22 @@ class TestJacobianOnDemand:
         # a rejected trial's iterate or the explicit step never assembles J
         assert all(events[i + 1] == "factor" for i, e in enumerate(events) if e == "assemble")
 
-    @pytest.mark.parametrize("owner", [solver._Discretization, solver._FluxDiscretization1D])
+    @pytest.mark.parametrize("case", ["transmission-1d", "pucci-minus-1d"])
     def test_one_dimensional_solve_assembles_at_most_once_per_factorization(self, monkeypatch,
-                                                                            owner):
+                                                                            case):
         events = []
-        self._record(monkeypatch, owner, "_jacobian", events, "assemble")
-        if owner is solver._Discretization:
+        self._record(monkeypatch, solver._FluxDiscretization1D, "_jacobian", events, "assemble")
+        if case == "pucci-minus-1d":
             prob, grid = _wide_problem("pucci-minus", 1), Grid(d=1, n=17)
-            _, diag = solve(prob, grid, SchemeConfig(tol=1e-6, eps_deg=0.1))
-            assert diag.scheme == "wide"
-            # a trial rejected at one dt is factored again at a cut dt, from the same J
-            assert diag.rejected_steps > 0 and len(events) < diag.linear_solves
+            _, diag = solve(prob, grid, SchemeConfig(tol=1e-8, eps_deg=1e-2))
         else:
             bench = exact_benchmark("transmission-1d", {"theta1": 1.0, "theta2": 2.0, "c": 1.0})
             grid = Grid(d=1, n=33)
             _, diag = solve(bench.problem, grid,
                             SchemeConfig(tol=1e-6, eps_deg=bench.recommended_eps_deg(grid)))
-            assert diag.scheme == "flux-1d"
-        assert diag.converged
-        assert 0 < len(events) <= diag.linear_solves
+        assert diag.converged and diag.scheme == "flux-1d" and diag.rejected_steps > 0
+        # a trial rejected at one dt is factored again at a cut dt, from the same J
+        assert 0 < len(events) < diag.linear_solves
 
     @EACH_DISCRETIZATION
     def test_jacobian_is_assembled_once_per_evaluation(self, disc, monkeypatch):
