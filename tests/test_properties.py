@@ -223,6 +223,28 @@ def test_flux_jacobian_matches_finite_differences_past_t_max(q):
     assert np.max(np.abs(_dense_jacobian(disc, u) - 0.5 * (fwd + bwd))) <= 1e-5 * scale
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 3: a power-log primitive is a table, whose secant "
+                          "is R's slope, not sigma (at n = 9: 4.5e-5 relative)")
+def test_flux_jacobian_matches_finite_differences_on_a_power_log_law():
+    """power(1.5) and power-log(1, 0.5): P of the power-log law is np.interp
+    on a trapezoid table, so J's edge weight sigma / h^2 is not the slope of
+    R in u.  The power pair of the property test above matches to 1e-10."""
+    prob = ProblemInstance(
+        operator=EllipticOperator(kind="trace", pair=PAIR),
+        sigma_plus=PowerLaw(1.5), sigma_minus=PowerLogLaw(1.0, 0.5),
+        f=0.3, g=0.0, C0=1.0, q=(0.0,),
+    )
+    disc = _FluxDiscretization1D(prob, Grid(d=1, n=9), 1e-9)
+    u = np.random.default_rng(0).uniform(-1.0, 1.0, disc.grid.shape)
+    fwd, bwd = _one_sided_jacobians(disc, u)
+    scale = max(1.0, float(np.max(np.abs(fwd))))
+    # _check_jacobian's assume, which hypothesis allows only inside @given
+    if np.max(np.abs(fwd - bwd)) > 1e-4 * scale:
+        pytest.fail("a kink between the one-sided differences")
+    assert np.max(np.abs(_dense_jacobian(disc, u) - 0.5 * (fwd + bwd))) <= 1e-5 * scale
+
+
 @PROPERTY
 @given(data=st.data())
 def test_flux_step_matrix_is_an_m_matrix(data):

@@ -569,6 +569,23 @@ class TestStepMatrix:
             assert np.array_equal(np.asarray(getattr(pattern, name)), value), name
         assert np.array_equal(coeffs, inputs[0]) and np.array_equal(r, inputs[1])
 
+    @pytest.mark.parametrize("kind, n", [("trace", 33), ("pucci-minus", 65), ("pucci-plus", 33),
+                                         ("bellman-min-of-traces", 65)])
+    def test_solve_matches_superlu_defaults(self, kind, n, monkeypatch):
+        """The step is factored without relaxed supernodes (relax=1,
+        panel_size=2), and its delta is SuperLU's with default settings up
+        to rounding."""
+        from scipy.sparse import linalg
+
+        disc = solver._Discretization(_wide_problem(kind, 2), Grid(d=2, n=n), 1e-4)
+        coeffs, dt, r = _step_inputs(disc)
+        want = linalg.splu(disc.pattern.matrix(coeffs, dt), permc_spec="MMD_AT_PLUS_A").solve(r.ravel())
+        calls, splu = [], linalg.splu
+        monkeypatch.setattr(linalg, "splu", lambda A, **kw: calls.append(kw) or splu(A, **kw))
+        got = disc.pattern.solve(coeffs, dt, r).ravel()
+        assert calls == [{"permc_spec": "MMD_AT_PLUS_A", "relax": 1, "panel_size": 2}]
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
 
 def _tridiagonal_system(rng, kind):
     """Bands and right-hand side of a random tridiagonal system of size 2-130.
